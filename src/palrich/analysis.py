@@ -28,12 +28,12 @@ from .errors import (
     WordTooShort,
 )
 from .factors import (
+    DEFAULT_PREFIX_CAP,
+    RICHNESS_SAMPLE_CAP,
     FactorIndex,
     build_index,
     is_closed_under_reversal,
     morphic_factor_sets,
-    stabilized_prefix,
-    DEFAULT_PREFIX_CAP,
 )
 from .palindromes import (
     RichnessReport,
@@ -43,7 +43,7 @@ from .palindromes import (
 )
 from .words import Morphism, Word
 
-RICHNESS_SAMPLE_CAP = 1 << 16
+# Longest prefix that the quadratic return-based richness oracle reads.
 RETURNS_ORACLE_CAP = 4096
 
 
@@ -347,7 +347,7 @@ def _order_record(
         )
     rg = rauzy.reduce(g)
     sg, facts = rauzy.super_reduce(rg)
-    cond1, _ = rauzy.palindromic_path_condition(rg, facts)
+    cond1, _ = rauzy.palindromic_path_condition(rg)
     cond2 = rauzy.is_tree(sg)
     ident = rauzy.path_counting_identity(g, rg, facts, (prof.P[n], prof.P[n + 1]))
     return OrderRecord(
@@ -376,17 +376,15 @@ def theorem1_experiment(
     n_max: int = 30,
     *,
     prefix_cap: int = DEFAULT_PREFIX_CAP,
-    richness_cap: int = RICHNESS_SAMPLE_CAP,
-    returns_cap: int = RETURNS_ORACLE_CAP,
 ) -> TheoremReport:
     """Run the full verdict triangle for one generator.
 
     ``source`` is a word family from :mod:`palrich.generators`, or any
-    callable mapping a length to a word prefix.  Factor sets come from the
-    family's exact-set construction when it has one, otherwise from a
-    doubling prefix stabilization capped at ``prefix_cap``.  Richness runs on
-    a prefix of at most ``richness_cap`` letters (the quadratic return-based
-    oracle on at most ``returns_cap``).
+    callable mapping a length to a word prefix.  Factor sets come from
+    :meth:`WordFamily.index` with ``prefix_cap``: exact when the family has a
+    construction, otherwise a doubling prefix stabilization.  Richness runs
+    on the first ``RICHNESS_SAMPLE_CAP`` letters of the index's source word
+    (the quadratic return-based oracle on the first ``RETURNS_ORACLE_CAP``).
     """
     from .generators import WordFamily
 
@@ -394,20 +392,13 @@ def theorem1_experiment(
         family = source
     else:
         family = WordFamily(name="custom", summary="ad hoc", produce=source)
-    depth = n_max + 2  # graphs at every order up to n_max need F_{n_max+2}
-    if family.exact_sets is not None:
-        sets = family.exact_sets(depth)
-        sample = family.produce(richness_cap)
-        idx = FactorIndex.from_sets(sample.alphabet, sets, sample)
-        prefix_length = len(sample)
-    else:
-        sp = stabilized_prefix(family.produce, n_max + 1, prefix_cap)
-        idx = sp.index
-        sample = sp.word[: min(len(sp.word), richness_cap)]
-        prefix_length = len(sp.word)
+    # Graphs at every order up to n_max need F_{n_max+2}.
+    idx = family.index(n_max + 1, prefix_cap)
+    sample = idx.source[:RICHNESS_SAMPLE_CAP]
+    prefix_length = len(idx.source)
     prof = profile_from_index(idx, n_max)
     closed, witness = prof.reversal_closed, prof.closure_witness
-    returns_sample = sample[: min(len(sample), returns_cap)]
+    returns_sample = sample[:RETURNS_ORACLE_CAP]
     richness = RichnessVerdicts(
         incremental=is_rich_incremental(sample),
         by_count=is_rich_by_count(sample),

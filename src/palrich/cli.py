@@ -16,7 +16,13 @@ import warnings
 
 from . import analysis, counting, rauzy
 from .errors import PalrichError, UnstableIndexWarning
-from .factors import DEFAULT_PREFIX_CAP, FactorIndex, build_index, stabilized_prefix
+from .factors import (
+    DEFAULT_PREFIX_CAP,
+    RICHNESS_SAMPLE_CAP,
+    FactorIndex,
+    build_index,
+    special_factors,
+)
 from .generators import REGISTRY, WordFamily, get_family
 from .palindromes import is_rich_incremental
 from .words import Word
@@ -96,21 +102,15 @@ def _source_payload(cfg: RunConfig) -> dict:
     }
 
 
-def _index_for(cfg: RunConfig, depth_orders: int) -> tuple[FactorIndex, Word]:
+def _index_for(cfg: RunConfig, depth_orders: int) -> FactorIndex:
     """Index deep enough for graphs at each order up to depth_orders."""
     if cfg.word is not None:
         w = Word.parse(cfg.word)
         n_idx = min(depth_orders + 1, len(w) - 1)
         if n_idx < 1:
             raise UsageError("the literal word is too short to index")
-        return build_index(w, n_idx), w
-    family = _family(cfg)
-    if family.exact_sets is not None:
-        sets = family.exact_sets(depth_orders + 2)
-        sample = family.produce(min(cfg.prefix_cap, analysis.RICHNESS_SAMPLE_CAP))
-        return FactorIndex.from_sets(sample.alphabet, sets, sample), sample
-    sp = stabilized_prefix(family.produce, depth_orders + 1, cfg.prefix_cap)
-    return sp.index, sp.word
+        return build_index(w, n_idx)
+    return _family(cfg).index(depth_orders + 1, cfg.prefix_cap)
 
 
 # -- analyze -----------------------------------------------------------------
@@ -119,32 +119,22 @@ def _index_for(cfg: RunConfig, depth_orders: int) -> tuple[FactorIndex, Word]:
 def cmd_analyze(cfg: RunConfig) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnstableIndexWarning)
-        idx, sample = _index_for(cfg, cfg.n_max)
+        idx = _index_for(cfg, cfg.n_max)
         n_max = min(cfg.n_max, idx.n_max - 1)
         prof = analysis.profile_from_index(idx, n_max)
-        rich = is_rich_incremental(
-            sample[: min(len(sample), analysis.RICHNESS_SAMPLE_CAP)]
-        )
+        rich = is_rich_incremental(idx.source[:RICHNESS_SAMPLE_CAP])
         rows = []
         for n in range(n_max + 1):
-            right = idx.right_extensions(n)
-            left = idx.left_extensions(n)
-            rs = sum(1 for u in idx.factor_set(n) if len(right[u]) >= 2)
-            ls = sum(1 for u in idx.factor_set(n) if len(left[u]) >= 2)
-            bis = sum(
-                1
-                for u in idx.factor_set(n)
-                if len(right[u]) >= 2 and len(left[u]) >= 2
-            )
+            special = special_factors(idx, n)
             rows.append(
                 {
                     "n": n,
                     "C": prof.C[n],
                     "P": prof.P[n],
                     "slack": prof.slack[n],
-                    "right_special": rs,
-                    "left_special": ls,
-                    "bispecial": bis,
+                    "right_special": len(special.right_special),
+                    "left_special": len(special.left_special),
+                    "bispecial": len(special.bispecial),
                     "stabilized": prof.order_stabilized(n),
                 }
             )
@@ -203,7 +193,7 @@ def cmd_graph(cfg: RunConfig, n: int, tier: str) -> int:
         raise UsageError("--n must be non-negative")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnstableIndexWarning)
-        idx, _ = _index_for(cfg, n)
+        idx = _index_for(cfg, n)
         g = rauzy.build_rauzy(idx, n)
         if tier == "raw":
             text = rauzy.rauzy_dot(g)

@@ -41,10 +41,6 @@ class NotProlongable(PalrichError):
     """The morphism image of the seed does not extend the seed."""
 
 
-class ImageTooSlow(PalrichError):
-    """Iterating the morphism stopped producing new letters."""
-
-
 class ErasingMorphism(PalrichError):
     """Morphisms with empty letter images are rejected at construction."""
 

@@ -6,8 +6,13 @@ and the complexity-difference identity all derive.  Occurrence positions are
 computed lazily against the source word (storing every occurrence list up
 front is pointless at megabyte prefixes).
 
-Two further factor-set sources exist besides plain window scanning:
+Every factor-set source computes only the top set F_depth and derives the
+shorter ones by prefix projection.  In an infinite word every factor extends
+to the right, so F_n is the set of length-n prefixes of F_{n+1}; in a finite
+word the one exception is its final length-n suffix, which is added back.
+The top set comes from one of four places:
 
+* ``build_index`` scans the top-length windows of a concrete word.
 * ``stabilized_prefix`` doubles a generator's prefix until the factor sets
   stop changing, recording per-length stability flags, so finite prefixes can
   stand in for the infinite word they approximate.
@@ -16,11 +21,14 @@ Two further factor-set sources exist besides plain window scanning:
   of a -> aab, b -> b carry factors (long b-runs) whose first occurrence lies
   exponentially deep, far beyond any scannable prefix, and this closure is
   the only exact route to their complexity at useful depths.
+* ``image_factor_sets`` and ``periodic_factor_sets`` do the same for
+  morphic images and for periodic words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -30,38 +38,11 @@ from .errors import (
     StabilizationFailed,
     WordTooShort,
 )
-from .words import Alphabet, Morphism, Word, fixed_point
+from .words import Morphism, Word, fixed_point
 
 DEFAULT_PREFIX_CAP = 1 << 20
-
-
-class _WindowScan:
-    """Incrementally maintained distinct-window sets for lengths 0..depth."""
-
-    def __init__(self, depth: int):
-        self.depth = depth
-        self.data = bytearray()
-        self.sets: list[set[bytes]] = [set() for _ in range(depth + 1)]
-        self.sets[0].add(b"")
-        self._changed = [False] * (depth + 1)
-
-    def extend(self, chunk: bytes):
-        old = len(self.data)
-        self.data.extend(chunk)
-        buf = bytes(self.data)
-        total = len(buf)
-        for n in range(1, self.depth + 1):
-            s = self.sets[n]
-            before = len(s)
-            for end in range(max(n, old + 1), total + 1):
-                s.add(buf[end - n : end])
-            if len(s) != before:
-                self._changed[n] = True
-
-    def take_changed(self) -> list[bool]:
-        changed = self._changed
-        self._changed = [False] * (self.depth + 1)
-        return changed
+# Longest prefix that the richness checkers read.
+RICHNESS_SAMPLE_CAP = 1 << 16
 
 
 class FactorIndex:
@@ -94,30 +75,17 @@ class FactorIndex:
 
     @classmethod
     def build(cls, w: Word, n_max: int) -> "FactorIndex":
-        """Scan every window of w up to length n_max+1."""
+        """Factor sets of w up to length n_max+1.
+
+        Only the windows of length n_max+1 are scanned; the shorter sets are
+        their prefixes plus the suffixes of w (see ``_derive_down``).
+        """
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
         if n_max + 1 > len(w):
             raise WordTooShort(f"need n_max+1 <= |w|, got {n_max + 1} > {len(w)}")
-        scan = _WindowScan(n_max + 1)
-        scan.extend(w.data)
-        return cls(w, n_max, scan.sets)
-
-    @classmethod
-    def from_sets(
-        cls,
-        alphabet: Alphabet,
-        sets: Sequence[Iterable[bytes]],
-        sample: Word,
-        *,
-        exact: bool = True,
-    ) -> "FactorIndex":
-        """Wrap externally computed factor sets (e.g. a morphic closure).
-
-        ``sample`` is a prefix of the same word, used for occurrence-based
-        probes; set-level queries never touch it.
-        """
-        return cls(sample, len(sets) - 2, sets, stable=True, exact=exact)
+        depth = n_max + 1
+        return cls(w, n_max, _derive_down(_windows(w.data, depth), depth, w.data))
 
     # -- set-level queries ------------------------------------------------
 
@@ -362,32 +330,34 @@ def stabilized_prefix(
     base = 4 * depth
     if len_cap < base:
         raise ValueError(f"len_cap must be at least 4*(n_max+1) = {base}")
-    scan = _WindowScan(depth)
     length = base
     word = produce(length)
-    scan.extend(word.data)
-    scan.take_changed()
+    top = _windows(word.data, depth)
+    sets = _derive_down(top, depth, word.data)
     tried = [length]
     stable = False
     stable_lengths = (True,) + (False,) * depth
     while length < len_cap:
-        new_length = min(2 * length, len_cap)
-        grown = produce(new_length)
+        length = min(2 * length, len_cap)
+        grown = produce(length)
         if grown.data[: len(word)] != word.data:
             raise StabilizationFailed("generator is not prefix-stable")
-        scan.extend(grown.data[len(word) :])
+        top |= _windows(grown.data, depth, len(word) - depth + 1)
         word = grown
-        length = new_length
         tried.append(length)
-        changed = scan.take_changed()
-        stable_lengths = tuple(not c for c in changed)
-        if not any(changed[1:]):
+        # The sets of a longer prefix contain those of a shorter one, so a
+        # set changed exactly when its size did.
+        sizes = [len(s) for s in sets]
+        del sets  # release the previous derivation before building the next
+        sets = _derive_down(top, depth, word.data)
+        stable_lengths = tuple(len(s) == size for s, size in zip(sets, sizes))
+        if all(stable_lengths):
             stable = True
             break
     idx = FactorIndex(
         word,
         n_max,
-        scan.sets,
+        sets,
         stable=stable,
         stable_lengths=stable_lengths,
         exact=False,
@@ -395,13 +365,27 @@ def stabilized_prefix(
     return StabilizedPrefix(word, stable, stable_lengths, idx, tuple(tried))
 
 
-def _derive_down(top: set[bytes], depth: int) -> list[frozenset[bytes]]:
-    # For factor sets of an infinite word, every shorter factor extends to
-    # depth, so F_n is exactly the set of length-n prefixes of F_{n+1}.
+def _windows(data: bytes, depth: int, start: int = 0) -> set[bytes]:
+    """Distinct length-``depth`` windows of data starting at or after ``start``."""
+    return {data[i : i + depth] for i in range(start, len(data) - depth + 1)}
+
+
+def _derive_down(
+    top: Iterable[bytes],
+    depth: int,
+    source: bytes | None = None,
+) -> list[frozenset[bytes]]:
+    # Every factor of an infinite word extends to the right, so F_n is the
+    # set of length-n prefixes of F_{n+1}.  In a finite word ``source`` the
+    # only occurrence that may lack a right neighbour is its final length-n
+    # suffix, which is added back at every level.
     sets: list[frozenset[bytes]] = [frozenset()] * (depth + 1)
     sets[depth] = frozenset(top)
     for n in range(depth - 1, -1, -1):
-        sets[n] = frozenset(u[:n] for u in sets[n + 1])
+        shorter = (u[:n] for u in sets[n + 1])
+        if source is not None:
+            shorter = chain(shorter, (source[len(source) - n :],))
+        sets[n] = frozenset(shorter)
     return sets
 
 
@@ -422,7 +406,7 @@ def morphic_factor_sets(
     if depth == 0:
         return [frozenset({b""})]
     prefix = fixed_point(m, seed, max(4 * depth, 64)).data
-    top = {prefix[i : i + depth] for i in range(len(prefix) - depth + 1)}
+    top = _windows(prefix, depth)
     frontier = set(top)
     rounds = 0
     while frontier:

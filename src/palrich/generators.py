@@ -12,9 +12,13 @@ from typing import Callable
 
 from .errors import PalrichError
 from .factors import (
+    DEFAULT_PREFIX_CAP,
+    RICHNESS_SAMPLE_CAP,
+    FactorIndex,
     image_factor_sets,
     morphic_factor_sets,
     periodic_factor_sets,
+    stabilized_prefix,
 )
 from .palindromes import Eertree
 from .words import (
@@ -52,8 +56,19 @@ class WordFamily:
             return f"{self.name}({inner})"
         return self.name
 
-    def sample(self, length: int) -> Word:
-        return self.produce(length)
+    def index(self, n_max: int, prefix_cap: int = DEFAULT_PREFIX_CAP) -> FactorIndex:
+        """Factor sets of lengths 0..n_max+1 of the infinite word.
+
+        Exact sets when the family has a construction for them; their source
+        word is a prefix of at most ``prefix_cap`` letters (and no longer
+        than the richness checkers read).  Otherwise the sets of a doubling
+        prefix stabilized under ``prefix_cap``, whose source is that prefix.
+        """
+        if self.exact_sets is None:
+            return stabilized_prefix(self.produce, n_max, prefix_cap).index
+        sets = self.exact_sets(n_max + 1)
+        source = self.produce(min(prefix_cap, RICHNESS_SAMPLE_CAP))
+        return FactorIndex(source, n_max, sets)
 
 
 def _exact_from_morphism(m: Morphism, seed: str):
@@ -63,12 +78,12 @@ def _exact_from_morphism(m: Morphism, seed: str):
     return build
 
 
-def episturmian_prefix(directive: str, length: int, cycle: bool = True) -> Word:
-    """Prefix of the iterated palindromic closure along a directive.
+def episturmian_prefix(directive: str, length: int) -> Word:
+    """Prefix of the iterated palindromic closure along a repeating directive.
 
-    With ``cycle`` the directive repeats forever.  The closure is computed
-    incrementally on an eertree, so each appended letter costs amortized
-    constant work and long prefixes stay cheap.
+    The directive repeats forever.  The closure is computed incrementally on
+    an eertree, so each appended letter costs amortized constant work and
+    long prefixes stay cheap.
     """
     alphabet = Alphabet(sorted(set(directive)))
     if length == 0:
@@ -76,12 +91,6 @@ def episturmian_prefix(directive: str, length: int, cycle: bool = True) -> Word:
     tree = Eertree(alphabet)
     steps = 0
     while len(tree.data) < length:
-        if steps >= len(directive) and not cycle:
-            from .errors import DirectiveExhausted
-
-            raise DirectiveExhausted(
-                f"directive produced only {len(tree.data)} of {length} letters"
-            )
         tree.push(alphabet.index(directive[steps % len(directive)]))
         steps += 1
         gap = len(tree.data) - tree.last_suffix_length()

@@ -41,7 +41,6 @@ class Eertree:
         self.created_at: list[int] = []  # per position: new node id, or 0
         self._last = 1
         self._undo: list[tuple[int, int, int, int]] = []
-        self._occ: list[int] | None = None
 
     @classmethod
     def build(cls, w: Word) -> "Eertree":
@@ -92,7 +91,6 @@ class Eertree:
         self._last = nxt
         self.node_at.append(nxt)
         self.created_at.append(nxt if created else 0)
-        self._occ = None
         return created
 
     def pop(self):
@@ -108,7 +106,6 @@ class Eertree:
         self.data.pop()
         self.node_at.pop()
         self.created_at.pop()
-        self._occ = None
 
     def last_suffix_length(self) -> int:
         """Length of the longest palindromic suffix of the current word."""
@@ -128,18 +125,6 @@ class Eertree:
             l = self._len[node]
             counts[l] = counts.get(l, 0) + 1
         return counts
-
-    def occurrence_counts(self) -> list[int]:
-        """Occurrences of each node's palindrome, via suffix-link propagation."""
-        if self._occ is None:
-            occ = [0] * len(self._len)
-            for node in self.node_at:
-                occ[node] += 1
-            # A node's suffix link was created earlier, so ids run downhill.
-            for node in range(len(self._len) - 1, 1, -1):
-                occ[self._link[node]] += occ[node]
-            self._occ = occ
-        return self._occ
 
 
 def build_eertree(w: Word) -> Eertree:

@@ -275,13 +275,6 @@ class PathFacts:
     def n_nonpalindromic(self) -> int:
         return sum(1 for f in self.facts if not f.palindromic)
 
-    def self_class_paths(self) -> tuple[SimplePath, ...]:
-        return tuple(
-            f.path
-            for f in self.facts
-            if f.path.target in (f.path.source, f.path.source[::-1])
-        )
-
 
 def _class_key(v: bytes) -> tuple[bytes, bytes]:
     r = v[::-1]
@@ -372,13 +365,10 @@ def is_tree(sg: SuperReducedRauzyGraph) -> bool:
 
 def palindromic_path_condition(
     rg: ReducedRauzyGraph,
-    facts: PathFacts | None = None,
 ) -> tuple[bool, SimplePath | None]:
     """Every simple path from a special factor to its reversal is palindromic.
 
-    Returns the first counterexample path in sorted order, if any.  The
-    optional ``facts`` argument is accepted for callers that already hold
-    them; the verdict only needs the reduced graph.
+    Returns the first counterexample path in sorted order, if any.
     """
     for path in rg.edges:
         if path.target == path.source[::-1] and not path.palindromic:

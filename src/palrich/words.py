@@ -16,7 +16,6 @@ from .errors import (
     DirectiveExhausted,
     EmptyBlock,
     ErasingMorphism,
-    ImageTooSlow,
     NotProlongable,
 )
 
@@ -231,11 +230,9 @@ def fixed_point(m: Morphism, seed: str, length: int) -> Word:
         )
     prefix = bytes([s])
     while len(prefix) < length:
-        grown = m.apply_bytes(prefix)[:length]
-        if len(grown) <= len(prefix):
-            # Unreachable for non-erasing prolongable morphisms; kept as a guard.
-            raise ImageTooSlow("iteration stopped growing")
-        prefix = grown
+        # The seed's image has >= 2 letters and no image is empty, so the
+        # prefix grows on every pass.
+        prefix = m.apply_bytes(prefix)[:length]
     return Word(m.alphabet, prefix[:length])
 
 

@@ -25,7 +25,7 @@ from palrich.counting import (
     sturmian_palindrome_enumeration_oracle,
     verify_c_identity,
 )
-from palrich.factors import FactorIndex, is_closed_under_reversal, stabilized_prefix
+from palrich.factors import is_closed_under_reversal, stabilized_prefix
 from palrich.generators import family_block, get_family
 from palrich.palindromes import (
     build_eertree,
@@ -52,14 +52,6 @@ def criterion(number: int, label: str):
         raise
     elapsed = time.perf_counter() - started
     print(f"ACCEPTANCE {number:2d} PASS  {label}  ({elapsed:.2f}s)")
-
-
-def stabilized_index(family, n_max, cap=1 << 20):
-    if family.exact_sets is not None:
-        sets = family.exact_sets(n_max + 2)
-        sample = family.produce(1 << 14)
-        return FactorIndex.from_sets(sample.alphabet, sets, sample)
-    return stabilized_prefix(family.produce, n_max + 1, cap).index
 
 
 def test_criterion_1_sturmian_equality():
@@ -90,7 +82,7 @@ def test_criterion_2_arnoux_rauzy_bound_attainment():
 
 def test_criterion_3_worked_rauzy_example():
     with criterion(3, "Fibonacci order 2: reduced graph and byte-exact DOT"):
-        idx = stabilized_index(get_family("fibonacci"), 3)
+        idx = get_family("fibonacci").index(4)
         g = rauzy.build_rauzy(idx, 2)
         rg = rauzy.reduce(g)
         decode = g.alphabet.decode

@@ -12,7 +12,6 @@ from palrich.analysis import (
     theorem2_check,
 )
 from palrich.errors import NotApplicable, NotAPalindrome, WindowTooShort
-from palrich.factors import stabilized_prefix
 from palrich.generators import get_family
 from palrich.words import Morphism, Word, periodic_word
 
@@ -23,16 +22,7 @@ TM = Morphism.parse("a->ab,b->ba")
 
 
 def fam_profile(name, n_max, **kw):
-    fam = get_family(name, **kw)
-    if fam.exact_sets is not None:
-        from palrich.factors import FactorIndex
-
-        sets = fam.exact_sets(n_max + 1)
-        sample = fam.produce(4096)
-        return profile_from_index(
-            FactorIndex.from_sets(sample.alphabet, sets, sample), n_max
-        )
-    return profile_from_index(stabilized_prefix(fam.produce, n_max).index, n_max)
+    return profile_from_index(get_family(name, **kw).index(n_max), n_max)
 
 
 def test_profile_fibonacci_slack_zero():

@@ -1,0 +1,52 @@
+"""The benchmark's per-layer tracer still fits the package.
+
+``perfbench/tracing.py`` rebinds palrich functions and methods by name and
+reads their arguments and results.  Installing it, running two small jobs
+and uninstalling it catches a renamed or reshaped name in seconds, without
+running the benchmark's own self-test.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import palrich.cli
+from palrich import factors, generators
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bindings():
+    return (
+        factors.build_index,
+        generators.stabilized_prefix,
+        generators.get_family,
+        factors.FactorIndex.__dict__["right_extensions"],
+    )
+
+
+def test_tracer_installs_runs_and_uninstalls(capsys):
+    originals = bindings()
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert palrich.cli.main(["analyze", "--word", "abaab", "--n-max", "2"]) == 0
+        assert palrich.cli.main(["analyze", "--generator", "tribonacci", "--n-max", "3"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert bindings() == originals
+    metrics = tracer.metrics()
+    for name in (
+        "factors.build_index.inserts",
+        "factors.stabilized_prefix.doublings",
+        "generators.produce.letters",
+        "factors.extensions.s",
+    ):
+        assert metrics[name] > 0, name

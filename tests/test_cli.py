@@ -55,6 +55,18 @@ def test_analyze_text_and_out_file(capsys, tmp_path):
     assert "rich=True" in target.read_text()
 
 
+def test_verify_honors_prefix_cap_for_exact_sets(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--generator", "fibonacci", "--n-max", "10",
+        "--prefix-cap", "4096", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    validate(payload)
+    assert payload["exact"] is True
+    assert payload["prefix_length"] == 4096
+
+
 def test_analyze_usage_errors(capsys):
     code, _, err = run(capsys, "analyze", "--word", "")
     assert code == 1 and "non-empty" in err

@@ -255,10 +255,33 @@ def test_periodic_factor_sets_match_prefix_scan():
 @settings(max_examples=80)
 def test_window_sets_match_naive_oracle(text):
     w = Word.parse(text)
-    n_max = min(6, len(w) - 1)
-    idx = build_index(w, n_max)
-    for n in range(n_max + 2):
-        assert decode_set(idx, n) == window_factors(text, n)
-    for n in range(n_max + 2):
-        occs = [idx.occurrences(u) for u in idx.factor_set(n)]
-        assert all(len(o) >= 1 and list(o) == sorted(o) for o in occs)
+    # At n_max = |w| - 1, the depth theorem2_check uses, some factors occur
+    # only as the final suffix of w and have no right extension.
+    for n_max in (min(6, len(w) - 1), len(w) - 1):
+        idx = build_index(w, n_max)
+        for n in range(n_max + 2):
+            assert decode_set(idx, n) == window_factors(text, n)
+            occs = [idx.occurrences(u) for u in idx.factor_set(n)]
+            assert all(len(o) >= 1 and list(o) == sorted(o) for o in occs)
+
+
+@pytest.mark.parametrize(
+    "produce,n_max,len_cap",
+    [
+        (lambda l: fixed_point(FIB, "a", l), 10, 1 << 20),
+        (s_word, 8, 1 << 12),
+        (lambda l: fixed_point(CAS, "a", l), 24, 2048),
+    ],
+    ids=["fibonacci", "s-word", "aab-capped"],
+)
+def test_stable_lengths_match_window_oracle(produce, n_max, len_cap):
+    sp = stabilized_prefix(produce, n_max, len_cap)
+    *_, before, after = sp.lengths_tried
+    assert len(sp.word) == after
+    text = sp.word.text
+    expect = tuple(
+        window_factors(text[:before], n) == window_factors(text, n)
+        for n in range(n_max + 2)
+    )
+    assert sp.stable_lengths == expect
+    assert sp.stable == all(expect)

@@ -4,7 +4,7 @@ import pytest
 
 from palrich import rauzy
 from palrich.errors import NotApplicable, NotAWalk, OutOfRange, UnstableIndexWarning
-from palrich.factors import FactorIndex, build_index, stabilized_prefix
+from palrich.factors import build_index, stabilized_prefix
 from palrich.generators import get_family
 from palrich.palindromes import build_eertree
 from palrich.words import Morphism, Word, fixed_point, periodic_word, s_word
@@ -83,12 +83,7 @@ def test_reduce_periodic_cycle_object():
 
 def test_reduction_soundness_edge_multiset():
     for name, n in (("fibonacci", 2), ("tribonacci", 1), ("thue-morse", 3)):
-        fam = get_family(name)
-        if fam.exact_sets is not None:
-            sets = fam.exact_sets(n + 3)
-            idx = FactorIndex.from_sets(fam.produce(64).alphabet, sets, fam.produce(64))
-        else:
-            idx = stabilized_prefix(fam.produce, n + 2).index
+        idx = get_family(name).index(n + 2)
         g = rauzy.build_rauzy(idx, n)
         rg = rauzy.reduce(g)
         assert not rg.dangling
@@ -181,7 +176,7 @@ def test_super_reduce_thue_morse_order3_not_tree():
     assert sg.s == 4 and sg.p == 2
     assert len(sg.edges) == 4  # one more than a tree allows
     assert not rauzy.is_tree(sg)
-    cond1, witness = rauzy.palindromic_path_condition(rg, facts)
+    cond1, witness = rauzy.palindromic_path_condition(rg)
     assert cond1 and witness is None
     assert facts.n_nonpalindromic == 8 > 2 * (sg.s - 1)
 
@@ -244,14 +239,7 @@ def test_path_reversal_facts():
 
 def test_simple_path_uniqueness_on_rich_words():
     for name in ("fibonacci", "tribonacci"):
-        fam = get_family(name)
-        if fam.exact_sets is not None:
-            sets = fam.exact_sets(12)
-            idx = FactorIndex.from_sets(
-                fam.produce(64).alphabet, sets, fam.produce(64)
-            )
-        else:
-            idx = stabilized_prefix(fam.produce, 11).index
+        idx = get_family(name).index(11)
         for n in range(1, 9):
             rg = rauzy.reduce(rauzy.build_rauzy(idx, n))
             seen = Counter((p.source, p.target) for p in rg.edges)
@@ -291,12 +279,7 @@ def test_dot_cycle_note():
 
 def test_rich_words_have_exactly_2s_minus_2_nonpalindromic_paths():
     for name in ("fibonacci", "tribonacci", "cassaigne-aab", "quadratic-abab"):
-        fam = get_family(name)
-        if fam.exact_sets is not None:
-            sets = fam.exact_sets(12)
-            idx = FactorIndex.from_sets(fam.produce(64).alphabet, sets, fam.produce(64))
-        else:
-            idx = stabilized_prefix(fam.produce, 11).index
+        idx = get_family(name).index(11)
         for n in range(1, 10):
             rg = rauzy.reduce(rauzy.build_rauzy(idx, n))
             if rg.no_specials:
