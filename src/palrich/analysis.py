@@ -7,10 +7,12 @@ P(0..N+1) with the per-order slack
 
 which is zero at every order exactly for rich words among those whose factor
 set is closed under reversal.  The experiment harness cross-checks three
-verdicts per word: richness (three independent checkers), the slack being
-identically zero, and the graph-side conditions (palindromic connecting
-paths, super-reduced graph a tree).  Any disagreement on a stabilized prefix
-is a hard discrepancy and is reported as such.
+verdicts per word: richness (two eertree verdicts, an incremental scan and a
+palindrome count, checked against the independent complete-return sweep),
+the slack being identically zero, and the graph-side conditions
+(palindromic connecting paths, super-reduced graph a tree).  Any
+disagreement on a stabilized prefix is a hard discrepancy and is reported as
+such.
 
 Verdicts computed from unstabilized prefixes are never reported as theorem
 violations; the affected orders are marked inconclusive instead.
@@ -43,7 +45,9 @@ from .palindromes import (
 )
 from .words import Morphism, Word
 
-# Longest prefix that the quadratic return-based richness oracle reads.
+# Longest prefix that the eertree-free complete-return sweep reads.  Its
+# cost grows with the number of palindrome occurrences, which is quadratic in
+# the length for words such as a^n.
 RETURNS_ORACLE_CAP = 4096
 
 
@@ -232,7 +236,14 @@ class RichnessVerdicts:
 
     @property
     def agree(self) -> bool:
-        return self.incremental.rich == self.by_count == self.by_returns.rich
+        # The returns sweep reads a shorter prefix than the eertree verdicts,
+        # so it must agree with richness of that prefix, not of the sample.
+        first = self.incremental.first_violation_prefix
+        prefix_rich = first is None or first > self.returns_sample_length
+        return (
+            self.incremental.rich == self.by_count
+            and self.by_returns.rich == prefix_rich
+        )
 
     @property
     def rich(self) -> bool:
@@ -384,7 +395,8 @@ def theorem1_experiment(
     :meth:`WordFamily.index` with ``prefix_cap``: exact when the family has a
     construction, otherwise a doubling prefix stabilization.  Richness runs
     on the first ``RICHNESS_SAMPLE_CAP`` letters of the index's source word
-    (the quadratic return-based oracle on the first ``RETURNS_ORACLE_CAP``).
+    (the eertree-free complete-return sweep on the first
+    ``RETURNS_ORACLE_CAP``).
     """
     from .generators import WordFamily
 

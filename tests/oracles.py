@@ -56,6 +56,32 @@ def all_returns_to_palindromes_palindromic(text: str) -> bool:
     return True
 
 
+def returns_report_naive(text: str):
+    """(rich, witness, first violating prefix, defect) of the return check.
+
+    The witness is the least palindrome in string order that has a
+    non-palindromic complete return, with its first such return; string
+    order is the library's order when the alphabet lists its letters
+    alphabetically.  The first violating prefix is the shortest prefix whose
+    palindromic suffixes all occur earlier.
+    """
+    witness = None
+    for p in sorted(palindromic_substrings(text) - {""}):
+        bad = [r for r in complete_returns_naive(text, p) if r != r[::-1]]
+        if bad:
+            witness = (p, bad[0])
+            break
+    seen = set()
+    first = None
+    for i in range(1, len(text) + 1):
+        suffixes = {text[j:i] for j in range(i) if text[j:i] == text[j:i][::-1]}
+        if suffixes <= seen and first is None:
+            first = i
+        seen |= suffixes
+    defect = len(text) + 1 - distinct_palindromes_including_empty(text)
+    return witness is None, witness, first, defect
+
+
 def shortest_palindrome_with_prefix(text: str) -> str:
     """Constraint-filling oracle for palindromic closure.
 

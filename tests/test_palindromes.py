@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from palrich.errors import FactorAbsent, OutOfRange, PalindromicInput
 from palrich.factors import build_index, stabilized_prefix
+from palrich.generators import episturmian_prefix, family_block
 from palrich.palindromes import (
     Eertree,
     build_eertree,
@@ -21,6 +22,7 @@ from oracles import (
     distinct_palindromes_including_empty,
     is_rich_naive,
     palindromic_substrings,
+    returns_report_naive,
 )
 
 FIB = Morphism.parse("a->ab,b->a")
@@ -143,13 +145,72 @@ def test_defect_monotone_in_prefix_length(text):
     assert all(b - a in (0, 1) for a, b in zip(defects, defects[1:]))
 
 
+def returns_report_fields(w: Word):
+    rep = is_rich_by_returns(w)
+    witness = rep.witness and (rep.witness[0].text, rep.witness[1].text)
+    return rep.rich, witness, rep.first_violation_prefix, rep.defect
+
+
 def test_three_checkers_agree_on_small_words():
     for text in all_words("ab", 9):
         w = Word.parse(text, Word.parse("ab").alphabet)
         naive = is_rich_naive(text)
         assert is_rich_incremental(w).rich == naive
-        assert is_rich_by_returns(w).rich == naive
+        assert returns_report_fields(w) == returns_report_naive(text)
         assert is_rich_by_count(w) == naive
+
+
+def _block_repetitions():
+    # Rich periodic words have long palindromic suffixes with gaps |q'| > 2|q|;
+    # one changed letter breaks richness far from the start.
+    return st.builds(
+        lambda k, reps, start, length, flip: _flip(
+            (family_block(k).text * reps)[start : start + length], flip
+        ),
+        st.integers(0, 3),
+        st.integers(1, 30),
+        st.integers(0, 20),
+        st.integers(0, 150),
+        st.integers(0, 150),
+    )
+
+
+def _episturmian_slices():
+    return st.builds(
+        lambda directive, start, length, flip: _flip(
+            episturmian_prefix(directive, 400).text[start : start + length], flip
+        ),
+        st.sampled_from(["ab", "aab", "abb", "abc", "aabc", "abcb", "acb"]),
+        st.integers(0, 250),
+        st.integers(0, 150),
+        st.integers(0, 300),
+    )
+
+
+def _flip(text: str, at: int) -> str:
+    if at >= len(text):
+        return text
+    other = "b" if text[at] == "a" else "a"
+    return text[:at] + other + text[at + 1 :]
+
+
+@given(st.one_of(st.text(alphabet="abc", max_size=150), _block_repetitions(), _episturmian_slices()))
+@settings(max_examples=150, deadline=None)
+def test_returns_report_matches_naive_oracle(text):
+    w = Word.parse(text, Word.parse("abc").alphabet)
+    assert returns_report_fields(w) == returns_report_naive(text)
+
+
+@given(st.text(alphabet="abc", max_size=80))
+@settings(max_examples=120)
+def test_build_matches_pushed_tree(text):
+    w = Word.parse(text, Word.parse("abc").alphabet)
+    built = Eertree.build(w)
+    pushed = Eertree(w.alphabet)
+    for c in w.data:
+        pushed.push(c)
+    for attr in ("data", "_len", "_link", "_trans", "_first_end", "node_at", "created_at", "_last"):
+        assert getattr(built, attr) == getattr(pushed, attr), attr
 
 
 def test_droubay_justin_pirillo_bound():
