@@ -350,6 +350,8 @@ def cmd_count(cfg: RunConfig, kind: str, alphabet_size: int) -> int:
         table = counting.balanced_oracle_table(n_max)
     elif kind == "rich":
         table = counting.rich_table(alphabet_size, n_max)
+        # The exhaustive sweep shares no code with the pruned search, so a
+        # match is an independent check; one sweep costs about k^n pushes.
         oracle_checked_to = min(n_max, 12)
         for n in range(oracle_checked_to + 1):
             if counting.count_rich_naive(alphabet_size, n) != table.values[n]:

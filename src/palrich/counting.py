@@ -8,8 +8,11 @@ The closed formulas count finite Sturmian words and Sturmian palindromes:
 Finite Sturmian words are realized for oracle purposes as balanced binary
 words, checked by the obviously-correct per-length window sweep.  Rich words
 have no known counting formula; ``count_rich`` enumerates them exactly with
-a depth-first search pruned by the one-new-palindrome-per-letter property,
-which is hereditary, so the pruning is sound.
+one depth-first search that counts every length up to n in a single pass,
+pruned by the one-new-palindrome-per-letter property, which is hereditary,
+so the pruning is sound.  Its oracle ``count_rich_naive`` is an unpruned
+sweep over all k^n words on an ``Eertree`` with push/pop; the two share no
+code.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import OutOfRange, TooLarge, UnsupportedAlphabet
 from .palindromes import Eertree
@@ -139,14 +141,16 @@ def verify_c_identity(n_max: int) -> bool:
     return True
 
 
+# Alphabet size -> [R(0), ..., R(d)] from the deepest pruned search so far.
+_RICH_COUNTS: dict[int, list[int]] = {}
+
+
 def count_rich(alphabet_size: int, n: int) -> int:
     """Exact number of rich words of length n over the given alphabet.
 
-    Depth-first extension over an eertree with undo: a word is rich iff
-    every prefix adds a new palindrome, so any extension that fails to
-    create a node is cut immediately.  Richness is preserved by letter
-    permutations, so the first letter is fixed and the count multiplied by
-    the alphabet size.
+    One pruned depth-first search counts the rich words of every length up
+    to n at once; the counts are cached per alphabet size, so a shorter
+    request reads the cache and only a longer one searches again.
     """
     if alphabet_size not in RICH_BUDGETS:
         raise UnsupportedAlphabet("rich-word counting supports alphabets of 2..4")
@@ -157,41 +161,101 @@ def count_rich(alphabet_size: int, n: int) -> int:
             f"rich enumeration over {alphabet_size} letters is budgeted to "
             f"n <= {RICH_BUDGETS[alphabet_size]}"
         )
-    if n == 0:
-        return 1
-    alphabet = Alphabet("abcd"[:alphabet_size])
-    tree = Eertree(alphabet)
-    total = 0
+    counts = _RICH_COUNTS.get(alphabet_size)
+    if counts is None or len(counts) <= n:
+        counts = _RICH_COUNTS[alphabet_size] = _rich_counts(alphabet_size, n)
+    return counts[n]
 
-    def dfs(depth: int):
-        nonlocal total
-        if depth == n:
-            total += 1
-            return
-        for c in range(alphabet_size):
-            if tree.push(c):
-                dfs(depth + 1)
-            tree.pop()
 
-    created = tree.push(0)
-    assert created
-    dfs(1)
-    tree.pop()
-    return total * alphabet_size
+def _rich_counts(k: int, depth: int) -> list[int]:
+    """[R(0), ..., R(depth)] over k letters from one pruned search.
+
+    The search keeps the eertree of the current word in flat arrays.  A word
+    is rich iff every prefix adds a new palindrome, so an extension that
+    creates no node is cut with its whole subtree.  On a rich path the node
+    created by letter i is node i+2 and is the longest palindromic suffix, so
+    undoing a letter only clears its one transition.  Richness is preserved
+    by letter permutations: the first letter is fixed and the counts of
+    non-empty words multiplied by k.
+    """
+    if depth < 2:
+        return [1, k][: depth + 1]
+    found = [0] * (depth + 1)
+    # buf[i + 1] is letter i; buf[0] is a sentinel no letter equals, so the
+    # suffix-link walks need no bounds test (the length -1 root reads the
+    # letter being added and always fits).
+    buf = bytearray([k]) * (depth + 1)
+    length = [-1, 0] + [0] * depth
+    link = [0] * (depth + 2)
+    trans = [0] * ((depth + 2) * k)  # trans[node * k + c]; 0 = no edge
+    letters = range(k)
+    # The first letter: node 2 = "a", a child of the length -1 root.
+    buf[1] = 0
+    length[2] = 1
+    link[2] = 1
+    trans[0] = 2
+
+    def extend(pos: int) -> None:
+        # The word has pos letters; its longest palindromic suffix is node pos+1.
+        found[pos] += 1
+        to_leaf = pos + 1 == depth
+        new = pos + 2
+        for c in letters:
+            buf[pos + 1] = c
+            cur = pos + 1
+            while buf[pos - length[cur]] != c:
+                cur = link[cur]
+            slot = cur * k + c
+            if trans[slot]:
+                continue
+            if to_leaf:
+                found[depth] += 1
+                continue
+            if cur:
+                suffix = link[cur]
+                while buf[pos - length[suffix]] != c:
+                    suffix = link[suffix]
+                link[new] = trans[suffix * k + c]
+            else:
+                link[new] = 1
+            length[new] = length[cur] + 2
+            trans[slot] = new
+            extend(pos + 1)
+            trans[slot] = 0
+
+    extend(1)
+    return [1] + [f * k for f in found[1:]]
 
 
 def count_rich_naive(alphabet_size: int, n: int) -> int:
-    """Exhaustive sweep oracle for small n: count words with |w|+1 palindromes."""
+    """Exhaustive oracle: the words of length n with |w| + 1 palindromes.
+
+    An unpruned depth-first sweep over all k^n words on one eertree with
+    push/pop, counting the leaves where every push created a node.  It uses
+    no letter symmetry and shares no code with ``count_rich``.
+    """
     if alphabet_size not in RICH_BUDGETS:
         raise UnsupportedAlphabet("rich-word counting supports alphabets of 2..4")
+    if n < 0:
+        raise OutOfRange("length must be non-negative")
     if n > 16:
         raise TooLarge("the naive sweep is budgeted to n <= 16")
-    alphabet = Alphabet("abcd"[:alphabet_size])
+    tree = Eertree(Alphabet("abcd"[:alphabet_size]))
+    push, pop = tree.push, tree.pop
+    letters = range(alphabet_size)
     total = 0
-    for letters in product(range(alphabet_size), repeat=n):
-        tree = Eertree(alphabet)
-        if all(tree.push(c) for c in letters):
-            total += 1
+
+    def sweep(depth: int, rich: bool) -> None:
+        nonlocal total
+        if depth == n:
+            total += rich
+            return
+        for c in letters:
+            created = push(c)
+            sweep(depth + 1, rich and created)
+            pop()
+
+    sweep(0, True)
     return total
 
 
@@ -252,9 +316,9 @@ def balanced_oracle_table(n_max: int) -> CountTable:
 
 
 def rich_table(alphabet_size: int, n_max: int) -> CountTable:
-    return CountTable(
-        "rich",
-        alphabet_size,
-        {n: count_rich(alphabet_size, n) for n in range(n_max + 1)},
-        "enumeration",
-    )
+    # Asking for n_max first runs the one search; the shorter lengths read
+    # its cache.
+    top = count_rich(alphabet_size, n_max)
+    values = {n: count_rich(alphabet_size, n) for n in range(n_max)}
+    values[n_max] = top
+    return CountTable("rich", alphabet_size, values, "enumeration")

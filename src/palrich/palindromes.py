@@ -4,8 +4,8 @@ The eertree (palindromic tree of Rubinchik and Shur) keeps one node per
 distinct palindromic factor plus two roots, and yields in one left-to-right
 pass the longest palindromic suffix of every prefix and the count of distinct
 palindromes per length.  A word is rich exactly when every position creates a
-new node, which also powers the pruned enumeration in :mod:`palrich.counting`
-via push/pop.
+new node; push/pop serve the exhaustive rich-word oracle in
+:mod:`palrich.counting`, which walks all words of one length on one tree.
 
 The complete-return sweep checks richness without the eertree, testing
 O(log n) returns explicitly per letter, and validates the eertree-based

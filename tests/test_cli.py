@@ -5,6 +5,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from palrich import counting
 from palrich.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -156,6 +157,28 @@ def test_count_csv_and_json(capsys):
     )
     assert code == 0
     assert out.strip().splitlines()[1] == "0,1,formula"
+
+
+@pytest.mark.parametrize(
+    "kind, oracle, message",
+    [
+        ("rich", "count_rich_naive", "enumeration/sweep mismatch at n=5"),
+        ("sturmian", "enumerate_balanced", "formula/oracle mismatch at n=5"),
+    ],
+)
+def test_count_reports_oracle_mismatch(capsys, monkeypatch, kind, oracle, message):
+    original = getattr(counting, oracle)
+
+    def off_by_one_at_5(*args):
+        result = original(*args)
+        if args[-1] != 5:
+            return result
+        return result + 1 if isinstance(result, int) else result + result[:1]
+
+    monkeypatch.setattr(counting, oracle, off_by_one_at_5)
+    code, out, _ = run(capsys, "count", "--kind", kind, "--n-max", "8")
+    assert code == 3
+    assert out == message + "\n"
 
 
 def test_count_rejects_source(capsys):

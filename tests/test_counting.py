@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from palrich import counting
 from palrich.counting import (
     balanced_oracle_table,
     count_rich,
@@ -102,10 +103,28 @@ def test_count_rich_small():
 
 
 def test_count_rich_matches_naive_sweep():
-    for n in range(13):
-        assert count_rich(2, n) == count_rich_naive(2, n)
-    for n in range(9):
-        assert count_rich(3, n) == count_rich_naive(3, n)
+    for k, n_max in ((2, 12), (3, 10), (4, 7)):
+        for n in range(n_max + 1):
+            assert count_rich(k, n) == count_rich_naive(k, n), (k, n)
+
+
+@pytest.mark.parametrize("order", ["high_first", "low_first"])
+def test_count_rich_cache_order(order):
+    lengths = [9, 3, 6, 0, 1, 2] if order == "high_first" else [0, 1, 2, 3, 6, 9]
+    counting._RICH_COUNTS.clear()
+    for k in (2, 3, 4):
+        for n in lengths:
+            assert count_rich(k, n) == count_rich_naive(k, n), (k, n)
+
+
+def test_count_rich_naive_rejects_bad_requests():
+    with pytest.raises(OutOfRange):
+        count_rich_naive(2, -1)
+    with pytest.raises(UnsupportedAlphabet):
+        count_rich_naive(5, 2)
+    with pytest.raises(TooLarge):
+        count_rich_naive(2, 17)
+    assert count_rich_naive(3, 0) == 1
 
 
 def test_count_rich_budgets():
@@ -113,6 +132,8 @@ def test_count_rich_budgets():
         count_rich(5, 4)
     with pytest.raises(TooLarge):
         count_rich(2, 25)
+    with pytest.raises(OutOfRange):
+        count_rich(2, -1)
 
 
 def test_rich_fraction_monotone_non_increasing():

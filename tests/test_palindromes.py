@@ -125,6 +125,27 @@ def test_eertree_push_pop_roundtrip():
     assert t.node_count == 0 and len(t.data) == 0
 
 
+EERTREE_STATE = (
+    "data", "_len", "_link", "_trans", "_first_end", "node_at", "created_at", "_last", "_undo",
+)
+
+
+@given(st.text(alphabet="abc", max_size=40))
+@settings(max_examples=120)
+def test_eertree_pop_restores_every_earlier_state(text):
+    w = Word.parse(text, Word.parse("abc").alphabet)
+    t = Eertree(w.alphabet)
+    for c in w.data:
+        t.push(c)
+    for n in range(len(w) - 1, -1, -1):
+        t.pop()
+        fresh = Eertree(w.alphabet)
+        for c in w.data[:n]:
+            fresh.push(c)
+        for attr in EERTREE_STATE:
+            assert getattr(t, attr) == getattr(fresh, attr), (n, attr)
+
+
 @given(st.text(alphabet="ab", max_size=60))
 @settings(max_examples=120)
 def test_eertree_counts_match_substring_oracle(text):
