@@ -42,7 +42,6 @@ from .factors import (
 from .palindromes import (
     Eertree,
     RichnessReport,
-    build_eertree,
     check_alternation,
     check_v2reverse,
     is_rich_by_count,

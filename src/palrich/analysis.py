@@ -7,12 +7,15 @@ P(0..N+1) with the per-order slack
 
 which is zero at every order exactly for rich words among those whose factor
 set is closed under reversal.  The experiment harness cross-checks three
-verdicts per word: richness (two eertree verdicts, an incremental scan and a
-palindrome count, checked against the independent complete-return sweep),
-the slack being identically zero, and the graph-side conditions
-(palindromic connecting paths, super-reduced graph a tree).  Any
-disagreement on a stabilized prefix is a hard discrepancy and is reported as
-such.
+verdicts per word: richness, the slack being identically zero, and the
+graph-side conditions (palindromic connecting paths, super-reduced graph a
+tree).  Any disagreement on a stabilized prefix is a hard discrepancy and is
+reported as such.
+
+Richness is read from one eertree of the sample: the incremental scan and
+the palindrome count (``by_count``) both read that tree, so ``by_count`` is
+visibly the same fact as a zero defect of the incremental verdict.  The
+complete-return sweep builds no tree and stays the independent verdict.
 
 Verdicts computed from unstabilized prefixes are never reported as theorem
 violations; the affected orders are marked inconclusive instead.
@@ -20,12 +23,14 @@ violations; the affected orders are marked inconclusive instead.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 from . import rauzy
 from .errors import (
     NotApplicable,
     NotAPalindrome,
+    UnstableIndexWarning,
     WindowTooShort,
     WordTooShort,
 )
@@ -38,6 +43,7 @@ from .factors import (
     morphic_factor_sets,
 )
 from .palindromes import (
+    Eertree,
     RichnessReport,
     is_rich_by_count,
     is_rich_by_returns,
@@ -176,7 +182,7 @@ def theorem2_check(w: Word) -> Theorem2Report:
     """
     if not w.is_palindrome():
         raise NotAPalindrome(f"{w!r} is not a palindrome")
-    count_ok = is_rich_by_count(w)
+    count_ok = is_rich_by_count(Eertree.build(w))
     returns_ok = is_rich_by_returns(w).rich
     m = len(w)
     if m == 0:
@@ -201,25 +207,17 @@ def theorem2_check(w: Word) -> Theorem2Report:
 
 @dataclass(frozen=True)
 class OrderRecord:
-    """Everything the experiment knows about one order n."""
+    """The verdicts of one order n, as the reports read them."""
 
     n: int
     C_n: int
-    C_n1: int
     P_n: int
-    P_n1: int
     slack: int
     equality: bool
     stabilized: bool
-    special_count: int
-    s: int
-    p: int
     periodic_route: bool
     condition1: bool
     condition2: bool
-    identity_lhs: int | None
-    identity_rhs: int | None
-    central_cover_ok: bool | None
 
     @property
     def conditions(self) -> bool:
@@ -231,7 +229,6 @@ class RichnessVerdicts:
     incremental: RichnessReport
     by_count: bool
     by_returns: RichnessReport
-    sample_length: int
     returns_sample_length: int
 
     @property
@@ -262,7 +259,6 @@ class TheoremReport:
     closure_ok: bool
     closure_witness: Word | None
     richness: RichnessVerdicts
-    profile: ComplexityProfile
     orders: tuple[OrderRecord, ...]
     rich_expected: bool | None = None
 
@@ -322,63 +318,30 @@ def _order_record(
     prof: ComplexityProfile,
     n: int,
 ) -> OrderRecord:
-    import warnings as _warnings
-
-    from .errors import UnstableIndexWarning
-
-    equality = prof.equality(n)
-    stabilized = prof.order_stabilized(n)
-    with _warnings.catch_warnings():
+    with warnings.catch_warnings():
         # The experiment tracks per-order stability itself.
-        _warnings.simplefilter("ignore", UnstableIndexWarning)
+        warnings.simplefilter("ignore", UnstableIndexWarning)
         g = rauzy.build_rauzy(idx, n)
-    special_count = len(g.special)
-    if not g.special:
-        # Periodic route: no specials means C(n+1) = C(n); equality then says
+    periodic_route = not g.special
+    if periodic_route:
+        # No specials means C(n+1) = C(n); equality then says
         # P(n) + P(n+1) = 2, the purely periodic signature.
-        ok = prof.P[n] + prof.P[n + 1] == 2
-        return OrderRecord(
-            n,
-            prof.C[n],
-            prof.C[n + 1],
-            prof.P[n],
-            prof.P[n + 1],
-            prof.slack[n],
-            equality,
-            stabilized,
-            0,
-            0,
-            0,
-            True,
-            ok,
-            ok,
-            None,
-            None,
-            None,
-        )
-    rg = rauzy.reduce(g)
-    sg, facts = rauzy.super_reduce(rg)
-    cond1, _ = rauzy.palindromic_path_condition(rg)
-    cond2 = rauzy.is_tree(sg)
-    ident = rauzy.path_counting_identity(g, rg, facts, (prof.P[n], prof.P[n + 1]))
+        cond1 = cond2 = prof.P[n] + prof.P[n + 1] == 2
+    else:
+        rg = rauzy.reduce(g)
+        sg, _facts = rauzy.super_reduce(rg)
+        cond1, _ = rauzy.palindromic_path_condition(rg)
+        cond2 = rauzy.is_tree(sg)
     return OrderRecord(
-        n,
-        prof.C[n],
-        prof.C[n + 1],
-        prof.P[n],
-        prof.P[n + 1],
-        prof.slack[n],
-        equality,
-        stabilized,
-        special_count,
-        facts.s,
-        facts.p,
-        False,
-        cond1,
-        cond2,
-        ident.lhs,
-        ident.rhs,
-        ident.central_cover_ok,
+        n=n,
+        C_n=prof.C[n],
+        P_n=prof.P[n],
+        slack=prof.slack[n],
+        equality=prof.equality(n),
+        stabilized=prof.order_stabilized(n),
+        periodic_route=periodic_route,
+        condition1=cond1,
+        condition2=cond2,
     )
 
 
@@ -394,9 +357,11 @@ def theorem1_experiment(
     callable mapping a length to a word prefix.  Factor sets come from
     :meth:`WordFamily.index` with ``prefix_cap``: exact when the family has a
     construction, otherwise a doubling prefix stabilization.  Richness runs
-    on the first ``RICHNESS_SAMPLE_CAP`` letters of the index's source word
-    (the eertree-free complete-return sweep on the first
-    ``RETURNS_ORACLE_CAP``).
+    on the first ``RICHNESS_SAMPLE_CAP`` letters of the index's source word:
+    one eertree of that sample gives the incremental and the count verdict,
+    and the eertree-free complete-return sweep reads the first
+    ``RETURNS_ORACLE_CAP`` letters.  Each order records only the verdicts
+    the reports and :meth:`TheoremReport.discrepancies` read.
     """
     from .generators import WordFamily
 
@@ -411,11 +376,11 @@ def theorem1_experiment(
     prof = profile_from_index(idx, n_max)
     closed, witness = prof.reversal_closed, prof.closure_witness
     returns_sample = sample[:RETURNS_ORACLE_CAP]
+    tree = Eertree.build(sample)
     richness = RichnessVerdicts(
-        incremental=is_rich_incremental(sample),
-        by_count=is_rich_by_count(sample),
+        incremental=is_rich_incremental(tree),
+        by_count=is_rich_by_count(tree),
         by_returns=is_rich_by_returns(returns_sample),
-        sample_length=len(sample),
         returns_sample_length=len(returns_sample),
     )
     orders = tuple(_order_record(idx, prof, n) for n in range(n_max + 1))
@@ -428,7 +393,6 @@ def theorem1_experiment(
         closure_ok=closed,
         closure_witness=witness,
         richness=richness,
-        profile=prof,
         orders=orders,
         rich_expected=family.rich_expected,
     )

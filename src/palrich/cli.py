@@ -24,7 +24,7 @@ from .factors import (
     special_factors,
 )
 from .generators import REGISTRY, WordFamily, get_family
-from .palindromes import is_rich_incremental
+from .palindromes import Eertree, is_rich_incremental
 from .words import Word
 
 EXIT_OK = 0
@@ -60,7 +60,8 @@ class RunConfig:
                 raise UsageError("the literal word must be non-empty")
         if self.n_max < 1:
             raise UsageError("--n-max must be at least 1")
-        if self.prefix_cap < 4 * (self.n_max + 1):
+        # count builds no factor index, so it never reads the cap.
+        if self.command != "count" and self.prefix_cap < 4 * (self.n_max + 1):
             raise UsageError(
                 f"prefix cap {self.prefix_cap} is below 4*(n_max+1) = "
                 f"{4 * (self.n_max + 1)}"
@@ -122,7 +123,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         idx = _index_for(cfg, cfg.n_max)
         n_max = min(cfg.n_max, idx.n_max - 1)
         prof = analysis.profile_from_index(idx, n_max)
-        rich = is_rich_incremental(idx.source[:RICHNESS_SAMPLE_CAP])
+        rich = is_rich_incremental(Eertree.build(idx.source[:RICHNESS_SAMPLE_CAP]))
         rows = []
         for n in range(n_max + 1):
             special = special_factors(idx, n)
@@ -432,7 +433,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         generator=args.generator,
         generator_params=params,
         n_max=args.n_max,
-        prefix_cap=args.prefix_cap if args.prefix_cap else _default_cap(),
+        prefix_cap=args.prefix_cap if args.prefix_cap is not None else _default_cap(),
         fmt=getattr(args, "format", "text"),
         out=args.out,
         strict=args.strict,
@@ -453,13 +454,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "count":
             return cmd_count(cfg, args.kind, args.alphabet)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PalrichError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (PalrichError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

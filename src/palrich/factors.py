@@ -252,26 +252,28 @@ def complete_returns(idx: FactorIndex, u: Word) -> CompleteReturns:
 def is_closed_under_reversal(idx: FactorIndex, n: int) -> tuple[bool, Word | None]:
     """Check reversal closure of every factor set up to length n.
 
-    On failure the witness is the first factor, scanning the longest length
-    first and within a length in first-occurrence order (lexicographic order
-    when the index has no positional source), whose reversal is absent.
+    Only F_n is read.  For the factor sets of a word, closure at length m
+    implies closure at length m-1: each shorter factor u is a prefix or a
+    suffix of some length-m factor v, and the reversal of u is then a suffix
+    or a prefix of the reversal of v, which is a factor.  So the longest
+    failing length is always n, and F_n alone decides.  Every index of the
+    package holds real factor sets (``FactorIndex.build``,
+    ``stabilized_prefix``, ``WordFamily.index``), with F_n non-empty.
+
+    On failure the witness is the first length-n factor, in first-occurrence
+    order (lexicographic order when the index has no positional source),
+    whose reversal is absent.
     """
     if not 0 <= n <= idx.n_max + 1:
         raise OutOfRange(f"closure check needs n <= n_max+1 = {idx.n_max + 1}")
-    failing_lengths = [
-        m
-        for m in range(1, n + 1)
-        if any(u[::-1] not in idx.factor_set(m) for u in idx.factor_set(m))
-    ]
-    if not failing_lengths:
+    fset = idx.factor_set(n)
+    if all(u[::-1] in fset for u in fset):
         return True, None
-    m = max(failing_lengths)
-    fset = idx.factor_set(m)
-    if len(idx.source) >= m:
+    if len(idx.source) >= n:
         data = idx.source.data
         seen = set()
-        for i in range(len(data) - m + 1):
-            u = data[i : i + m]
+        for i in range(len(data) - n + 1):
+            u = data[i : i + n]
             if u in seen:
                 continue
             seen.add(u)

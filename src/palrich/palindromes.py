@@ -4,8 +4,10 @@ The eertree (palindromic tree of Rubinchik and Shur) keeps one node per
 distinct palindromic factor plus two roots, and yields in one left-to-right
 pass the longest palindromic suffix of every prefix and the count of distinct
 palindromes per length.  A word is rich exactly when every position creates a
-new node; push/pop serve the exhaustive rich-word oracle in
-:mod:`palrich.counting`, which walks all words of one length on one tree.
+new node.  Both eertree verdicts, the per-position scan and the palindrome
+count, read one built tree, so a caller builds it once.  Push/pop serve the
+exhaustive rich-word oracle in :mod:`palrich.counting`, which walks all words
+of one length on one tree.
 
 The complete-return sweep checks richness without the eertree, testing
 O(log n) returns explicitly per letter, and validates the eertree-based
@@ -170,11 +172,6 @@ class Eertree:
         return counts
 
 
-def build_eertree(w: Word) -> Eertree:
-    """Palindromic-factor inventory of w with per-prefix suffix data."""
-    return Eertree.build(w)
-
-
 def palindromic_complexity(t: Eertree, n: int) -> int:
     """P(n), the number of distinct palindromic factors of length n.
 
@@ -226,15 +223,14 @@ def _incremental_witness(t: Eertree, i: int) -> tuple[Word, Word]:
     return Word(alpha, p), Word(alpha, data[start:i])
 
 
-def is_rich_incremental(w: Word) -> RichnessReport:
-    """Single-pass richness check: every position must add a palindrome."""
-    t = Eertree.build(w)
+def is_rich_incremental(t: Eertree) -> RichnessReport:
+    """Richness of the tree's word: every position must add a palindrome."""
     violation = None
     for i, node in enumerate(t.created_at, start=1):
         if node == 0:
             violation = i
             break
-    defect = len(w) - t.node_count
+    defect = len(t) - t.node_count
     if violation is None:
         return RichnessReport(True, None, None, defect)
     return RichnessReport(False, violation, _incremental_witness(t, violation), defect)
@@ -310,9 +306,9 @@ def is_rich_by_returns(w: Word) -> RichnessReport:
     return RichnessReport(least is None, violation, witness, len(data) - new_palindromes)
 
 
-def is_rich_by_count(w: Word) -> bool:
-    """True iff w contains |w|+1 distinct palindromes, the empty word included."""
-    return Eertree.build(w).node_count == len(w)
+def is_rich_by_count(t: Eertree) -> bool:
+    """True iff the tree's word w has |w|+1 distinct palindromes, the empty one included."""
+    return t.node_count == len(t)
 
 
 def check_v2reverse(idx: FactorIndex, v: Word) -> tuple[bool, Word | None]:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import NotApplicable, NotAWalk, OutOfRange, UnstableIndexWarning
 from .factors import FactorIndex
-from .palindromes import Eertree, palindromic_complexity
+from .palindromes import Eertree, is_rich_incremental
 from .words import Word
 
 
@@ -151,9 +151,7 @@ def path_label(vertices: Sequence[bytes | Word], g: RauzyGraph) -> Word:
 
 def label_is_rich_check(g: RauzyGraph, walk: Sequence[bytes | Word]) -> bool:
     """Richness of a walk label (true for every walk of a rich word)."""
-    from .palindromes import is_rich_incremental
-
-    return is_rich_incremental(path_label(walk, g)).rich
+    return is_rich_incremental(Eertree.build(path_label(walk, g))).rich
 
 
 @dataclass(frozen=True)
@@ -398,7 +396,7 @@ def path_counting_identity(
     g: RauzyGraph,
     rg: ReducedRauzyGraph,
     facts: PathFacts,
-    pal_counts: Eertree | tuple[int, int],
+    pal_counts: tuple[int, int],
 ) -> PathCountingIdentity:
     """Evaluate P(n)+P(n+1) against the simple-path count at order n.
 
@@ -407,20 +405,17 @@ def path_counting_identity(
     up across the s-1 tree edges, and adds the special palindromes (trivial
     palindromic paths).  Also verifies that every palindromic factor of
     length n or n+1 is the central factor of exactly one palindromic simple
-    path.  Meaningful on rich reversal-closed words at stabilized orders.
+    path.  Meaningful on rich reversal-closed words at stabilized orders;
+    on Thue-Morse, which is closed but not rich, it fails at some orders.
 
-    ``pal_counts`` is either an eertree over a stabilized prefix or the
-    explicit pair (P(n), P(n+1)) when palindrome counts come from exact
-    factor sets.
+    ``pal_counts`` is the pair (P(n), P(n+1)), for instance from
+    ``FactorIndex.palindrome_count``.  The theorem-1 experiment does not
+    evaluate the identity; the tests check it order by order.
     """
     if rg.no_specials:
         raise NotApplicable("no special factors at this order; periodic route applies")
     n = g.n
-    if isinstance(pal_counts, Eertree):
-        p_n = palindromic_complexity(pal_counts, n)
-        p_n1 = palindromic_complexity(pal_counts, n + 1)
-    else:
-        p_n, p_n1 = pal_counts
+    p_n, p_n1 = pal_counts
     lhs = p_n + p_n1
     rhs = (
         sum(g.out_degree[v] for v in rg.vertices)

@@ -127,3 +127,28 @@ def all_words(alphabet: str, max_len: int):
     for length in range(max_len + 1):
         for letters in product(alphabet, repeat=length):
             yield "".join(letters)
+
+
+def closure_naive(idx, n: int):
+    """Reversal closure checked at every length 1..n of an index's sets.
+
+    Returns (closed, witness bytes): the witness is taken at the longest
+    failing length, the first factor there in first-occurrence order of the
+    index's source (sorted order for factors the source lacks) whose
+    reversal is absent.
+    """
+    failing = [
+        m
+        for m in range(1, n + 1)
+        if any(u[::-1] not in idx.factor_set(m) for u in idx.factor_set(m))
+    ]
+    if not failing:
+        return True, None
+    m = max(failing)
+    fset = idx.factor_set(m)
+    data = idx.source.data
+    firsts = dict.fromkeys(data[i : i + m] for i in range(len(data) - m + 1))
+    for u in [*firsts, *sorted(fset)]:
+        if u in fset and u[::-1] not in fset:
+            return False, u
+    raise AssertionError("failing length without failing factor")

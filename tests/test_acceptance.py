@@ -28,7 +28,7 @@ from palrich.counting import (
 from palrich.factors import is_closed_under_reversal, stabilized_prefix
 from palrich.generators import family_block, get_family
 from palrich.palindromes import (
-    build_eertree,
+    Eertree,
     check_alternation,
     check_v2reverse,
     is_rich_by_count,
@@ -172,9 +172,9 @@ def test_criterion_7_proposition_2_exhaustive():
                 for letters in product(alphabet, repeat=length):
                     text = "".join(letters)
                     w = Word.parse(text, base)
-                    rep = is_rich_incremental(w)
-                    assert rep.rich == is_rich_by_returns(w).rich == is_rich_by_count(w)
-                    t = build_eertree(w)
+                    t = Eertree.build(w)
+                    rep = is_rich_incremental(t)
+                    assert rep.rich == is_rich_by_returns(w).rich == is_rich_by_count(t)
                     assert t.node_count + 1 == len(palindromic_substrings(text))
         assert time.perf_counter() - started < 60.0
 

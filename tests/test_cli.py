@@ -75,6 +75,11 @@ def test_analyze_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "analyze", "--word", "ab", "--n-max", "0")
     assert code == 1
+    code, out, err = run(
+        capsys, "analyze", "--generator", "fibonacci", "--n-max", "5", "--prefix-cap", "0"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: prefix cap 0 is below 4*(n_max+1) = 24\n"
 
 
 def test_graph_reduced_matches_golden(capsys):
@@ -186,6 +191,19 @@ def test_count_rejects_source(capsys):
         capsys, "count", "--kind", "sturmian", "--word", "ab", "--n-max", "4"
     )
     assert code == 1
+    code, _, err = run(
+        capsys, "count", "--kind", "sturmian", "--word", "ab", "--n-max", "5",
+        "--prefix-cap", "8",
+    )
+    assert code == 1 and "count takes no word source" in err
+
+
+def test_count_ignores_prefix_cap(capsys):
+    code, out, err = run(
+        capsys, "count", "--kind", "sturmian", "--n-max", "5", "--prefix-cap", "8"
+    )
+    assert code == 0 and err == ""
+    assert out == run(capsys, "count", "--kind", "sturmian", "--n-max", "5")[1]
 
 
 def test_strict_inconclusive_exit(capsys):

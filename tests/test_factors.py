@@ -20,10 +20,10 @@ from palrich.factors import (
     special_factors,
     stabilized_prefix,
 )
-from palrich.generators import get_family, psi_morphism
+from palrich.generators import family_block, get_family, psi_morphism
 from palrich.words import Morphism, Word, fixed_point, periodic_word, s_word
 
-from oracles import window_factors
+from oracles import all_words, closure_naive, window_factors
 
 FIB = Morphism.parse("a->ab,b->a")
 TM = Morphism.parse("a->ab,b->ba")
@@ -185,6 +185,48 @@ def test_closure_s_word_witness():
     assert not ok
     assert witness.text == "bca"
     assert witness.reversed().text == "acb"
+
+
+def _closure_pair(idx, n):
+    ok, witness = is_closed_under_reversal(idx, n)
+    return ok, witness and witness.data
+
+
+def test_closure_at_top_length_matches_all_lengths_on_small_words():
+    base = Word.parse("abc").alphabet
+    for text in all_words("abc", 7):
+        if not text:
+            continue
+        idx = build_index(Word.parse(text, base), len(text) - 1)
+        for n in range(len(text) + 1):
+            assert _closure_pair(idx, n) == closure_naive(idx, n), (text, n)
+
+
+CLOSURE_FAMILIES = [
+    ("s-word", {}, False),
+    ("periodic", {"block": "abc"}, False),
+    ("morphic", {"morphism": "a->ab,b->bc,c->a"}, False),
+    ("fibonacci", {}, True),
+    ("tribonacci", {}, True),
+    ("periodic", {"block": family_block(0).text}, True),
+    ("periodic", {"block": family_block(1).text}, True),
+    ("periodic", {"block": family_block(2).text}, True),
+    ("psi-of-fibonacci", {"k": 0}, True),
+    ("psi-of-fibonacci", {"k": 1}, True),
+    ("psi-of-fibonacci", {"k": 2}, True),
+    ("cassaigne-aab", {}, True),
+    ("quadratic-abab", {}, True),
+    ("morphic", {"morphism": "a->aba,b->bb"}, True),
+    ("thue-morse", {}, True),
+]
+
+
+@pytest.mark.parametrize("name,params,closed", CLOSURE_FAMILIES)
+def test_closure_at_top_length_matches_all_lengths_on_families(name, params, closed):
+    idx = get_family(name, **params).index(12, 1 << 16)
+    for n in range(idx.n_max + 2):
+        assert _closure_pair(idx, n) == closure_naive(idx, n), (name, n)
+    assert is_closed_under_reversal(idx, idx.n_max + 1)[0] is closed
 
 
 def test_recurrence_probe():

@@ -8,7 +8,7 @@ from palrich.generators import (
     get_family,
     psi_morphism,
 )
-from palrich.palindromes import is_rich_incremental
+from palrich.palindromes import Eertree, is_rich_incremental
 from palrich.words import Word
 
 
@@ -80,7 +80,7 @@ def test_rich_families_have_rich_prefixes():
         ("morphic", {"morphism": "a->aba,b->bb"}),
     ]:
         fam = get_family(name, **kw)
-        assert is_rich_incremental(fam.produce(600)).rich, name
+        assert is_rich_incremental(Eertree.build(fam.produce(600))).rich, name
 
 
 def test_exact_sets_present_for_morphic_families():

@@ -6,7 +6,6 @@ from palrich.factors import build_index, stabilized_prefix
 from palrich.generators import episturmian_prefix, family_block
 from palrich.palindromes import (
     Eertree,
-    build_eertree,
     check_alternation,
     check_v2reverse,
     is_rich_by_count,
@@ -30,21 +29,21 @@ TM = Morphism.parse("a->ab,b->ba")
 
 
 def test_build_eertree_examples():
-    t = build_eertree(Word.parse("abca"))
+    t = Eertree.build(Word.parse("abca"))
     assert t.node_count == 3
     assert [bool(c) for c in t.created_at] == [True, True, True, False]
 
-    t = build_eertree(Word.parse("aabaa"))
+    t = Eertree.build(Word.parse("aabaa"))
     assert t.node_count == 5
     pals = {t.alphabet.decode(t.palindrome_bytes(n)) for n in range(2, 7)}
     assert pals == {"a", "aa", "b", "aba", "aabaa"}
 
-    assert build_eertree(Word.parse("a", None)[:0]).node_count == 0
+    assert Eertree.build(Word.parse("a", None)[:0]).node_count == 0
 
 
 def test_palindromic_complexity_fibonacci():
     sp = stabilized_prefix(lambda l: fixed_point(FIB, "a", l), 10)
-    t = build_eertree(sp.word)
+    t = Eertree.build(sp.word)
     assert palindromic_complexity(t, 6) == 1
     assert palindromic_complexity(t, 7) == 2
     assert palindromic_complexity(t, 0) == 1
@@ -52,7 +51,7 @@ def test_palindromic_complexity_fibonacci():
 
 def test_palindromic_complexity_thue_morse_odd_gap():
     w = fixed_point(TM, "a", 512)
-    t = build_eertree(w)
+    t = Eertree.build(w)
     expected = sum(1 for p in palindromic_substrings(w.text) if len(p) == 7)
     assert palindromic_complexity(t, 7) == expected == 0
     with pytest.raises(OutOfRange):
@@ -60,23 +59,23 @@ def test_palindromic_complexity_thue_morse_odd_gap():
 
 
 def test_longest_palindromic_suffix_examples():
-    t = build_eertree(Word.parse("abca"))
+    t = Eertree.build(Word.parse("abca"))
     assert longest_palindromic_suffix(t, 4).text == "a"
-    t = build_eertree(Word.parse("aabaa"))
+    t = Eertree.build(Word.parse("aabaa"))
     assert longest_palindromic_suffix(t, 5).text == "aabaa"
-    t = build_eertree(Word.parse("ab"))
+    t = Eertree.build(Word.parse("ab"))
     assert longest_palindromic_suffix(t, 2).text == "b"
     with pytest.raises(OutOfRange):
         longest_palindromic_suffix(t, 3)
 
 
 def test_is_rich_incremental_examples():
-    rep = is_rich_incremental(Word.parse("abca"))
+    rep = is_rich_incremental(Eertree.build(Word.parse("abca")))
     assert not rep.rich
     assert rep.first_violation_prefix == 4
     assert rep.defect == 1
-    assert is_rich_incremental(Word.parse("abbbb")).rich
-    assert is_rich_incremental(Word.parse("aabaabbaabaabbb")).rich
+    assert is_rich_incremental(Eertree.build(Word.parse("abbbb"))).rich
+    assert is_rich_incremental(Eertree.build(Word.parse("aabaabbaabaabbb"))).rich
 
 
 def test_is_rich_by_returns_examples():
@@ -89,14 +88,14 @@ def test_is_rich_by_returns_examples():
 
 
 def test_is_rich_by_count_examples():
-    assert is_rich_by_count(Word.parse("abc"))
-    assert not is_rich_by_count(Word.parse("abca"))
-    assert is_rich_by_count(Word.parse("aabaa"))
+    assert is_rich_by_count(Eertree.build(Word.parse("abc")))
+    assert not is_rich_by_count(Eertree.build(Word.parse("abca")))
+    assert is_rich_by_count(Eertree.build(Word.parse("aabaa")))
 
 
 def test_richness_witness_is_genuine():
     for text in ("abca", "abab", "aabbaa", "abcba" * 3, "abbabaabbaababba"):
-        rep = is_rich_incremental(Word.parse(text))
+        rep = is_rich_incremental(Eertree.build(Word.parse(text)))
         if rep.rich:
             continue
         p, r = rep.witness
@@ -150,7 +149,7 @@ def test_eertree_pop_restores_every_earlier_state(text):
 @settings(max_examples=120)
 def test_eertree_counts_match_substring_oracle(text):
     w = Word.parse(text, Word.parse("ab").alphabet)
-    t = build_eertree(w)
+    t = Eertree.build(w)
     assert t.node_count + 1 == distinct_palindromes_including_empty(text)
     by_len = t.nodes_by_length()
     for n in range(1, len(text) + 1):
@@ -162,7 +161,9 @@ def test_eertree_counts_match_substring_oracle(text):
 @settings(max_examples=120)
 def test_defect_monotone_in_prefix_length(text):
     w = Word.parse(text, Word.parse("ab").alphabet)
-    defects = [is_rich_incremental(w[:i]).defect for i in range(len(w) + 1)]
+    defects = [
+        is_rich_incremental(Eertree.build(w[:i])).defect for i in range(len(w) + 1)
+    ]
     assert all(b - a in (0, 1) for a, b in zip(defects, defects[1:]))
 
 
@@ -176,9 +177,10 @@ def test_three_checkers_agree_on_small_words():
     for text in all_words("ab", 9):
         w = Word.parse(text, Word.parse("ab").alphabet)
         naive = is_rich_naive(text)
-        assert is_rich_incremental(w).rich == naive
+        t = Eertree.build(w)
+        assert is_rich_incremental(t).rich == naive
         assert returns_report_fields(w) == returns_report_naive(text)
-        assert is_rich_by_count(w) == naive
+        assert is_rich_by_count(t) == naive
 
 
 def _block_repetitions():

@@ -6,7 +6,7 @@ from palrich import rauzy
 from palrich.errors import NotApplicable, NotAWalk, OutOfRange, UnstableIndexWarning
 from palrich.factors import build_index, stabilized_prefix
 from palrich.generators import get_family
-from palrich.palindromes import build_eertree
+from palrich.palindromes import Eertree, palindromic_complexity
 from palrich.words import Morphism, Word, fixed_point, periodic_word, s_word
 
 FIB = Morphism.parse("a->ab,b->a")
@@ -197,8 +197,9 @@ def test_path_counting_identity_fibonacci():
     g = rauzy.build_rauzy(idx, 2)
     rg = rauzy.reduce(g)
     sg, facts = rauzy.super_reduce(rg)
-    t = build_eertree(idx.source)
-    ident = rauzy.path_counting_identity(g, rg, facts, t)
+    t = Eertree.build(idx.source)
+    pal_counts = (palindromic_complexity(t, 2), palindromic_complexity(t, 3))
+    ident = rauzy.path_counting_identity(g, rg, facts, pal_counts)
     assert ident.lhs == ident.rhs == 3
     assert ident.central_cover_ok
     ident2 = rauzy.path_counting_identity(g, rg, facts, (1, 2))
@@ -277,11 +278,25 @@ def test_dot_cycle_note():
     assert "note=" in rauzy.super_dot(sg, g.alphabet)
 
 
+def _identity_holds(idx, g, rg, facts):
+    n = g.n
+    pal_counts = (idx.palindrome_count(n), idx.palindrome_count(n + 1))
+    return rauzy.path_counting_identity(g, rg, facts, pal_counts).holds
+
+
 def test_rich_words_have_exactly_2s_minus_2_nonpalindromic_paths():
-    for name in ("fibonacci", "tribonacci", "cassaigne-aab", "quadratic-abab"):
-        idx = get_family(name).index(11)
+    for name, params in (
+        ("fibonacci", {}),
+        ("tribonacci", {}),
+        ("cassaigne-aab", {}),
+        ("quadratic-abab", {}),
+        ("psi-of-fibonacci", {"k": 0}),
+        ("periodic", {"block": "aabaabab"}),
+    ):
+        idx = get_family(name, **params).index(11)
         for n in range(1, 10):
-            rg = rauzy.reduce(rauzy.build_rauzy(idx, n))
+            g = rauzy.build_rauzy(idx, n)
+            rg = rauzy.reduce(g)
             if rg.no_specials:
                 continue
             sg, facts = rauzy.super_reduce(rg)
@@ -289,3 +304,14 @@ def test_rich_words_have_exactly_2s_minus_2_nonpalindromic_paths():
             for f in facts.facts:
                 if not f.palindromic:
                     assert f.reversal_exists, (name, n)
+            assert _identity_holds(idx, g, rg, facts), (name, n)
+    # Thue-Morse is closed under reversal but not rich: the identity breaks.
+    idx = get_family("thue-morse").index(11)
+    failing = []
+    for n in range(1, 10):
+        g = rauzy.build_rauzy(idx, n)
+        rg = rauzy.reduce(g)
+        _sg, facts = rauzy.super_reduce(rg)
+        if not _identity_holds(idx, g, rg, facts):
+            failing.append(n)
+    assert failing == [3, 4, 5, 6, 9]

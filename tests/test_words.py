@@ -158,11 +158,11 @@ def test_episturmian_exhausted():
 @given(st.text(alphabet="ab", min_size=1, max_size=6), st.integers(1, 40))
 def test_episturmian_prefixes_are_rich(directive, length):
     from palrich.generators import episturmian_prefix
-    from palrich.palindromes import is_rich_incremental
+    from palrich.palindromes import Eertree, is_rich_incremental
 
     w = episturmian_prefix(directive, length)
     assert len(w) == length
-    assert is_rich_incremental(w).rich
+    assert is_rich_incremental(Eertree.build(w)).rich
 
 
 def test_alphabet_validation():
