@@ -64,6 +64,7 @@ from .rauzy import (
     path_label,
     path_reversal_facts,
     reduce,
+    reduced_graphs,
     super_reduce,
 )
 from .analysis import (

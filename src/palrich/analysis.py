@@ -23,14 +23,12 @@ violations; the affected orders are marked inconclusive instead.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from . import rauzy
 from .errors import (
     NotApplicable,
     NotAPalindrome,
-    UnstableIndexWarning,
     WindowTooShort,
     WordTooShort,
 )
@@ -313,22 +311,14 @@ class TheoremReport:
         return tuple(problems)
 
 
-def _order_record(
-    idx: FactorIndex,
-    prof: ComplexityProfile,
-    n: int,
-) -> OrderRecord:
-    with warnings.catch_warnings():
-        # The experiment tracks per-order stability itself.
-        warnings.simplefilter("ignore", UnstableIndexWarning)
-        g = rauzy.build_rauzy(idx, n)
-    periodic_route = not g.special
+def _order_record(rg: rauzy.ReducedRauzyGraph, prof: ComplexityProfile) -> OrderRecord:
+    n = rg.n
+    periodic_route = rg.no_specials
     if periodic_route:
         # No specials means C(n+1) = C(n); equality then says
         # P(n) + P(n+1) = 2, the purely periodic signature.
         cond1 = cond2 = prof.P[n] + prof.P[n + 1] == 2
     else:
-        rg = rauzy.reduce(g)
         sg, _facts = rauzy.super_reduce(rg)
         cond1, _ = rauzy.palindromic_path_condition(rg)
         cond2 = rauzy.is_tree(sg)
@@ -360,8 +350,11 @@ def theorem1_experiment(
     on the first ``RICHNESS_SAMPLE_CAP`` letters of the index's source word:
     one eertree of that sample gives the incremental and the count verdict,
     and the eertree-free complete-return sweep reads the first
-    ``RETURNS_ORACLE_CAP`` letters.  Each order records only the verdicts
-    the reports and :meth:`TheoremReport.discrepancies` read.
+    ``RETURNS_ORACLE_CAP`` letters.  The reduced Rauzy graphs of orders
+    0..n_max come from one pass of :func:`rauzy.reduced_graphs`, each
+    evolved from the one before; no order builds its full Rauzy graph.
+    Each order super-reduces its graph and records only the verdicts the
+    reports and :meth:`TheoremReport.discrepancies` read.
     """
     from .generators import WordFamily
 
@@ -383,7 +376,9 @@ def theorem1_experiment(
         by_returns=is_rich_by_returns(returns_sample),
         returns_sample_length=len(returns_sample),
     )
-    orders = tuple(_order_record(idx, prof, n) for n in range(n_max + 1))
+    orders = tuple(
+        _order_record(rg, prof) for rg in rauzy.reduced_graphs(idx, n_max)
+    )
     return TheoremReport(
         description=family.describe(),
         n_max=n_max,

@@ -60,8 +60,9 @@ class RunConfig:
                 raise UsageError("the literal word must be non-empty")
         if self.n_max < 1:
             raise UsageError("--n-max must be at least 1")
-        # count builds no factor index, so it never reads the cap.
-        if self.command != "count" and self.prefix_cap < 4 * (self.n_max + 1):
+        # Only generator sources read the cap: a literal word is indexed as
+        # it is, and count takes no source.
+        if self.generator is not None and self.prefix_cap < 4 * (self.n_max + 1):
             raise UsageError(
                 f"prefix cap {self.prefix_cap} is below 4*(n_max+1) = "
                 f"{4 * (self.n_max + 1)}"

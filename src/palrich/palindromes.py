@@ -10,7 +10,7 @@ exhaustive rich-word oracle in :mod:`palrich.counting`, which walks all words
 of one length on one tree.
 
 The complete-return sweep checks richness without the eertree, testing
-O(log n) returns explicitly per letter, and validates the eertree-based
+one return explicitly per letter, and validates the eertree-based
 verdicts.  The span scan between a factor and its reversal and the
 alternation check read the occurrence lists of one factor.
 """
@@ -18,7 +18,6 @@ alternation check read the occurrence lists of one factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
 
 from .errors import FactorAbsent, OutOfRange, PalindromicInput
 from .factors import FactorIndex
@@ -244,32 +243,31 @@ def is_rich_by_returns(w: Word) -> RichnessReport:
     of q.  The sweep walks the end positions e = 1..|w| and keeps S_e, the
     lengths of the palindromic suffixes of w[:e] in descending order:
     L is in S_e iff L-2 is in S_{e-1} and w[e-L] = w[e-1], where the empty
-    word (length 0) and a root of length -1 always belong to S_{e-1}.  Every
-    return ending at e is checked, most of them by one of two lemmas:
+    word (length 0) and a root of length -1 always belong to S_{e-1}.  At
+    each e only the return to the longest element of S_e is checked, by one
+    ``rfind`` for the previous occurrence of that palindrome.  The longest
+    palindromic suffix is new exactly when that ``rfind`` fails, which gives
+    the defect and the first violating prefix from the same sweep.
 
-    (A) Let q be in S_e and q' the next longer element.  q is a suffix of
-        the palindrome q', hence also its prefix, so q ends at
-        e - (|q'| - |q|) as well, and the return to q ending at e starts at
-        most |q'| - |q| letters before the final q does.
-    (B) Two occurrences of a palindrome q whose starts are d <= |q| apart
-        span a palindrome u: u has period d, so u[k] = q[k] for k < |q| and
-        u[k] = q[k-d] for k >= d, and q = reverse(q) makes u = reverse(u).
+    Checking only the longest suffix loses no failing return.  Let r be a
+    non-palindromic complete return to q ending at e where q is not the
+    longest element of S_e, and let q' be the next longer element.
 
-    So when |q'| <= 2|q| the return to q is a palindrome, and only the
-    longest element of S_e and each q with |q'| > 2|q| are checked
-    explicitly: at most floor(log2 e) + 1 per letter, each a ``rfind`` for
-    the previous occurrence of q.  The longest palindromic suffix is new
-    exactly when that ``rfind`` fails, which gives the defect and the first
-    violating prefix from the same sweep.
+    (A) q is a suffix of the palindrome q', hence also its prefix, so q
+        ends at e - (|q'| - |q|) as well: the return r starts at or after
+        the start of q', and, as r is not a palindrome, it is a proper
+        suffix of q'.
+    (M) Mirroring q' maps r onto a proper prefix of q', which is a complete
+        return to the reversal of q, that is to q, is not a palindrome, and
+        starts strictly before r.
 
-    Every failing return is checked, and the witness is the least
-    (palindrome, start) pair over all of them: the lexicographically least
-    palindrome with a non-palindromic complete return, and its earliest
-    such return.  That least failure always ends where its palindrome is the
-    longest in S_e: a failing return to a shorter q is a proper suffix of q'
-    by (A), and its mirror image in q' is a failing return to q that starts
-    earlier.  So the checks of shorter q never change the report; they make
-    every non-palindromic return an explicit check, as condition (I) reads.
+    So the earliest-starting failing return to any palindrome q ends at a
+    position where q is the longest element of S_e, and the sweep checks it.
+    Hence the word is rich iff no checked return fails, and the witness, the
+    least (palindrome, start) pair over the checked failures, is the
+    lexicographically least palindrome with a non-palindromic complete
+    return together with its earliest such return.  No eertree is involved,
+    so the verdict is independent of the eertree-based ones.
 
     The S_e lists sum to the number of palindrome occurrences in w, which is
     about |w|^2 / 2 for a^n: a^4096 takes about 1.8 s on a 2-vCPU x86 host.
@@ -286,19 +284,17 @@ def is_rich_by_returns(w: Word) -> RichnessReport:
     for e, c in enumerate(data, 1):
         chain = [l + 2 for l in chain if padded[e - 1 - l] == c]
         chain += (0, -1)
-        longest = chain[0]
-        checked = [q for longer, q in pairwise(chain) if longer > 2 * q > 0]
-        for q in (longest, *checked):
-            pal = data[e - q : e]
-            start = data.rfind(pal, 0, e - 1)
-            if start < 0:
-                new_palindromes += 1
-                continue
-            if q == longest and violation is None:
-                violation = e
-            span = data[start:e]
-            if span != span[::-1] and (least is None or (pal, start) < least[:2]):
-                least = (pal, start, e)
+        q = chain[0]
+        pal = data[e - q : e]
+        start = data.rfind(pal, 0, e - 1)
+        if start < 0:
+            new_palindromes += 1
+            continue
+        if violation is None:
+            violation = e
+        span = data[start:e]
+        if span != span[::-1] and (least is None or (pal, start) < least[:2]):
+            least = (pal, start, e)
     witness = None
     if least is not None:
         pal, start, end = least

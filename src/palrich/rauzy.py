@@ -12,13 +12,51 @@ combinatorial core of the equality
 Periodic words have no special factors at large orders; reduction then
 returns a tagged single-cycle object instead of raising, and the identity is
 checked through the periodicity route by callers.
+
+:func:`build_rauzy` and :func:`reduce` build one order from its factor sets.
+:func:`reduced_graphs` evolves the reduced graph from one order to the next,
+after Cassaigne ("Complexité et facteurs spéciaux", 1997).  Write S_n for
+the special factors of length n and L(w, c) for the label of the order-n
+simple path that leaves w in S_n through the edge w + c.  The order-(n+1)
+vertices are the order-n edges.  Three facts carry one order to the next:
+
+1. *Specials.*  Every x in S_{n+1} is b + w or w + c with w in S_n.  If x is
+   right special, x + a and x + b are factors, hence so are x[1:] + a and
+   x[1:] + b, and x[1:] is right special; likewise a left-special x has a
+   left-special x[:-1].  So S_{n+1} is found among the one-letter
+   extensions of S_n by membership tests in F_{n+2}.  This needs only that
+   the sets are closed under taking factors.
+2. *Interior edges.*  An edge in the interior of an order-n simple path
+   joins two non-special vertices, so by fact 1 it is not special at order
+   n+1.  Only the first edge (the head) and the last edge (the tail) of an
+   order-n path can be.
+3. *Paths follow labels.*  Let e be an order-n edge whose end e[1:] is not
+   special.  Then e[1:] has one right extension d, and every right
+   extension of e is one of e[1:], so e + d is the only edge out of e at
+   order n+1, provided e has a right extension at all.  Hence an
+   order-(n+1) walk reads the order-n labels end to end.  From x in S_{n+1}
+   it starts as x[:1] + L(x[1:], c), one per right extension c of x, when
+   x[1:] is in S_n.  Otherwise x[:-1] is in S_n (fact 1) and x is the head
+   of L(x[:-1], x[-1]), which the walk follows.  At a tail that is not in
+   S_{n+1} the walk leaves the order-n target t through the tail's one
+   right extension d and appends L(t, d)[n:].  It stops at the first head
+   or tail in S_{n+1}; by fact 2 nothing in between can stop it.
+
+Facts 1 and 2 hold for any sets closed under taking factors; fact 3 needs
+in addition only that each edge met has a right extension.  Every factor
+of an infinite word has one.  In a finite word the only factor of
+length m that can lack one is its final suffix of length m, since every
+other occurrence is followed by a letter.  When that suffix has no right
+extension it occurs once, so it is not special either, and a walk that
+meets it ends there: the path dangles.  One ``bytes.find`` of that suffix in
+each order-n label followed finds where.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import NotApplicable, NotAWalk, OutOfRange, UnstableIndexWarning
 from .factors import FactorIndex
@@ -92,27 +130,30 @@ def build_rauzy(idx: FactorIndex, n: int) -> RauzyGraph:
 
 @dataclass(frozen=True)
 class SimplePath:
-    """A directed path with special endpoints and non-special interior."""
+    """A directed path with special endpoints and non-special interior.
 
-    vertices: tuple[bytes, ...]
-    edges: tuple[bytes, ...]
+    Only the endpoints and the label are stored.  With n = |source|, the
+    vertices are the length-n windows of the label and the edges its
+    length-(n+1) windows, both in walk order.
+    """
+
+    source: bytes
+    target: bytes
     label: bytes
 
     @property
-    def source(self) -> bytes:
-        return self.vertices[0]
+    def vertices(self) -> tuple[bytes, ...]:
+        n, label = len(self.source), self.label
+        return tuple(label[i : i + n] for i in range(len(label) - n + 1))
 
     @property
-    def target(self) -> bytes:
-        return self.vertices[-1]
+    def edges(self) -> tuple[bytes, ...]:
+        n, label = len(self.source) + 1, self.label
+        return tuple(label[i : i + n] for i in range(len(label) - n + 1))
 
     @property
     def palindromic(self) -> bool:
         return self.label == self.label[::-1]
-
-    @property
-    def nontrivial(self) -> bool:
-        return len(self.edges) >= 1
 
     def sort_key(self):
         return (self.source, self.target, self.label)
@@ -184,48 +225,39 @@ def _simple_paths(g: RauzyGraph) -> tuple[list[SimplePath], list[SimplePath]]:
     limit = len(g.edges) + 1
     for v in sorted(special):
         for first in g.out_edges[v]:
-            verts = [v]
-            edges = [first]
-            label = bytearray(v)
-            label.append(first[-1])
+            label = bytearray(first)
             cur = first[1:]
             steps = 0
             while cur not in special:
                 outs = g.out_edges[cur]
                 if not outs:
-                    # Truncated walk: only possible on unstabilized prefixes.
-                    verts.append(cur)
-                    dangling.append(
-                        SimplePath(tuple(verts), tuple(edges), bytes(label))
-                    )
-                    cur = None
+                    # Truncated walk: only possible in the graph of a finite word.
+                    dangling.append(SimplePath(v, cur, bytes(label)))
                     break
                 if len(outs) > 1:
                     raise AssertionError("non-special vertex with out-degree > 1")
                 e = outs[0]
-                verts.append(cur)
-                edges.append(e)
                 label.append(e[-1])
                 cur = e[1:]
                 steps += 1
                 if steps > limit:
                     raise AssertionError("walk exceeded edge count; graph corrupt")
-            if cur is not None:
-                verts.append(cur)
-                complete.append(SimplePath(tuple(verts), tuple(edges), bytes(label)))
+            else:
+                complete.append(SimplePath(v, cur, bytes(label)))
     complete.sort(key=SimplePath.sort_key)
     return complete, dangling
 
 
-def _trace_cycle(g: RauzyGraph) -> CycleInfo:
-    start = g.vertices[0]
+def _trace_cycle(vertices, edges) -> CycleInfo:
+    """Walk from the least vertex of a graph whose out-degrees are at most one."""
+    step = {e[:-1]: e[1:] for e in edges}
+    start = min(vertices)
     seq = [start]
     cur = start
-    for _ in range(len(g.edges) + 1):
-        outs = g.out_edges[cur]
-        if not outs:
+    for _ in range(len(step) + 1):
+        cur = step.get(cur)
+        if cur is None:
             return CycleInfo(tuple(seq), closed=False)
-        cur = outs[0][1:]
         if cur == start:
             return CycleInfo(tuple(seq), closed=True)
         seq.append(cur)
@@ -239,7 +271,7 @@ def reduce(g: RauzyGraph) -> ReducedRauzyGraph:
     order) yields a tagged cycle object with no vertices or edges.
     """
     if not g.special:
-        return ReducedRauzyGraph(g.n, (), (), cycle=_trace_cycle(g))
+        return ReducedRauzyGraph(g.n, (), (), cycle=_trace_cycle(g.vertices, g.edges))
     complete, dangling = _simple_paths(g)
     return ReducedRauzyGraph(
         g.n,
@@ -247,6 +279,145 @@ def reduce(g: RauzyGraph) -> ReducedRauzyGraph:
         tuple(complete),
         dangling=tuple(dangling),
     )
+
+
+# -- Evolution across orders -------------------------------------------------
+
+# Left and right extension letters of a special factor, each sorted.
+_Extensions = tuple[bytes, bytes]
+
+
+def _extensions(x: bytes, longer: frozenset[bytes], letters: range) -> _Extensions:
+    return (
+        bytes(a for a in letters if bytes((a,)) + x in longer),
+        bytes(c for c in letters if x + bytes((c,)) in longer),
+    )
+
+
+def _next_specials(
+    specials: dict[bytes, _Extensions], longer: frozenset[bytes], letters: range
+) -> dict[bytes, _Extensions]:
+    """S_{n+1} with its extensions, from S_n and F_{n+2} (fact 1)."""
+    candidates = set()
+    for w, (left, right) in specials.items():
+        if len(right) > 1:
+            candidates.update(bytes((a,)) + w for a in left)
+        if len(left) > 1:
+            candidates.update(w + bytes((c,)) for c in right)
+    out = {}
+    for x in candidates:
+        left, right = ext = _extensions(x, longer, letters)
+        if len(left) > 1 or len(right) > 1:
+            out[x] = ext
+    return out
+
+
+def _dead_vertex(
+    source: bytes, m: int, longer: frozenset[bytes], letters: range
+) -> bytes | None:
+    """The length-m factor without a right extension, if there is one (fact 3)."""
+    if len(source) < m:
+        return None
+    z = source[len(source) - m :]
+    if any(z + bytes((c,)) in longer for c in letters):
+        return None
+    return z
+
+
+def _next_paths(
+    previous: Sequence[SimplePath],
+    specials: dict[bytes, _Extensions],
+    new_specials: dict[bytes, _Extensions],
+    longer: frozenset[bytes],
+    dead: bytes | None,
+    n: int,
+) -> tuple[list[SimplePath], list[SimplePath]]:
+    """The order-(n+1) simple paths, spliced from the order-n ones (facts 2, 3).
+
+    ``previous`` holds the order-n paths, complete and dangling, ``longer``
+    is F_{n+2} and ``dead`` the length-(n+1) factor without a right
+    extension.  Each order-(n+1) path visits the edges of consecutive
+    order-n paths; only the first and last edge of each (head and tail) can
+    be special at order n+1, so only those are tested.
+    """
+    m = n + 1
+    paths = {(p.source, p.label[n]): p for p in previous}
+    complete: list[SimplePath] = []
+    dangling: list[SimplePath] = []
+    for x in sorted(new_specials):
+        if x[1:] in specials:
+            starts = [(x[:1], x[1:], c, True) for c in new_specials[x][1]]
+        else:
+            # x is the head of an order-n path, and x[1:] has one extension.
+            starts = [(b"", x[:-1], x[-1], False)]
+        for prefix, s, c, check_head in starts:
+            parts = [prefix]
+            trim = 0
+            for _ in range(len(paths) + 1):
+                path = paths[s, c]
+                label = path.label
+                if check_head and label[:m] in new_specials:
+                    parts.append(label[trim:m])
+                    complete.append(SimplePath(x, label[:m], b"".join(parts)))
+                    break
+                cut = label.find(dead) if dead is not None else -1
+                if cut >= 0:
+                    parts.append(label[trim : cut + m])
+                    dangling.append(SimplePath(x, dead, b"".join(parts)))
+                    break
+                parts.append(label[trim:])
+                tail = label[-m:]
+                if tail in new_specials:
+                    complete.append(SimplePath(x, tail, b"".join(parts)))
+                    break
+                # A non-special tail has exactly one right extension.
+                s = path.target
+                right = [d for d in specials[s][1] if tail + bytes((d,)) in longer]
+                if len(right) != 1:
+                    raise AssertionError("non-special vertex with out-degree != 1")
+                c = right[0]
+                trim = n
+                check_head = True
+            else:
+                raise AssertionError("walk exceeded the path count; sets corrupt")
+    complete.sort(key=SimplePath.sort_key)
+    return complete, dangling
+
+
+def reduced_graphs(idx: FactorIndex, n_max: int) -> Iterator[ReducedRauzyGraph]:
+    """``reduce(build_rauzy(idx, n))`` for n = 0..n_max, each from the last.
+
+    The special factors, their extensions and the simple paths of order n
+    carry over to order n+1 through the three facts of the module
+    docstring; no order builds its full Rauzy graph.  Graphs without
+    special factors come with the same cycle object as :func:`reduce`.
+    Unlike :func:`build_rauzy`, this does not warn on an unstabilized
+    index: its caller tracks per-order stability.
+    """
+    if not 0 <= n_max < idx.n_max:
+        raise OutOfRange(f"graph orders must satisfy 0 <= n < n_max = {idx.n_max}")
+    letters = range(idx.alphabet.size)
+    source = idx.source.data
+    left, right = _extensions(b"", idx.factor_set(1), letters)
+    specials = {b"": (left, right)} if len(right) > 1 else {}
+    complete = [SimplePath(b"", b"", bytes((c,))) for c in right]
+    dangling: list[SimplePath] = []
+    for n in range(n_max + 1):
+        if n > 0 and specials:
+            longer = idx.factor_set(n + 1)
+            new_specials = _next_specials(specials, longer, letters)
+            dead = _dead_vertex(source, n, longer, letters)
+            complete, dangling = _next_paths(
+                (*complete, *dangling), specials, new_specials, longer, dead, n - 1
+            )
+            specials = new_specials
+        if not specials:
+            cycle = _trace_cycle(idx.factor_set(n), idx.factor_set(n + 1))
+            yield ReducedRauzyGraph(n, (), (), cycle=cycle)
+            continue
+        yield ReducedRauzyGraph(
+            n, tuple(sorted(specials)), tuple(complete), dangling=tuple(dangling)
+        )
 
 
 @dataclass(frozen=True)

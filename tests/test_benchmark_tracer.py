@@ -1,7 +1,7 @@
 """The benchmark's per-layer tracer still fits the package.
 
 ``perfbench/tracing.py`` rebinds palrich functions and methods by name and
-reads their arguments and results.  Installing it, running two small jobs
+reads their arguments and results.  Installing it, running four small jobs
 and uninstalling it catches a renamed or reshaped name in seconds, without
 running the benchmark's own self-test.
 """
@@ -38,6 +38,10 @@ def test_tracer_installs_runs_and_uninstalls(capsys):
     try:
         assert palrich.cli.main(["analyze", "--word", "abaab", "--n-max", "2"]) == 0
         assert palrich.cli.main(["analyze", "--generator", "tribonacci", "--n-max", "3"]) == 0
+        assert palrich.cli.main(["verify", "--generator", "cassaigne-aab", "--n-max", "8"]) == 0
+        assert palrich.cli.main(
+            ["graph", "--generator", "fibonacci", "--n", "3", "--tier", "super"]
+        ) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -50,3 +54,8 @@ def test_tracer_installs_runs_and_uninstalls(capsys):
         "factors.extensions.s",
     ):
         assert metrics[name] > 0, name
+    # verify evolves its reduced graphs, so only the graph job builds one;
+    # both jobs super-reduce through the traced module attribute.
+    assert metrics["analysis.orders"] == 9
+    assert metrics["rauzy.build_rauzy.calls"] == 1
+    assert metrics["rauzy.super_reduce.s"] > 0

@@ -82,6 +82,21 @@ def test_analyze_usage_errors(capsys):
     assert err == "error: prefix cap 0 is below 4*(n_max+1) = 24\n"
 
 
+def test_literal_words_ignore_prefix_cap(capsys):
+    for argv in (
+        ("verify", "--word", "abacaba"),
+        ("analyze", "--word", "abacaba", "--n-max", "3"),
+    ):
+        code, out, err = run(capsys, *argv, "--prefix-cap", "8")
+        assert code == 0 and err == "", argv
+        assert (code, out, err) == run(capsys, *argv), argv
+    code, out, err = run(
+        capsys, "verify", "--generator", "fibonacci", "--n-max", "3", "--prefix-cap", "8"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: prefix cap 8 is below 4*(n_max+1) = 16\n"
+
+
 def test_graph_reduced_matches_golden(capsys):
     code, out, _ = run(
         capsys, "graph", "--generator", "fibonacci", "--n", "2", "--tier", "reduced"

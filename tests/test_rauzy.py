@@ -1,6 +1,9 @@
+import warnings
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from palrich import rauzy
 from palrich.errors import NotApplicable, NotAWalk, OutOfRange, UnstableIndexWarning
@@ -315,3 +318,94 @@ def test_rich_words_have_exactly_2s_minus_2_nonpalindromic_paths():
         if not _identity_holds(idx, g, rg, facts):
             failing.append(n)
     assert failing == [3, 4, 5, 6, 9]
+
+
+# -- evolved reduced graphs against the per-order build ------------------------
+
+
+def assert_evolution_matches_per_order_build(idx, n_max):
+    """Every graph of reduced_graphs equals reduce(build_rauzy(idx, n))."""
+    evolved = list(rauzy.reduced_graphs(idx, n_max))
+    assert [rg.n for rg in evolved] == list(range(n_max + 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnstableIndexWarning)
+        for rg in evolved:
+            ref = rauzy.reduce(rauzy.build_rauzy(idx, rg.n))
+            assert rg.vertices == ref.vertices, rg.n
+            assert [p.sort_key() for p in rg.edges] == sorted(
+                p.sort_key() for p in ref.edges
+            ), rg.n
+            assert rg.dangling == ref.dangling, rg.n
+            assert rg.cycle == ref.cycle, rg.n
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("fibonacci", {}),
+        ("thue-morse", {}),
+        ("cassaigne-aab", {}),
+        ("quadratic-abab", {}),
+        ("psi-of-fibonacci", {"k": 0}),
+        ("psi-of-fibonacci", {"k": 1}),
+        ("psi-of-fibonacci", {"k": 2}),
+        ("periodic", {"block": "aabaabab"}),
+        ("periodic", {"block": "abc"}),
+        ("morphic", {"morphism": "a->aba,b->bb"}),
+        ("morphic", {"morphism": "a->ab,b->bc,c->a"}),
+    ],
+)
+def test_reduced_graphs_match_per_order_build_on_exact_families(name, params):
+    idx = get_family(name, **params).index(61)
+    assert idx.exact
+    assert_evolution_matches_per_order_build(idx, 60)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("tribonacci", {}), ("s-word", {}), ("episturmian", {"directive": "aabc"})],
+)
+def test_reduced_graphs_match_per_order_build_on_prefixes(name, params):
+    idx = get_family(name, **params).index(31, 1 << 14)
+    assert not idx.exact
+    assert_evolution_matches_per_order_build(idx, 30)
+
+
+def _one_letter_changed(block, length, at, letter):
+    text = (block * length)[:length]
+    at %= length
+    return text[:at] + letter + text[at + 1 :]
+
+
+@given(
+    st.one_of(
+        st.text(alphabet="abc", min_size=2, max_size=40),
+        st.builds(
+            _one_letter_changed,
+            st.text(alphabet="abc", min_size=1, max_size=6),
+            st.integers(2, 40),
+            st.integers(0, 39),
+            st.sampled_from("abc"),
+        ),
+    )
+)
+@example("abbbbab")  # see test_literal_word_reaches_the_dangling_branch
+@settings(max_examples=300, deadline=None)
+def test_reduced_graphs_match_per_order_build_on_literal_words(text):
+    idx = build_index(Word.parse(text), len(text) - 1)
+    assert_evolution_matches_per_order_build(idx, idx.n_max - 1)
+
+
+def test_literal_word_reaches_the_dangling_branch():
+    # In abbbbab the final suffix bab has no right extension.  At order 2 it
+    # is the middle edge of the path bb -> ba -> ab -> bb, so the order-3
+    # path from bbb that follows this label stops at bab, and dangles.
+    idx = build_index(Word.parse("abbbbab"), 6)
+    graphs = list(rauzy.reduced_graphs(idx, 5))
+    triples = lambda paths: [tuple(map(idx.alphabet.decode, p.sort_key())) for p in paths]
+    assert triples(graphs[2].edges) == [("bb", "bb", "bbabb"), ("bb", "bb", "bbb")]
+    assert not graphs[2].dangling
+    assert triples(graphs[3].edges) == [("bbb", "bbb", "bbbb")]
+    assert triples(graphs[3].dangling) == [("bbb", "bab", "bbbab")]
+    with pytest.raises(OutOfRange):
+        next(rauzy.reduced_graphs(idx, idx.n_max))
