@@ -31,6 +31,7 @@ from .factors import (
     complete_returns,
     complexity_difference_identity,
     factor_complexity,
+    finite_complexity,
     image_factor_sets,
     is_closed_under_reversal,
     morphic_factor_sets,
@@ -61,6 +62,7 @@ from .rauzy import (
     label_is_rich_check,
     palindromic_path_condition,
     path_counting_identity,
+    path_facts,
     path_label,
     path_reversal_facts,
     reduce,

@@ -37,6 +37,7 @@ from .factors import (
     RICHNESS_SAMPLE_CAP,
     FactorIndex,
     build_index,
+    finite_complexity,
     is_closed_under_reversal,
     morphic_factor_sets,
 )
@@ -177,18 +178,22 @@ def theorem2_check(w: Word) -> Theorem2Report:
     palindromic factors are palindromes; iii) P(i)+P(i+1) = C(i+1)-C(i)+2
     for 0 <= i <= |w|, with C and P of the finite word and both counting 0
     at length |w|+1.
+
+    One eertree of w gives i) and P per length, with P(0) = 1 for the empty
+    word.  C(0..|w|) comes from the suffix array and LCP array of w
+    (:func:`finite_complexity`), so no per-length factor set is built.  The
+    complete-return sweep builds no tree and stays the independent verdict
+    for ii).
     """
     if not w.is_palindrome():
         raise NotAPalindrome(f"{w!r} is not a palindrome")
-    count_ok = is_rich_by_count(Eertree.build(w))
+    tree = Eertree.build(w)
+    count_ok = is_rich_by_count(tree)
     returns_ok = is_rich_by_returns(w).rich
     m = len(w)
-    if m == 0:
-        rows = ((0, 1, 1),)
-        return Theorem2Report(w, count_ok, returns_ok, True, rows)
-    idx = build_index(w, m - 1)
-    C = [idx.complexity(i) for i in range(m + 1)] + [0]
-    P = [idx.palindrome_count(i) for i in range(m + 1)] + [0]
+    C = finite_complexity(w) + [0]
+    by_length = tree.nodes_by_length()
+    P = [1] + [by_length.get(i, 0) for i in range(1, m + 1)] + [0]
     rows = []
     identity_ok = True
     for i in range(m + 1):
@@ -319,7 +324,7 @@ def _order_record(rg: rauzy.ReducedRauzyGraph, prof: ComplexityProfile) -> Order
         # P(n) + P(n+1) = 2, the purely periodic signature.
         cond1 = cond2 = prof.P[n] + prof.P[n + 1] == 2
     else:
-        sg, _facts = rauzy.super_reduce(rg)
+        sg = rauzy.super_reduce(rg)
         cond1, _ = rauzy.palindromic_path_condition(rg)
         cond2 = rauzy.is_tree(sg)
     return OrderRecord(

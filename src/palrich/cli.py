@@ -202,7 +202,7 @@ def cmd_graph(cfg: RunConfig, n: int, tier: str) -> int:
         elif tier == "reduced":
             text = rauzy.reduced_dot(rauzy.reduce(g), g.alphabet)
         elif tier == "super":
-            sg, _facts = rauzy.super_reduce(rauzy.reduce(g))
+            sg = rauzy.super_reduce(rauzy.reduce(g))
             text = rauzy.super_dot(sg, g.alphabet)
         else:
             raise UsageError(f"unknown tier {tier!r}")

@@ -23,6 +23,10 @@ The top set comes from one of four places:
   the only exact route to their complexity at useful depths.
 * ``image_factor_sets`` and ``periodic_factor_sets`` do the same for
   morphic images and for periodic words.
+
+A finite word whose complexity is wanted at every length, as in the
+finite-palindrome theorem, needs no factor sets at all: ``finite_complexity``
+reads C(0..|w|) off one suffix array and its LCP array.
 """
 
 from __future__ import annotations
@@ -127,18 +131,28 @@ class FactorIndex:
         """
         if not 0 <= n <= self.n_max:
             raise OutOfRange(f"extensions need n <= n_max = {self.n_max}")
-        ext: dict[bytes, list[int]] = {u: [] for u in self.factor_set(n)}
-        for e in self.factors(n + 1):
-            ext[e[:-1]].append(e[-1])
-        return {u: bytes(sorted(letters)) for u, letters in ext.items()}
+        ext = dict.fromkeys(self.factor_set(n), b"")
+        repeated = []
+        for e in self.factor_set(n + 1):
+            u = e[:-1]
+            letters = ext[u]
+            if letters:
+                repeated.append(u)
+            ext[u] = letters + e[-1:]
+        return _sort_letters(ext, repeated)
 
     def left_extensions(self, n: int) -> dict[bytes, bytes]:
         if not 0 <= n <= self.n_max:
             raise OutOfRange(f"extensions need n <= n_max = {self.n_max}")
-        ext: dict[bytes, list[int]] = {u: [] for u in self.factor_set(n)}
-        for e in self.factors(n + 1):
-            ext[e[1:]].append(e[0])
-        return {u: bytes(sorted(letters)) for u, letters in ext.items()}
+        ext = dict.fromkeys(self.factor_set(n), b"")
+        repeated = []
+        for e in self.factor_set(n + 1):
+            u = e[1:]
+            letters = ext[u]
+            if letters:
+                repeated.append(u)
+            ext[u] = letters + e[:1]
+        return _sort_letters(ext, repeated)
 
     # -- occurrence-level queries -----------------------------------------
 
@@ -157,9 +171,95 @@ class FactorIndex:
         return cached
 
 
+def _sort_letters(ext: dict[bytes, bytes], repeated: list[bytes]) -> dict[bytes, bytes]:
+    # Only the factors that got a second letter can be out of order.
+    for u in repeated:
+        ext[u] = bytes(sorted(ext[u]))
+    return ext
+
+
 def build_index(w: Word, n_max: int) -> FactorIndex:
     """Exact distinct-factor sets of w for all lengths 0..n_max+1."""
     return FactorIndex.build(w, n_max)
+
+
+def finite_complexity(w: Word) -> list[int]:
+    """C(0..|w|) of a finite word from its suffix array and LCP array.
+
+    With m = |w|, C(0) = 1 and, for 1 <= n <= m,
+
+        C(n) = (m - n + 1) - #{adjacent sorted suffixes with LCP >= n}.
+
+    Proof: every length-n factor is the n-prefix of one of the m - n + 1
+    suffixes of length >= n, so C(n) counts the classes of those suffixes
+    under "same n-prefix".  The suffixes that start with a given word u form
+    one contiguous run in sorted order, and inside a run of g suffixes the
+    g - 1 adjacent pairs share u, so their LCP is >= n.  Conversely an
+    adjacent pair with LCP >= n has two suffixes of length >= n with the
+    same n-prefix, in one run.  So the adjacent pairs with LCP >= n number
+    exactly (m - n + 1) - C(n).
+
+    The suffixes are sorted by prefix doubling on rank pairs, so no suffix
+    slice is ever built, and the LCPs come from Kasai's algorithm (Kasai,
+    Lee, Arimura, Arikawa and Park, CPM 2001): O(m log m) time, O(m) space.
+    """
+    data = w.data
+    m = len(data)
+    ge = [0] * (m + 2)  # ge[h]: adjacent pairs whose LCP is h, then >= h
+    sa = _suffix_array(data)
+    inverse = [0] * m
+    for r, i in enumerate(sa):
+        inverse[i] = r
+    h = 0
+    for i in range(m):
+        r = inverse[i]
+        if r == 0:
+            h = 0
+            continue
+        # The LCP of suffix i with its predecessor is at least that of
+        # suffix i-1 with its predecessor, minus one.
+        j = sa[r - 1]
+        while i + h < m and j + h < m and data[i + h] == data[j + h]:
+            h += 1
+        ge[h] += 1
+        if h:
+            h -= 1
+    for n in range(m - 1, 0, -1):
+        ge[n] += ge[n + 1]
+    return [1] + [m - n + 1 - ge[n] for n in range(1, m + 1)]
+
+
+def _suffix_array(data: bytes) -> list[int]:
+    """Start positions of the suffixes of data in lexicographic order.
+
+    Round k sorts by the first 2^k letters: the rank pair (rank of the
+    2^(k-1)-prefix at i, rank at i + 2^(k-1)) orders those prefixes, with a
+    suffix that ends first ranking lowest.  Sorting stops once all ranks
+    are distinct.
+    """
+    m = len(data)
+    if m < 2:
+        return list(range(m))
+    rank = list(data)
+    sa = sorted(range(m), key=rank.__getitem__)
+    base = max(m, 256) + 1
+    k = 1
+    while True:
+        second = rank[k:] + [-1] * k
+        keys = [a * base + b + 1 for a, b in zip(rank, second)]
+        sa.sort(key=keys.__getitem__)
+        r = 0
+        prev = keys[sa[0]]
+        for i in sa:
+            key = keys[i]
+            if key != prev:
+                r += 1
+                prev = key
+            rank[i] = r
+        if r == m - 1:
+            break
+        k *= 2
+    return sa
 
 
 def factor_complexity(idx: FactorIndex, n: int) -> int:
@@ -190,8 +290,12 @@ def special_factors(idx: FactorIndex, n: int) -> SpecialFactorReport:
     right = idx.right_extensions(n)
     left = idx.left_extensions(n)
     alpha = idx.alphabet
-    rs = tuple(Word(alpha, u) for u in idx.factors(n) if len(right[u]) >= 2)
-    ls = tuple(Word(alpha, u) for u in idx.factors(n) if len(left[u]) >= 2)
+    rs = tuple(
+        Word(alpha, u) for u in sorted(u for u, e in right.items() if len(e) > 1)
+    )
+    ls = tuple(
+        Word(alpha, u) for u in sorted(u for u, e in left.items() if len(e) > 1)
+    )
     bis = tuple(w for w in rs if len(left[w.data]) >= 2)
     union = set(rs) | set(ls)
     p = sum(1 for w in union if w.is_palindrome())

@@ -3,11 +3,13 @@
 The eertree (palindromic tree of Rubinchik and Shur) keeps one node per
 distinct palindromic factor plus two roots, and yields in one left-to-right
 pass the longest palindromic suffix of every prefix and the count of distinct
-palindromes per length.  A word is rich exactly when every position creates a
-new node.  Both eertree verdicts, the per-position scan and the palindrome
-count, read one built tree, so a caller builds it once.  Push/pop serve the
-exhaustive rich-word oracle in :mod:`palrich.counting`, which walks all words
-of one length on one tree.
+palindromes per length: ``Eertree.nodes_by_length`` is P(n) for every n >= 1,
+which the finite-palindrome check reads instead of scanning factor sets.  A
+word is rich exactly when every position creates a new node.  Both eertree
+verdicts, the per-position scan and the palindrome count, read one built
+tree, so a caller builds it once.  Push/pop serve the exhaustive rich-word
+oracle in :mod:`palrich.counting`, which walks all words of one length on
+one tree.
 
 The complete-return sweep checks richness without the eertree, testing
 one return explicitly per letter, and validates the eertree-based

@@ -463,7 +463,7 @@ class SuperReducedRauzyGraph:
     """Reversal classes of special factors with undirected path edges.
 
     Paths joining a class to itself (a special factor to its own reversal)
-    are not edges here; they live in the accompanying :class:`PathFacts`.
+    are not edges here; :func:`path_facts` reports every path.
     Multi-edges between a class pair are kept apart so that tree detection
     sees them.
     """
@@ -476,19 +476,12 @@ class SuperReducedRauzyGraph:
     no_specials: bool = False
 
 
-def super_reduce(rg: ReducedRauzyGraph) -> tuple[SuperReducedRauzyGraph, PathFacts]:
-    """Quotient the reduced graph by reversal and collect path facts."""
+def super_reduce(rg: ReducedRauzyGraph) -> SuperReducedRauzyGraph:
+    """Quotient the reduced graph by reversal."""
     if rg.no_specials:
-        sg = SuperReducedRauzyGraph(rg.n, (), (), 0, 0, no_specials=True)
-        return sg, PathFacts(rg.n, (), 0, 0)
+        return SuperReducedRauzyGraph(rg.n, (), (), 0, 0, no_specials=True)
     classes = sorted({_class_key(v) for v in rg.vertices})
     p = sum(1 for v in rg.vertices if v == v[::-1])
-    s = len(classes)
-    label_set = {path.label for path in rg.edges}
-    facts = tuple(
-        PathFact(path, path.palindromic, path.label[::-1] in label_set)
-        for path in rg.edges
-    )
     grouped: dict[tuple, dict[tuple[bytes, bytes], list[SimplePath]]] = {}
     for path in rg.edges:
         ka, kb = _class_key(path.source), _class_key(path.target)
@@ -505,8 +498,21 @@ def super_reduce(rg: ReducedRauzyGraph) -> tuple[SuperReducedRauzyGraph, PathFac
         for (ka, kb), by_label in sorted(grouped.items())
         for lkey, paths in sorted(by_label.items())
     )
-    sg = SuperReducedRauzyGraph(rg.n, tuple(classes), edges, s, p)
-    return sg, PathFacts(rg.n, facts, s, p)
+    return SuperReducedRauzyGraph(rg.n, tuple(classes), edges, len(classes), p)
+
+
+def path_facts(rg: ReducedRauzyGraph) -> PathFacts:
+    """Reversal facts of every simple path, with the s and p of ``super_reduce``."""
+    if rg.no_specials:
+        return PathFacts(rg.n, (), 0, 0)
+    s = len({_class_key(v) for v in rg.vertices})
+    p = sum(1 for v in rg.vertices if v == v[::-1])
+    label_set = {path.label for path in rg.edges}
+    facts = tuple(
+        PathFact(path, path.palindromic, path.label[::-1] in label_set)
+        for path in rg.edges
+    )
+    return PathFacts(rg.n, facts, s, p)
 
 
 def is_tree(sg: SuperReducedRauzyGraph) -> bool:
@@ -579,7 +585,8 @@ def path_counting_identity(
     path.  Meaningful on rich reversal-closed words at stabilized orders;
     on Thue-Morse, which is closed but not rich, it fails at some orders.
 
-    ``pal_counts`` is the pair (P(n), P(n+1)), for instance from
+    ``facts`` comes from :func:`path_facts` of ``rg``.  ``pal_counts`` is
+    the pair (P(n), P(n+1)), for instance from
     ``FactorIndex.palindrome_count``.  The theorem-1 experiment does not
     evaluate the identity; the tests check it order by order.
     """

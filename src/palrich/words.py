@@ -247,30 +247,18 @@ def periodic_word(block: Word, length: int) -> Word:
 def s_word(length: int) -> Word:
     """Prefix of the recurrent word bc a^2 bc a^3 bc a^2 bc a^4 ...
 
-    Built from the recursion s_1 = bc, s_n = s_{n-1} a^n s_{n-1}, unfolded
-    with an explicit emission stack so only ``length`` letters materialize.
+    Built from the recursion s_1 = bc, s_n = s_{n-1} a^n s_{n-1} by
+    concatenation until s_n has at least ``length`` letters; s_{n-1} is a
+    prefix of s_n, so the prefix of s_n is the prefix of the word.
     """
-    alphabet = TERNARY
     if length < 0:
         raise ValueError("length must be non-negative")
-    out = bytearray()
-    a, b, c = 0, 1, 2
-    # Emission tokens: ("s", n) expands to s_n, ("a", n) emits n letters a.
-    level = 1
-    while True:
-        stack: list[tuple[str, int]] = [("s", level)]
-        out.clear()
-        while stack and len(out) < length:
-            kind, n = stack.pop()
-            if kind == "a":
-                out.extend([a] * min(n, length - len(out)))
-            elif n == 1:
-                out.extend([b, c])
-            else:
-                stack.extend([("s", n - 1), ("a", n), ("s", n - 1)][::-1])
-        if len(out) >= length:
-            return Word(alphabet, bytes(out[:length]))
-        level += 1
+    s = b"\x01\x02"  # bc
+    n = 1
+    while len(s) < length:
+        n += 1
+        s = s + b"\x00" * n + s
+    return Word(TERNARY, s[:length])
 
 
 def _longest_palindromic_suffix_length(data: bytes) -> int:

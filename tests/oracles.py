@@ -152,3 +152,61 @@ def closure_naive(idx, n: int):
         if u in fset and u[::-1] not in fset:
             return False, u
     raise AssertionError("failing length without failing factor")
+
+
+def theorem2_rows_naive(w):
+    """Identity rows (i, P(i)+P(i+1), C(i+1)-C(i)+2) and their verdict.
+
+    C and P are read from the factor sets of every length of the finite
+    word w, both counting 0 at length |w|+1.
+    """
+    from palrich.factors import build_index
+
+    m = len(w)
+    if m == 0:
+        return ((0, 1, 1),), True
+    idx = build_index(w, m - 1)
+    C = [idx.complexity(i) for i in range(m + 1)] + [0]
+    P = [idx.palindrome_count(i) for i in range(m + 1)] + [0]
+    rows = tuple(
+        (i, P[i] + P[i + 1], C[i + 1] - C[i] + 2) for i in range(m + 1)
+    )
+    return rows, all(lhs == rhs for _, lhs, rhs in rows)
+
+
+def extensions_naive(idx, n: int, side: str) -> dict[bytes, bytes]:
+    """Sorted right (side "right") or left extension letters of F_n.
+
+    Walks the sorted F_{n+1} and sorts the letters of every factor.
+    """
+    ext: dict[bytes, list[int]] = {u: [] for u in idx.factor_set(n)}
+    for e in idx.factors(n + 1):
+        if side == "right":
+            ext[e[:-1]].append(e[-1])
+        else:
+            ext[e[1:]].append(e[0])
+    return {u: bytes(sorted(letters)) for u, letters in ext.items()}
+
+
+def s_word_stack(length: int) -> bytes:
+    """The first ``length`` letters of the s-word, by an emission stack.
+
+    Unfolds s_1 = bc, s_n = s_{n-1} a^n s_{n-1} token by token (a, b, c as
+    0, 1, 2), restarting one level deeper until ``length`` letters appear.
+    """
+    out = bytearray()
+    level = 1
+    while True:
+        stack = [("s", level)]
+        out.clear()
+        while stack and len(out) < length:
+            kind, n = stack.pop()
+            if kind == "a":
+                out.extend([0] * min(n, length - len(out)))
+            elif n == 1:
+                out.extend([1, 2])
+            else:
+                stack.extend([("s", n - 1), ("a", n), ("s", n - 1)][::-1])
+        if len(out) >= length:
+            return bytes(out[:length])
+        level += 1

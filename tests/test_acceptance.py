@@ -88,7 +88,7 @@ def test_criterion_3_worked_rauzy_example():
         decode = g.alphabet.decode
         assert [decode(v) for v in rg.vertices] == ["ab", "ba"]
         assert {decode(p.label) for p in rg.edges} == {"aba", "baab", "bab"}
-        sg, _facts = rauzy.super_reduce(rg)
+        sg = rauzy.super_reduce(rg)
         assert sg.s == 1 and len(sg.edges) == 0
         assert [decode(c) for c in sg.classes[0]] == ["ab", "ba"]
         assert rauzy.is_tree(sg)

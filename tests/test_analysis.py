@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palrich.analysis import (
     RETURNS_ORACLE_CAP,
@@ -14,9 +15,14 @@ from palrich.analysis import (
 )
 from palrich.errors import NotApplicable, NotAPalindrome, WindowTooShort
 from palrich.generators import get_family
-from palrich.words import Morphism, Word, periodic_word
+from palrich.words import Alphabet, Morphism, Word, periodic_word
 
-from oracles import all_words, is_rich_naive
+from oracles import (
+    all_returns_to_palindromes_palindromic,
+    all_words,
+    is_rich_naive,
+    theorem2_rows_naive,
+)
 
 FIB = Morphism.parse("a->ab,b->a")
 TM = Morphism.parse("a->ab,b->ba")
@@ -87,6 +93,75 @@ def test_theorem2_non_rich_palindrome_all_properties_fail():
     assert rep.count_ok == rep.returns_ok == rep.identity_ok == is_rich_naive(
         "abbaabba"
     )
+
+
+def _palindromes(alphabet: str, max_len: int):
+    for half in all_words(alphabet, (max_len + 1) // 2):
+        if 2 * len(half) <= max_len:
+            yield half + half[::-1]
+        if half:
+            yield half + half[-2::-1]
+
+
+def _assert_theorem2_matches_naive(text: str, alphabet: Alphabet):
+    w = Word.parse(text, alphabet)
+    rep = theorem2_check(w)
+    rows, identity_ok = theorem2_rows_naive(w)
+    assert rep.identity_rows == rows, text
+    assert rep.identity_ok == identity_ok, text
+    returns_ok = all_returns_to_palindromes_palindromic(text)
+    assert rep.agree == (is_rich_naive(text) == returns_ok == identity_ok), text
+
+
+@pytest.mark.parametrize("alphabet,max_len", [("ab", 16), ("abc", 11)])
+def test_theorem2_matches_per_length_sets_on_all_small_palindromes(alphabet, max_len):
+    base = Alphabet(alphabet)
+    count = 0
+    for text in _palindromes(alphabet, max_len):
+        _assert_theorem2_matches_naive(text, base)
+        count += 1
+    assert count == sum(len(alphabet) ** ((n + 1) // 2) for n in range(max_len + 1))
+
+
+def _mirrored(alphabet: str, half: str, odd: bool) -> tuple[str, str]:
+    return alphabet, half + (half[-2::-1] if odd else half[::-1])
+
+
+def _closure_palindrome(alphabet: str, directive: str) -> tuple[str, str]:
+    # Iterated palindromic closure: every prefix in the chain is a rich
+    # palindrome.  Keep the longest one of at most 300 letters.
+    u = ""
+    for d in directive:
+        v = u + d
+        l = next(l for l in range(len(v), 0, -1) if v[-l:] == v[-l:][::-1])
+        v += v[: len(v) - l][::-1]
+        if len(v) > 300:
+            break
+        u = v
+    return alphabet, u
+
+
+def _long_palindromes(alphabet: str):
+    return st.one_of(
+        st.builds(
+            _mirrored,
+            st.just(alphabet),
+            st.text(alphabet=alphabet, min_size=9, max_size=150),
+            st.booleans(),
+        ),
+        st.builds(
+            _closure_palindrome,
+            st.just(alphabet),
+            st.text(alphabet=alphabet, min_size=1, max_size=40),
+        ),
+    )
+
+
+@given(st.sampled_from(["ab", "abc"]).flatmap(_long_palindromes))
+@settings(max_examples=60, deadline=None)
+def test_theorem2_matches_per_length_sets_on_long_palindromes(case):
+    alphabet, text = case
+    _assert_theorem2_matches_naive(text, Alphabet(alphabet))
 
 
 def test_corollary_periodicity():

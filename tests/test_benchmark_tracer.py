@@ -1,7 +1,7 @@
 """The benchmark's per-layer tracer still fits the package.
 
 ``perfbench/tracing.py`` rebinds palrich functions and methods by name and
-reads their arguments and results.  Installing it, running four small jobs
+reads their arguments and results.  Installing it, running five small jobs
 and uninstalling it catches a renamed or reshaped name in seconds, without
 running the benchmark's own self-test.
 """
@@ -42,6 +42,7 @@ def test_tracer_installs_runs_and_uninstalls(capsys):
         assert palrich.cli.main(
             ["graph", "--generator", "fibonacci", "--n", "3", "--tier", "super"]
         ) == 0
+        assert palrich.cli.main(["verify", "--word", "abaaba"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -52,6 +53,7 @@ def test_tracer_installs_runs_and_uninstalls(capsys):
         "factors.stabilized_prefix.doublings",
         "generators.produce.letters",
         "factors.extensions.s",
+        "analysis.theorem2_check.self_s",
     ):
         assert metrics[name] > 0, name
     # verify evolves its reduced graphs, so only the graph job builds one;

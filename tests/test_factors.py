@@ -12,6 +12,7 @@ from palrich.factors import (
     complete_returns,
     complexity_difference_identity,
     factor_complexity,
+    finite_complexity,
     image_factor_sets,
     is_closed_under_reversal,
     morphic_factor_sets,
@@ -23,7 +24,7 @@ from palrich.factors import (
 from palrich.generators import family_block, get_family, psi_morphism
 from palrich.words import Morphism, Word, fixed_point, periodic_word, s_word
 
-from oracles import all_words, closure_naive, window_factors
+from oracles import all_words, closure_naive, extensions_naive, window_factors
 
 FIB = Morphism.parse("a->ab,b->a")
 TM = Morphism.parse("a->ab,b->ba")
@@ -122,6 +123,47 @@ def test_degree_sums_equal_next_complexity(text):
         left = idx.left_extensions(n)
         assert sum(map(len, right.values())) == idx.complexity(n + 1)
         assert sum(map(len, left.values())) == idx.complexity(n + 1)
+
+
+def _complexity_by_sets(w):
+    m = len(w)
+    if m == 0:
+        return [1]
+    idx = build_index(w, m - 1)
+    return [idx.complexity(n) for n in range(m + 1)]
+
+
+@given(
+    st.one_of(st.text(alphabet="ab", max_size=200), st.text(alphabet="abc", max_size=120))
+)
+@settings(max_examples=80)
+def test_finite_complexity_matches_factor_sets(text):
+    w = Word.parse(text, Word.parse("abc").alphabet)
+    assert finite_complexity(w) == _complexity_by_sets(w)
+
+
+def test_finite_complexity_on_runs_short_words_and_fixed_points():
+    alpha = Word.parse("ab").alphabet
+    for n in (1, 2, 3, 7, 64, 257):
+        run = Word.parse("a" * n, alpha)
+        assert finite_complexity(run) == [1] * (n + 1)
+        tail = Word.parse("a" * n + "b", alpha)
+        assert finite_complexity(tail) == _complexity_by_sets(tail)
+        assert finite_complexity(tail) == [1] + [2] * n + [1]
+    assert finite_complexity(Word(alpha)) == [1]
+    assert finite_complexity(Word.parse("b", alpha)) == [1, 1]
+    for m in (FIB, TM):
+        w = fixed_point(m, "a", 300)
+        assert finite_complexity(w) == _complexity_by_sets(w)
+
+
+@pytest.mark.parametrize("text", ["a", "ab", "abaab", "abbaabba", "aabcaab", "cbaabc"])
+def test_extension_maps_match_sorted_walk_on_literal_words(text):
+    w = Word.parse(text, Word.parse("abc").alphabet)
+    idx = build_index(w, len(text) - 1)
+    for n in range(idx.n_max + 1):
+        assert idx.right_extensions(n) == extensions_naive(idx, n, "right"), n
+        assert idx.left_extensions(n) == extensions_naive(idx, n, "left"), n
 
 
 def test_complete_returns_examples():
@@ -227,6 +269,14 @@ def test_closure_at_top_length_matches_all_lengths_on_families(name, params, clo
     for n in range(idx.n_max + 2):
         assert _closure_pair(idx, n) == closure_naive(idx, n), (name, n)
     assert is_closed_under_reversal(idx, idx.n_max + 1)[0] is closed
+
+
+@pytest.mark.parametrize("name,params,closed", CLOSURE_FAMILIES)
+def test_extension_maps_match_sorted_walk_on_families(name, params, closed):
+    idx = get_family(name, **params).index(12, 1 << 14)
+    for n in range(idx.n_max + 1):
+        assert idx.right_extensions(n) == extensions_naive(idx, n, "right"), (name, n)
+        assert idx.left_extensions(n) == extensions_naive(idx, n, "left"), (name, n)
 
 
 def test_recurrence_probe():

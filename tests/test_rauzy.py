@@ -160,7 +160,8 @@ def test_thue_morse_has_non_rich_walk_label():
 def test_super_reduce_fibonacci_order2():
     g = rauzy.build_rauzy(fib_index(), 2)
     rg = rauzy.reduce(g)
-    sg, facts = rauzy.super_reduce(rg)
+    sg = rauzy.super_reduce(rg)
+    facts = rauzy.path_facts(rg)
     assert sg.s == 1 and sg.p == 0
     assert len(sg.classes) == 1 and len(sg.edges) == 0
     assert decode(g.alphabet, sg.classes[0]) == ["ab", "ba"]
@@ -175,7 +176,8 @@ def test_super_reduce_thue_morse_order3_not_tree():
     sp = stabilized_prefix(lambda l: fixed_point(TM, "a", l), 8)
     g = rauzy.build_rauzy(sp.index, 3)
     rg = rauzy.reduce(g)
-    sg, facts = rauzy.super_reduce(rg)
+    sg = rauzy.super_reduce(rg)
+    facts = rauzy.path_facts(rg)
     assert sg.s == 4 and sg.p == 2
     assert len(sg.edges) == 4  # one more than a tree allows
     assert not rauzy.is_tree(sg)
@@ -199,7 +201,7 @@ def test_path_counting_identity_fibonacci():
     idx = fib_index()
     g = rauzy.build_rauzy(idx, 2)
     rg = rauzy.reduce(g)
-    sg, facts = rauzy.super_reduce(rg)
+    facts = rauzy.path_facts(rg)
     t = Eertree.build(idx.source)
     pal_counts = (palindromic_complexity(t, 2), palindromic_complexity(t, 3))
     ident = rauzy.path_counting_identity(g, rg, facts, pal_counts)
@@ -213,7 +215,7 @@ def test_path_counting_identity_not_applicable_for_cycle():
     idx = build_index(periodic_word(Word.parse("a"), 40), 4)
     g = rauzy.build_rauzy(idx, 2)
     rg = rauzy.reduce(g)
-    sg, facts = rauzy.super_reduce(rg)
+    facts = rauzy.path_facts(rg)
     with pytest.raises(NotApplicable):
         rauzy.path_counting_identity(g, rg, facts, (1, 1))
 
@@ -262,7 +264,7 @@ def test_dot_outputs_are_deterministic():
     idx = fib_index()
     g = rauzy.build_rauzy(idx, 2)
     rg = rauzy.reduce(g)
-    sg, _ = rauzy.super_reduce(rg)
+    sg = rauzy.super_reduce(rg)
     assert rauzy.rauzy_dot(g) == rauzy.rauzy_dot(rauzy.build_rauzy(fib_index(), 2))
     assert 'digraph reduced_rauzy_2' in rauzy.reduced_dot(rg, g.alphabet)
     assert '"ba" -> "ab" [label="baab"]' in rauzy.reduced_dot(rg, g.alphabet)
@@ -277,7 +279,7 @@ def test_dot_cycle_note():
     rg = rauzy.reduce(g)
     text = rauzy.reduced_dot(rg, g.alphabet)
     assert "note=" in text and "single cycle" in text
-    sg, _ = rauzy.super_reduce(rg)
+    sg = rauzy.super_reduce(rg)
     assert "note=" in rauzy.super_dot(sg, g.alphabet)
 
 
@@ -302,7 +304,8 @@ def test_rich_words_have_exactly_2s_minus_2_nonpalindromic_paths():
             rg = rauzy.reduce(g)
             if rg.no_specials:
                 continue
-            sg, facts = rauzy.super_reduce(rg)
+            sg = rauzy.super_reduce(rg)
+            facts = rauzy.path_facts(rg)
             assert facts.n_nonpalindromic == 2 * (sg.s - 1), (name, n)
             for f in facts.facts:
                 if not f.palindromic:
@@ -314,7 +317,7 @@ def test_rich_words_have_exactly_2s_minus_2_nonpalindromic_paths():
     for n in range(1, 10):
         g = rauzy.build_rauzy(idx, n)
         rg = rauzy.reduce(g)
-        _sg, facts = rauzy.super_reduce(rg)
+        facts = rauzy.path_facts(rg)
         if not _identity_holds(idx, g, rg, facts):
             failing.append(n)
     assert failing == [3, 4, 5, 6, 9]

@@ -22,7 +22,7 @@ from palrich.words import (
     s_word,
 )
 
-from oracles import shortest_palindrome_with_prefix
+from oracles import s_word_stack, shortest_palindrome_with_prefix
 
 binary_words = st.text(alphabet="ab", max_size=24).map(
     lambda t: Word.parse(t, BINARY)
@@ -124,6 +124,20 @@ def test_s_word_examples():
     for n in range(2, 5):
         s = s + "a" * n + s
     assert s_word(len(s)).text == s
+
+
+def test_s_word_matches_emission_stack():
+    reference = s_word_stack(2000)
+    for n in range(2001):
+        assert s_word(n).data == reference[:n], n
+    # The stack restarts one level deeper past each |s_k|; check each side.
+    size, k = 2, 1
+    while size < 2000:
+        for n in (size - 1, size, size + 1):
+            assert s_word(n).data == s_word_stack(n), n
+        k += 1
+        size = 2 * size + k
+    assert s_word(1 << 18).data == s_word_stack(1 << 18)
 
 
 def test_palindromic_closure_examples():
