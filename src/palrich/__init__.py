@@ -26,7 +26,6 @@ from .factors import (
     CompleteReturns,
     FactorIndex,
     SpecialFactorReport,
-    StabilizedPrefix,
     build_index,
     complete_returns,
     complexity_difference_identity,
@@ -37,8 +36,8 @@ from .factors import (
     morphic_factor_sets,
     periodic_factor_sets,
     recurrence_probe,
+    s_word_factor_sets,
     special_factors,
-    stabilized_prefix,
 )
 from .palindromes import (
     Eertree,

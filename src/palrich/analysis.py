@@ -9,21 +9,22 @@ which is zero at every order exactly for rich words among those whose factor
 set is closed under reversal.  The experiment harness cross-checks three
 verdicts per word: richness, the slack being identically zero, and the
 graph-side conditions (palindromic connecting paths, super-reduced graph a
-tree).  Any disagreement on a stabilized prefix is a hard discrepancy and is
-reported as such.
+tree).  Any disagreement is a hard discrepancy and is reported as such.
 
 Richness is read from one eertree of the sample: the incremental scan and
 the palindrome count (``by_count``) both read that tree, so ``by_count`` is
 visibly the same fact as a zero defect of the incremental verdict.  The
 complete-return sweep builds no tree and stays the independent verdict.
 
-Verdicts computed from unstabilized prefixes are never reported as theorem
-violations; the affected orders are marked inconclusive instead.
+Every generator family has exact factor sets, so C, P and the graphs of
+every order describe the infinite word itself; only the richness verdicts
+read a finite prefix, the sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import rauzy
 from .errors import (
@@ -33,7 +34,6 @@ from .errors import (
     WordTooShort,
 )
 from .factors import (
-    DEFAULT_PREFIX_CAP,
     RICHNESS_SAMPLE_CAP,
     FactorIndex,
     build_index,
@@ -50,6 +50,9 @@ from .palindromes import (
 )
 from .words import Morphism, Word
 
+if TYPE_CHECKING:
+    from .generators import WordFamily
+
 # Longest prefix that the eertree-free complete-return sweep reads.  Its
 # cost grows with the number of palindrome occurrences, which is quadratic in
 # the length for words such as a^n.
@@ -64,17 +67,11 @@ class ComplexityProfile:
     C: tuple[int, ...]  # lengths 0..n_max+1
     P: tuple[int, ...]
     slack: tuple[int, ...]  # orders 0..n_max
-    stable: bool
-    stable_lengths: tuple[bool, ...]
     reversal_closed: bool | None
     closure_witness: Word | None
-    exact: bool
 
     def equality(self, n: int) -> bool:
         return self.slack[n] == 0
-
-    def order_stabilized(self, n: int) -> bool:
-        return self.exact or all(self.stable_lengths[: n + 2])
 
 
 def profile_from_index(idx: FactorIndex, n_max: int | None = None) -> ComplexityProfile:
@@ -89,17 +86,7 @@ def profile_from_index(idx: FactorIndex, n_max: int | None = None) -> Complexity
         (C[n + 1] - C[n] + 2) - (P[n] + P[n + 1]) for n in range(n_max + 1)
     )
     closed, witness = is_closed_under_reversal(idx, n_max + 1)
-    return ComplexityProfile(
-        n_max,
-        C,
-        P,
-        slack,
-        idx.stable,
-        idx.stable_lengths,
-        closed,
-        witness,
-        idx.exact,
-    )
+    return ComplexityProfile(n_max, C, P, slack, closed, witness)
 
 
 def profile(w: Word, n_max: int) -> ComplexityProfile:
@@ -217,7 +204,6 @@ class OrderRecord:
     P_n: int
     slack: int
     equality: bool
-    stabilized: bool
     periodic_route: bool
     condition1: bool
     condition2: bool
@@ -256,8 +242,6 @@ class TheoremReport:
 
     description: str
     n_max: int
-    stable: bool
-    exact: bool
     prefix_length: int
     closure_ok: bool
     closure_witness: Word | None
@@ -266,29 +250,19 @@ class TheoremReport:
     rich_expected: bool | None = None
 
     @property
-    def degraded(self) -> bool:
-        return not any(r.stabilized for r in self.orders)
+    def equality_all(self) -> bool:
+        return all(r.equality for r in self.orders)
 
     @property
-    def equality_all(self) -> bool | None:
-        checked = [r.equality for r in self.orders if r.stabilized]
-        return all(checked) if checked else None
+    def conditions_all(self) -> bool:
+        return all(r.conditions for r in self.orders)
 
     @property
-    def conditions_all(self) -> bool | None:
-        checked = [r.conditions for r in self.orders if r.stabilized]
-        return all(checked) if checked else None
-
-    @property
-    def triangle_consistent(self) -> bool | None:
-        if self.degraded:
-            return None
+    def triangle_consistent(self) -> bool:
         return self.richness.rich == self.equality_all == self.conditions_all
 
     def discrepancies(self) -> tuple[str, ...]:
         """Hard failures: any break in the verdict triangle."""
-        if self.degraded:
-            return ("no order stabilized; experiment inconclusive",)
         problems = []
         if not self.richness.agree:
             problems.append(
@@ -304,7 +278,7 @@ class TheoremReport:
             )
         if self.closure_ok:
             for r in self.orders:
-                if r.stabilized and r.equality != r.conditions:
+                if r.equality != r.conditions:
                     problems.append(
                         f"order {r.n}: equality={r.equality} but "
                         f"conditions=({r.condition1},{r.condition2})"
@@ -333,7 +307,6 @@ def _order_record(rg: rauzy.ReducedRauzyGraph, prof: ComplexityProfile) -> Order
         P_n=prof.P[n],
         slack=prof.slack[n],
         equality=prof.equality(n),
-        stabilized=prof.order_stabilized(n),
         periodic_route=periodic_route,
         condition1=cond1,
         condition2=cond2,
@@ -341,36 +314,26 @@ def _order_record(rg: rauzy.ReducedRauzyGraph, prof: ComplexityProfile) -> Order
 
 
 def theorem1_experiment(
-    source,
+    family: WordFamily,
     n_max: int = 30,
     *,
-    prefix_cap: int = DEFAULT_PREFIX_CAP,
+    prefix_cap: int = RICHNESS_SAMPLE_CAP,
 ) -> TheoremReport:
-    """Run the full verdict triangle for one generator.
+    """Run the full verdict triangle for one word family.
 
-    ``source`` is a word family from :mod:`palrich.generators`, or any
-    callable mapping a length to a word prefix.  Factor sets come from
-    :meth:`WordFamily.index` with ``prefix_cap``: exact when the family has a
-    construction, otherwise a doubling prefix stabilization.  Richness runs
-    on the first ``RICHNESS_SAMPLE_CAP`` letters of the index's source word:
-    one eertree of that sample gives the incremental and the count verdict,
-    and the eertree-free complete-return sweep reads the first
+    The exact factor sets come from :meth:`WordFamily.index`, whose source
+    word is the family's sample of ``prefix_cap`` letters, at most
+    ``RICHNESS_SAMPLE_CAP``.  Richness runs on that sample: one eertree of
+    it gives the incremental and the count verdict, and the eertree-free complete-return sweep reads the first
     ``RETURNS_ORACLE_CAP`` letters.  The reduced Rauzy graphs of orders
     0..n_max come from one pass of :func:`rauzy.reduced_graphs`, each
     evolved from the one before; no order builds its full Rauzy graph.
     Each order super-reduces its graph and records only the verdicts the
     reports and :meth:`TheoremReport.discrepancies` read.
     """
-    from .generators import WordFamily
-
-    if isinstance(source, WordFamily):
-        family = source
-    else:
-        family = WordFamily(name="custom", summary="ad hoc", produce=source)
     # Graphs at every order up to n_max need F_{n_max+2}.
     idx = family.index(n_max + 1, prefix_cap)
-    sample = idx.source[:RICHNESS_SAMPLE_CAP]
-    prefix_length = len(idx.source)
+    sample = idx.source
     prof = profile_from_index(idx, n_max)
     closed, witness = prof.reversal_closed, prof.closure_witness
     returns_sample = sample[:RETURNS_ORACLE_CAP]
@@ -387,9 +350,7 @@ def theorem1_experiment(
     return TheoremReport(
         description=family.describe(),
         n_max=n_max,
-        stable=idx.stable,
-        exact=idx.exact,
-        prefix_length=prefix_length,
+        prefix_length=len(sample),
         closure_ok=closed,
         closure_witness=witness,
         richness=richness,

@@ -1,8 +1,8 @@
 """Command-line surface: analyze, graph, verify, count.
 
-Exit codes: 0 success, 1 usage error, 2 inconclusive under --strict
-(stabilization not reached), 3 internal consistency failure (a formula
-disagrees with its oracle, or the verdict triangle fails to close).
+Exit codes: 0 success, 1 usage error, 3 internal consistency failure (a
+formula disagrees with its oracle, or the verdict triangle fails to close).
+Every generator has exact factor sets, so no verdict is inconclusive.
 """
 
 from __future__ import annotations
@@ -10,14 +10,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-import warnings
 
 from . import analysis, counting, rauzy
-from .errors import PalrichError, UnstableIndexWarning
+from .errors import PalrichError
 from .factors import (
-    DEFAULT_PREFIX_CAP,
     RICHNESS_SAMPLE_CAP,
     FactorIndex,
     build_index,
@@ -29,7 +26,6 @@ from .words import Word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_INCONSISTENT = 3
 
 
@@ -47,7 +43,6 @@ class RunConfig:
     prefix_cap: int
     fmt: str
     out: str | None
-    strict: bool
 
     def __post_init__(self):
         if self.command == "count":
@@ -67,19 +62,6 @@ class RunConfig:
                 f"prefix cap {self.prefix_cap} is below 4*(n_max+1) = "
                 f"{4 * (self.n_max + 1)}"
             )
-
-
-def _default_cap() -> int:
-    env = os.environ.get("PALRICH_MAX_PREFIX")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise UsageError(f"PALRICH_MAX_PREFIX must be an integer, got {env!r}")
-        if cap < 8:
-            raise UsageError("PALRICH_MAX_PREFIX is too small")
-        return cap
-    return DEFAULT_PREFIX_CAP
 
 
 def _emit(text: str, out: str | None):
@@ -104,48 +86,56 @@ def _source_payload(cfg: RunConfig) -> dict:
     }
 
 
-def _index_for(cfg: RunConfig, depth_orders: int) -> FactorIndex:
-    """Index deep enough for graphs at each order up to depth_orders."""
+def _source_word(cfg: RunConfig) -> Word:
+    """The literal word, or the generator's richness sample."""
     if cfg.word is not None:
-        w = Word.parse(cfg.word)
-        n_idx = min(depth_orders + 1, len(w) - 1)
+        return Word.parse(cfg.word)
+    return _family(cfg).sample(cfg.prefix_cap)
+
+
+def _index_for(cfg: RunConfig, depth_orders: int, source: Word) -> FactorIndex:
+    """Index of source deep enough for graphs at each order up to depth_orders.
+
+    A generator's index holds the exact sets of its infinite word.
+    """
+    if cfg.word is not None:
+        n_idx = min(depth_orders + 1, len(source) - 1)
         if n_idx < 1:
             raise UsageError("the literal word is too short to index")
-        return build_index(w, n_idx)
-    return _family(cfg).index(depth_orders + 1, cfg.prefix_cap)
+        return build_index(source, n_idx)
+    sets = _family(cfg).exact_sets(depth_orders + 2)
+    return FactorIndex(source, depth_orders + 1, sets)
 
 
 # -- analyze -----------------------------------------------------------------
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnstableIndexWarning)
-        idx = _index_for(cfg, cfg.n_max)
-        n_max = min(cfg.n_max, idx.n_max - 1)
-        prof = analysis.profile_from_index(idx, n_max)
-        rich = is_rich_incremental(Eertree.build(idx.source[:RICHNESS_SAMPLE_CAP]))
-        rows = []
-        for n in range(n_max + 1):
-            special = special_factors(idx, n)
-            rows.append(
-                {
-                    "n": n,
-                    "C": prof.C[n],
-                    "P": prof.P[n],
-                    "slack": prof.slack[n],
-                    "right_special": len(special.right_special),
-                    "left_special": len(special.left_special),
-                    "bispecial": len(special.bispecial),
-                    "stabilized": prof.order_stabilized(n),
-                }
-            )
+    source = _source_word(cfg)
+    # The richness tree is dropped before the factor sets are built, so the
+    # two never take memory at the same time.
+    rich = is_rich_incremental(Eertree.build(source[:RICHNESS_SAMPLE_CAP]))
+    idx = _index_for(cfg, cfg.n_max, source)
+    n_max = min(cfg.n_max, idx.n_max - 1)
+    prof = analysis.profile_from_index(idx, n_max)
+    rows = []
+    for n in range(n_max + 1):
+        special = special_factors(idx, n)
+        rows.append(
+            {
+                "n": n,
+                "C": prof.C[n],
+                "P": prof.P[n],
+                "slack": prof.slack[n],
+                "right_special": len(special.right_special),
+                "left_special": len(special.left_special),
+                "bispecial": len(special.bispecial),
+            }
+        )
     payload = {
         "report": "analyze",
         "source": _source_payload(cfg),
         "n_max": n_max,
-        "stable": prof.stable,
-        "exact": prof.exact,
         "reversal_closed": prof.reversal_closed,
         "closure_witness": prof.closure_witness.text if prof.closure_witness else None,
         "richness": {
@@ -159,31 +149,26 @@ def cmd_analyze(cfg: RunConfig) -> int:
     if cfg.fmt == "json":
         _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
     elif cfg.fmt == "csv":
-        lines = ["n,C,P,slack,right_special,left_special,bispecial,stabilized,rich"]
+        lines = ["n,C,P,slack,right_special,left_special,bispecial,rich"]
         for r in rows:
             lines.append(
                 f"{r['n']},{r['C']},{r['P']},{r['slack']},{r['right_special']},"
-                f"{r['left_special']},{r['bispecial']},{r['stabilized']},{rich.rich}"
+                f"{r['left_special']},{r['bispecial']},{rich.rich}"
             )
         _emit("\n".join(lines) + "\n", cfg.out)
     else:
         lines = [
             f"source: {payload['source']}",
-            f"stable={prof.stable} exact={prof.exact} "
             f"reversal_closed={prof.reversal_closed}",
             f"rich={rich.rich} defect={rich.defect}",
             f"{'n':>4} {'C':>8} {'P':>6} {'slack':>6} {'special(r/l/bi)':>16}",
         ]
         for r in rows:
             special = f"{r['right_special']}/{r['left_special']}/{r['bispecial']}"
-            flag = "" if r["stabilized"] else "  (unstable)"
             lines.append(
-                f"{r['n']:>4} {r['C']:>8} {r['P']:>6} {r['slack']:>6} "
-                f"{special:>16}{flag}"
+                f"{r['n']:>4} {r['C']:>8} {r['P']:>6} {r['slack']:>6} {special:>16}"
             )
         _emit("\n".join(lines) + "\n", cfg.out)
-    if cfg.strict and not prof.stable:
-        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
@@ -193,22 +178,18 @@ def cmd_analyze(cfg: RunConfig) -> int:
 def cmd_graph(cfg: RunConfig, n: int, tier: str) -> int:
     if n < 0:
         raise UsageError("--n must be non-negative")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnstableIndexWarning)
-        idx = _index_for(cfg, n)
-        g = rauzy.build_rauzy(idx, n)
-        if tier == "raw":
-            text = rauzy.rauzy_dot(g)
-        elif tier == "reduced":
-            text = rauzy.reduced_dot(rauzy.reduce(g), g.alphabet)
-        elif tier == "super":
-            sg = rauzy.super_reduce(rauzy.reduce(g))
-            text = rauzy.super_dot(sg, g.alphabet)
-        else:
-            raise UsageError(f"unknown tier {tier!r}")
+    idx = _index_for(cfg, n, _source_word(cfg))
+    g = rauzy.build_rauzy(idx, n)
+    if tier == "raw":
+        text = rauzy.rauzy_dot(g)
+    elif tier == "reduced":
+        text = rauzy.reduced_dot(rauzy.reduce(g), g.alphabet)
+    elif tier == "super":
+        sg = rauzy.super_reduce(rauzy.reduce(g))
+        text = rauzy.super_dot(sg, g.alphabet)
+    else:
+        raise UsageError(f"unknown tier {tier!r}")
     _emit(text, cfg.out)
-    if cfg.strict and not idx.stable:
-        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
@@ -253,8 +234,6 @@ def _verify_generator(cfg: RunConfig) -> int:
         "report": "verify-theorem1",
         "source": _source_payload(cfg),
         "n_max": report.n_max,
-        "stable": report.stable,
-        "exact": report.exact,
         "prefix_length": report.prefix_length,
         "closure": {
             "ok": report.closure_ok,
@@ -283,7 +262,6 @@ def _verify_generator(cfg: RunConfig) -> int:
                 "equality": r.equality,
                 "condition1": r.condition1,
                 "condition2": r.condition2,
-                "stabilized": r.stabilized,
                 "periodic_route": r.periodic_route,
             }
             for r in report.orders
@@ -295,7 +273,6 @@ def _verify_generator(cfg: RunConfig) -> int:
     else:
         lines = [
             f"source: {report.description}",
-            f"stable={report.stable} exact={report.exact} "
             f"prefix={report.prefix_length}",
             f"closure: {report.closure_ok}"
             + (
@@ -311,13 +288,7 @@ def _verify_generator(cfg: RunConfig) -> int:
         for problem in problems:
             lines.append(f"discrepancy: {problem}")
         _emit("\n".join(lines) + "\n", cfg.out)
-    if report.degraded:
-        return EXIT_INCONCLUSIVE if cfg.strict else EXIT_OK
-    if problems:
-        return EXIT_INCONSISTENT
-    if cfg.strict and not report.stable:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return EXIT_INCONSISTENT if problems else EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -393,9 +364,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--morphism", help="inline morphism, e.g. 'a->ab,b->a'")
         p.add_argument("--seed", help="seed letter for the morphic family")
         p.add_argument("--n-max", type=int, default=30)
-        p.add_argument("--prefix-cap", type=int, default=None)
+        p.add_argument(
+            "--prefix-cap",
+            type=int,
+            default=RICHNESS_SAMPLE_CAP,
+            help="length of a generator's richness sample "
+            f"(at most {RICHNESS_SAMPLE_CAP})",
+        )
         p.add_argument("--out", help="write output to this path")
-        p.add_argument("--strict", action="store_true", dest="strict")
 
     p_analyze = sub.add_parser("analyze", help="per-order complexity table")
     add_source(p_analyze)
@@ -434,10 +410,9 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         generator=args.generator,
         generator_params=params,
         n_max=args.n_max,
-        prefix_cap=args.prefix_cap if args.prefix_cap is not None else _default_cap(),
+        prefix_cap=args.prefix_cap,
         fmt=getattr(args, "format", "text"),
         out=args.out,
-        strict=args.strict,
     )
 
 

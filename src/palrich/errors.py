@@ -67,7 +67,3 @@ class TooLarge(PalrichError):
 
 class UnsupportedAlphabet(PalrichError):
     """The alphabet size is outside the supported range."""
-
-
-class UnstableIndexWarning(UserWarning):
-    """Emitted when graph construction runs on an unstabilized index."""

@@ -1,4 +1,4 @@
-"""Exact factor bookkeeping for finite words and for morphism fixed points.
+"""Exact factor bookkeeping for finite words and for infinite words.
 
 A :class:`FactorIndex` holds the distinct-factor sets F_0..F_{n_max+1} of a
 word, from which factor complexity C(n), extension degrees, special factors
@@ -12,17 +12,27 @@ to the right, so F_n is the set of length-n prefixes of F_{n+1}; in a finite
 word the one exception is its final length-n suffix, which is added back.
 The top set comes from one of four places:
 
-* ``build_index`` scans the top-length windows of a concrete word.
-* ``stabilized_prefix`` doubles a generator's prefix until the factor sets
-  stop changing, recording per-length stability flags, so finite prefixes can
-  stand in for the infinite word they approximate.
+* ``build_index`` scans the top-length windows of a concrete finite word.
 * ``morphic_factor_sets`` computes the exact factor sets of a morphism fixed
   point by saturating windows of letter images.  Words like the fixed point
   of a -> aab, b -> b carry factors (long b-runs) whose first occurrence lies
   exponentially deep, far beyond any scannable prefix, and this closure is
-  the only exact route to their complexity at useful depths.
-* ``image_factor_sets`` and ``periodic_factor_sets`` do the same for
-  morphic images and for periodic words.
+  the only exact route to their complexity at useful depths.  Its
+  ``image_factor_sets`` companion does the same for a morphic image.
+* ``periodic_factor_sets`` reads one period of a periodic word.
+* ``s_word_factor_sets`` follows the recursion s_m = s_{m-1} a^m s_{m-1}.
+
+Each closure only scans the windows of m(u) that start inside m(u[0]): every
+depth-length window of m(w) starts inside the image of some letter w[i], at
+an offset j < |m(w[i])|, and since no image is empty, m(w[i..i+depth-1]) has
+at least |m(w[i])| + depth - 1 >= j + depth letters, so the window lies in
+the image of the depth-length factor w[i..i+depth-1], starting inside the
+image of its first letter.
+
+``stabilized_prefix`` doubles a generator's prefix until the factor sets of
+the prefix stop changing.  That is a heuristic, not a proof of completeness
+(a factor may first occur past any prefix it tries), so no family reads its
+sets; it stays as the prefix-scan cross-check of the exact constructions.
 
 A finite word whose complexity is wanted at every length, as in the
 finite-palindrome theorem, needs no factor sets at all: ``finite_complexity``
@@ -44,7 +54,6 @@ from .errors import (
 )
 from .words import Morphism, Word, fixed_point
 
-DEFAULT_PREFIX_CAP = 1 << 20
 # Longest prefix that the richness checkers read.
 RICHNESS_SAMPLE_CAP = 1 << 16
 
@@ -57,10 +66,6 @@ class FactorIndex:
         source: Word,
         n_max: int,
         sets: Sequence[Iterable[bytes]],
-        *,
-        stable: bool = True,
-        stable_lengths: tuple[bool, ...] | None = None,
-        exact: bool = True,
     ):
         if len(sets) != n_max + 2:
             raise ValueError("need factor sets for every length 0..n_max+1")
@@ -71,11 +76,6 @@ class FactorIndex:
         self._sorted: dict[int, tuple[bytes, ...]] = {}
         self._occ: dict[bytes, tuple[int, ...]] = {}
         self._pal_counts: list[int] | None = None
-        self.stable = stable
-        self.stable_lengths = (
-            stable_lengths if stable_lengths is not None else (True,) * (n_max + 2)
-        )
-        self.exact = exact
 
     @classmethod
     def build(cls, w: Word, n_max: int) -> "FactorIndex":
@@ -307,7 +307,8 @@ def complexity_difference_identity(idx: FactorIndex, n: int) -> tuple[int, int]:
 
     Returns (C(n+1)-C(n), sum over special v of deg+(v)-1).  The two agree
     whenever every length-n factor extends to the right inside the index,
-    which stabilized prefixes guarantee.
+    which holds for the exact sets of an infinite word; in a finite word the
+    final length-n suffix may have no right extension.
     """
     if not 0 <= n < idx.n_max:
         raise OutOfRange(f"identity needs n < n_max = {idx.n_max}")
@@ -361,8 +362,8 @@ def is_closed_under_reversal(idx: FactorIndex, n: int) -> tuple[bool, Word | Non
     suffix of some length-m factor v, and the reversal of u is then a suffix
     or a prefix of the reversal of v, which is a factor.  So the longest
     failing length is always n, and F_n alone decides.  Every index of the
-    package holds real factor sets (``FactorIndex.build``,
-    ``stabilized_prefix``, ``WordFamily.index``), with F_n non-empty.
+    package holds the factor sets of a word, finite (``FactorIndex.build``)
+    or infinite (``WordFamily.index``), with F_n non-empty.
 
     On failure the witness is the first length-n factor, in first-occurrence
     order (lexicographic order when the index has no positional source),
@@ -411,7 +412,12 @@ def recurrence_probe(idx: FactorIndex, n: int, min_occurrences: int) -> bool:
 
 @dataclass(frozen=True)
 class StabilizedPrefix:
-    """Result of doubling a generator prefix until factor sets settle."""
+    """Result of doubling a generator prefix until factor sets settle.
+
+    ``stable`` says whether the last doubling changed no set, and
+    ``stable_lengths`` says which lengths it left unchanged.  Neither proves
+    the sets complete.
+    """
 
     word: Word
     stable: bool
@@ -423,14 +429,16 @@ class StabilizedPrefix:
 def stabilized_prefix(
     produce: Callable[[int], Word],
     n_max: int,
-    len_cap: int = DEFAULT_PREFIX_CAP,
+    len_cap: int = 1 << 20,
 ) -> StabilizedPrefix:
     """Grow a prefix by doubling until F_0..F_{n_max+1} stop changing.
 
     Starts at 4*(n_max+1) letters and stops at ``len_cap``.  When the cap is
     hit first, the result is flagged unstable and the per-length flags mark
     which factor sets were still growing across the final doubling; nothing
-    is thrown.
+    is thrown.  The index is that of the final prefix.  This is the
+    prefix-scan cross-check of the exact constructions, not a source of
+    exact sets.
     """
     depth = n_max + 1
     base = 4 * depth
@@ -460,14 +468,7 @@ def stabilized_prefix(
         if all(stable_lengths):
             stable = True
             break
-    idx = FactorIndex(
-        word,
-        n_max,
-        sets,
-        stable=stable,
-        stable_lengths=stable_lengths,
-        exact=False,
-    )
+    idx = FactorIndex(word, n_max, sets)
     return StabilizedPrefix(word, stable, stable_lengths, idx, tuple(tried))
 
 
@@ -503,10 +504,15 @@ def morphic_factor_sets(
 ) -> list[frozenset[bytes]]:
     """Exact factor sets, lengths 0..depth, of the fixed point of ``m``.
 
-    Saturates the map u -> windows of m(u) at window length ``depth``: any
-    depth-length window of m(w) sits inside the image of a depth-length
-    factor of w, so iterating from the windows of a concrete prefix reaches
-    exactly the factor set of the fixed point.  Shorter sets are prefix
+    Saturates the map u -> windows of m(u) at window length ``depth``,
+    starting from the windows of a concrete prefix.  Every window found is
+    a factor.  Conversely, with x = m(x), the window of x at position p
+    starts inside m(x[i]) for some i, and lies in m(x[i..i+depth-1]) at an
+    offset below |m(x[i])| (module docstring).  Since |m(seed)| >= 2, the
+    image of x[i] starts at |m(x[:i])| >= i + 1 when i >= 1, so i < p
+    unless i = 0, whose factor is in the starting prefix; induction on p
+    then reaches every factor.  Only the windows that start inside the
+    image of the first letter are scanned.  Shorter sets are prefix
     projections of the top one.
     """
     if depth == 0:
@@ -521,13 +527,7 @@ def morphic_factor_sets(
             raise StabilizationFailed(
                 f"factor closure did not converge within {max_rounds} rounds"
             )
-        fresh: set[bytes] = set()
-        for u in frontier:
-            img = m.apply_bytes(u)
-            for i in range(len(img) - depth + 1):
-                window = img[i : i + depth]
-                if window not in top:
-                    fresh.add(window)
+        fresh = _image_windows(m, frontier, depth) - top
         top |= fresh
         frontier = fresh
     return _derive_down(top, depth)
@@ -540,17 +540,24 @@ def image_factor_sets(
 ) -> list[frozenset[bytes]]:
     """Exact factor sets of m(w) given the depth-length factor set of w.
 
-    Windows of m(w) of length ``depth`` all lie inside images of
-    depth-length factors of w, so one pass over ``base_top`` suffices.
+    Every depth-length window of m(w) lies in the image of a depth-length
+    factor of w, starting inside the image of its first letter (module
+    docstring), so one pass over ``base_top`` suffices.
     """
     if depth == 0:
         return [frozenset({b""})]
-    top: set[bytes] = set()
-    for u in base_top:
-        img = m.apply_bytes(bytes(u))
-        for i in range(len(img) - depth + 1):
-            top.add(img[i : i + depth])
-    return _derive_down(top, depth)
+    return _derive_down(_image_windows(m, base_top, depth), depth)
+
+
+def _image_windows(m: Morphism, factors: Iterable[bytes], depth: int) -> set[bytes]:
+    # The windows of m(u) at offsets below |m(u[0])|; each has depth letters
+    # because |m(u)| >= |m(u[0])| + depth - 1 for a depth-length u.
+    images = m.images
+    out: set[bytes] = set()
+    for u in factors:
+        img = m.apply_bytes(u)
+        out.update(img[i : i + depth] for i in range(len(images[u[0]])))
+    return out
 
 
 def periodic_factor_sets(block: Word, depth: int) -> list[frozenset[bytes]]:
@@ -560,4 +567,45 @@ def periodic_factor_sets(block: Word, depth: int) -> list[frozenset[bytes]]:
         raise ValueError("block must be non-empty")
     data = block.data * (depth // q + 2)
     top = {data[i : i + depth] for i in range(q)}
+    return _derive_down(top, depth)
+
+
+def s_word_factor_sets(depth: int) -> list[frozenset[bytes]]:
+    """Exact factor sets, lengths 0..depth, of the s-word bc a^2 bc a^3 ...
+
+    The s-word is the limit of s_1 = bc, s_m = s_{m-1} a^m s_{m-1}, each
+    s_m a prefix of the next, so F_d is the union of the length-d windows
+    of all s_m.  A window of s_m with no letter of the middle a^m lies in
+    one copy of s_{m-1}; one with such a letter lies in
+    suf_{d-1}(s_{m-1}) a^m pre_{d-1}(s_{m-1}), and every length-d window of
+    that word contains a letter of a^m, since each affix is shorter than d.
+    So F_d is the windows of s_1 plus, for each m >= 2, the windows of
+    suf_{d-1}(s_{m-1}) a^m pre_{d-1}(s_{m-1}).  Only the two affixes are
+    kept, never s_m itself: both are affixes of s_{m-1} a^m s_{m-1} cut
+    to d - 1 letters.
+
+    Once |s_{m-1}| >= d - 1, the affixes are the same for every later m
+    (s_{m-1} is a prefix and a suffix of all later s_m).  Once also m >= d,
+    no length-d window meets both affixes across a^m, so the windows are
+    suffixes of the left affix padded with a's, a^d, and a's followed by
+    prefixes of the right affix: the same set for every later m.  The loop
+    stops after the first m with both properties.
+    """
+    if depth == 0:
+        return [frozenset({b""})]
+    keep = depth - 1
+    a, s1 = b"\x00", b"\x01\x02"  # a, bc
+    top = _windows(s1, depth)
+    # suf_{d-1} and pre_{d-1} of s_{m-1}, and |s_{m-1}|.
+    left, right, length = s1[max(0, len(s1) - keep) :], s1[:keep], len(s1)
+    m = 1
+    while True:
+        m += 1
+        middle = a * m
+        top |= _windows(left + middle + right, depth)
+        if m >= depth and length >= keep:
+            break
+        left = (left + middle + left)[max(0, 2 * len(left) + m - keep) :]
+        right = (right + middle + right)[:keep]
+        length = 2 * length + m
     return _derive_down(top, depth)

@@ -1,8 +1,8 @@
 """Named word generators: every family used in the analysis experiments.
 
 Each registry entry packages a prefix producer with what is known about the
-family (richness, periodicity, reversal closure) and, for morphic families,
-an exact factor-set construction that sidesteps prefix scanning entirely.
+family (richness, periodicity, reversal closure) and an exact factor-set
+construction that sidesteps prefix scanning entirely.
 """
 
 from __future__ import annotations
@@ -12,15 +12,13 @@ from typing import Callable
 
 from .errors import PalrichError
 from .factors import (
-    DEFAULT_PREFIX_CAP,
     RICHNESS_SAMPLE_CAP,
     FactorIndex,
     image_factor_sets,
     morphic_factor_sets,
     periodic_factor_sets,
-    stabilized_prefix,
+    s_word_factor_sets,
 )
-from .palindromes import Eertree
 from .words import (
     Alphabet,
     BINARY,
@@ -39,15 +37,18 @@ QUADRATIC_ABAB = Morphism.parse("a->abab,b->b")
 
 @dataclass(frozen=True)
 class WordFamily:
-    """A named infinite word with a prefix producer and known properties."""
+    """A named infinite word with a prefix producer and known properties.
+
+    ``exact_sets(depth)`` gives the exact factor sets of lengths 0..depth.
+    """
 
     name: str
     summary: str
     produce: Callable[[int], Word]
+    exact_sets: Callable[[int], list[frozenset[bytes]]]
     rich_expected: bool | None = None
     periodic_hint: bool = False
     closure_expected: bool | None = None
-    exact_sets: Callable[[int], list[frozenset[bytes]]] | None = None
     params: dict = field(default_factory=dict)
 
     def describe(self) -> str:
@@ -56,19 +57,21 @@ class WordFamily:
             return f"{self.name}({inner})"
         return self.name
 
-    def index(self, n_max: int, prefix_cap: int = DEFAULT_PREFIX_CAP) -> FactorIndex:
-        """Factor sets of lengths 0..n_max+1 of the infinite word.
+    def sample(self, prefix_cap: int = RICHNESS_SAMPLE_CAP) -> Word:
+        """The prefix that the richness checkers read.
 
-        Exact sets when the family has a construction for them; their source
-        word is a prefix of at most ``prefix_cap`` letters (and no longer
-        than the richness checkers read).  Otherwise the sets of a doubling
-        prefix stabilized under ``prefix_cap``, whose source is that prefix.
+        Its length is ``prefix_cap``, but at most ``RICHNESS_SAMPLE_CAP``.
         """
-        if self.exact_sets is None:
-            return stabilized_prefix(self.produce, n_max, prefix_cap).index
-        sets = self.exact_sets(n_max + 1)
-        source = self.produce(min(prefix_cap, RICHNESS_SAMPLE_CAP))
-        return FactorIndex(source, n_max, sets)
+        return self.produce(min(prefix_cap, RICHNESS_SAMPLE_CAP))
+
+    def index(self, n_max: int, prefix_cap: int = RICHNESS_SAMPLE_CAP) -> FactorIndex:
+        """Exact factor sets of lengths 0..n_max+1 of the infinite word.
+
+        The sets come from the family's exact construction; the index's
+        source word, which only serves occurrence queries and witness order,
+        is ``sample(prefix_cap)``.
+        """
+        return FactorIndex(self.sample(prefix_cap), n_max, self.exact_sets(n_max + 1))
 
 
 def _exact_from_morphism(m: Morphism, seed: str):
@@ -78,25 +81,40 @@ def _exact_from_morphism(m: Morphism, seed: str):
     return build
 
 
-def episturmian_prefix(directive: str, length: int) -> Word:
-    """Prefix of the iterated palindromic closure along a repeating directive.
+def episturmian_morphism(directive: str) -> Morphism:
+    """The composition mu_{d1} o ... o mu_{dk} for the directive d1...dk.
 
-    The directive repeats forever.  The closure is computed incrementally on
-    an eertree, so each appended letter costs amortized constant work and
-    long prefixes stay cheap.
+    mu_x maps x to x and every other letter y to xy.  The episturmian word
+    with the periodic directive (d1...dk)^omega is the fixed point of this
+    morphism from d1 (Justin and Pirillo, "Episturmian words and
+    episturmian morphisms", TCS 2002); for abc it maps a -> abacaba,
+    b -> abacab, c -> abac.  The alphabet is the directive's letters.
     """
     alphabet = Alphabet(sorted(set(directive)))
-    if length == 0:
-        return Word(alphabet)
-    tree = Eertree(alphabet)
-    steps = 0
-    while len(tree.data) < length:
-        tree.push(alphabet.index(directive[steps % len(directive)]))
-        steps += 1
-        gap = len(tree.data) - tree.last_suffix_length()
-        for b in bytes(tree.data[:gap])[::-1]:
-            tree.push(b)
-    return Word(alphabet, bytes(tree.data[:length]))
+    images = {x: x for x in alphabet.letters}
+    for d in reversed(directive):
+        images = {
+            x: "".join(y if y == d else d + y for y in img)
+            for x, img in images.items()
+        }
+    return Morphism(alphabet, images)
+
+
+def _episturmian_parts(directive: str):
+    """Producer and exact sets of the episturmian word along (directive)*.
+
+    A directive with one distinct letter x gives the periodic word x^omega;
+    any other gives a prolongable composed morphism (see
+    :func:`episturmian_morphism`).
+    """
+    if len(set(directive)) == 1:
+        block = Word.parse(directive[0])
+        return (
+            lambda length: periodic_word(block, length),
+            lambda depth: periodic_factor_sets(block, depth),
+        )
+    m = episturmian_morphism(directive)
+    return _fixed_point_producer(m, directive[0]), _exact_from_morphism(m, directive[0])
 
 
 def family_block(k: int) -> Word:
@@ -149,9 +167,9 @@ def fibonacci(**_) -> WordFamily:
         "fibonacci",
         "fixed point of a->ab, b->a (the Fibonacci word)",
         _fixed_point_producer(FIBONACCI, "a"),
+        _exact_from_morphism(FIBONACCI, "a"),
         rich_expected=True,
         closure_expected=True,
-        exact_sets=_exact_from_morphism(FIBONACCI, "a"),
     )
 
 
@@ -159,7 +177,7 @@ def tribonacci(**_) -> WordFamily:
     return WordFamily(
         "tribonacci",
         "iterated palindromic closure along (abc)*",
-        lambda length: episturmian_prefix("abc", length),
+        *_episturmian_parts("abc"),
         rich_expected=True,
         closure_expected=True,
     )
@@ -170,9 +188,9 @@ def thue_morse(**_) -> WordFamily:
         "thue-morse",
         "fixed point of a->ab, b->ba",
         _fixed_point_producer(THUE_MORSE, "a"),
+        _exact_from_morphism(THUE_MORSE, "a"),
         rich_expected=False,
         closure_expected=True,
-        exact_sets=_exact_from_morphism(THUE_MORSE, "a"),
     )
 
 
@@ -181,9 +199,9 @@ def cassaigne_aab(**_) -> WordFamily:
         "cassaigne-aab",
         "fixed point of a->aab, b->b (complexity ~ n^2/2)",
         _fixed_point_producer(CASSAIGNE_AAB, "a"),
+        _exact_from_morphism(CASSAIGNE_AAB, "a"),
         rich_expected=True,
         closure_expected=True,
-        exact_sets=_exact_from_morphism(CASSAIGNE_AAB, "a"),
     )
 
 
@@ -192,9 +210,9 @@ def quadratic_abab(**_) -> WordFamily:
         "quadratic-abab",
         "fixed point of a->abab, b->b (quadratic complexity)",
         _fixed_point_producer(QUADRATIC_ABAB, "a"),
+        _exact_from_morphism(QUADRATIC_ABAB, "a"),
         rich_expected=True,
         closure_expected=True,
-        exact_sets=_exact_from_morphism(QUADRATIC_ABAB, "a"),
     )
 
 
@@ -203,9 +221,9 @@ def psi_of_fibonacci(k: int = 0, **_) -> WordFamily:
         "psi-of-fibonacci",
         "image of the Fibonacci word under a->(aab)^{k+1} aabab, b->bab",
         _psi_of_fibonacci_producer(k),
+        _psi_of_fibonacci_sets(k),
         rich_expected=True,
         closure_expected=True,
-        exact_sets=_psi_of_fibonacci_sets(k),
         params={"k": k},
     )
 
@@ -216,8 +234,8 @@ def periodic(block: str = "aabaabab", **_) -> WordFamily:
         "periodic",
         f"the block {block!r} repeated forever",
         lambda length: periodic_word(word, length),
+        lambda depth: periodic_factor_sets(word, depth),
         periodic_hint=True,
-        exact_sets=lambda depth: periodic_factor_sets(word, depth),
         params={"block": block},
     )
 
@@ -227,6 +245,7 @@ def s_word_family(**_) -> WordFamily:
         "s-word",
         "bc a^2 bc a^3 ... (recurrent, not closed under reversal)",
         s_word,
+        s_word_factor_sets,
         rich_expected=False,
         closure_expected=False,
     )
@@ -236,7 +255,7 @@ def episturmian(directive: str = "ab", **_) -> WordFamily:
     return WordFamily(
         "episturmian",
         f"iterated palindromic closure along ({directive})*",
-        lambda length: episturmian_prefix(directive, length),
+        *_episturmian_parts(directive),
         rich_expected=True,
         closure_expected=True,
         params={"directive": directive},
@@ -249,7 +268,7 @@ def morphic(morphism: str = "a->ab,b->a", seed: str = "a", **_) -> WordFamily:
         "morphic",
         f"fixed point of {morphism} from seed {seed!r}",
         _fixed_point_producer(m, seed),
-        exact_sets=_exact_from_morphism(m, seed),
+        _exact_from_morphism(m, seed),
         params={"morphism": morphism, "seed": seed},
     )
 

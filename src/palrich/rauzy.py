@@ -54,11 +54,10 @@ each order-n label followed finds where.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import NotApplicable, NotAWalk, OutOfRange, UnstableIndexWarning
+from .errors import NotApplicable, NotAWalk, OutOfRange
 from .factors import FactorIndex
 from .palindromes import Eertree, is_rich_incremental
 from .words import Word
@@ -70,15 +69,8 @@ class RauzyGraph:
     def __init__(self, idx: FactorIndex, n: int):
         if not 0 <= n < idx.n_max:
             raise OutOfRange(f"graph order must satisfy 0 <= n < n_max = {idx.n_max}")
-        if not idx.stable:
-            warnings.warn(
-                "building a Rauzy graph on an unstabilized index",
-                UnstableIndexWarning,
-                stacklevel=3,
-            )
         self.n = n
         self.alphabet = idx.alphabet
-        self.stable = idx.stable
         self.vertices = idx.factors(n)
         self.edges = idx.factors(n + 1)
         out: dict[bytes, list[bytes]] = {v: [] for v in self.vertices}
@@ -124,7 +116,7 @@ class RauzyGraph:
 
 
 def build_rauzy(idx: FactorIndex, n: int) -> RauzyGraph:
-    """Order-n Rauzy graph from an index (warns when the index is unstable)."""
+    """Order-n Rauzy graph from an index."""
     return RauzyGraph(idx, n)
 
 
@@ -391,8 +383,6 @@ def reduced_graphs(idx: FactorIndex, n_max: int) -> Iterator[ReducedRauzyGraph]:
     carry over to order n+1 through the three facts of the module
     docstring; no order builds its full Rauzy graph.  Graphs without
     special factors come with the same cycle object as :func:`reduce`.
-    Unlike :func:`build_rauzy`, this does not warn on an unstabilized
-    index: its caller tracks per-order stability.
     """
     if not 0 <= n_max < idx.n_max:
         raise OutOfRange(f"graph orders must satisfy 0 <= n < n_max = {idx.n_max}")
@@ -582,8 +572,8 @@ def path_counting_identity(
     up across the s-1 tree edges, and adds the special palindromes (trivial
     palindromic paths).  Also verifies that every palindromic factor of
     length n or n+1 is the central factor of exactly one palindromic simple
-    path.  Meaningful on rich reversal-closed words at stabilized orders;
-    on Thue-Morse, which is closed but not rich, it fails at some orders.
+    path.  Meaningful on rich reversal-closed words; on Thue-Morse, which
+    is closed but not rich, it fails at some orders.
 
     ``facts`` comes from :func:`path_facts` of ``rg``.  ``pal_counts`` is
     the pair (P(n), P(n+1)), for instance from

@@ -210,3 +210,42 @@ def s_word_stack(length: int) -> bytes:
         if len(out) >= length:
             return bytes(out[:length])
         level += 1
+
+
+def episturmian_prefix(directive: str, length: int):
+    """Prefix of the iterated palindromic closure along a repeating directive.
+
+    The directive repeats forever.  The closure is computed incrementally on
+    an eertree: after each directive letter, the letters before the longest
+    palindromic suffix are appended in reverse.  This is the closure route,
+    independent of the composed episturmian morphisms of the generators.
+    """
+    from palrich.palindromes import Eertree
+    from palrich.words import Alphabet, Word
+
+    alphabet = Alphabet(sorted(set(directive)))
+    if length == 0:
+        return Word(alphabet)
+    tree = Eertree(alphabet)
+    steps = 0
+    while len(tree.data) < length:
+        tree.push(alphabet.index(directive[steps % len(directive)]))
+        steps += 1
+        gap = len(tree.data) - tree.last_suffix_length()
+        for b in bytes(tree.data[:gap])[::-1]:
+            tree.push(b)
+    return Word(alphabet, bytes(tree.data[:length]))
+
+
+def image_windows_all(m, base_top, depth: int) -> set:
+    """Every depth-length window of every m(u), u in base_top.
+
+    The scan of all windows, with no restriction to those that start inside
+    the image of the first letter.
+    """
+    top = set()
+    for u in base_top:
+        img = m.apply_bytes(bytes(u))
+        for i in range(len(img) - depth + 1):
+            top.add(img[i : i + depth])
+    return top

@@ -124,7 +124,6 @@ def test_criterion_4_theorem1_triangle():
             family = get_family(name, **params)
             report = theorem1_experiment(family, 20, **extra)
             label = f"{name} {params}"
-            assert not report.degraded, label
             assert report.richness.agree, label
             assert report.richness.rich == expect_rich, label
             assert report.equality_all == expect_rich, label
@@ -137,8 +136,7 @@ def test_criterion_4_theorem1_triangle():
                 assert report.closure_ok is True, label
         # the pinned closure witness for the s-word, at the depth of the
         # worked example
-        sp = stabilized_prefix(get_family("s-word").produce, 5)
-        ok, witness = is_closed_under_reversal(sp.index, 3)
+        ok, witness = is_closed_under_reversal(get_family("s-word").index(5), 3)
         assert not ok
         assert witness.text == "bca" and witness.reversed().text == "acb"
 

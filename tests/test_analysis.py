@@ -238,7 +238,6 @@ def test_theorem1_report_fields():
     rep = theorem1_experiment(get_family("fibonacci"), 6)
     assert rep.n_max == 6
     assert len(rep.orders) == 7
-    assert not rep.degraded
     assert rep.orders[0].equality  # order 0 always satisfies the identity
 
 

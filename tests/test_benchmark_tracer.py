@@ -25,7 +25,7 @@ def load_tracing():
 def bindings():
     return (
         factors.build_index,
-        generators.stabilized_prefix,
+        factors.stabilized_prefix,
         generators.get_family,
         factors.FactorIndex.__dict__["right_extensions"],
     )
@@ -38,6 +38,8 @@ def test_tracer_installs_runs_and_uninstalls(capsys):
     try:
         assert palrich.cli.main(["analyze", "--word", "abaab", "--n-max", "2"]) == 0
         assert palrich.cli.main(["analyze", "--generator", "tribonacci", "--n-max", "3"]) == 0
+        # Tribonacci's factor sets come from its exact construction.
+        tribonacci_factors = tracer.metrics()["generators.exact_sets.factors"]
         assert palrich.cli.main(["verify", "--generator", "cassaigne-aab", "--n-max", "8"]) == 0
         assert palrich.cli.main(
             ["graph", "--generator", "fibonacci", "--n", "3", "--tier", "super"]
@@ -47,10 +49,10 @@ def test_tracer_installs_runs_and_uninstalls(capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert bindings() == originals
+    assert tribonacci_factors > 0
     metrics = tracer.metrics()
     for name in (
         "factors.build_index.inserts",
-        "factors.stabilized_prefix.doublings",
         "generators.produce.letters",
         "factors.extensions.s",
         "analysis.theorem2_check.self_s",

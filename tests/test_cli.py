@@ -64,7 +64,6 @@ def test_verify_honors_prefix_cap_for_exact_sets(capsys):
     assert code == 0
     payload = json.loads(out)
     validate(payload)
-    assert payload["exact"] is True
     assert payload["prefix_length"] == 4096
 
 
@@ -221,39 +220,6 @@ def test_count_ignores_prefix_cap(capsys):
     assert out == run(capsys, "count", "--kind", "sturmian", "--n-max", "5")[1]
 
 
-def test_strict_inconclusive_exit(capsys):
-    # The s-word under a tiny cap cannot stabilize depth 41.
-    code, out, _ = run(
-        capsys,
-        "analyze",
-        "--generator",
-        "s-word",
-        "--n-max",
-        "40",
-        "--prefix-cap",
-        "256",
-        "--strict",
-        "--format",
-        "csv",
-    )
-    assert code == 2
-    # Exact-set families are always conclusive, cap regardless.
-    code, _, _ = run(
-        capsys,
-        "analyze",
-        "--generator",
-        "cassaigne-aab",
-        "--n-max",
-        "30",
-        "--prefix-cap",
-        "4096",
-        "--strict",
-        "--format",
-        "csv",
-    )
-    assert code == 0
-
-
 def test_outputs_are_byte_deterministic(capsys):
     a = run(capsys, "count", "--kind", "rich", "--n-max", "9")
     b = run(capsys, "count", "--kind", "rich", "--n-max", "9")
@@ -263,11 +229,31 @@ def test_outputs_are_byte_deterministic(capsys):
     assert a == b
 
 
-def test_env_var_cap(capsys, monkeypatch):
-    monkeypatch.setenv("PALRICH_MAX_PREFIX", "512")
+def test_analyze_s_word_exact_complexities(capsys):
+    # Exact values from the recursion s_m = s_{m-1} a^m s_{m-1}; a prefix of
+    # 2^18 letters lacks one factor of length 18 and ten of length 21.
     code, out, _ = run(
-        capsys, "analyze", "--generator", "s-word", "--n-max", "6", "--format", "json"
+        capsys, "analyze", "--generator", "s-word", "--n-max", "30",
+        "--prefix-cap", "262144", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
     validate(payload)
+    rows = payload["rows"]
+    assert (rows[18]["C"], rows[18]["P"], rows[21]["C"]) == (124, 1, 172)
+    assert payload["reversal_closed"] is False
+
+
+def test_prefix_cap_sizes_only_the_richness_sample(capsys):
+    argv = ("verify", "--generator", "tribonacci", "--n-max", "12", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    full = json.loads(out)
+    assert full["prefix_length"] == 65536
+    code, out, _ = run(capsys, *argv, "--prefix-cap", "1000")
+    assert code == 0
+    small = json.loads(out)
+    assert small["prefix_length"] == 1000
+    assert small["orders"] == full["orders"]
+    code, out, _ = run(capsys, *argv, "--prefix-cap", str(1 << 20))
+    assert json.loads(out) == full

@@ -8,6 +8,7 @@ from palrich.errors import (
     WordTooShort,
 )
 from palrich.factors import (
+    _image_windows,
     build_index,
     complete_returns,
     complexity_difference_identity,
@@ -18,13 +19,25 @@ from palrich.factors import (
     morphic_factor_sets,
     periodic_factor_sets,
     recurrence_probe,
+    s_word_factor_sets,
     special_factors,
     stabilized_prefix,
 )
-from palrich.generators import family_block, get_family, psi_morphism
+from palrich.generators import (
+    episturmian_morphism,
+    family_block,
+    get_family,
+    psi_morphism,
+)
 from palrich.words import Morphism, Word, fixed_point, periodic_word, s_word
 
-from oracles import all_words, closure_naive, extensions_naive, window_factors
+from oracles import (
+    all_words,
+    closure_naive,
+    extensions_naive,
+    image_windows_all,
+    window_factors,
+)
 
 FIB = Morphism.parse("a->ab,b->a")
 TM = Morphism.parse("a->ab,b->ba")
@@ -332,6 +345,58 @@ def test_image_factor_sets_match_prefix_scan():
     for n in range(depth + 1):
         got = {psi.alphabet.decode(u) for u in sets[n]}
         assert got == window_factors(text[: 3 * 4000 - 50], n)
+
+
+def _first_image_cases():
+    # (label, morphism, sets of lengths 0..80 of the word it is applied to,
+    # whether the morphism fixes that word): the morphic registry families,
+    # the composed episturmian morphisms, and psi on the Fibonacci word.
+    fixed = [
+        (spec, Morphism.parse(spec), "a")
+        for spec in (
+            "a->ab,b->a",
+            "a->ab,b->ba",
+            "a->aab,b->b",
+            "a->abab,b->b",
+            "a->aba,b->bb",
+            "a->ab,b->bc,c->a",
+        )
+    ]
+    for directive in ("ab", "abc", "aab", "abcb", "abbc", "aabc"):
+        fixed.append((directive, episturmian_morphism(directive), directive[0]))
+    for label, m, seed in fixed:
+        yield pytest.param(label, m, morphic_factor_sets(m, seed, 80), True, id=label)
+    fibonacci = morphic_factor_sets(FIB, "a", 80)
+    for k in range(3):
+        yield pytest.param(f"psi k={k}", psi_morphism(k), fibonacci, False, id=f"psi-k{k}")
+
+
+@pytest.mark.parametrize("label, m, base, is_fixed", list(_first_image_cases()))
+def test_image_windows_from_first_letter_match_all_windows(label, m, base, is_fixed):
+    # image_factor_sets projects the windows of depth 80 down to the shorter
+    # sets, so the windows are compared at every depth and the projection
+    # once, at depth 80.
+    for depth in range(1, 81):
+        got = _image_windows(m, base[depth], depth)
+        assert got == image_windows_all(m, base[depth], depth), (label, depth)
+        if is_fixed:
+            # The image of a fixed point's factor set is that set again.
+            assert got == base[depth], (label, depth)
+    sets = image_factor_sets(m, base[80], 80)
+    assert sets == [{u[:n] for u in got} for n in range(81)], label
+
+
+def test_s_word_factor_sets_match_prefix_scan():
+    prefix = s_word(1 << 14).data
+    doubled = s_word(1 << 15).data
+    for d in range(13):
+        scanned = window_factors(prefix, d) if d else {b""}
+        # The prefix is long enough: doubling it finds no new factor.
+        assert scanned == (window_factors(doubled, d) if d else {b""}), d
+        sets = s_word_factor_sets(d)
+        assert len(sets) == d + 1
+        for n in range(d + 1):
+            assert sets[n] == {u[:n] for u in scanned}, (d, n)
 
 
 def test_periodic_factor_sets_match_prefix_scan():

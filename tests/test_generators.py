@@ -1,15 +1,20 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from palrich.analysis import profile_from_index
 from palrich.errors import PalrichError
+from palrich.factors import stabilized_prefix
 from palrich.generators import (
     REGISTRY,
-    episturmian_prefix,
+    episturmian_morphism,
     family_block,
     get_family,
     psi_morphism,
 )
 from palrich.palindromes import Eertree, is_rich_incremental
 from palrich.words import Word
+
+from oracles import episturmian_prefix
 
 
 def test_registry_names():
@@ -84,11 +89,55 @@ def test_rich_families_have_rich_prefixes():
 
 
 def test_exact_sets_present_for_morphic_families():
-    for name in ("fibonacci", "thue-morse", "cassaigne-aab", "quadratic-abab",
-                 "psi-of-fibonacci", "periodic", "morphic"):
-        assert get_family(name).exact_sets is not None, name
-    for name in ("tribonacci", "s-word", "episturmian"):
-        assert get_family(name).exact_sets is None, name
+    for name in REGISTRY:
+        assert callable(get_family(name).exact_sets), name
+
+
+def test_composed_episturmian_morphism():
+    m = episturmian_morphism("abc")
+    assert [m.image_of(x).text for x in "abc"] == ["abacaba", "abacab", "abac"]
+    m = episturmian_morphism("ab")
+    assert [m.image_of(x).text for x in "ab"] == ["aba", "ab"]
+
+
+@given(st.text(alphabet="abc", min_size=1, max_size=6))
+@example("a")
+@example("ccc")
+@example("b")
+@example("ba")
+@example("cab")
+@example("bcb")
+@settings(max_examples=60, deadline=None)
+def test_episturmian_producer_matches_palindromic_closure(directive):
+    produced = get_family("episturmian", directive=directive).produce(3000)
+    assert produced.text == episturmian_prefix(directive, 3000).text
+
+
+# Every registry family, with defaults and with the parameters the
+# acceptance corpus uses.
+CROSS_CHECK_FAMILIES = [(name, {}) for name in sorted(REGISTRY)] + [
+    ("psi-of-fibonacci", {"k": 2}),
+    ("periodic", {"block": "abc"}),
+    ("episturmian", {"directive": "aabc"}),
+    ("episturmian", {"directive": "c"}),
+    ("morphic", {"morphism": "a->aba,b->bb"}),
+    ("morphic", {"morphism": "a->ab,b->bc,c->a"}),
+]
+
+
+@pytest.mark.parametrize("name,params", CROSS_CHECK_FAMILIES)
+def test_exact_sets_match_prefix_scan(name, params):
+    fam = get_family(name, **params)
+    exact = fam.exact_sets(9)
+    scanned = stabilized_prefix(fam.produce, 8)
+    assert scanned.stable, name
+    for n in range(10):
+        assert exact[n] == scanned.index.factor_set(n), (name, params, n)
+
+
+def test_s_word_exact_complexities():
+    prof = profile_from_index(get_family("s-word").index(22), 21)
+    assert (prof.C[18], prof.P[18], prof.C[21]) == (124, 1, 172)
 
 
 def test_producers_are_prefix_stable():

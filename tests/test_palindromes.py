@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from palrich.errors import FactorAbsent, OutOfRange, PalindromicInput
 from palrich.factors import build_index, stabilized_prefix
-from palrich.generators import episturmian_prefix, family_block
+from palrich.generators import family_block
 from palrich.palindromes import (
     Eertree,
     check_alternation,
@@ -19,6 +19,7 @@ from palrich.words import Morphism, Word, fixed_point
 from oracles import (
     all_words,
     distinct_palindromes_including_empty,
+    episturmian_prefix,
     is_rich_naive,
     palindromic_substrings,
     returns_report_naive,

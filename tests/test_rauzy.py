@@ -1,4 +1,3 @@
-import warnings
 from collections import Counter
 
 import pytest
@@ -6,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palrich import rauzy
-from palrich.errors import NotApplicable, NotAWalk, OutOfRange, UnstableIndexWarning
+from palrich.errors import NotApplicable, NotAWalk, OutOfRange
 from palrich.factors import build_index, stabilized_prefix
 from palrich.generators import get_family
 from palrich.palindromes import Eertree, palindromic_complexity
@@ -45,17 +44,6 @@ def test_build_rauzy_trivial_orders():
     assert len(g0.edges) == idx.complexity(1)
     with pytest.raises(OutOfRange):
         rauzy.build_rauzy(idx, idx.n_max)
-
-
-def test_unstable_index_warns():
-    sp = stabilized_prefix(
-        lambda l: fixed_point(Morphism.parse("a->aab,b->b"), "a", l),
-        12,
-        len_cap=256,
-    )
-    assert not sp.stable
-    with pytest.warns(UnstableIndexWarning):
-        rauzy.build_rauzy(sp.index, 2)
 
 
 def test_reduce_fibonacci_order2_worked_example():
@@ -330,16 +318,14 @@ def assert_evolution_matches_per_order_build(idx, n_max):
     """Every graph of reduced_graphs equals reduce(build_rauzy(idx, n))."""
     evolved = list(rauzy.reduced_graphs(idx, n_max))
     assert [rg.n for rg in evolved] == list(range(n_max + 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnstableIndexWarning)
-        for rg in evolved:
-            ref = rauzy.reduce(rauzy.build_rauzy(idx, rg.n))
-            assert rg.vertices == ref.vertices, rg.n
-            assert [p.sort_key() for p in rg.edges] == sorted(
-                p.sort_key() for p in ref.edges
-            ), rg.n
-            assert rg.dangling == ref.dangling, rg.n
-            assert rg.cycle == ref.cycle, rg.n
+    for rg in evolved:
+        ref = rauzy.reduce(rauzy.build_rauzy(idx, rg.n))
+        assert rg.vertices == ref.vertices, rg.n
+        assert [p.sort_key() for p in rg.edges] == sorted(
+            p.sort_key() for p in ref.edges
+        ), rg.n
+        assert rg.dangling == ref.dangling, rg.n
+        assert rg.cycle == ref.cycle, rg.n
 
 
 @pytest.mark.parametrize(
@@ -356,11 +342,13 @@ def assert_evolution_matches_per_order_build(idx, n_max):
         ("periodic", {"block": "abc"}),
         ("morphic", {"morphism": "a->aba,b->bb"}),
         ("morphic", {"morphism": "a->ab,b->bc,c->a"}),
+        ("tribonacci", {}),
+        ("s-word", {}),
+        ("episturmian", {"directive": "aabc"}),
     ],
 )
 def test_reduced_graphs_match_per_order_build_on_exact_families(name, params):
     idx = get_family(name, **params).index(61)
-    assert idx.exact
     assert_evolution_matches_per_order_build(idx, 60)
 
 
@@ -369,8 +357,8 @@ def test_reduced_graphs_match_per_order_build_on_exact_families(name, params):
     [("tribonacci", {}), ("s-word", {}), ("episturmian", {"directive": "aabc"})],
 )
 def test_reduced_graphs_match_per_order_build_on_prefixes(name, params):
-    idx = get_family(name, **params).index(31, 1 << 14)
-    assert not idx.exact
+    # The finite 2^14-letter prefixes, as literal words.
+    idx = build_index(get_family(name, **params).produce(1 << 14), 31)
     assert_evolution_matches_per_order_build(idx, 30)
 
 

@@ -171,10 +171,10 @@ def test_episturmian_exhausted():
 
 @given(st.text(alphabet="ab", min_size=1, max_size=6), st.integers(1, 40))
 def test_episturmian_prefixes_are_rich(directive, length):
-    from palrich.generators import episturmian_prefix
+    from palrich.generators import get_family
     from palrich.palindromes import Eertree, is_rich_incremental
 
-    w = episturmian_prefix(directive, length)
+    w = get_family("episturmian", directive=directive).produce(length)
     assert len(w) == length
     assert is_rich_incremental(Eertree.build(w)).rich
 
