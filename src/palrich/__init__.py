@@ -51,17 +51,14 @@ from .palindromes import (
     palindromic_complexity,
 )
 from .rauzy import (
-    PathFacts,
     RauzyGraph,
     ReducedRauzyGraph,
     SimplePath,
     SuperReducedRauzyGraph,
     build_rauzy,
     is_tree,
-    label_is_rich_check,
     palindromic_path_condition,
     path_counting_identity,
-    path_facts,
     path_label,
     path_reversal_facts,
     reduce,

@@ -55,12 +55,13 @@ class RunConfig:
                 raise UsageError("the literal word must be non-empty")
         if self.n_max < 1:
             raise UsageError("--n-max must be at least 1")
-        # Only generator sources read the cap: a literal word is indexed as
-        # it is, and count takes no source.
-        if self.generator is not None and self.prefix_cap < 4 * (self.n_max + 1):
+        # Only generator sources read the cap, and only to size the richness
+        # sample; the factor sets are exact.  A literal word is indexed as it
+        # is, and count takes no source.
+        if self.generator is not None and self.prefix_cap < 1:
             raise UsageError(
-                f"prefix cap {self.prefix_cap} is below 4*(n_max+1) = "
-                f"{4 * (self.n_max + 1)}"
+                f"prefix cap {self.prefix_cap} must be at least 1: it is the "
+                "length of the richness sample"
             )
 
 
@@ -324,10 +325,11 @@ def cmd_count(cfg: RunConfig, kind: str, alphabet_size: int) -> int:
     elif kind == "rich":
         table = counting.rich_table(alphabet_size, n_max)
         # The exhaustive sweep shares no code with the pruned search, so a
-        # match is an independent check; one sweep costs about k^n pushes.
+        # match is an independent check; its one sweep costs about k^n pushes.
         oracle_checked_to = min(n_max, 12)
+        naive = counting.count_rich_naive(alphabet_size, oracle_checked_to)
         for n in range(oracle_checked_to + 1):
-            if counting.count_rich_naive(alphabet_size, n) != table.values[n]:
+            if naive[n] != table.values[n]:
                 _emit(f"enumeration/sweep mismatch at n={n}\n", None)
                 return EXIT_INCONSISTENT
     else:

@@ -10,9 +10,9 @@ words, checked by the obviously-correct per-length window sweep.  Rich words
 have no known counting formula; ``count_rich`` enumerates them exactly with
 one depth-first search that counts every length up to n in a single pass,
 pruned by the one-new-palindrome-per-letter property, which is hereditary,
-so the pruning is sound.  Its oracle ``count_rich_naive`` is an unpruned
-sweep over all k^n words on an ``Eertree`` with push/pop; the two share no
-code.
+so the pruning is sound.  Its oracle ``count_rich_naive`` is one unpruned
+sweep over all k^n words on an ``Eertree`` with push/pop, counting every
+shorter length on the way; the two share no code.
 """
 
 from __future__ import annotations
@@ -227,12 +227,13 @@ def _rich_counts(k: int, depth: int) -> list[int]:
     return [1] + [f * k for f in found[1:]]
 
 
-def count_rich_naive(alphabet_size: int, n: int) -> int:
-    """Exhaustive oracle: the words of length n with |w| + 1 palindromes.
+def count_rich_naive(alphabet_size: int, n: int) -> list[int]:
+    """Exhaustive oracle: [R_k(0), ..., R_k(n)], the words with |w| + 1 palindromes.
 
-    An unpruned depth-first sweep over all k^n words on one eertree with
-    push/pop, counting the leaves where every push created a node.  It uses
-    no letter symmetry and shares no code with ``count_rich``.
+    One unpruned depth-first sweep over all k^n words on one eertree with
+    push/pop; every node at depth d is a word of length d, counted when
+    every push on its path created a node.  It uses no letter symmetry and
+    shares no code with ``count_rich``.
     """
     if alphabet_size not in RICH_BUDGETS:
         raise UnsupportedAlphabet("rich-word counting supports alphabets of 2..4")
@@ -243,12 +244,11 @@ def count_rich_naive(alphabet_size: int, n: int) -> int:
     tree = Eertree(Alphabet("abcd"[:alphabet_size]))
     push, pop = tree.push, tree.pop
     letters = range(alphabet_size)
-    total = 0
+    counts = [0] * (n + 1)
 
     def sweep(depth: int, rich: bool) -> None:
-        nonlocal total
+        counts[depth] += rich
         if depth == n:
-            total += rich
             return
         for c in letters:
             created = push(c)
@@ -256,7 +256,7 @@ def count_rich_naive(alphabet_size: int, n: int) -> int:
             pop()
 
     sweep(0, True)
-    return total
+    return counts
 
 
 @dataclass(frozen=True)

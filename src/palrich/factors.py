@@ -57,6 +57,9 @@ from .words import Morphism, Word, fixed_point
 # Longest prefix that the richness checkers read.
 RICHNESS_SAMPLE_CAP = 1 << 16
 
+# Rounds after which morphic_factor_sets gives up on saturating its sets.
+CLOSURE_ROUND_LIMIT = 4096
+
 
 class FactorIndex:
     """Distinct factors per length 0..n_max+1 with extension bookkeeping."""
@@ -496,12 +499,7 @@ def _derive_down(
     return sets
 
 
-def morphic_factor_sets(
-    m: Morphism,
-    seed: str,
-    depth: int,
-    max_rounds: int = 4096,
-) -> list[frozenset[bytes]]:
+def morphic_factor_sets(m: Morphism, seed: str, depth: int) -> list[frozenset[bytes]]:
     """Exact factor sets, lengths 0..depth, of the fixed point of ``m``.
 
     Saturates the map u -> windows of m(u) at window length ``depth``,
@@ -523,9 +521,9 @@ def morphic_factor_sets(
     rounds = 0
     while frontier:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > CLOSURE_ROUND_LIMIT:
             raise StabilizationFailed(
-                f"factor closure did not converge within {max_rounds} rounds"
+                f"factor closure did not converge within {CLOSURE_ROUND_LIMIT} rounds"
             )
         fresh = _image_windows(m, frontier, depth) - top
         top |= fresh

@@ -48,7 +48,6 @@ class WordFamily:
     exact_sets: Callable[[int], list[frozenset[bytes]]]
     rich_expected: bool | None = None
     periodic_hint: bool = False
-    closure_expected: bool | None = None
     params: dict = field(default_factory=dict)
 
     def describe(self) -> str:
@@ -139,7 +138,9 @@ def _psi_of_fibonacci_producer(k: int) -> Callable[[int], Word]:
     psi = psi_morphism(k)
 
     def produce(length: int) -> Word:
-        base = fixed_point(FIBONACCI, "a", max(length, 8))
+        # Both images have at least 3 letters, so length // 3 + 1 letters of
+        # the Fibonacci word map to at least length + 1 letters.
+        base = fixed_point(FIBONACCI, "a", length // 3 + 1)
         return psi(base)[:length]
 
     return produce
@@ -169,7 +170,6 @@ def fibonacci(**_) -> WordFamily:
         _fixed_point_producer(FIBONACCI, "a"),
         _exact_from_morphism(FIBONACCI, "a"),
         rich_expected=True,
-        closure_expected=True,
     )
 
 
@@ -179,7 +179,6 @@ def tribonacci(**_) -> WordFamily:
         "iterated palindromic closure along (abc)*",
         *_episturmian_parts("abc"),
         rich_expected=True,
-        closure_expected=True,
     )
 
 
@@ -190,7 +189,6 @@ def thue_morse(**_) -> WordFamily:
         _fixed_point_producer(THUE_MORSE, "a"),
         _exact_from_morphism(THUE_MORSE, "a"),
         rich_expected=False,
-        closure_expected=True,
     )
 
 
@@ -201,7 +199,6 @@ def cassaigne_aab(**_) -> WordFamily:
         _fixed_point_producer(CASSAIGNE_AAB, "a"),
         _exact_from_morphism(CASSAIGNE_AAB, "a"),
         rich_expected=True,
-        closure_expected=True,
     )
 
 
@@ -212,7 +209,6 @@ def quadratic_abab(**_) -> WordFamily:
         _fixed_point_producer(QUADRATIC_ABAB, "a"),
         _exact_from_morphism(QUADRATIC_ABAB, "a"),
         rich_expected=True,
-        closure_expected=True,
     )
 
 
@@ -223,7 +219,6 @@ def psi_of_fibonacci(k: int = 0, **_) -> WordFamily:
         _psi_of_fibonacci_producer(k),
         _psi_of_fibonacci_sets(k),
         rich_expected=True,
-        closure_expected=True,
         params={"k": k},
     )
 
@@ -247,7 +242,6 @@ def s_word_family(**_) -> WordFamily:
         s_word,
         s_word_factor_sets,
         rich_expected=False,
-        closure_expected=False,
     )
 
 
@@ -257,7 +251,6 @@ def episturmian(directive: str = "ab", **_) -> WordFamily:
         f"iterated palindromic closure along ({directive})*",
         *_episturmian_parts(directive),
         rich_expected=True,
-        closure_expected=True,
         params={"directive": directive},
     )
 

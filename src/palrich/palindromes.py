@@ -161,9 +161,6 @@ class Eertree:
         end = self._first_end[node]
         return bytes(self.data[end - self._len[node] : end])
 
-    def palindrome(self, node: int) -> Word:
-        return Word(self.alphabet, self.palindrome_bytes(node))
-
     def nodes_by_length(self) -> dict[int, int]:
         """Count of distinct palindromic factors per positive length."""
         counts: dict[int, int] = {}

@@ -13,6 +13,12 @@ Periodic words have no special factors at large orders; reduction then
 returns a tagged single-cycle object instead of raising, and the identity is
 checked through the periodicity route by callers.
 
+Each fact has one source.  Degrees and special factors come from the
+index's extension maps (``FactorIndex.right_extensions`` and
+``left_extensions``); the class count s and the special-palindrome count p
+from :func:`super_reduce`; and every walk, given or mirrored, is checked by
+the one validator behind :func:`path_label`.
+
 :func:`build_rauzy` and :func:`reduce` build one order from its factor sets.
 :func:`reduced_graphs` evolves the reduced graph from one order to the next,
 after Cassaigne ("Complexité et facteurs spéciaux", 1997).  Write S_n for
@@ -59,12 +65,16 @@ from typing import Iterator, Sequence
 
 from .errors import NotApplicable, NotAWalk, OutOfRange
 from .factors import FactorIndex
-from .palindromes import Eertree, is_rich_incremental
 from .words import Word
 
 
 class RauzyGraph:
-    """Directed graph of order n: F_n vertices, F_{n+1} edges."""
+    """Directed graph of order n: F_n vertices, F_{n+1} edges.
+
+    Degrees and special factors are read from the index's extension maps:
+    the out-edges of v are v + c for its sorted right extensions c, so both
+    the edges out of a vertex and the vertices come in index order.
+    """
 
     def __init__(self, idx: FactorIndex, n: int):
         if not 0 <= n < idx.n_max:
@@ -73,26 +83,27 @@ class RauzyGraph:
         self.alphabet = idx.alphabet
         self.vertices = idx.factors(n)
         self.edges = idx.factors(n + 1)
-        out: dict[bytes, list[bytes]] = {v: [] for v in self.vertices}
-        indeg: dict[bytes, int] = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            out[e[:-1]].append(e)
-            indeg[e[1:]] += 1
-        self.out_edges = {v: tuple(es) for v, es in out.items()}
-        self.in_degree = indeg
-        self.out_degree = {v: len(es) for v, es in out.items()}
-        rs = frozenset(v for v in self.vertices if self.out_degree[v] >= 2)
-        left: dict[bytes, set[int]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            left[e[1:]].add(e[0])
-        ls = frozenset(v for v in self.vertices if len(left[v]) >= 2)
-        self.right_special = rs
-        self.left_special = ls
-        self.special = rs | ls
-
-    @property
-    def edge_set(self) -> frozenset[bytes]:
-        return frozenset(self.edges)
+        self.edge_set = idx.factor_set(n + 1)
+        right = idx.right_extensions(n)
+        left = idx.left_extensions(n)
+        out_edges: dict[bytes, tuple[bytes, ...]] = {}
+        out_degree: dict[bytes, int] = {}
+        in_degree: dict[bytes, int] = {}
+        for v in self.vertices:
+            cs = right[v]
+            # Most vertices have one right extension cs, and one edge v + cs.
+            if len(cs) == 1:
+                out_edges[v] = (v + cs,)
+            else:
+                out_edges[v] = tuple([v + bytes((c,)) for c in cs])
+            out_degree[v] = len(cs)
+            in_degree[v] = len(left[v])
+        self.out_edges = out_edges
+        self.out_degree = out_degree
+        self.in_degree = in_degree
+        self.right_special = frozenset(v for v, cs in right.items() if len(cs) >= 2)
+        self.left_special = frozenset(v for v, cs in left.items() if len(cs) >= 2)
+        self.special = self.right_special | self.left_special
 
     def is_strongly_connected(self) -> bool:
         if not self.vertices:
@@ -180,11 +191,6 @@ def path_label(vertices: Sequence[bytes | Word], g: RauzyGraph) -> Word:
     raw = tuple(v.data if isinstance(v, Word) else bytes(v) for v in vertices)
     label, _ = _walk_label(raw, g)
     return Word(g.alphabet, label)
-
-
-def label_is_rich_check(g: RauzyGraph, walk: Sequence[bytes | Word]) -> bool:
-    """Richness of a walk label (true for every walk of a rich word)."""
-    return is_rich_incremental(Eertree.build(path_label(walk, g))).rich
 
 
 @dataclass(frozen=True)
@@ -410,31 +416,6 @@ def reduced_graphs(idx: FactorIndex, n_max: int) -> Iterator[ReducedRauzyGraph]:
         )
 
 
-@dataclass(frozen=True)
-class PathFact:
-    path: SimplePath
-    palindromic: bool
-    reversal_exists: bool
-
-
-@dataclass(frozen=True)
-class PathFacts:
-    """Per-path reversal facts plus the counts feeding the path identity."""
-
-    n: int
-    facts: tuple[PathFact, ...]
-    s: int
-    p: int
-
-    @property
-    def n_nontrivial(self) -> int:
-        return len(self.facts)
-
-    @property
-    def n_nonpalindromic(self) -> int:
-        return sum(1 for f in self.facts if not f.palindromic)
-
-
 def _class_key(v: bytes) -> tuple[bytes, bytes]:
     r = v[::-1]
     return (v, r) if v <= r else (r, v)
@@ -445,7 +426,6 @@ class SuperEdge:
     class_a: tuple[bytes, bytes]
     class_b: tuple[bytes, bytes]
     label_class: tuple[bytes, bytes]
-    paths: tuple[SimplePath, ...]
 
 
 @dataclass(frozen=True)
@@ -453,9 +433,10 @@ class SuperReducedRauzyGraph:
     """Reversal classes of special factors with undirected path edges.
 
     Paths joining a class to itself (a special factor to its own reversal)
-    are not edges here; :func:`path_facts` reports every path.
-    Multi-edges between a class pair are kept apart so that tree detection
-    sees them.
+    are not edges here; the reduced graph keeps every path.  A class pair
+    gets one edge per reversal class of the labels joining it, so
+    multi-edges are kept apart and tree detection sees them.  ``s`` counts
+    the classes and ``p`` the special palindromes.
     """
 
     n: int
@@ -472,7 +453,7 @@ def super_reduce(rg: ReducedRauzyGraph) -> SuperReducedRauzyGraph:
         return SuperReducedRauzyGraph(rg.n, (), (), 0, 0, no_specials=True)
     classes = sorted({_class_key(v) for v in rg.vertices})
     p = sum(1 for v in rg.vertices if v == v[::-1])
-    grouped: dict[tuple, dict[tuple[bytes, bytes], list[SimplePath]]] = {}
+    grouped: dict[tuple, set[tuple[bytes, bytes]]] = {}
     for path in rg.edges:
         ka, kb = _class_key(path.source), _class_key(path.target)
         if ka == kb:
@@ -482,27 +463,13 @@ def super_reduce(rg: ReducedRauzyGraph) -> SuperReducedRauzyGraph:
         label = path.label
         rlabel = label[::-1]
         lkey = (label, rlabel) if label <= rlabel else (rlabel, label)
-        grouped.setdefault((ka, kb), {}).setdefault(lkey, []).append(path)
+        grouped.setdefault((ka, kb), set()).add(lkey)
     edges = tuple(
-        SuperEdge(ka, kb, lkey, tuple(paths))
-        for (ka, kb), by_label in sorted(grouped.items())
-        for lkey, paths in sorted(by_label.items())
+        SuperEdge(ka, kb, lkey)
+        for (ka, kb), labels in sorted(grouped.items())
+        for lkey in sorted(labels)
     )
     return SuperReducedRauzyGraph(rg.n, tuple(classes), edges, len(classes), p)
-
-
-def path_facts(rg: ReducedRauzyGraph) -> PathFacts:
-    """Reversal facts of every simple path, with the s and p of ``super_reduce``."""
-    if rg.no_specials:
-        return PathFacts(rg.n, (), 0, 0)
-    s = len({_class_key(v) for v in rg.vertices})
-    p = sum(1 for v in rg.vertices if v == v[::-1])
-    label_set = {path.label for path in rg.edges}
-    facts = tuple(
-        PathFact(path, path.palindromic, path.label[::-1] in label_set)
-        for path in rg.edges
-    )
-    return PathFacts(rg.n, facts, s, p)
 
 
 def is_tree(sg: SuperReducedRauzyGraph) -> bool:
@@ -562,7 +529,6 @@ def _central_factor(label: bytes, m: int) -> bytes:
 def path_counting_identity(
     g: RauzyGraph,
     rg: ReducedRauzyGraph,
-    facts: PathFacts,
     pal_counts: tuple[int, int],
 ) -> PathCountingIdentity:
     """Evaluate P(n)+P(n+1) against the simple-path count at order n.
@@ -575,21 +541,19 @@ def path_counting_identity(
     path.  Meaningful on rich reversal-closed words; on Thue-Morse, which
     is closed but not rich, it fails at some orders.
 
-    ``facts`` comes from :func:`path_facts` of ``rg``.  ``pal_counts`` is
-    the pair (P(n), P(n+1)), for instance from
-    ``FactorIndex.palindrome_count``.  The theorem-1 experiment does not
-    evaluate the identity; the tests check it order by order.
+    ``rg`` is the reduced graph of ``g``; s and p are read from its
+    :func:`super_reduce`.  ``pal_counts`` is the pair (P(n), P(n+1)), for
+    instance from ``FactorIndex.palindrome_count``.  The theorem-1
+    experiment does not evaluate the identity; the tests check it order by
+    order.
     """
     if rg.no_specials:
         raise NotApplicable("no special factors at this order; periodic route applies")
     n = g.n
+    sg = super_reduce(rg)
     p_n, p_n1 = pal_counts
     lhs = p_n + p_n1
-    rhs = (
-        sum(g.out_degree[v] for v in rg.vertices)
-        - 2 * (facts.s - 1)
-        + facts.p
-    )
+    rhs = sum(g.out_degree[v] for v in rg.vertices) - 2 * (sg.s - 1) + sg.p
     centers: dict[bytes, int] = {}
     for path in rg.edges:
         if not path.palindromic:
@@ -621,14 +585,11 @@ def path_reversal_facts(
     _walk_label(raw, g)  # validates the walk
     mirrored = tuple(v[::-1] for v in reversed(raw))
     palindromic = mirrored == raw
-    edge_set = g.edge_set
-    exists = all(v in g.out_edges for v in mirrored)
-    if exists:
-        for a, b in zip(mirrored, mirrored[1:]):
-            if a[1:] != b[:-1] or a + b[-1:] not in edge_set:
-                exists = False
-                break
-    return exists, palindromic
+    try:
+        _walk_label(mirrored, g)
+    except NotAWalk:
+        return False, palindromic
+    return True, palindromic
 
 
 # -- DOT rendering ---------------------------------------------------------

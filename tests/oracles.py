@@ -249,3 +249,42 @@ def image_windows_all(m, base_top, depth: int) -> set:
         for i in range(len(img) - depth + 1):
             top.add(img[i : i + depth])
     return top
+
+
+def rauzy_graph_naive(idx, n: int) -> dict:
+    """Out-edges, degrees and special factors of the order-n Rauzy graph.
+
+    Two loops over the sorted F_{n+1}: the first files each edge under its
+    prefix and counts it at its suffix, the second collects the left
+    letters of each suffix.  Keys follow the sorted F_n.
+    """
+    vertices = idx.factors(n)
+    edges = idx.factors(n + 1)
+    out = {v: [] for v in vertices}
+    indeg = {v: 0 for v in vertices}
+    for e in edges:
+        out[e[:-1]].append(e)
+        indeg[e[1:]] += 1
+    left = {v: set() for v in vertices}
+    for e in edges:
+        left[e[1:]].add(e[0])
+    return {
+        "out_edges": {v: tuple(es) for v, es in out.items()},
+        "out_degree": {v: len(es) for v, es in out.items()},
+        "in_degree": indeg,
+        "right_special": frozenset(v for v in vertices if len(out[v]) >= 2),
+        "left_special": frozenset(v for v in vertices if len(left[v]) >= 2),
+    }
+
+
+def psi_of_fibonacci_naive(k: int, length: int):
+    """The first ``length`` letters of psi_k(f), from max(length, 8) letters of f.
+
+    Maps a Fibonacci prefix at least as long as the output, so the cut
+    never depends on how long the images of psi_k are.
+    """
+    from palrich.generators import FIBONACCI, psi_morphism
+    from palrich.words import fixed_point
+
+    base = fixed_point(FIBONACCI, "a", max(length, 8))
+    return psi_morphism(k)(base)[:length]

@@ -78,7 +78,9 @@ def test_analyze_usage_errors(capsys):
         capsys, "analyze", "--generator", "fibonacci", "--n-max", "5", "--prefix-cap", "0"
     )
     assert code == 1 and out == ""
-    assert err == "error: prefix cap 0 is below 4*(n_max+1) = 24\n"
+    assert err == (
+        "error: prefix cap 0 must be at least 1: it is the length of the richness sample\n"
+    )
 
 
 def test_literal_words_ignore_prefix_cap(capsys):
@@ -92,8 +94,21 @@ def test_literal_words_ignore_prefix_cap(capsys):
     code, out, err = run(
         capsys, "verify", "--generator", "fibonacci", "--n-max", "3", "--prefix-cap", "8"
     )
-    assert code == 1 and out == ""
-    assert err == "error: prefix cap 8 is below 4*(n_max+1) = 16\n"
+    assert code == 0 and err == ""
+    assert "prefix=8" in out
+
+
+def test_generator_prefix_cap_below_the_order_count(capsys):
+    # The cap only sizes the richness sample and the factor sets are exact,
+    # so an 8-letter sample serves 21 orders.
+    code, out, err = run(
+        capsys, "verify", "--generator", "fibonacci", "--n-max", "20",
+        "--prefix-cap", "8", "--format", "json",
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    validate(payload)
+    assert payload["prefix_length"] == 8
 
 
 def test_graph_reduced_matches_golden(capsys):
@@ -190,9 +205,12 @@ def test_count_reports_oracle_mismatch(capsys, monkeypatch, kind, oracle, messag
 
     def off_by_one_at_5(*args):
         result = original(*args)
+        if kind == "rich":
+            # One sweep returns the counts of every length; perturb n = 5.
+            return [r + (n == 5) for n, r in enumerate(result)]
         if args[-1] != 5:
             return result
-        return result + 1 if isinstance(result, int) else result + result[:1]
+        return result + result[:1]
 
     monkeypatch.setattr(counting, oracle, off_by_one_at_5)
     code, out, _ = run(capsys, "count", "--kind", kind, "--n-max", "8")

@@ -14,7 +14,7 @@ from palrich.generators import (
 from palrich.palindromes import Eertree, is_rich_incremental
 from palrich.words import Word
 
-from oracles import episturmian_prefix
+from oracles import episturmian_prefix, psi_of_fibonacci_naive
 
 
 def test_registry_names():
@@ -49,6 +49,13 @@ def test_psi_of_fibonacci_prefix():
     # f = a b a a b ... so the image starts psi(a) psi(b) psi(a) psi(a)
     expected = "aabaabab" + "bab" + "aabaabab" + "aabaabab"
     assert fam.produce(len(expected)).text == expected
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_psi_of_fibonacci_producer_matches_the_long_base(k):
+    produce = get_family("psi-of-fibonacci", k=k).produce
+    for length in [*range(3001), 65536]:
+        assert produce(length) == psi_of_fibonacci_naive(k, length), length
 
 
 def test_family_block_values():

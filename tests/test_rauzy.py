@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from palrich import rauzy
 from palrich.errors import NotApplicable, NotAWalk, OutOfRange
 from palrich.factors import build_index, stabilized_prefix
-from palrich.generators import get_family
-from palrich.palindromes import Eertree, palindromic_complexity
+from palrich.generators import REGISTRY, get_family
+from palrich.palindromes import Eertree, is_rich_incremental, palindromic_complexity
 from palrich.words import Morphism, Word, fixed_point, periodic_word, s_word
+
+from oracles import rauzy_graph_naive
 
 FIB = Morphism.parse("a->ab,b->a")
 TM = Morphism.parse("a->ab,b->ba")
@@ -23,6 +25,18 @@ def decode(alpha, items):
     return [alpha.decode(x) for x in items]
 
 
+def label_is_rich(g, walk):
+    return is_rich_incremental(Eertree.build(rauzy.path_label(walk, g))).rich
+
+
+def nonpalindromic_paths(rg):
+    return [path for path in rg.edges if not path.palindromic]
+
+
+def label_reversal_exists(rg, path):
+    return path.label[::-1] in {q.label for q in rg.edges}
+
+
 def test_build_rauzy_fibonacci_order2():
     idx = fib_index()
     g = rauzy.build_rauzy(idx, 2)
@@ -32,6 +46,47 @@ def test_build_rauzy_fibonacci_order2():
     assert len(g.edges) == idx.complexity(3)
     assert sum(g.out_degree.values()) == sum(g.in_degree.values()) == len(g.edges)
     assert g.is_strongly_connected()
+
+
+def assert_graph_matches_naive(idx, n):
+    """Degrees and specials of build_rauzy equal the edge-by-edge oracle."""
+    g = rauzy.build_rauzy(idx, n)
+    for attr, expected in rauzy_graph_naive(idx, n).items():
+        actual = getattr(g, attr)
+        assert actual == expected, (attr, n)
+        if isinstance(expected, dict):
+            assert list(actual) == list(expected), (attr, n)
+    assert g.special == g.right_special | g.left_special
+    assert g.edge_set is idx.factor_set(n + 1)
+    return g
+
+
+@given(st.text(alphabet="abc", min_size=2, max_size=40))
+@example("abc")
+@example("abbbbab")
+@settings(max_examples=200, deadline=None)
+def test_build_rauzy_matches_naive_graph_on_literal_words(text):
+    w = Word.parse(text)
+    data = w.data
+    idx = build_index(w, len(text) - 1)
+    for n in range(idx.n_max):
+        g = assert_graph_matches_naive(idx, n)
+        if n == 0:
+            continue
+        # The final suffix of a finite word has no out-edge unless it occurs
+        # earlier; likewise its first factor has no in-edge.
+        last, first = data[len(data) - n :], data[:n]
+        if data.find(last) == len(data) - n:
+            assert g.out_degree[last] == 0 and g.out_edges[last] == ()
+        if data.rfind(first) == 0:
+            assert g.in_degree[first] == 0
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_build_rauzy_matches_naive_graph_on_registry_families(name):
+    idx = get_family(name).index(31)
+    for n in range(31):
+        assert_graph_matches_naive(idx, n)
 
 
 def test_build_rauzy_trivial_orders():
@@ -125,7 +180,7 @@ def test_label_is_rich_on_fibonacci_walks():
                     stack.append(walk + (e[1:],))
 
     for walk in walks(6):
-        assert rauzy.label_is_rich_check(g, walk)
+        assert label_is_rich(g, walk)
 
 
 def test_thue_morse_has_non_rich_walk_label():
@@ -137,7 +192,7 @@ def test_thue_morse_has_non_rich_walk_label():
         walk = stack.pop()
         if len(walk) > 8:
             continue
-        if not rauzy.label_is_rich_check(g, walk):
+        if not label_is_rich(g, walk):
             found = True
             break
         for e in g.out_edges[walk[-1]]:
@@ -149,14 +204,13 @@ def test_super_reduce_fibonacci_order2():
     g = rauzy.build_rauzy(fib_index(), 2)
     rg = rauzy.reduce(g)
     sg = rauzy.super_reduce(rg)
-    facts = rauzy.path_facts(rg)
     assert sg.s == 1 and sg.p == 0
     assert len(sg.classes) == 1 and len(sg.edges) == 0
     assert decode(g.alphabet, sg.classes[0]) == ["ab", "ba"]
     assert rauzy.is_tree(sg)
-    assert facts.n_nontrivial == 3
-    assert facts.n_nonpalindromic == 0
-    assert all(f.palindromic and f.reversal_exists for f in facts.facts)
+    assert len(rg.edges) == 3
+    assert len(nonpalindromic_paths(rg)) == 0
+    assert all(p.palindromic and label_reversal_exists(rg, p) for p in rg.edges)
     assert 2 * sg.s - sg.p == len(rg.vertices)
 
 
@@ -165,13 +219,12 @@ def test_super_reduce_thue_morse_order3_not_tree():
     g = rauzy.build_rauzy(sp.index, 3)
     rg = rauzy.reduce(g)
     sg = rauzy.super_reduce(rg)
-    facts = rauzy.path_facts(rg)
     assert sg.s == 4 and sg.p == 2
     assert len(sg.edges) == 4  # one more than a tree allows
     assert not rauzy.is_tree(sg)
     cond1, witness = rauzy.palindromic_path_condition(rg)
     assert cond1 and witness is None
-    assert facts.n_nonpalindromic == 8 > 2 * (sg.s - 1)
+    assert len(nonpalindromic_paths(rg)) == 8 > 2 * (sg.s - 1)
 
 
 def test_palindromic_path_condition_violation_on_s_word():
@@ -189,13 +242,12 @@ def test_path_counting_identity_fibonacci():
     idx = fib_index()
     g = rauzy.build_rauzy(idx, 2)
     rg = rauzy.reduce(g)
-    facts = rauzy.path_facts(rg)
     t = Eertree.build(idx.source)
     pal_counts = (palindromic_complexity(t, 2), palindromic_complexity(t, 3))
-    ident = rauzy.path_counting_identity(g, rg, facts, pal_counts)
+    ident = rauzy.path_counting_identity(g, rg, pal_counts)
     assert ident.lhs == ident.rhs == 3
     assert ident.central_cover_ok
-    ident2 = rauzy.path_counting_identity(g, rg, facts, (1, 2))
+    ident2 = rauzy.path_counting_identity(g, rg, (1, 2))
     assert ident2.lhs == 3 and ident2.rhs == 3
 
 
@@ -203,9 +255,8 @@ def test_path_counting_identity_not_applicable_for_cycle():
     idx = build_index(periodic_word(Word.parse("a"), 40), 4)
     g = rauzy.build_rauzy(idx, 2)
     rg = rauzy.reduce(g)
-    facts = rauzy.path_facts(rg)
     with pytest.raises(NotApplicable):
-        rauzy.path_counting_identity(g, rg, facts, (1, 1))
+        rauzy.path_counting_identity(g, rg, (1, 1))
 
 
 def test_path_reversal_facts():
@@ -271,10 +322,10 @@ def test_dot_cycle_note():
     assert "note=" in rauzy.super_dot(sg, g.alphabet)
 
 
-def _identity_holds(idx, g, rg, facts):
+def _identity_holds(idx, g, rg):
     n = g.n
     pal_counts = (idx.palindrome_count(n), idx.palindrome_count(n + 1))
-    return rauzy.path_counting_identity(g, rg, facts, pal_counts).holds
+    return rauzy.path_counting_identity(g, rg, pal_counts).holds
 
 
 def test_rich_words_have_exactly_2s_minus_2_nonpalindromic_paths():
@@ -293,20 +344,17 @@ def test_rich_words_have_exactly_2s_minus_2_nonpalindromic_paths():
             if rg.no_specials:
                 continue
             sg = rauzy.super_reduce(rg)
-            facts = rauzy.path_facts(rg)
-            assert facts.n_nonpalindromic == 2 * (sg.s - 1), (name, n)
-            for f in facts.facts:
-                if not f.palindromic:
-                    assert f.reversal_exists, (name, n)
-            assert _identity_holds(idx, g, rg, facts), (name, n)
+            assert len(nonpalindromic_paths(rg)) == 2 * (sg.s - 1), (name, n)
+            for path in nonpalindromic_paths(rg):
+                assert label_reversal_exists(rg, path), (name, n)
+            assert _identity_holds(idx, g, rg), (name, n)
     # Thue-Morse is closed under reversal but not rich: the identity breaks.
     idx = get_family("thue-morse").index(11)
     failing = []
     for n in range(1, 10):
         g = rauzy.build_rauzy(idx, n)
         rg = rauzy.reduce(g)
-        facts = rauzy.path_facts(rg)
-        if not _identity_holds(idx, g, rg, facts):
+        if not _identity_holds(idx, g, rg):
             failing.append(n)
     assert failing == [3, 4, 5, 6, 9]
 
