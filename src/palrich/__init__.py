@@ -63,6 +63,7 @@ from .rauzy import (
     path_reversal_facts,
     reduce,
     reduced_graphs,
+    specials_by_order,
     super_reduce,
 )
 from .analysis import (

@@ -48,7 +48,7 @@ from .palindromes import (
     is_rich_by_returns,
     is_rich_incremental,
 )
-from .words import Morphism, Word
+from .words import Morphism, Word, fixed_point
 
 if TYPE_CHECKING:
     from .generators import WordFamily
@@ -75,7 +75,11 @@ class ComplexityProfile:
 
 
 def profile_from_index(idx: FactorIndex, n_max: int | None = None) -> ComplexityProfile:
-    """Profile backed by an existing index (closure checked on its sets)."""
+    """Profile read from an index.
+
+    C and P come from the index's sorted windows, reversal closure from its
+    one derived set F_{n_max+1}.
+    """
     if n_max is None:
         n_max = idx.n_max
     if n_max > idx.n_max:
@@ -391,14 +395,16 @@ def cassaigne_formula_check(n_max: int = 50) -> CassaigneCheck:
 
         P(n) + P(n+1) - 2 = C(n+1) - C(n) = n + 1 - #{k > 0 : 2^k + k - 2 < n}
 
-    with C and P computed from the exact morphic factor sets (long b-runs
-    put the needed factors exponentially deep into the word, out of reach of
-    any prefix scan).
+    with C and P read from an index of the exact morphic factor set (long
+    b-runs put the needed factors exponentially deep into the word, out of
+    reach of any prefix scan).
     """
     m = Morphism.parse("a->aab,b->b")
-    sets = morphic_factor_sets(m, "a", n_max + 1)
-    C = [len(s) for s in sets]
-    P = [sum(1 for u in s if u == u[::-1]) for s in sets]
+    idx = FactorIndex(
+        fixed_point(m, "a", n_max + 1), n_max, morphic_factor_sets(m, "a", n_max + 1)
+    )
+    C = [idx.complexity(n) for n in range(n_max + 2)]
+    P = [idx.palindrome_count(n) for n in range(n_max + 2)]
     rows = []
     for n in range(1, n_max + 1):
         bracket = 0

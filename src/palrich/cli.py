@@ -14,12 +14,7 @@ import sys
 
 from . import analysis, counting, rauzy
 from .errors import PalrichError
-from .factors import (
-    RICHNESS_SAMPLE_CAP,
-    FactorIndex,
-    build_index,
-    special_factors,
-)
+from .factors import RICHNESS_SAMPLE_CAP, FactorIndex, build_index
 from .generators import REGISTRY, WordFamily, get_family
 from .palindromes import Eertree, is_rich_incremental
 from .words import Word
@@ -104,8 +99,8 @@ def _index_for(cfg: RunConfig, depth_orders: int, source: Word) -> FactorIndex:
         if n_idx < 1:
             raise UsageError("the literal word is too short to index")
         return build_index(source, n_idx)
-    sets = _family(cfg).exact_sets(depth_orders + 2)
-    return FactorIndex(source, depth_orders + 1, sets)
+    top = _family(cfg).exact_sets(depth_orders + 2)
+    return FactorIndex(source, depth_orders + 1, top)
 
 
 # -- analyze -----------------------------------------------------------------
@@ -120,17 +115,21 @@ def cmd_analyze(cfg: RunConfig) -> int:
     n_max = min(cfg.n_max, idx.n_max - 1)
     prof = analysis.profile_from_index(idx, n_max)
     rows = []
-    for n in range(n_max + 1):
-        special = special_factors(idx, n)
+    for n, specials in enumerate(rauzy.specials_by_order(idx, n_max)):
+        right = left = both = 0
+        for lefts, rights in specials.values():
+            right += len(rights) > 1
+            left += len(lefts) > 1
+            both += len(lefts) > 1 and len(rights) > 1
         rows.append(
             {
                 "n": n,
                 "C": prof.C[n],
                 "P": prof.P[n],
                 "slack": prof.slack[n],
-                "right_special": len(special.right_special),
-                "left_special": len(special.left_special),
-                "bispecial": len(special.bispecial),
+                "right_special": right,
+                "left_special": left,
+                "bispecial": both,
             }
         )
     payload = {

@@ -1,19 +1,52 @@
 """Exact factor bookkeeping for finite words and for infinite words.
 
-A :class:`FactorIndex` holds the distinct-factor sets F_0..F_{n_max+1} of a
-word, from which factor complexity C(n), extension degrees, special factors
-and the complexity-difference identity all derive.  Occurrence positions are
-computed lazily against the source word (storing every occurrence list up
-front is pointless at megabyte prefixes).
+A :class:`FactorIndex` of depth D = n_max + 1 holds one sorted tuple G and
+the longest common prefixes (LCPs) of its adjacent elements, and nothing
+per length.  G is the distinct windows w[i:i+D] of its word.  In an
+infinite word every window has D letters; in a finite word the last D - 1
+windows are cut short at the end of the word, so G is its suffixes cut to
+D letters.  Every length-n factor, n <= D, is the n-prefix of the window
+at one of its occurrences, and that window has at least n letters.  So
+F_n is the set of n-prefixes of the elements of G with |g| >= n.
 
-Every factor-set source computes only the top set F_depth and derives the
-shorter ones by prefix projection.  In an infinite word every factor extends
-to the right, so F_n is the set of length-n prefixes of F_{n+1}; in a finite
-word the one exception is its final length-n suffix, which is added back.
-The top set comes from one of four places:
+*Complexity.*  With lcp_i the LCP of g_i and g_{i+1},
 
-* ``build_index`` scans the top-length windows of a concrete finite word.
-* ``morphic_factor_sets`` computes the exact factor sets of a morphism fixed
+    C(n) = #{g in G : |g| >= n} - #{i : lcp_i >= n}.
+
+Proof: the words that start with a given u of length n form one contiguous
+run of any sorted list, since a word between two words that start with u
+starts with u too.  A word shorter than n cannot start with u, so the
+elements of G with n-prefix u form one contiguous run of G.  Inside a run
+of r elements the r - 1 adjacent pairs share u, so their LCP is >= n.
+Conversely an adjacent pair with LCP >= n has two elements of length
+>= n with the same n-prefix, in one run.  So these pairs number
+#{g : |g| >= n} - C(n).  One histogram of the lengths and of the LCPs gives
+C(0..D).  For a finite word this is the count of
+:func:`finite_complexity`, cut to D letters.
+
+*Prefixes come out sorted.*  If a <= b then a[:n] <= b[:n], so the
+n-prefixes of the sorted G are sorted.  The first element of each run is
+the one whose LCP with its predecessor is below n; keeping only those
+gives F_n sorted and without repeats, with no sort and no set.
+``factors(n)`` and ``factor_set(n)`` derive F_n only for the order a caller
+asks for, and the index keeps the last two orders asked for, which is what
+one Rauzy graph reads.
+
+*Membership.*  u, with |u| <= D, is a factor iff some element of G starts
+with u.  Those elements form a run, and every element at or after the
+first one >= u that does not start with u is greater than the whole run.
+So ``has_factor`` is one ``bisect`` and one ``startswith``.
+
+*Palindromes.*  The palindromes of length n >= 2 are the words c p c with
+p a palindrome of length n - 2 and c a letter, and every factor of a
+factor is a factor.  So P(n) comes from growing the palindromic factors of
+length n - 2 by one letter on both sides and keeping those that
+``has_factor`` accepts.  P is small for every family here.
+
+Every factor-set source computes only the top set F_depth:
+
+* ``build_index`` scans the windows of a concrete finite word.
+* ``morphic_factor_sets`` computes the exact factor set of a morphism fixed
   point by saturating windows of letter images.  Words like the fixed point
   of a -> aab, b -> b carry factors (long b-runs) whose first occurrence lies
   exponentially deep, far beyond any scannable prefix, and this closure is
@@ -21,6 +54,11 @@ The top set comes from one of four places:
   ``image_factor_sets`` companion does the same for a morphic image.
 * ``periodic_factor_sets`` reads one period of a periodic word.
 * ``s_word_factor_sets`` follows the recursion s_m = s_{m-1} a^m s_{m-1}.
+
+Each of them, and every index, holds at most ``FACTOR_LETTER_BUDGET``
+letters, D times the number of factors; past it they raise ``TooLarge``.
+The morphic closure checks as its set grows, so an oversized request fails
+fast instead of running out of memory.
 
 Each closure only scans the windows of m(u) that start inside m(u[0]): every
 depth-length window of m(w) starts inside the image of some letter w[i], at
@@ -36,20 +74,22 @@ sets; it stays as the prefix-scan cross-check of the exact constructions.
 
 A finite word whose complexity is wanted at every length, as in the
 finite-palindrome theorem, needs no factor sets at all: ``finite_complexity``
-reads C(0..|w|) off one suffix array and its LCP array.
+reads C(0..|w|) off one suffix array and its LCP array (Kasai et al.).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import (
     FactorAbsent,
     OutOfRange,
     SingleOccurrence,
     StabilizationFailed,
+    TooLarge,
     WordTooShort,
 )
 from .words import Morphism, Word, fixed_point
@@ -60,69 +100,131 @@ RICHNESS_SAMPLE_CAP = 1 << 16
 # Rounds after which morphic_factor_sets gives up on saturating its sets.
 CLOSURE_ROUND_LIMIT = 4096
 
+# Most letters, D times the number of factors, that a top factor set of
+# length D may hold.  Fibonacci fits up to D = 4095; the a -> aab fixed
+# point, whose C(D) grows like D^2/2, up to about D = 320.
+FACTOR_LETTER_BUDGET = 1 << 24
+
+
+def _check_budget(count: int, depth: int) -> None:
+    if count * depth > FACTOR_LETTER_BUDGET:
+        raise TooLarge(
+            f"{count} factors of length {depth} hold {count * depth} letters, "
+            f"over the budget of {FACTOR_LETTER_BUDGET}"
+        )
+
 
 class FactorIndex:
-    """Distinct factors per length 0..n_max+1 with extension bookkeeping."""
+    """The sorted windows G of a word, up to length n_max + 1 (module docstring).
 
-    def __init__(
-        self,
-        source: Word,
-        n_max: int,
-        sets: Sequence[Iterable[bytes]],
-    ):
-        if len(sets) != n_max + 2:
-            raise ValueError("need factor sets for every length 0..n_max+1")
+    ``top`` holds the distinct windows: for an infinite word its factor set
+    F_{n_max+1}, for a finite word also its shorter suffixes.
+    """
+
+    def __init__(self, source: Word, n_max: int, top: Iterable[bytes]):
+        if n_max < 0:
+            raise ValueError("n_max must be non-negative")
+        depth = n_max + 1
         self.source = source
         self.alphabet = source.alphabet
         self.n_max = n_max
-        self._sets = [frozenset(s) for s in sets]
-        self._sorted: dict[int, tuple[bytes, ...]] = {}
+        self._top = tuple(sorted(top))
+        if not self._top:
+            raise ValueError("an index needs at least one window")
+        _check_budget(len(self._top), depth)
+        # _lcps[i] is the LCP of G[i-1] and G[i]; -1 before the first element.
+        self._lcps = [-1] + [_lcp(a, b) for a, b in zip(self._top, self._top[1:])]
+        lengths = Counter(map(len, self._top))
+        if max(lengths) > depth:
+            raise ValueError(f"windows must have at most n_max+1 = {depth} letters")
+        lengths.subtract(Counter(self._lcps[1:]))
+        complexity = [0] * (depth + 1)
+        run = 0
+        for n in range(depth, -1, -1):
+            run += lengths[n]
+            complexity[n] = run
+        self._complexity = complexity
+        self._levels: dict[int, list] = {}
         self._occ: dict[bytes, tuple[int, ...]] = {}
         self._pal_counts: list[int] | None = None
 
     @classmethod
     def build(cls, w: Word, n_max: int) -> "FactorIndex":
-        """Factor sets of w up to length n_max+1.
+        """Index of the finite word w up to length n_max+1.
 
-        Only the windows of length n_max+1 are scanned; the shorter sets are
-        their prefixes plus the suffixes of w (see ``_derive_down``).
+        The windows are added in chunks of at most ``FACTOR_LETTER_BUDGET``
+        letters, so an oversized request stops at twice the budget.
         """
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
         if n_max + 1 > len(w):
             raise WordTooShort(f"need n_max+1 <= |w|, got {n_max + 1} > {len(w)}")
+        data = w.data
         depth = n_max + 1
-        return cls(w, n_max, _derive_down(_windows(w.data, depth), depth, w.data))
+        step = max(1, FACTOR_LETTER_BUDGET // depth)
+        top: set[bytes] = set()
+        for start in range(0, len(data), step):
+            stop = min(start + step, len(data))
+            top.update(data[i : i + depth] for i in range(start, stop))
+            _check_budget(len(top), depth)
+        return cls(w, n_max, top)
 
     # -- set-level queries ------------------------------------------------
 
-    def factor_set(self, n: int) -> frozenset[bytes]:
+    def _check_length(self, n: int) -> None:
         if not 0 <= n <= self.n_max + 1:
             raise OutOfRange(f"length {n} outside indexed range 0..{self.n_max + 1}")
-        return self._sets[n]
+
+    def _level(self, n: int) -> list:
+        # [F_n sorted, F_n as a frozenset or None]; the last two orders asked
+        # for stay, so one Rauzy graph derives each of its levels once.
+        self._check_length(n)
+        level = self._levels.pop(n, None)
+        if level is None:
+            shorter = tuple(
+                g[:n] for g, h in zip(self._top, self._lcps) if h < n <= len(g)
+            )
+            level = [shorter, None]
+        self._levels[n] = level
+        if len(self._levels) > 2:
+            del self._levels[next(iter(self._levels))]
+        return level
 
     def factors(self, n: int) -> tuple[bytes, ...]:
         """Factors of length n in lexicographic (index) order."""
-        if n not in self._sorted:
-            self._sorted[n] = tuple(sorted(self.factor_set(n)))
-        return self._sorted[n]
+        return self._level(n)[0]
+
+    def factor_set(self, n: int) -> frozenset[bytes]:
+        level = self._level(n)
+        if level[1] is None:
+            level[1] = frozenset(level[0])
+        return level[1]
 
     def complexity(self, n: int) -> int:
-        return len(self.factor_set(n))
+        self._check_length(n)
+        return self._complexity[n]
 
     def palindrome_count(self, n: int) -> int:
         """Number of palindromic factors of length n (the empty word at 0)."""
+        self._check_length(n)
         if self._pal_counts is None:
-            self._pal_counts = [
-                sum(1 for u in s if u == u[::-1]) for s in self._sets
-            ]
-        if not 0 <= n <= self.n_max + 1:
-            raise OutOfRange(f"length {n} outside indexed range 0..{self.n_max + 1}")
+            has = self.has_factor
+            letters = [bytes((c,)) for c in range(self.alphabet.size)]
+            # Palindromes of lengths n-2 and n-1, grown to length n.
+            older, newer = [b""], [c for c in letters if has(c)]
+            counts = [1, len(newer)]
+            for _ in range(2, self.n_max + 2):
+                grown = [c + p + c for p in older for c in letters if has(c + p + c)]
+                older, newer = newer, grown
+                counts.append(len(grown))
+            self._pal_counts = counts
         return self._pal_counts[n]
 
     def has_factor(self, u: bytes) -> bool:
         if len(u) <= self.n_max + 1:
-            return u in self._sets[len(u)]
+            top = self._top
+            i = bisect_left(top, u)
+            return i < len(top) and top[i].startswith(u)
         return self.source.data.find(u) >= 0
 
     def right_extensions(self, n: int) -> dict[bytes, bytes]:
@@ -130,32 +232,27 @@ class FactorIndex:
 
         Extensions come from F_{n+1} membership, so only occurrences with a
         neighbor inside the prefix contribute; the last window of a finite
-        prefix adds nothing.
+        prefix adds nothing.  The sorted F_{n+1} lists the extensions of one
+        factor together, in letter order.
         """
         if not 0 <= n <= self.n_max:
             raise OutOfRange(f"extensions need n <= n_max = {self.n_max}")
-        ext = dict.fromkeys(self.factor_set(n), b"")
-        repeated = []
-        for e in self.factor_set(n + 1):
-            u = e[:-1]
-            letters = ext[u]
-            if letters:
-                repeated.append(u)
-            ext[u] = letters + e[-1:]
-        return _sort_letters(ext, repeated)
+        ext = dict.fromkeys(self.factors(n), b"")
+        for e in self.factors(n + 1):
+            ext[e[:-1]] += e[-1:]
+        return ext
 
     def left_extensions(self, n: int) -> dict[bytes, bytes]:
+        """Map each length-n factor to its sorted left-extension letters.
+
+        In the sorted F_{n+1} the words c + u of one u come in letter order.
+        """
         if not 0 <= n <= self.n_max:
             raise OutOfRange(f"extensions need n <= n_max = {self.n_max}")
-        ext = dict.fromkeys(self.factor_set(n), b"")
-        repeated = []
-        for e in self.factor_set(n + 1):
-            u = e[1:]
-            letters = ext[u]
-            if letters:
-                repeated.append(u)
-            ext[u] = letters + e[:1]
-        return _sort_letters(ext, repeated)
+        ext = dict.fromkeys(self.factors(n), b"")
+        for e in self.factors(n + 1):
+            ext[e[1:]] += e[:1]
+        return ext
 
     # -- occurrence-level queries -----------------------------------------
 
@@ -174,15 +271,19 @@ class FactorIndex:
         return cached
 
 
-def _sort_letters(ext: dict[bytes, bytes], repeated: list[bytes]) -> dict[bytes, bytes]:
-    # Only the factors that got a second letter can be out of order.
-    for u in repeated:
-        ext[u] = bytes(sorted(ext[u]))
-    return ext
+def _lcp(a: bytes, b: bytes) -> int:
+    """Length of the longest common prefix of a and b.
+
+    The leading bytes of a XOR b that are zero are the common prefix; the
+    integer conversion and the XOR run in C.
+    """
+    m = min(len(a), len(b))
+    x = int.from_bytes(a[:m], "big") ^ int.from_bytes(b[:m], "big")
+    return m - (x.bit_length() + 7) // 8
 
 
 def build_index(w: Word, n_max: int) -> FactorIndex:
-    """Exact distinct-factor sets of w for all lengths 0..n_max+1."""
+    """Index of the finite word w for all lengths 0..n_max+1."""
     return FactorIndex.build(w, n_max)
 
 
@@ -449,8 +550,7 @@ def stabilized_prefix(
         raise ValueError(f"len_cap must be at least 4*(n_max+1) = {base}")
     length = base
     word = produce(length)
-    top = _windows(word.data, depth)
-    sets = _derive_down(top, depth, word.data)
+    idx = FactorIndex.build(word, n_max)
     tried = [length]
     stable = False
     stable_lengths = (True,) + (False,) * depth
@@ -459,48 +559,28 @@ def stabilized_prefix(
         grown = produce(length)
         if grown.data[: len(word)] != word.data:
             raise StabilizationFailed("generator is not prefix-stable")
-        top |= _windows(grown.data, depth, len(word) - depth + 1)
         word = grown
         tried.append(length)
         # The sets of a longer prefix contain those of a shorter one, so a
         # set changed exactly when its size did.
-        sizes = [len(s) for s in sets]
-        del sets  # release the previous derivation before building the next
-        sets = _derive_down(top, depth, word.data)
-        stable_lengths = tuple(len(s) == size for s, size in zip(sets, sizes))
+        sizes = [idx.complexity(n) for n in range(depth + 1)]
+        idx = FactorIndex.build(word, n_max)
+        stable_lengths = tuple(
+            idx.complexity(n) == size for n, size in enumerate(sizes)
+        )
         if all(stable_lengths):
             stable = True
             break
-    idx = FactorIndex(word, n_max, sets)
     return StabilizedPrefix(word, stable, stable_lengths, idx, tuple(tried))
 
 
-def _windows(data: bytes, depth: int, start: int = 0) -> set[bytes]:
-    """Distinct length-``depth`` windows of data starting at or after ``start``."""
-    return {data[i : i + depth] for i in range(start, len(data) - depth + 1)}
+def _windows(data: bytes, depth: int) -> set[bytes]:
+    """Distinct length-``depth`` windows of data."""
+    return {data[i : i + depth] for i in range(len(data) - depth + 1)}
 
 
-def _derive_down(
-    top: Iterable[bytes],
-    depth: int,
-    source: bytes | None = None,
-) -> list[frozenset[bytes]]:
-    # Every factor of an infinite word extends to the right, so F_n is the
-    # set of length-n prefixes of F_{n+1}.  In a finite word ``source`` the
-    # only occurrence that may lack a right neighbour is its final length-n
-    # suffix, which is added back at every level.
-    sets: list[frozenset[bytes]] = [frozenset()] * (depth + 1)
-    sets[depth] = frozenset(top)
-    for n in range(depth - 1, -1, -1):
-        shorter = (u[:n] for u in sets[n + 1])
-        if source is not None:
-            shorter = chain(shorter, (source[len(source) - n :],))
-        sets[n] = frozenset(shorter)
-    return sets
-
-
-def morphic_factor_sets(m: Morphism, seed: str, depth: int) -> list[frozenset[bytes]]:
-    """Exact factor sets, lengths 0..depth, of the fixed point of ``m``.
+def morphic_factor_sets(m: Morphism, seed: str, depth: int) -> set[bytes]:
+    """Exact factor set F_depth of the fixed point of ``m``.
 
     Saturates the map u -> windows of m(u) at window length ``depth``,
     starting from the windows of a concrete prefix.  Every window found is
@@ -510,14 +590,15 @@ def morphic_factor_sets(m: Morphism, seed: str, depth: int) -> list[frozenset[by
     image of x[i] starts at |m(x[:i])| >= i + 1 when i >= 1, so i < p
     unless i = 0, whose factor is in the starting prefix; induction on p
     then reaches every factor.  Only the windows that start inside the
-    image of the first letter are scanned.  Shorter sets are prefix
-    projections of the top one.
+    image of the first letter are scanned.  The set is checked against
+    ``FACTOR_LETTER_BUDGET`` after the windows of each factor are added.
     """
     if depth == 0:
-        return [frozenset({b""})]
+        return {b""}
     prefix = fixed_point(m, seed, max(4 * depth, 64)).data
     top = _windows(prefix, depth)
-    frontier = set(top)
+    _check_budget(len(top), depth)
+    frontier = list(top)
     rounds = 0
     while frontier:
         rounds += 1
@@ -525,51 +606,61 @@ def morphic_factor_sets(m: Morphism, seed: str, depth: int) -> list[frozenset[by
             raise StabilizationFailed(
                 f"factor closure did not converge within {CLOSURE_ROUND_LIMIT} rounds"
             )
-        fresh = _image_windows(m, frontier, depth) - top
-        top |= fresh
-        frontier = fresh
-    return _derive_down(top, depth)
+        frontier = _image_windows(m, frontier, depth, top)
+    return top
 
 
-def image_factor_sets(
-    m: Morphism,
-    base_top: Iterable[bytes],
-    depth: int,
-) -> list[frozenset[bytes]]:
-    """Exact factor sets of m(w) given the depth-length factor set of w.
+def image_factor_sets(m: Morphism, base_top: Iterable[bytes], depth: int) -> set[bytes]:
+    """Exact factor set F_depth of m(w) given the depth-length factor set of w.
 
     Every depth-length window of m(w) lies in the image of a depth-length
     factor of w, starting inside the image of its first letter (module
     docstring), so one pass over ``base_top`` suffices.
     """
     if depth == 0:
-        return [frozenset({b""})]
-    return _derive_down(_image_windows(m, base_top, depth), depth)
+        return {b""}
+    top: set[bytes] = set()
+    _image_windows(m, base_top, depth, top)
+    return top
 
 
-def _image_windows(m: Morphism, factors: Iterable[bytes], depth: int) -> set[bytes]:
-    # The windows of m(u) at offsets below |m(u[0])|; each has depth letters
-    # because |m(u)| >= |m(u[0])| + depth - 1 for a depth-length u.
+def _image_windows(
+    m: Morphism, factors: Iterable[bytes], depth: int, top: set[bytes]
+) -> list[bytes]:
+    """Add to ``top`` the windows of m(u), u in factors, that start inside m(u[0]).
+
+    Each has depth letters, because |m(u)| >= |m(u[0])| + depth - 1 for a
+    depth-length u.  Returns the windows that were new, and raises
+    ``TooLarge`` once ``top`` is over the budget.
+    """
     images = m.images
-    out: set[bytes] = set()
+    fresh = []
     for u in factors:
         img = m.apply_bytes(u)
-        out.update(img[i : i + depth] for i in range(len(images[u[0]])))
-    return out
+        for i in range(len(images[u[0]])):
+            v = img[i : i + depth]
+            if v not in top:
+                top.add(v)
+                fresh.append(v)
+        _check_budget(len(top), depth)
+    return fresh
 
 
-def periodic_factor_sets(block: Word, depth: int) -> list[frozenset[bytes]]:
-    """Exact factor sets, lengths 0..depth, of block repeated forever."""
+def periodic_factor_sets(block: Word, depth: int) -> set[bytes]:
+    """Exact factor set F_depth of block repeated forever."""
     q = len(block)
     if q == 0:
         raise ValueError("block must be non-empty")
     data = block.data * (depth // q + 2)
-    top = {data[i : i + depth] for i in range(q)}
-    return _derive_down(top, depth)
+    top: set[bytes] = set()
+    for i in range(q):
+        top.add(data[i : i + depth])
+        _check_budget(len(top), depth)
+    return top
 
 
-def s_word_factor_sets(depth: int) -> list[frozenset[bytes]]:
-    """Exact factor sets, lengths 0..depth, of the s-word bc a^2 bc a^3 ...
+def s_word_factor_sets(depth: int) -> set[bytes]:
+    """Exact factor set F_depth of the s-word bc a^2 bc a^3 ...
 
     The s-word is the limit of s_1 = bc, s_m = s_{m-1} a^m s_{m-1}, each
     s_m a prefix of the next, so F_d is the union of the length-d windows
@@ -590,7 +681,7 @@ def s_word_factor_sets(depth: int) -> list[frozenset[bytes]]:
     stops after the first m with both properties.
     """
     if depth == 0:
-        return [frozenset({b""})]
+        return {b""}
     keep = depth - 1
     a, s1 = b"\x00", b"\x01\x02"  # a, bc
     top = _windows(s1, depth)
@@ -601,9 +692,10 @@ def s_word_factor_sets(depth: int) -> list[frozenset[bytes]]:
         m += 1
         middle = a * m
         top |= _windows(left + middle + right, depth)
+        _check_budget(len(top), depth)
         if m >= depth and length >= keep:
             break
         left = (left + middle + left)[max(0, 2 * len(left) + m - keep) :]
         right = (right + middle + right)[:keep]
         length = 2 * length + m
-    return _derive_down(top, depth)
+    return top

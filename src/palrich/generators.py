@@ -39,13 +39,14 @@ QUADRATIC_ABAB = Morphism.parse("a->abab,b->b")
 class WordFamily:
     """A named infinite word with a prefix producer and known properties.
 
-    ``exact_sets(depth)`` gives the exact factor sets of lengths 0..depth.
+    ``exact_sets(depth)`` gives the exact factor set F_depth of the
+    infinite word; :class:`FactorIndex` derives every shorter one.
     """
 
     name: str
     summary: str
     produce: Callable[[int], Word]
-    exact_sets: Callable[[int], list[frozenset[bytes]]]
+    exact_sets: Callable[[int], set[bytes]]
     rich_expected: bool | None = None
     periodic_hint: bool = False
     params: dict = field(default_factory=dict)
@@ -64,9 +65,9 @@ class WordFamily:
         return self.produce(min(prefix_cap, RICHNESS_SAMPLE_CAP))
 
     def index(self, n_max: int, prefix_cap: int = RICHNESS_SAMPLE_CAP) -> FactorIndex:
-        """Exact factor sets of lengths 0..n_max+1 of the infinite word.
+        """Index of the infinite word, from its exact factor set F_{n_max+1}.
 
-        The sets come from the family's exact construction; the index's
+        The set comes from the family's exact construction; the index's
         source word, which only serves occurrence queries and witness order,
         is ``sample(prefix_cap)``.
         """
@@ -151,7 +152,7 @@ def _psi_of_fibonacci_sets(k: int):
 
     def build(depth: int):
         base = morphic_factor_sets(FIBONACCI, "a", depth)
-        return image_factor_sets(psi, base[depth], depth)
+        return image_factor_sets(psi, base, depth)
 
     return build
 

@@ -30,8 +30,12 @@ vertices are the order-n edges.  Three facts carry one order to the next:
    right special, x + a and x + b are factors, hence so are x[1:] + a and
    x[1:] + b, and x[1:] is right special; likewise a left-special x has a
    left-special x[:-1].  So S_{n+1} is found among the one-letter
-   extensions of S_n by membership tests in F_{n+2}.  This needs only that
-   the sets are closed under taking factors.
+   extensions of S_n by membership tests of words of length n+2
+   (``FactorIndex.has_factor``, a binary search in the index).  This needs
+   only that the sets are closed under taking factors.
+   :func:`specials_by_order` runs this evolution; it gives the special
+   factors of every order to :func:`reduced_graphs` and to the counts of
+   ``palrich analyze``.
 2. *Interior edges.*  An edge in the interior of an order-n simple path
    joins two non-special vertices, so by fact 1 it is not special at order
    n+1.  Only the first edge (the head) and the last edge (the tail) of an
@@ -61,7 +65,7 @@ each order-n label followed finds where.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import NotApplicable, NotAWalk, OutOfRange
 from .factors import FactorIndex
@@ -284,18 +288,21 @@ def reduce(g: RauzyGraph) -> ReducedRauzyGraph:
 # Left and right extension letters of a special factor, each sorted.
 _Extensions = tuple[bytes, bytes]
 
+# Factor membership, FactorIndex.has_factor.
+_Has = Callable[[bytes], bool]
 
-def _extensions(x: bytes, longer: frozenset[bytes], letters: range) -> _Extensions:
+
+def _extensions(x: bytes, has: _Has, letters: range) -> _Extensions:
     return (
-        bytes(a for a in letters if bytes((a,)) + x in longer),
-        bytes(c for c in letters if x + bytes((c,)) in longer),
+        bytes(a for a in letters if has(bytes((a,)) + x)),
+        bytes(c for c in letters if has(x + bytes((c,)))),
     )
 
 
 def _next_specials(
-    specials: dict[bytes, _Extensions], longer: frozenset[bytes], letters: range
+    specials: dict[bytes, _Extensions], has: _Has, letters: range
 ) -> dict[bytes, _Extensions]:
-    """S_{n+1} with its extensions, from S_n and F_{n+2} (fact 1)."""
+    """S_{n+1} with its extensions, from S_n (fact 1)."""
     candidates = set()
     for w, (left, right) in specials.items():
         if len(right) > 1:
@@ -304,20 +311,18 @@ def _next_specials(
             candidates.update(w + bytes((c,)) for c in right)
     out = {}
     for x in candidates:
-        left, right = ext = _extensions(x, longer, letters)
+        left, right = ext = _extensions(x, has, letters)
         if len(left) > 1 or len(right) > 1:
             out[x] = ext
     return out
 
 
-def _dead_vertex(
-    source: bytes, m: int, longer: frozenset[bytes], letters: range
-) -> bytes | None:
+def _dead_vertex(source: bytes, m: int, has: _Has, letters: range) -> bytes | None:
     """The length-m factor without a right extension, if there is one (fact 3)."""
     if len(source) < m:
         return None
     z = source[len(source) - m :]
-    if any(z + bytes((c,)) in longer for c in letters):
+    if any(has(z + bytes((c,))) for c in letters):
         return None
     return z
 
@@ -326,15 +331,15 @@ def _next_paths(
     previous: Sequence[SimplePath],
     specials: dict[bytes, _Extensions],
     new_specials: dict[bytes, _Extensions],
-    longer: frozenset[bytes],
+    has: _Has,
     dead: bytes | None,
     n: int,
 ) -> tuple[list[SimplePath], list[SimplePath]]:
     """The order-(n+1) simple paths, spliced from the order-n ones (facts 2, 3).
 
-    ``previous`` holds the order-n paths, complete and dangling, ``longer``
-    is F_{n+2} and ``dead`` the length-(n+1) factor without a right
-    extension.  Each order-(n+1) path visits the edges of consecutive
+    ``previous`` holds the order-n paths, complete and dangling, ``has``
+    tests factor membership and ``dead`` is the length-(n+1) factor without
+    a right extension.  Each order-(n+1) path visits the edges of consecutive
     order-n paths; only the first and last edge of each (head and tail) can
     be special at order n+1, so only those are tested.
     """
@@ -370,7 +375,7 @@ def _next_paths(
                     break
                 # A non-special tail has exactly one right extension.
                 s = path.target
-                right = [d for d in specials[s][1] if tail + bytes((d,)) in longer]
+                right = [d for d in specials[s][1] if has(tail + bytes((d,)))]
                 if len(right) != 1:
                     raise AssertionError("non-special vertex with out-degree != 1")
                 c = right[0]
@@ -382,33 +387,59 @@ def _next_paths(
     return complete, dangling
 
 
+def specials_by_order(
+    idx: FactorIndex, n_max: int
+) -> Iterator[dict[bytes, _Extensions]]:
+    """S_n for n = 0..n_max, each from the last (fact 1).
+
+    Each order maps its special factors to their (left, right) extension
+    letters, both sorted.  Once an order has none, no later order has any.
+    """
+    if not 0 <= n_max < idx.n_max:
+        raise OutOfRange(f"orders must satisfy 0 <= n < n_max = {idx.n_max}")
+    has = idx.has_factor
+    letters = range(idx.alphabet.size)
+    left, right = _extensions(b"", has, letters)
+    specials = {b"": (left, right)} if len(right) > 1 else {}
+    for n in range(n_max + 1):
+        if n > 0 and specials:
+            specials = _next_specials(specials, has, letters)
+        yield specials
+
+
 def reduced_graphs(idx: FactorIndex, n_max: int) -> Iterator[ReducedRauzyGraph]:
     """``reduce(build_rauzy(idx, n))`` for n = 0..n_max, each from the last.
 
-    The special factors, their extensions and the simple paths of order n
-    carry over to order n+1 through the three facts of the module
-    docstring; no order builds its full Rauzy graph.  Graphs without
-    special factors come with the same cycle object as :func:`reduce`.
+    The special factors of each order come from :func:`specials_by_order`;
+    the simple paths of order n carry over to order n+1 through facts 2
+    and 3 of the module docstring; no order builds its full Rauzy graph.
+    Graphs without special factors come with the same cycle object as
+    :func:`reduce`.
     """
     if not 0 <= n_max < idx.n_max:
         raise OutOfRange(f"graph orders must satisfy 0 <= n < n_max = {idx.n_max}")
+    has = idx.has_factor
     letters = range(idx.alphabet.size)
     source = idx.source.data
-    left, right = _extensions(b"", idx.factor_set(1), letters)
-    specials = {b"": (left, right)} if len(right) > 1 else {}
-    complete = [SimplePath(b"", b"", bytes((c,))) for c in right]
+    previous: dict[bytes, _Extensions] = {}
+    complete: list[SimplePath] = []
     dangling: list[SimplePath] = []
-    for n in range(n_max + 1):
-        if n > 0 and specials:
-            longer = idx.factor_set(n + 1)
-            new_specials = _next_specials(specials, longer, letters)
-            dead = _dead_vertex(source, n, longer, letters)
+    for n, specials in enumerate(specials_by_order(idx, n_max)):
+        if n == 0:
+            # One path per letter, from the empty word to itself.
+            complete = [
+                SimplePath(b"", b"", bytes((c,)))
+                for _, right in specials.values()
+                for c in right
+            ]
+        elif previous:
+            dead = _dead_vertex(source, n, has, letters)
             complete, dangling = _next_paths(
-                (*complete, *dangling), specials, new_specials, longer, dead, n - 1
+                (*complete, *dangling), previous, specials, has, dead, n - 1
             )
-            specials = new_specials
+        previous = specials
         if not specials:
-            cycle = _trace_cycle(idx.factor_set(n), idx.factor_set(n + 1))
+            cycle = _trace_cycle(idx.factors(n), idx.factors(n + 1))
             yield ReducedRauzyGraph(n, (), (), cycle=cycle)
             continue
         yield ReducedRauzyGraph(

@@ -5,7 +5,7 @@ plain substring scans, constraint-filling for palindromic closure.  None of
 it calls the code paths it is checking.
 """
 
-from itertools import product
+from itertools import chain, product
 
 
 def window_factors(text: str, n: int) -> set[str]:
@@ -158,16 +158,14 @@ def theorem2_rows_naive(w):
     """Identity rows (i, P(i)+P(i+1), C(i+1)-C(i)+2) and their verdict.
 
     C and P are read from the factor sets of every length of the finite
-    word w, both counting 0 at length |w|+1.
+    word w, projected down from w itself, both counting 0 at length |w|+1.
     """
-    from palrich.factors import build_index
-
     m = len(w)
     if m == 0:
         return ((0, 1, 1),), True
-    idx = build_index(w, m - 1)
-    C = [idx.complexity(i) for i in range(m + 1)] + [0]
-    P = [idx.palindrome_count(i) for i in range(m + 1)] + [0]
+    sets = derive_down({w.data}, m, w.data)
+    C = [len(s) for s in sets] + [0]
+    P = [sum(1 for u in s if u == u[::-1]) for s in sets] + [0]
     rows = tuple(
         (i, P[i] + P[i + 1], C[i + 1] - C[i] + 2) for i in range(m + 1)
     )
@@ -288,3 +286,21 @@ def psi_of_fibonacci_naive(k: int, length: int):
 
     base = fixed_point(FIBONACCI, "a", max(length, 8))
     return psi_morphism(k)(base)[:length]
+
+
+def derive_down(top, depth: int, source: bytes | None = None) -> list:
+    """Factor sets of lengths 0..depth from the top set F_depth.
+
+    Every factor of an infinite word extends to the right, so F_n is the set
+    of length-n prefixes of F_{n+1}.  In a finite word ``source`` the only
+    occurrence that may lack a right neighbour is its final length-n
+    suffix, which is added back at every level.
+    """
+    sets = [frozenset()] * (depth + 1)
+    sets[depth] = frozenset(top)
+    for n in range(depth - 1, -1, -1):
+        shorter = (u[:n] for u in sets[n + 1])
+        if source is not None:
+            shorter = chain(shorter, (source[len(source) - n :],))
+        sets[n] = frozenset(shorter)
+    return sets

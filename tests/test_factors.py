@@ -34,6 +34,7 @@ from palrich.words import Morphism, Word, fixed_point, periodic_word, s_word
 from oracles import (
     all_words,
     closure_naive,
+    derive_down,
     extensions_naive,
     image_windows_all,
     window_factors,
@@ -319,7 +320,7 @@ def test_stabilized_cassaigne_requires_morphic_sets():
     # the doubling loop must cap out rather than claim success.
     sp = stabilized_prefix(lambda l: fixed_point(CAS, "a", l), 30, len_cap=1 << 14)
     exact = morphic_factor_sets(CAS, "a", 31)
-    assert len(exact[31]) > sp.index.complexity(31)
+    assert len(exact) > sp.index.complexity(31)
 
 
 @pytest.mark.parametrize(
@@ -328,7 +329,7 @@ def test_stabilized_cassaigne_requires_morphic_sets():
 )
 def test_morphic_factor_sets_match_prefix_scan(morphism, seed):
     depth = 8
-    sets = morphic_factor_sets(morphism, seed, depth)
+    sets = derive_down(morphic_factor_sets(morphism, seed, depth), depth)
     # Direct long-prefix oracle at small depth.
     text = fixed_point(morphism, seed, 3000).text
     for n in range(depth + 1):
@@ -340,7 +341,7 @@ def test_image_factor_sets_match_prefix_scan():
     depth = 8
     base = morphic_factor_sets(FIB, "a", depth)
     psi = psi_morphism(1)
-    sets = image_factor_sets(psi, base[depth], depth)
+    sets = derive_down(image_factor_sets(psi, base, depth), depth)
     text = psi(fixed_point(FIB, "a", 4000)).text
     for n in range(depth + 1):
         got = {psi.alphabet.decode(u) for u in sets[n]}
@@ -365,24 +366,25 @@ def _first_image_cases():
     for directive in ("ab", "abc", "aab", "abcb", "abbc", "aabc"):
         fixed.append((directive, episturmian_morphism(directive), directive[0]))
     for label, m, seed in fixed:
-        yield pytest.param(label, m, morphic_factor_sets(m, seed, 80), True, id=label)
-    fibonacci = morphic_factor_sets(FIB, "a", 80)
+        sets = derive_down(morphic_factor_sets(m, seed, 80), 80)
+        yield pytest.param(label, m, sets, True, id=label)
+    fibonacci = derive_down(morphic_factor_sets(FIB, "a", 80), 80)
     for k in range(3):
         yield pytest.param(f"psi k={k}", psi_morphism(k), fibonacci, False, id=f"psi-k{k}")
 
 
 @pytest.mark.parametrize("label, m, base, is_fixed", list(_first_image_cases()))
 def test_image_windows_from_first_letter_match_all_windows(label, m, base, is_fixed):
-    # image_factor_sets projects the windows of depth 80 down to the shorter
-    # sets, so the windows are compared at every depth and the projection
-    # once, at depth 80.
+    # image_factor_sets returns the windows of depth 80, so the windows are
+    # compared at every depth and its set, projected down, once at depth 80.
     for depth in range(1, 81):
-        got = _image_windows(m, base[depth], depth)
+        got = set()
+        _image_windows(m, base[depth], depth, got)
         assert got == image_windows_all(m, base[depth], depth), (label, depth)
         if is_fixed:
             # The image of a fixed point's factor set is that set again.
             assert got == base[depth], (label, depth)
-    sets = image_factor_sets(m, base[80], 80)
+    sets = derive_down(image_factor_sets(m, base[80], 80), 80)
     assert sets == [{u[:n] for u in got} for n in range(81)], label
 
 
@@ -393,7 +395,7 @@ def test_s_word_factor_sets_match_prefix_scan():
         scanned = window_factors(prefix, d) if d else {b""}
         # The prefix is long enough: doubling it finds no new factor.
         assert scanned == (window_factors(doubled, d) if d else {b""}), d
-        sets = s_word_factor_sets(d)
+        sets = derive_down(s_word_factor_sets(d), d)
         assert len(sets) == d + 1
         for n in range(d + 1):
             assert sets[n] == {u[:n] for u in scanned}, (d, n)
@@ -401,7 +403,7 @@ def test_s_word_factor_sets_match_prefix_scan():
 
 def test_periodic_factor_sets_match_prefix_scan():
     block = Word.parse("aabaabab")
-    sets = periodic_factor_sets(block, 9)
+    sets = derive_down(periodic_factor_sets(block, 9), 9)
     text = periodic_word(block, 400).text
     for n in range(10):
         got = {block.alphabet.decode(u) for u in sets[n]}

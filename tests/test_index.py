@@ -1,0 +1,230 @@
+"""The sorted-window index against per-length sets projected from its top set.
+
+``FactorIndex`` keeps one sorted tuple of windows and reads C, P,
+membership, every F_n and the extension maps off it.  The oracle here is
+the projection of ``derive_down``: every set F_0..F_D, built from the top
+set alone, as the index did before it kept only the windows.
+"""
+
+import contextlib
+import io
+import json
+import tracemalloc
+from time import perf_counter
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from palrich import factors
+from palrich.cli import main
+from palrich.errors import TooLarge
+from palrich.factors import (
+    FactorIndex,
+    build_index,
+    image_factor_sets,
+    is_closed_under_reversal,
+    morphic_factor_sets,
+    periodic_factor_sets,
+    s_word_factor_sets,
+    special_factors,
+)
+from palrich.generators import REGISTRY, get_family, psi_morphism
+from palrich.words import Morphism, Word, s_word
+
+from oracles import all_words, derive_down, extensions_naive
+
+ABC = Word.parse("abc").alphabet
+
+
+class ProjectedSets:
+    """F_0..F_D of one word, projected down from its top set.
+
+    What the comparisons read off each F_n is computed once, however many
+    indexes of different depths are compared with it.
+    """
+
+    def __init__(self, source: Word, top, depth: int, finite: bool):
+        self.source = source
+        self.sets = derive_down(top, depth, source.data if finite else None)
+        self.sorted = [tuple(sorted(s)) for s in self.sets]
+        self.palindromes = [sum(u == u[::-1] for u in s) for s in self.sets]
+        self.closure = [self._closure(n) for n in range(depth + 1)]
+        self.extensions = {
+            (n, side): sorted(extensions_naive(self, n, side).items())
+            for n in range(depth)
+            for side in ("right", "left")
+        }
+
+    def factor_set(self, n):
+        return self.sets[n]
+
+    def factors(self, n):
+        return self.sorted[n]
+
+    def _closure(self, n):
+        """Reversal closure of F_n; the witness in first-occurrence order."""
+        fset = self.sets[n]
+        if all(u[::-1] in fset for u in fset):
+            return True, None
+        data = self.source.data
+        firsts = dict.fromkeys(data[i : i + n] for i in range(len(data) - n + 1))
+        for u in [*firsts, *sorted(fset)]:
+            if u in fset and u[::-1] not in fset:
+                return False, u
+        raise AssertionError("failing set without failing factor")
+
+
+def assert_index_matches(idx, oracle, finite: bool):
+    depth = idx.n_max + 1
+    for n in range(depth + 1):
+        fset = oracle.factor_set(n)
+        assert idx.complexity(n) == len(fset), n
+        assert idx.palindrome_count(n) == oracle.palindromes[n], n
+        assert idx.factor_set(n) == fset, n
+        assert idx.factors(n) == oracle.factors(n), n
+        assert all(map(idx.has_factor, fset)), n
+        closed, witness = is_closed_under_reversal(idx, n)
+        assert (closed, witness and witness.data) == oracle.closure[n], n
+    for n in range(depth):
+        for side, ext in (("right", idx.right_extensions), ("left", idx.left_extensions)):
+            assert list(ext(n).items()) == oracle.extensions[n, side], (side, n)
+    letters = "".join(idx.alphabet.letters)
+    for text in all_words(letters, 4):
+        u = idx.alphabet.encode(text)
+        if len(u) <= depth:
+            assert idx.has_factor(u) == (u in oracle.factor_set(len(u))), text
+        elif finite:
+            assert idx.has_factor(u) == (u in idx.source.data), text
+
+
+@given(st.text(alphabet="abc", min_size=1, max_size=40))
+@example("abbbbab")
+@example("a" * 12 + "b")
+@example("ab")
+@example("a")
+@settings(max_examples=60, deadline=None)
+def test_index_matches_projected_sets_on_literal_words(text):
+    w = Word.parse(text, ABC)
+    data = w.data
+    for n_max in range(len(w)):
+        depth = n_max + 1
+        top = {data[i : i + depth] for i in range(len(data) - depth + 1)}
+        assert_index_matches(build_index(w, n_max), ProjectedSets(w, top, depth, True), True)
+
+
+FAMILIES = [(name, {}) for name in sorted(REGISTRY)] + [
+    ("periodic", {"block": "abc"}),
+    ("morphic", {"morphism": "a->ab,b->bc,c->a"}),
+    ("episturmian", {"directive": "c"}),
+]
+
+
+@pytest.mark.parametrize("name,params", FAMILIES)
+def test_index_matches_projected_sets_on_families(name, params):
+    family = get_family(name, **params)
+    oracle = ProjectedSets(family.sample(256), family.exact_sets(61), 61, False)
+    for n_max in range(61):
+        idx = family.index(n_max, 256)
+        assert_index_matches(idx, oracle, False)
+
+
+def _analyze_rows(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", "--format", "json", *argv]) == 0
+    return json.loads(out.getvalue())["rows"]
+
+
+def _special_counts(idx, n):
+    report = special_factors(idx, n)
+    return [len(report.right_special), len(report.left_special), len(report.bispecial)]
+
+
+def _row_counts(row):
+    return [row["right_special"], row["left_special"], row["bispecial"]]
+
+
+@given(st.text(alphabet="abc", min_size=2, max_size=40))
+@example("abbbbab")
+@example("a" * 12 + "b")
+@example("ab")
+@settings(max_examples=40, deadline=None)
+def test_analyze_special_counts_match_special_factors_on_literal_words(text):
+    w = Word.parse(text)
+    for n_max in range(1, len(w) + 1):
+        idx = build_index(w, min(n_max + 1, len(w) - 1))
+        rows = _analyze_rows("--word", text, "--n-max", str(n_max))
+        assert len(rows) == min(n_max, idx.n_max - 1) + 1
+        for row in rows:
+            assert _row_counts(row) == _special_counts(idx, row["n"]), (n_max, row["n"])
+
+
+@pytest.mark.parametrize("name,params", FAMILIES)
+def test_analyze_special_counts_match_special_factors_on_families(name, params):
+    flags = [f"--{key}={value}" for key, value in params.items()]
+    rows = _analyze_rows("--generator", name, *flags, "--n-max", "60", "--prefix-cap", "64")
+    idx = get_family(name, **params).index(61, 64)
+    assert [row["n"] for row in rows] == list(range(61))
+    for row in rows:
+        assert _row_counts(row) == _special_counts(idx, row["n"]), row["n"]
+
+
+def test_index_keeps_no_per_length_sets():
+    # Every F_n, n <= 122, kept as a set took a peak of about 50 MiB.
+    tracemalloc.start()
+    try:
+        idx = get_family("cassaigne-aab").index(121)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx.complexity(122) == 6913
+    assert peak < 8 << 20, peak
+
+
+# -- the budget on D * C(D) ----------------------------------------------------
+
+
+def test_every_source_raises_too_large_over_the_budget(monkeypatch):
+    cas = Morphism.parse("a->aab,b->b")
+    fibonacci_top = morphic_factor_sets(Morphism.parse("a->ab,b->a"), "a", 200)
+    # At depth 20 the a -> aab fixed point has 167 factors: 3,340 letters.
+    monkeypatch.setattr(factors, "FACTOR_LETTER_BUDGET", 3340)
+    top = morphic_factor_sets(cas, "a", 20)
+    assert len(top) == 167
+    assert FactorIndex(Word.parse("a"), 19, top).complexity(20) == 167
+    monkeypatch.setattr(factors, "FACTOR_LETTER_BUDGET", 3339)
+    with pytest.raises(TooLarge):
+        morphic_factor_sets(cas, "a", 20)
+    with pytest.raises(TooLarge):
+        FactorIndex(Word.parse("a"), 19, top)
+    with pytest.raises(TooLarge):
+        image_factor_sets(psi_morphism(0), fibonacci_top, 200)
+    with pytest.raises(TooLarge):
+        periodic_factor_sets(Word.parse("ab" * 30 + "b"), 100)
+    with pytest.raises(TooLarge):
+        s_word_factor_sets(100)
+    with pytest.raises(TooLarge):
+        build_index(s_word(4000), 99)
+
+
+def test_over_budget_analyze_exits_fast():
+    # C(n) grows like n^2/2 on the a -> aab fixed point, so D * C(D) grows
+    # like D^3/2 and the closure stops long before it would fill memory.
+    err = io.StringIO()
+    start = perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["analyze", "--generator", "cassaigne-aab", "--n-max", "1000"])
+    assert code == 1
+    assert err.getvalue().startswith("error: ") and "budget" in err.getvalue()
+    assert perf_counter() - start < 30
+
+
+def test_fibonacci_analyze_reaches_order_1000():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["analyze", "--generator", "fibonacci", "--n-max", "1000", "--format", "csv"])
+    assert code == 0
+    rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+    assert len(rows) == 1001
+    for n, (order, c, p, slack, *_) in enumerate(rows):
+        assert (int(order), int(c), int(p), int(slack)) == (n, n + 1, 1 + n % 2, 0)
