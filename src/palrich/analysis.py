@@ -27,19 +27,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import rauzy
-from .errors import (
-    NotApplicable,
-    NotAPalindrome,
-    WindowTooShort,
-    WordTooShort,
-)
+from .errors import NotAPalindrome, WordTooShort
 from .factors import (
     RICHNESS_SAMPLE_CAP,
     FactorIndex,
-    build_index,
     finite_complexity,
     is_closed_under_reversal,
-    morphic_factor_sets,
 )
 from .palindromes import (
     Eertree,
@@ -48,7 +41,7 @@ from .palindromes import (
     is_rich_by_returns,
     is_rich_incremental,
 )
-from .words import Morphism, Word, fixed_point
+from .words import Word
 
 if TYPE_CHECKING:
     from .generators import WordFamily
@@ -91,59 +84,6 @@ def profile_from_index(idx: FactorIndex, n_max: int | None = None) -> Complexity
     )
     closed, witness = is_closed_under_reversal(idx, n_max + 1)
     return ComplexityProfile(n_max, C, P, slack, closed, witness)
-
-
-def profile(w: Word, n_max: int) -> ComplexityProfile:
-    """Exact C, P and slack arrays for a finite word."""
-    return profile_from_index(build_index(w, n_max))
-
-
-def equality_II_check(p: ComplexityProfile) -> tuple[bool, int | None]:
-    """Whether slack(n) = 0 for every computed order; else the least failure."""
-    for n, s in enumerate(p.slack):
-        if s != 0:
-            return False, n
-    return True, None
-
-
-def inequality_bound_check(p: ComplexityProfile) -> bool:
-    """Slack is non-negative at every order, given reversal closure."""
-    if p.reversal_closed is not True:
-        raise NotApplicable(
-            "the two-sided palindromic complexity bound assumes reversal closure"
-        )
-    return all(s >= 0 for s in p.slack)
-
-
-def corollary_periodicity(p: ComplexityProfile, periodic_hint: bool) -> bool:
-    """P(n)+P(n+1) = 2 happens somewhere iff the word is periodic.
-
-    The hint states the known periodicity of the generator; the check
-    validates the biconditional on the computed range.
-    """
-    hit = any(p.P[n] + p.P[n + 1] == 2 for n in range(p.n_max + 1))
-    return hit == periodic_hint
-
-
-def corollary_eventual_period2(p: ComplexityProfile) -> bool:
-    """Eventual 2-periodicity of P must match eventual affinity of C.
-
-    Both are detected on the computed window: the trailing segment where
-    P(n) = P(n+2), and the trailing segment of constant C(n+1) - C(n), each
-    required to span at least four orders to count as "eventual".
-    """
-    if p.n_max < 8:
-        raise WindowTooShort("need n_max >= 8 to judge eventual behavior")
-    start_p = p.n_max - 1
-    while start_p > 0 and p.P[start_p - 1] == p.P[start_p + 1]:
-        start_p -= 1
-    p_periodic = start_p <= p.n_max - 4
-    diffs = [p.C[n + 1] - p.C[n] for n in range(p.n_max + 1)]
-    start_c = len(diffs) - 1
-    while start_c > 0 and diffs[start_c - 1] == diffs[start_c]:
-        start_c -= 1
-    c_affine = start_c <= len(diffs) - 5
-    return p_periodic == c_affine
 
 
 # -- Theorem for finite palindromes -----------------------------------------
@@ -361,63 +301,3 @@ def theorem1_experiment(
         orders=orders,
         rich_expected=family.rich_expected,
     )
-
-
-# -- The quadratic-complexity fixed point ------------------------------------
-
-
-@dataclass(frozen=True)
-class CassaigneRow:
-    n: int
-    c_diff: int
-    pal_sum_minus_2: int
-    formula_value: int
-
-    @property
-    def holds(self) -> bool:
-        return self.c_diff == self.pal_sum_minus_2 == self.formula_value
-
-
-@dataclass(frozen=True)
-class CassaigneCheck:
-    n_max: int
-    rows: tuple[CassaigneRow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.holds for r in self.rows)
-
-
-def cassaigne_formula_check(n_max: int = 50) -> CassaigneCheck:
-    """Both equalities of the complexity chain for the a -> aab fixed point.
-
-    Checks, for 1 <= n <= n_max,
-
-        P(n) + P(n+1) - 2 = C(n+1) - C(n) = n + 1 - #{k > 0 : 2^k + k - 2 < n}
-
-    with C and P read from an index of the exact morphic factor set (long
-    b-runs put the needed factors exponentially deep into the word, out of
-    reach of any prefix scan).
-    """
-    m = Morphism.parse("a->aab,b->b")
-    idx = FactorIndex(
-        fixed_point(m, "a", n_max + 1), n_max, morphic_factor_sets(m, "a", n_max + 1)
-    )
-    C = [idx.complexity(n) for n in range(n_max + 2)]
-    P = [idx.palindrome_count(n) for n in range(n_max + 2)]
-    rows = []
-    for n in range(1, n_max + 1):
-        bracket = 0
-        k = 1
-        while 2**k + k - 2 < n:
-            bracket += 1
-            k += 1
-        rows.append(
-            CassaigneRow(
-                n,
-                C[n + 1] - C[n],
-                P[n] + P[n + 1] - 2,
-                n + 1 - bracket,
-            )
-        )
-    return CassaigneCheck(n_max, tuple(rows))

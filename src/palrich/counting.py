@@ -129,18 +129,6 @@ def sturmian_palindrome_enumeration_oracle(n: int) -> int:
     return sum(1 for w in enumerate_balanced(n) if w.is_palindrome())
 
 
-def verify_c_identity(n_max: int) -> bool:
-    """p(2n) + p(2n+1) = c(2n+1) - c(2n) + 2 for all n up to n_max."""
-    if n_max < 1:
-        raise OutOfRange("n_max must be at least 1")
-    for n in range(n_max + 1):
-        lhs = sturmian_palindrome_count(2 * n) + sturmian_palindrome_count(2 * n + 1)
-        rhs = sturmian_count(2 * n + 1) - sturmian_count(2 * n) + 2
-        if lhs != rhs:
-            return False
-    return True
-
-
 # Alphabet size -> [R(0), ..., R(d)] from the deepest pruned search so far.
 _RICH_COUNTS: dict[int, list[int]] = {}
 

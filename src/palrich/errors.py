@@ -13,22 +13,6 @@ class OutOfRange(PalrichError):
     """A length or position argument falls outside the indexed range."""
 
 
-class FactorAbsent(PalrichError):
-    """The given word does not occur as a factor of the source."""
-
-
-class SingleOccurrence(PalrichError):
-    """A factor occurs only once, so it has no complete returns."""
-
-
-class PalindromicInput(PalrichError):
-    """The operation is defined only for non-palindromic inputs."""
-
-
-class NotAWalk(PalrichError):
-    """The vertex sequence is not a walk in the graph."""
-
-
 class NotAPalindrome(PalrichError):
     """The operation requires a palindromic word."""
 
@@ -47,14 +31,6 @@ class ErasingMorphism(PalrichError):
 
 class EmptyBlock(PalrichError):
     """Periodic words need a non-empty repeating block."""
-
-
-class DirectiveExhausted(PalrichError):
-    """The directive sequence ran out before enough letters were produced."""
-
-
-class WindowTooShort(PalrichError):
-    """The computed range is too short for the requested detection."""
 
 
 class StabilizationFailed(PalrichError):

@@ -35,7 +35,10 @@ one Rauzy graph reads.
 *Membership.*  u, with |u| <= D, is a factor iff some element of G starts
 with u.  Those elements form a run, and every element at or after the
 first one >= u that does not start with u is greater than the whole run.
-So ``has_factor`` is one ``bisect`` and one ``startswith``.
+So ``has_factor`` is one ``bisect`` and one ``startswith``.  It answers only
+up to D: G says nothing about longer words, and the source word of an
+infinite word's index is only a sample of it, so a longer u raises
+``OutOfRange``.
 
 *Palindromes.*  The palindromes of length n >= 2 are the words c p c with
 p a palindrome of length n - 2 and c a letter, and every factor of a
@@ -84,14 +87,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import (
-    FactorAbsent,
-    OutOfRange,
-    SingleOccurrence,
-    StabilizationFailed,
-    TooLarge,
-    WordTooShort,
-)
+from .errors import OutOfRange, StabilizationFailed, TooLarge, WordTooShort
 from .words import Morphism, Word, fixed_point
 
 # Longest prefix that the richness checkers read.
@@ -145,7 +141,6 @@ class FactorIndex:
             complexity[n] = run
         self._complexity = complexity
         self._levels: dict[int, list] = {}
-        self._occ: dict[bytes, tuple[int, ...]] = {}
         self._pal_counts: list[int] | None = None
 
     @classmethod
@@ -225,7 +220,7 @@ class FactorIndex:
             top = self._top
             i = bisect_left(top, u)
             return i < len(top) and top[i].startswith(u)
-        return self.source.data.find(u) >= 0
+        raise OutOfRange(f"membership is indexed up to length {self.n_max + 1}, not {len(u)}")
 
     def right_extensions(self, n: int) -> dict[bytes, bytes]:
         """Map each length-n factor to its sorted right-extension letters.
@@ -253,22 +248,6 @@ class FactorIndex:
         for e in self.factors(n + 1):
             ext[e[1:]] += e[:1]
         return ext
-
-    # -- occurrence-level queries -----------------------------------------
-
-    def occurrences(self, u: Word | bytes) -> tuple[int, ...]:
-        """Sorted start positions of u in the source word (overlaps allowed)."""
-        needle = u.data if isinstance(u, Word) else bytes(u)
-        cached = self._occ.get(needle)
-        if cached is None:
-            data = self.source.data
-            positions = []
-            i = data.find(needle)
-            while i >= 0:
-                positions.append(i)
-                i = data.find(needle, i + 1)
-            cached = self._occ[needle] = tuple(positions)
-        return cached
 
 
 def _lcp(a: bytes, b: bytes) -> int:
@@ -366,98 +345,6 @@ def _suffix_array(data: bytes) -> list[int]:
     return sa
 
 
-def factor_complexity(idx: FactorIndex, n: int) -> int:
-    """C(n), the number of distinct factors of length n; C(0) = 1."""
-    return idx.complexity(n)
-
-
-@dataclass(frozen=True)
-class SpecialFactorReport:
-    """Special factors of one length, classified by extension degree."""
-
-    n: int
-    right_special: tuple[Word, ...]
-    left_special: tuple[Word, ...]
-    bispecial: tuple[Word, ...]
-    special_palindrome_count: int
-
-    @property
-    def special(self) -> tuple[Word, ...]:
-        merged = sorted(set(self.right_special) | set(self.left_special))
-        return tuple(merged)
-
-
-def special_factors(idx: FactorIndex, n: int) -> SpecialFactorReport:
-    """Classify length-n factors: right-special means two right extensions."""
-    if not 0 <= n < idx.n_max:
-        raise OutOfRange(f"special factors need n < n_max = {idx.n_max}")
-    right = idx.right_extensions(n)
-    left = idx.left_extensions(n)
-    alpha = idx.alphabet
-    rs = tuple(
-        Word(alpha, u) for u in sorted(u for u, e in right.items() if len(e) > 1)
-    )
-    ls = tuple(
-        Word(alpha, u) for u in sorted(u for u, e in left.items() if len(e) > 1)
-    )
-    bis = tuple(w for w in rs if len(left[w.data]) >= 2)
-    union = set(rs) | set(ls)
-    p = sum(1 for w in union if w.is_palindrome())
-    return SpecialFactorReport(n, rs, ls, bis, p)
-
-
-def complexity_difference_identity(idx: FactorIndex, n: int) -> tuple[int, int]:
-    """C(n+1)-C(n) versus the degree sum over special factors.
-
-    Returns (C(n+1)-C(n), sum over special v of deg+(v)-1).  The two agree
-    whenever every length-n factor extends to the right inside the index,
-    which holds for the exact sets of an infinite word; in a finite word the
-    final length-n suffix may have no right extension.
-    """
-    if not 0 <= n < idx.n_max:
-        raise OutOfRange(f"identity needs n < n_max = {idx.n_max}")
-    lhs = idx.complexity(n + 1) - idx.complexity(n)
-    right = idx.right_extensions(n)
-    left = idx.left_extensions(n)
-    rhs = sum(
-        len(right[u]) - 1
-        for u in idx.factor_set(n)
-        if len(right[u]) >= 2 or len(left[u]) >= 2
-    )
-    return lhs, rhs
-
-
-@dataclass(frozen=True)
-class CompleteReturns:
-    """Complete returns to a factor: occurrence order and distinct views."""
-
-    factor: Word
-    all: tuple[Word, ...]
-    distinct: tuple[Word, ...]
-
-
-def complete_returns(idx: FactorIndex, u: Word) -> CompleteReturns:
-    """Spans between consecutive occurrences of u in the source.
-
-    Each span starts and ends with u and contains exactly two occurrences of
-    it.  ``all`` keeps one entry per occurrence pair in position order;
-    ``distinct`` deduplicates and sorts.
-    """
-    needle = u.data
-    if not idx.has_factor(needle):
-        raise FactorAbsent(f"{u!r} does not occur in the source")
-    occ = idx.occurrences(needle)
-    if len(occ) < 2:
-        raise SingleOccurrence(f"{u!r} occurs only once; no complete returns")
-    data = idx.source.data
-    alpha = idx.alphabet
-    spans = tuple(
-        Word(alpha, data[occ[i] : occ[i + 1] + len(needle)])
-        for i in range(len(occ) - 1)
-    )
-    return CompleteReturns(u, spans, tuple(sorted(set(spans))))
-
-
 def is_closed_under_reversal(idx: FactorIndex, n: int) -> tuple[bool, Word | None]:
     """Check reversal closure of every factor set up to length n.
 
@@ -492,26 +379,6 @@ def is_closed_under_reversal(idx: FactorIndex, n: int) -> tuple[bool, Word | Non
         if u[::-1] not in fset:
             return False, Word(idx.alphabet, u)
     raise AssertionError("unreachable: failing length without failing factor")
-
-
-def recurrence_probe(idx: FactorIndex, n: int, min_occurrences: int) -> bool:
-    """True iff every factor of length <= n occurs at least min_occurrences times.
-
-    A necessary-condition probe on the finite prefix, not a proof of
-    recurrence of the generated infinite word.
-    """
-    if not 0 <= n <= idx.n_max + 1:
-        raise OutOfRange(f"probe needs n <= n_max+1 = {idx.n_max + 1}")
-    data = idx.source.data
-    for m in range(1, n + 1):
-        counts: dict[bytes, int] = {}
-        for i in range(len(data) - m + 1):
-            u = data[i : i + m]
-            counts[u] = counts.get(u, 0) + 1
-        for u in idx.factor_set(m):
-            if counts.get(u, 0) < min_occurrences:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

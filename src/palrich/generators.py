@@ -68,8 +68,8 @@ class WordFamily:
         """Index of the infinite word, from its exact factor set F_{n_max+1}.
 
         The set comes from the family's exact construction; the index's
-        source word, which only serves occurrence queries and witness order,
-        is ``sample(prefix_cap)``.
+        source word, which only serves as the richness sample and orders
+        witnesses, is ``sample(prefix_cap)``.
         """
         return FactorIndex(self.sample(prefix_cap), n_max, self.exact_sets(n_max + 1))
 

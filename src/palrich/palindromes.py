@@ -1,4 +1,4 @@
-"""Palindromic structure: the eertree, richness checks, and span properties.
+"""Palindromic structure: the eertree and the richness checks.
 
 The eertree (palindromic tree of Rubinchik and Shur) keeps one node per
 distinct palindromic factor plus two roots, and yields in one left-to-right
@@ -13,16 +13,13 @@ one tree.
 
 The complete-return sweep checks richness without the eertree, testing
 one return explicitly per letter, and validates the eertree-based
-verdicts.  The span scan between a factor and its reversal and the
-alternation check read the occurrence lists of one factor.
+verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FactorAbsent, OutOfRange, PalindromicInput
-from .factors import FactorIndex
 from .words import Alphabet, Word
 
 
@@ -41,7 +38,6 @@ class Eertree:
         self._len = [-1, 0]
         self._link = [0, 0]
         self._trans: list[dict[int, int]] = [{}, {}]
-        self._first_end = [0, 0]
         self.node_at: list[int] = []  # per position: longest palindromic suffix node
         self.created_at: list[int] = []  # per position: new node id, or 0
         self._last = 1
@@ -58,7 +54,7 @@ class Eertree:
         data = w.data
         t.data[:] = data
         length, link, trans = t._len, t._link, t._trans
-        first_end, node_at, created_at = t._first_end, t.node_at, t.created_at
+        node_at, created_at = t.node_at, t.created_at
         last = 1
         for pos, c in enumerate(data):
             # Walk suffix links to the longest palindromic suffix x of
@@ -85,7 +81,6 @@ class Eertree:
                 length.append(length[cur] + 2)
                 link.append(suffix)
                 trans.append({})
-                first_end.append(pos + 1)
                 trans[cur][c] = nxt
                 created_at.append(nxt)
             else:
@@ -131,7 +126,6 @@ class Eertree:
             self._len.append(new_len)
             self._link.append(link)
             self._trans.append({})
-            self._first_end.append(len(self.data))
             self._trans[cur][c] = nxt
         self._undo.append((self._last, 1 if created else 0, cur, c))
         self._last = nxt
@@ -147,19 +141,10 @@ class Eertree:
             self._len.pop()
             self._link.pop()
             self._trans.pop()
-            self._first_end.pop()
         self._last = prev_last
         self.data.pop()
         self.node_at.pop()
         self.created_at.pop()
-
-    def last_suffix_length(self) -> int:
-        """Length of the longest palindromic suffix of the current word."""
-        return max(self._len[self._last], 0)
-
-    def palindrome_bytes(self, node: int) -> bytes:
-        end = self._first_end[node]
-        return bytes(self.data[end - self._len[node] : end])
 
     def nodes_by_length(self) -> dict[int, int]:
         """Count of distinct palindromic factors per positive length."""
@@ -168,28 +153,6 @@ class Eertree:
             l = self._len[node]
             counts[l] = counts.get(l, 0) + 1
         return counts
-
-
-def palindromic_complexity(t: Eertree, n: int) -> int:
-    """P(n), the number of distinct palindromic factors of length n.
-
-    P(0) is 1 by convention (the empty word), which makes the identity
-    P(n) + P(n+1) = C(n+1) - C(n) + 2 hold at n = 0 for every word.
-    """
-    if not 0 <= n <= len(t):
-        raise OutOfRange(f"palindromic complexity needs 0 <= n <= {len(t)}")
-    if n == 0:
-        return 1
-    return t.nodes_by_length().get(n, 0)
-
-
-def longest_palindromic_suffix(t: Eertree, i: int) -> Word:
-    """The longest palindromic suffix of the length-i prefix, 1 <= i <= |w|."""
-    if not 1 <= i <= len(t):
-        raise OutOfRange(f"prefix position must satisfy 1 <= i <= {len(t)}")
-    node = t.node_at[i - 1]
-    l = t._len[node]
-    return Word(t.alphabet, bytes(t.data[i - l : i]))
 
 
 @dataclass(frozen=True)
@@ -304,49 +267,3 @@ def is_rich_by_returns(w: Word) -> RichnessReport:
 def is_rich_by_count(t: Eertree) -> bool:
     """True iff the tree's word w has |w|+1 distinct palindromes, the empty one included."""
     return t.node_count == len(t)
-
-
-def check_v2reverse(idx: FactorIndex, v: Word) -> tuple[bool, Word | None]:
-    """Spans from v to the next reversal of v must be palindromes.
-
-    Scans occurrences of v and of its reversal in position order; every span
-    from an occurrence of v to the next following occurrence of the reversal,
-    with neither word occurring strictly between, is checked.  For
-    palindromic v this is exactly complete-return checking.  Returns the
-    first failing span as witness.
-    """
-    vb = v.data
-    if not idx.has_factor(vb):
-        raise FactorAbsent(f"{v!r} does not occur in the source")
-    rb = vb[::-1]
-    data = idx.source.data
-    alpha = idx.alphabet
-    if vb == rb:
-        occ = idx.occurrences(vb)
-        for a, b in zip(occ, occ[1:]):
-            span = data[a : b + len(vb)]
-            if span != span[::-1]:
-                return False, Word(alpha, span)
-        return True, None
-    events = [(pos, 0) for pos in idx.occurrences(vb)]
-    events += [(pos, 1) for pos in idx.occurrences(rb)]
-    events.sort()
-    for (pos_a, kind_a), (pos_b, kind_b) in zip(events, events[1:]):
-        if kind_a == 0 and kind_b == 1:
-            span = data[pos_a : pos_b + len(vb)]
-            if span != span[::-1]:
-                return False, Word(alpha, span)
-    return True, None
-
-
-def check_alternation(idx: FactorIndex, v: Word) -> bool:
-    """Occurrences of a non-palindromic v and its reversal must alternate."""
-    vb = v.data
-    if vb == vb[::-1]:
-        raise PalindromicInput("alternation applies to non-palindromic factors")
-    if not idx.has_factor(vb):
-        raise FactorAbsent(f"{v!r} does not occur in the source")
-    events = [(pos, 0) for pos in idx.occurrences(vb)]
-    events += [(pos, 1) for pos in idx.occurrences(vb[::-1])]
-    events.sort()
-    return all(a[1] != b[1] for a, b in zip(events, events[1:]))

@@ -15,9 +15,8 @@ checked through the periodicity route by callers.
 
 Each fact has one source.  Degrees and special factors come from the
 index's extension maps (``FactorIndex.right_extensions`` and
-``left_extensions``); the class count s and the special-palindrome count p
-from :func:`super_reduce`; and every walk, given or mirrored, is checked by
-the one validator behind :func:`path_label`.
+``left_extensions``), and the class count s and the special-palindrome
+count p from :func:`super_reduce`.
 
 :func:`build_rauzy` and :func:`reduce` build one order from its factor sets.
 :func:`reduced_graphs` evolves the reduced graph from one order to the next,
@@ -67,9 +66,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .errors import NotApplicable, NotAWalk, OutOfRange
+from .errors import NotApplicable, OutOfRange
 from .factors import FactorIndex
-from .words import Word
 
 
 class RauzyGraph:
@@ -87,7 +85,6 @@ class RauzyGraph:
         self.alphabet = idx.alphabet
         self.vertices = idx.factors(n)
         self.edges = idx.factors(n + 1)
-        self.edge_set = idx.factor_set(n + 1)
         right = idx.right_extensions(n)
         left = idx.left_extensions(n)
         out_edges: dict[bytes, tuple[bytes, ...]] = {}
@@ -108,26 +105,6 @@ class RauzyGraph:
         self.right_special = frozenset(v for v, cs in right.items() if len(cs) >= 2)
         self.left_special = frozenset(v for v, cs in left.items() if len(cs) >= 2)
         self.special = self.right_special | self.left_special
-
-    def is_strongly_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        fwd = {v: set() for v in self.vertices}
-        back = {v: set() for v in self.vertices}
-        for e in self.edges:
-            fwd[e[:-1]].add(e[1:])
-            back[e[1:]].add(e[:-1])
-        for adj in (fwd, back):
-            seen = {self.vertices[0]}
-            stack = [self.vertices[0]]
-            while stack:
-                for nxt in adj[stack.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            if len(seen) != len(self.vertices):
-                return False
-        return True
 
 
 def build_rauzy(idx: FactorIndex, n: int) -> RauzyGraph:
@@ -164,37 +141,6 @@ class SimplePath:
 
     def sort_key(self):
         return (self.source, self.target, self.label)
-
-
-def _walk_label(vertices: Sequence[bytes], g: RauzyGraph) -> tuple[bytes, tuple[bytes, ...]]:
-    if not vertices:
-        raise NotAWalk("a walk needs at least one vertex")
-    edge_set = g.edge_set
-    for v in vertices:
-        if v not in g.out_edges:
-            raise NotAWalk(f"{v!r} is not a vertex of the order-{g.n} graph")
-    label = bytearray(vertices[0])
-    edges = []
-    for a, b in zip(vertices, vertices[1:]):
-        if a[1:] != b[:-1]:
-            raise NotAWalk(f"vertices {a!r} and {b!r} do not overlap")
-        e = a + b[-1:]
-        if e not in edge_set:
-            raise NotAWalk(f"no edge {e!r} in the order-{g.n} graph")
-        label.append(b[-1])
-        edges.append(e)
-    return bytes(label), tuple(edges)
-
-
-def path_label(vertices: Sequence[bytes | Word], g: RauzyGraph) -> Word:
-    """Label of a walk: the first vertex extended by one letter per edge.
-
-    Satisfies both factorizations: first vertex plus trailing letters equals
-    leading letters plus last vertex.
-    """
-    raw = tuple(v.data if isinstance(v, Word) else bytes(v) for v in vertices)
-    label, _ = _walk_label(raw, g)
-    return Word(g.alphabet, label)
 
 
 @dataclass(frozen=True)
@@ -547,10 +493,6 @@ class PathCountingIdentity:
     rhs: int  # sum of out-degrees over specials - 2(s-1) + p
     central_cover_ok: bool
 
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs and self.central_cover_ok
-
 
 def _central_factor(label: bytes, m: int) -> bytes:
     offset = (len(label) - m) // 2
@@ -604,25 +546,6 @@ def path_counting_identity(
     return PathCountingIdentity(lhs, rhs, cover_ok)
 
 
-def path_reversal_facts(
-    g: RauzyGraph, walk: Sequence[bytes | Word]
-) -> tuple[bool, bool]:
-    """(reversal exists in the graph, walk is invariant under reversal).
-
-    The reversal of a walk reverses the vertex order and each vertex word;
-    it need not exist when the factor set is not closed under reversal.
-    """
-    raw = tuple(v.data if isinstance(v, Word) else bytes(v) for v in walk)
-    _walk_label(raw, g)  # validates the walk
-    mirrored = tuple(v[::-1] for v in reversed(raw))
-    palindromic = mirrored == raw
-    try:
-        _walk_label(mirrored, g)
-    except NotAWalk:
-        return False, palindromic
-    return True, palindromic
-
-
 # -- DOT rendering ---------------------------------------------------------
 
 
@@ -631,60 +554,63 @@ def _quote(text: str) -> str:
 
 
 def rauzy_dot(g: RauzyGraph) -> str:
-    """Deterministic DOT for the raw graph: one edge per (n+1)-factor."""
+    """Deterministic DOT for the raw graph: one edge per (n+1)-factor.
+
+    Each line ends with its newline, so the text is joined once.
+    """
     decode = g.alphabet.decode
-    lines = [f"digraph rauzy_{g.n} {{"]
+    lines = [f"digraph rauzy_{g.n} {{\n"]
     if not g.special:
-        lines.append('  graph [note="no special vertices; single cycle"];')
+        lines.append('  graph [note="no special vertices; single cycle"];\n')
     for v in g.vertices:
-        lines.append(f"  {_quote(decode(v))};")
+        lines.append(f"  {_quote(decode(v))};\n")
     for e in g.edges:
         src, dst = decode(e[:-1]), decode(e[1:])
-        lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(decode(e))}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(decode(e))}];\n")
+    lines.append("}\n")
+    return "".join(lines)
 
 
 def reduced_dot(rg: ReducedRauzyGraph, alphabet) -> str:
     """Deterministic DOT for the reduced graph with path labels."""
     decode = alphabet.decode
-    lines = [f"digraph reduced_rauzy_{rg.n} {{"]
+    lines = [f"digraph reduced_rauzy_{rg.n} {{\n"]
     if rg.no_specials:
-        lines.append('  graph [note="no special vertices; single cycle"];')
+        lines.append('  graph [note="no special vertices; single cycle"];\n')
         cyc = rg.cycle
         if cyc is not None:
             for v in sorted(cyc.vertices):
-                lines.append(f"  {_quote(decode(v))};")
+                lines.append(f"  {_quote(decode(v))};\n")
             ring = list(cyc.vertices)
             if cyc.closed:
                 ring.append(cyc.vertices[0])
             for a, b in zip(ring, ring[1:]):
-                lines.append(f"  {_quote(decode(a))} -> {_quote(decode(b))};")
+                lines.append(f"  {_quote(decode(a))} -> {_quote(decode(b))};\n")
     else:
         for v in rg.vertices:
-            lines.append(f"  {_quote(decode(v))};")
+            lines.append(f"  {_quote(decode(v))};\n")
         for path in rg.edges:
             src, dst = decode(path.source), decode(path.target)
             lines.append(
                 f"  {_quote(src)} -> {_quote(dst)} "
-                f"[label={_quote(decode(path.label))}];"
+                f"[label={_quote(decode(path.label))}];\n"
             )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "".join(lines)
 
 
 def super_dot(sg: SuperReducedRauzyGraph, alphabet) -> str:
     """Deterministic DOT for the super-reduced graph (undirected)."""
     decode = alphabet.decode
-    lines = [f"graph super_reduced_rauzy_{sg.n} {{"]
+    lines = [f"graph super_reduced_rauzy_{sg.n} {{\n"]
     if sg.no_specials:
-        lines.append('  graph [note="no special vertices; single cycle"];')
+        lines.append('  graph [note="no special vertices; single cycle"];\n')
     for cls in sg.classes:
-        lines.append(f"  {_quote('[' + decode(cls[0]) + ']')};")
+        lines.append(f"  {_quote('[' + decode(cls[0]) + ']')};\n")
     for e in sg.edges:
         a = _quote("[" + decode(e.class_a[0]) + "]")
         b = _quote("[" + decode(e.class_b[0]) + "]")
         label = _quote("[" + decode(e.label_class[0]) + "]")
-        lines.append(f"  {a} -- {b} [label={label}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"  {a} -- {b} [label={label}];\n")
+    lines.append("}\n")
+    return "".join(lines)

@@ -2,9 +2,8 @@
 
 Letters live as dense small-integer indices packed into ``bytes``; printable
 names exist only on the :class:`Alphabet` boundary.  Everything here is a pure
-function of its arguments: morphism fixed points, periodic words, the
-bc a^2 bc a^3 ... word, palindromic closure, and iterated palindromic closure
-(episturmian prefixes).
+function of its arguments: morphism fixed points, periodic words and the
+bc a^2 bc a^3 ... word.
 """
 
 from __future__ import annotations
@@ -12,12 +11,7 @@ from __future__ import annotations
 import string
 from typing import Iterable
 
-from .errors import (
-    DirectiveExhausted,
-    EmptyBlock,
-    ErasingMorphism,
-    NotProlongable,
-)
+from .errors import EmptyBlock, ErasingMorphism, NotProlongable
 
 _LOWER = set(string.ascii_lowercase)
 
@@ -134,16 +128,6 @@ class Word:
         return self.data == self.data[::-1]
 
 
-def reverse(w: Word) -> Word:
-    """Return x_m..x_1 for the word x_1..x_m."""
-    return w.reversed()
-
-
-def is_palindrome(w: Word) -> bool:
-    """True iff w equals its reversal; the empty word counts."""
-    return w.is_palindrome()
-
-
 class Morphism:
     """A non-erasing substitution: one non-empty image word per letter."""
 
@@ -194,9 +178,6 @@ class Morphism:
 
     def __call__(self, w: Word) -> Word:
         return morphic_image(self, w)
-
-    def image_of(self, letter: str) -> Word:
-        return Word(self.alphabet, self.images[self.alphabet.index(letter)])
 
     def __repr__(self):
         rules = ",".join(
@@ -259,45 +240,3 @@ def s_word(length: int) -> Word:
         n += 1
         s = s + b"\x00" * n + s
     return Word(TERNARY, s[:length])
-
-
-def _longest_palindromic_suffix_length(data: bytes) -> int:
-    # Scanned from the longest candidate down; comparisons are C-speed slices.
-    for l in range(len(data), 0, -1):
-        tail = data[len(data) - l :]
-        if tail == tail[::-1]:
-            return l
-    return 0
-
-
-def palindromic_closure(w: Word) -> Word:
-    """The shortest palindrome having ``w`` as a prefix.
-
-    Equals w followed by the reversal of what precedes the longest
-    palindromic suffix of w.
-    """
-    data = w.data
-    l = _longest_palindromic_suffix_length(data)
-    return Word(w.alphabet, data + data[: len(data) - l][::-1])
-
-
-def episturmian_word(directive: Word, length: int) -> Word:
-    """Prefix of the iterated palindromic closure along ``directive``.
-
-    u_0 is empty and u_{k+1} = palindromic_closure(u_k d_k); generation stops
-    as soon as the current closure reaches ``length`` letters.  Raises
-    DirectiveExhausted if the directive runs out first.
-    """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    u = Word(directive.alphabet)
-    if length == 0:
-        return u
-    for letter_index in directive.data:
-        u = palindromic_closure(Word(u.alphabet, u.data + bytes([letter_index])))
-        if len(u) >= length:
-            return u[:length]
-    raise DirectiveExhausted(
-        f"directive produced only {len(u)} of {length} requested letters"
-    )
-

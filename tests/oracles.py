@@ -210,6 +210,33 @@ def s_word_stack(length: int) -> bytes:
         level += 1
 
 
+def _close(tree) -> None:
+    """Push the letters before the longest palindromic suffix, in reverse.
+
+    The tree's word then is its palindromic closure: the shortest
+    palindrome that has the old word as a prefix.
+    """
+    gap = len(tree.data) - tree._len[tree.node_at[-1]]
+    for b in bytes(tree.data[:gap])[::-1]:
+        tree.push(b)
+
+
+def palindromic_closure(text: str) -> str:
+    """The shortest palindrome with prefix text, closed on an eertree.
+
+    Independent of the constraint filling of ``shortest_palindrome_with_prefix``.
+    """
+    from palrich.palindromes import Eertree
+    from palrich.words import Alphabet
+
+    alphabet = Alphabet(sorted(set(text)))
+    tree = Eertree(alphabet)
+    for ch in text:
+        tree.push(alphabet.index(ch))
+    _close(tree)
+    return alphabet.decode(tree.data)
+
+
 def episturmian_prefix(directive: str, length: int):
     """Prefix of the iterated palindromic closure along a repeating directive.
 
@@ -229,9 +256,7 @@ def episturmian_prefix(directive: str, length: int):
     while len(tree.data) < length:
         tree.push(alphabet.index(directive[steps % len(directive)]))
         steps += 1
-        gap = len(tree.data) - tree.last_suffix_length()
-        for b in bytes(tree.data[:gap])[::-1]:
-            tree.push(b)
+        _close(tree)
     return Word(alphabet, bytes(tree.data[:length]))
 
 

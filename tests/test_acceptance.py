@@ -10,12 +10,7 @@ from itertools import product
 from pathlib import Path
 
 from palrich import rauzy
-from palrich.analysis import (
-    cassaigne_formula_check,
-    profile_from_index,
-    theorem1_experiment,
-    theorem2_check,
-)
+from palrich.analysis import profile_from_index, theorem1_experiment, theorem2_check
 from palrich.counting import (
     count_rich_naive,
     enumerate_balanced,
@@ -23,14 +18,11 @@ from palrich.counting import (
     sturmian_count,
     sturmian_palindrome_count,
     sturmian_palindrome_enumeration_oracle,
-    verify_c_identity,
 )
 from palrich.factors import is_closed_under_reversal, stabilized_prefix
 from palrich.generators import family_block, get_family
 from palrich.palindromes import (
     Eertree,
-    check_alternation,
-    check_v2reverse,
     is_rich_by_count,
     is_rich_by_returns,
     is_rich_incremental,
@@ -38,6 +30,12 @@ from palrich.palindromes import (
 from palrich.words import Word
 
 from oracles import palindromic_substrings
+from paper_facts import (
+    cassaigne_formula_check,
+    check_alternation,
+    check_v2reverse,
+    verify_c_identity,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -204,13 +202,14 @@ def test_criterion_9_span_and_alternation_properties():
             sp = stabilized_prefix(get_family(name).produce, 9)
             assert sp.stable
             idx = sp.index
+            data = sp.word.data
             for n in range(1, 9):
                 for u in idx.factors(n):
                     v = Word(idx.alphabet, u)
-                    ok, witness = check_v2reverse(idx, v)
+                    ok, witness = check_v2reverse(data, u)
                     assert ok, (name, v.text, witness)
                     if not v.is_palindrome():
-                        assert check_alternation(idx, v), (name, v.text)
+                        assert check_alternation(data, u), (name, v.text)
 
 
 def test_criterion_10_rich_word_table():

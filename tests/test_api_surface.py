@@ -1,0 +1,110 @@
+"""Every definition under ``src/palrich/`` is reachable from a command.
+
+The roots are ``palrich.cli.main`` and every identifier-shaped string
+constant of ``perfbench/tracing.py``, which binds package functions by
+name.  Module-level statements and dunder methods count as live.  A live
+name makes live every top-level definition and every method of that name,
+and the names read inside a live definition (``ast.Name`` ids and
+``ast.Attribute`` attributes) are live in turn, up to a fixed point.
+
+Matching by name over-approximates liveness: a name that is used anywhere
+live keeps every definition of that name.  So the test never flags code that
+a command runs; what it flags is an API that nothing calls.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "palrich"
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def _names_in(nodes) -> set[str]:
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+def _is_def(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+
+
+def _definitions():
+    """(qualified name, name, names read) per top-level definition and method.
+
+    A class reads the names of its body apart from its methods, which are
+    definitions of their own.  Also returns the names read by module-level
+    statements and by dunder methods, which are live whatever calls them.
+    """
+    defs = []
+    always_live: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not _is_def(node):
+                always_live |= _names_in([node])
+                continue
+            if isinstance(node, ast.ClassDef):
+                methods = [n for n in node.body if _is_def(n)]
+                rest = [n for n in node.body if not _is_def(n)]
+                defs.append((f"{module}.{node.name}", node.name,
+                             _names_in(rest + node.bases + node.decorator_list)))
+                for m in methods:
+                    qualified = f"{module}.{node.name}.{m.name}"
+                    if m.name.startswith("__") and m.name.endswith("__"):
+                        always_live |= _names_in([m])
+                    else:
+                        defs.append((qualified, m.name, _names_in([m])))
+            else:
+                defs.append((f"{module}.{node.name}", node.name, _names_in([node])))
+    return defs, always_live
+
+
+def _tracer_names() -> set[str]:
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.isidentifier()
+    }
+
+
+def unreachable_definitions() -> list[str]:
+    defs, always_live = _definitions()
+    live = {"main"} | _tracer_names() | always_live
+    reached: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for qualified, name, reads in defs:
+            if qualified not in reached and name in live:
+                reached.add(qualified)
+                live |= reads
+                grew = True
+    return sorted(q for q, _, _ in defs if q not in reached)
+
+
+def test_every_definition_is_reachable_from_a_command():
+    unreachable = unreachable_definitions()
+    assert not unreachable, (
+        f"{len(unreachable)} definitions under src/palrich/ are reachable "
+        "neither from palrich.cli.main nor from a name that "
+        "perfbench/tracing.py binds: " + ", ".join(unreachable)
+    )
+
+
+def test_the_scan_sees_the_command_routes():
+    # A scan that reached nothing would pass vacuously; the command entry
+    # point and a tracer-bound name must both be found as definitions.
+    defs, _ = _definitions()
+    qualified = {q for q, _, _ in defs}
+    assert {"cli.main", "factors.stabilized_prefix", "rauzy.build_rauzy"} <= qualified

@@ -15,11 +15,11 @@ from palrich.counting import (
     sturmian_palindrome_enumeration_oracle,
     sturmian_table,
     totient,
-    verify_c_identity,
 )
 from palrich.errors import OutOfRange, TooLarge, UnsupportedAlphabet
 
 from oracles import is_balanced_naive, totient_gcd_sweep
+from paper_facts import verify_c_identity
 
 
 def test_totient_examples():

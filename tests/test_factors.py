@@ -1,44 +1,40 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palrich.errors import (
-    FactorAbsent,
-    OutOfRange,
-    SingleOccurrence,
-    WordTooShort,
-)
+from palrich.errors import OutOfRange, WordTooShort
 from palrich.factors import (
     _image_windows,
     build_index,
-    complete_returns,
-    complexity_difference_identity,
-    factor_complexity,
     finite_complexity,
     image_factor_sets,
     is_closed_under_reversal,
     morphic_factor_sets,
     periodic_factor_sets,
-    recurrence_probe,
     s_word_factor_sets,
-    special_factors,
     stabilized_prefix,
 )
 from palrich.generators import (
+    CASSAIGNE_AAB,
     episturmian_morphism,
     family_block,
     get_family,
     psi_morphism,
 )
+from palrich.rauzy import specials_by_order
 from palrich.words import Morphism, Word, fixed_point, periodic_word, s_word
 
 from oracles import (
     all_words,
     closure_naive,
+    complete_returns_naive,
     derive_down,
     extensions_naive,
     image_windows_all,
+    occurrences,
+    rauzy_graph_naive,
     window_factors,
 )
+from paper_facts import complexity_difference_identity, recurrence_probe
 
 FIB = Morphism.parse("a->ab,b->a")
 TM = Morphism.parse("a->ab,b->ba")
@@ -52,13 +48,29 @@ def decode_set(idx, n):
 def test_build_index_examples():
     idx = build_index(Word.parse("abaab"), 2)
     assert decode_set(idx, 2) == {"ab", "ba", "aa"}
-    assert factor_complexity(idx, 2) == 3
+    assert idx.complexity(2) == 3
     idx = build_index(Word.parse("aaaa"), 2)
     assert decode_set(idx, 1) == {"a"}
     assert decode_set(idx, 2) == {"aa"}
-    assert all(factor_complexity(idx, n) == 1 for n in (1, 2, 3))
+    assert all(idx.complexity(n) == 1 for n in (1, 2, 3))
     idx = build_index(Word.parse("abca"), 2)
     assert decode_set(idx, 2) == {"ab", "bc", "ca"}
+
+
+def test_has_factor_answers_only_up_to_the_index_depth():
+    # b^20 is a factor of the a -> aab fixed point, but no b-run that long
+    # occurs in the 65,536-letter sample that is the index's source word.
+    idx = get_family("cassaigne-aab").index(10)
+    b20 = b"\x01" * 20
+    assert b20 in morphic_factor_sets(CASSAIGNE_AAB, "a", 20)
+    assert b20 not in idx.source.data
+    assert idx.has_factor(b"\x01" * 11)
+    with pytest.raises(OutOfRange):
+        idx.has_factor(b20)
+    idx = build_index(Word.parse("abaab"), 2)
+    assert idx.has_factor(b"\x01\x00\x00")
+    with pytest.raises(OutOfRange):
+        idx.has_factor(b"\x00\x01\x00\x00")
 
 
 def test_build_index_requires_long_enough_word():
@@ -70,42 +82,58 @@ def test_factor_complexity_bounds_and_oracle():
     w = fixed_point(FIB, "a", 300)
     idx = build_index(w, 9)
     for n in range(11):
-        assert factor_complexity(idx, n) == len(window_factors(w.text, n))
+        assert idx.complexity(n) == len(window_factors(w.text, n))
     with pytest.raises(OutOfRange):
-        factor_complexity(idx, 11)
+        idx.complexity(11)
 
 
 def test_fibonacci_complexity_is_n_plus_1():
     sp = stabilized_prefix(lambda l: fixed_point(FIB, "a", l), 10)
     assert sp.stable
-    assert factor_complexity(sp.index, 7) == 8
+    assert sp.index.complexity(7) == 8
     for n in range(12):
-        assert factor_complexity(sp.index, n) == n + 1
+        assert sp.index.complexity(n) == n + 1
 
 
 def test_tribonacci_complexity_is_2n_plus_1():
     fam = get_family("tribonacci")
     w = fam.produce(2000)
     idx = build_index(w, 11)
-    assert factor_complexity(idx, 10) == 21
+    assert idx.complexity(10) == 21
+
+
+def special_factors(idx, n):
+    """(right, left, bispecial) sorted texts of order n, from the evolution.
+
+    The special factors come from ``specials_by_order``, the route of
+    ``palrich analyze``, and are checked against the edge-by-edge graph.
+    """
+    specials = list(specials_by_order(idx, n))[n]
+    right = sorted(u for u, (_, r) in specials.items() if len(r) > 1)
+    left = sorted(u for u, (l, _) in specials.items() if len(l) > 1)
+    naive = rauzy_graph_naive(idx, n)
+    assert set(right) == naive["right_special"] and set(left) == naive["left_special"]
+    decode = idx.alphabet.decode
+    both = sorted(set(right) & set(left))
+    return [decode(u) for u in right], [decode(u) for u in left], [decode(u) for u in both]
 
 
 def test_special_factors_fibonacci():
     sp = stabilized_prefix(lambda l: fixed_point(FIB, "a", l), 8)
-    rep = special_factors(sp.index, 2)
-    assert [w.text for w in rep.right_special] == ["ba"]
-    assert [w.text for w in rep.left_special] == ["ab"]
-    assert rep.bispecial == ()
-    assert rep.special_palindrome_count == 0
+    right, left, both = special_factors(sp.index, 2)
+    assert right == ["ba"]
+    assert left == ["ab"]
+    assert both == []
+    assert not [u for u in right + left if u == u[::-1]]  # no special palindrome
 
 
 def test_special_factors_unary_and_thue_morse():
     idx = build_index(Word.parse("aaaa"), 2)
-    rep = special_factors(idx, 1)
-    assert rep.right_special == () and rep.left_special == ()
+    right, left, _ = special_factors(idx, 1)
+    assert right == [] and left == []
     sp = stabilized_prefix(lambda l: fixed_point(TM, "a", l), 8)
-    rep = special_factors(sp.index, 2)
-    rs = {w.text for w in rep.right_special}
+    right, _, _ = special_factors(sp.index, 2)
+    rs = set(right)
     # window-scan oracle: right-special length-2 factors of thue-morse
     text = fixed_point(TM, "a", 512).text
     expect = {
@@ -181,29 +209,12 @@ def test_extension_maps_match_sorted_walk_on_literal_words(text):
 
 
 def test_complete_returns_examples():
-    w = fixed_point(FIB, "a", 60)
-    idx = build_index(w, 6)
-    crs = complete_returns(idx, Word.parse("aa", w.alphabet))
-    texts = {r.text for r in crs.distinct}
-    assert "aabaa" in texts and "aababaa" in texts
-    assert all(r.text.startswith("aa") and r.text.endswith("aa") for r in crs.all)
-
-    idx = build_index(Word.parse("abca"), 2)
-    crs = complete_returns(idx, Word.parse("a", idx.alphabet))
-    assert [r.text for r in crs.distinct] == ["abca"]
-
-    idx = build_index(Word.parse("aaa"), 1)
-    crs = complete_returns(idx, Word.parse("a"))
-    assert [r.text for r in crs.distinct] == ["aa"]
-    assert len(crs.all) == 2
-
-
-def test_complete_returns_errors():
-    idx = build_index(Word.parse("abcabc"), 3)
-    with pytest.raises(FactorAbsent):
-        complete_returns(idx, Word.parse("zz", Word.parse("abcz").alphabet))
-    with pytest.raises(SingleOccurrence):
-        complete_returns(idx, Word.parse("abca", idx.alphabet))
+    text = fixed_point(FIB, "a", 60).text
+    returns = complete_returns_naive(text, "aa")
+    assert "aabaa" in returns and "aababaa" in returns
+    assert all(r.startswith("aa") and r.endswith("aa") for r in returns)
+    assert complete_returns_naive("abca", "a") == ["abca"]
+    assert complete_returns_naive("aaa", "a") == ["aa", "aa"]
 
 
 @given(st.text(alphabet="ab", min_size=2, max_size=30))
@@ -212,19 +223,13 @@ def test_complete_returns_contain_exactly_two_occurrences(text):
     w = Word.parse(text)
     idx = build_index(w, min(4, len(w) - 1))
     for u in idx.factors(1) + idx.factors(min(2, len(w))):
-        occ = idx.occurrences(u)
-        if len(occ) < 2:
+        sub = w.alphabet.decode(u)
+        if len(occurrences(text, sub)) < 2:
             continue
-        crs = complete_returns(idx, Word(w.alphabet, u))
-        for r in crs.all:
-            sub = w.alphabet.decode(u)
-            hits = [
-                i
-                for i in range(len(r.text) - len(sub) + 1)
-                if r.text[i : i + len(sub)] == sub
-            ]
+        for r in complete_returns_naive(text, sub):
+            hits = [i for i in range(len(r) - len(sub) + 1) if r[i : i + len(sub)] == sub]
             assert len(hits) == 2
-            assert hits[0] == 0 and hits[-1] == len(r.text) - len(sub)
+            assert hits[0] == 0 and hits[-1] == len(r) - len(sub)
 
 
 def test_closure_fibonacci_and_unary():
@@ -295,12 +300,9 @@ def test_extension_maps_match_sorted_walk_on_families(name, params, closed):
 
 def test_recurrence_probe():
     sp = stabilized_prefix(lambda l: fixed_point(FIB, "a", l), 10, len_cap=1 << 14)
-    idx = build_index(sp.word[:10000], 10)
-    assert recurrence_probe(idx, 10, 3)
-    idx = build_index(Word.parse("abbbb"), 1)
-    assert not recurrence_probe(idx, 1, 2)
-    idx = build_index(periodic_word(Word.parse("ab"), 100), 3)
-    assert recurrence_probe(idx, 2, 5)
+    assert recurrence_probe(sp.word[:10000].data, 10, 3)
+    assert not recurrence_probe(Word.parse("abbbb").data, 1, 2)
+    assert recurrence_probe(periodic_word(Word.parse("ab"), 100).data, 2, 5)
 
 
 def test_stabilized_prefix_behaviour():
@@ -420,7 +422,7 @@ def test_window_sets_match_naive_oracle(text):
         idx = build_index(w, n_max)
         for n in range(n_max + 2):
             assert decode_set(idx, n) == window_factors(text, n)
-            occs = [idx.occurrences(u) for u in idx.factor_set(n)]
+            occs = [occurrences(text, idx.alphabet.decode(u)) for u in idx.factor_set(n)]
             assert all(len(o) >= 1 and list(o) == sorted(o) for o in occs)
 
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from palrich import factors
 from palrich.cli import main
-from palrich.errors import TooLarge
+from palrich.errors import OutOfRange, TooLarge
 from palrich.factors import (
     FactorIndex,
     build_index,
@@ -26,12 +26,11 @@ from palrich.factors import (
     morphic_factor_sets,
     periodic_factor_sets,
     s_word_factor_sets,
-    special_factors,
 )
 from palrich.generators import REGISTRY, get_family, psi_morphism
 from palrich.words import Morphism, Word, s_word
 
-from oracles import all_words, derive_down, extensions_naive
+from oracles import all_words, derive_down, extensions_naive, rauzy_graph_naive
 
 ABC = Word.parse("abc").alphabet
 
@@ -74,7 +73,7 @@ class ProjectedSets:
         raise AssertionError("failing set without failing factor")
 
 
-def assert_index_matches(idx, oracle, finite: bool):
+def assert_index_matches(idx, oracle):
     depth = idx.n_max + 1
     for n in range(depth + 1):
         fset = oracle.factor_set(n)
@@ -93,8 +92,9 @@ def assert_index_matches(idx, oracle, finite: bool):
         u = idx.alphabet.encode(text)
         if len(u) <= depth:
             assert idx.has_factor(u) == (u in oracle.factor_set(len(u))), text
-        elif finite:
-            assert idx.has_factor(u) == (u in idx.source.data), text
+        else:
+            with pytest.raises(OutOfRange):
+                idx.has_factor(u)
 
 
 @given(st.text(alphabet="abc", min_size=1, max_size=40))
@@ -109,7 +109,7 @@ def test_index_matches_projected_sets_on_literal_words(text):
     for n_max in range(len(w)):
         depth = n_max + 1
         top = {data[i : i + depth] for i in range(len(data) - depth + 1)}
-        assert_index_matches(build_index(w, n_max), ProjectedSets(w, top, depth, True), True)
+        assert_index_matches(build_index(w, n_max), ProjectedSets(w, top, depth, True))
 
 
 FAMILIES = [(name, {}) for name in sorted(REGISTRY)] + [
@@ -125,7 +125,7 @@ def test_index_matches_projected_sets_on_families(name, params):
     oracle = ProjectedSets(family.sample(256), family.exact_sets(61), 61, False)
     for n_max in range(61):
         idx = family.index(n_max, 256)
-        assert_index_matches(idx, oracle, False)
+        assert_index_matches(idx, oracle)
 
 
 def _analyze_rows(*argv):
@@ -136,8 +136,9 @@ def _analyze_rows(*argv):
 
 
 def _special_counts(idx, n):
-    report = special_factors(idx, n)
-    return [len(report.right_special), len(report.left_special), len(report.bispecial)]
+    graph = rauzy_graph_naive(idx, n)
+    right, left = graph["right_special"], graph["left_special"]
+    return [len(right), len(left), len(right & left)]
 
 
 def _row_counts(row):

@@ -1,18 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palrich.errors import FactorAbsent, OutOfRange, PalindromicInput
-from palrich.factors import build_index, stabilized_prefix
+from palrich.factors import stabilized_prefix
 from palrich.generators import family_block
 from palrich.palindromes import (
     Eertree,
-    check_alternation,
-    check_v2reverse,
     is_rich_by_count,
     is_rich_by_returns,
     is_rich_incremental,
-    longest_palindromic_suffix,
-    palindromic_complexity,
 )
 from palrich.words import Morphism, Word, fixed_point
 
@@ -23,6 +18,12 @@ from oracles import (
     is_rich_naive,
     palindromic_substrings,
     returns_report_naive,
+)
+from paper_facts import (
+    FactorAbsent,
+    PalindromicInput,
+    check_alternation,
+    check_v2reverse,
 )
 
 FIB = Morphism.parse("a->ab,b->a")
@@ -36,7 +37,12 @@ def test_build_eertree_examples():
 
     t = Eertree.build(Word.parse("aabaa"))
     assert t.node_count == 5
-    pals = {t.alphabet.decode(t.palindrome_bytes(n)) for n in range(2, 7)}
+    # Each node is the palindrome that ends where it was created.
+    pals = {
+        t.alphabet.decode(t.data[end - t._len[node] : end])
+        for end, node in enumerate(t.created_at, 1)
+        if node
+    }
     assert pals == {"a", "aa", "b", "aba", "aabaa"}
 
     assert Eertree.build(Word.parse("a", None)[:0]).node_count == 0
@@ -44,30 +50,33 @@ def test_build_eertree_examples():
 
 def test_palindromic_complexity_fibonacci():
     sp = stabilized_prefix(lambda l: fixed_point(FIB, "a", l), 10)
-    t = Eertree.build(sp.word)
-    assert palindromic_complexity(t, 6) == 1
-    assert palindromic_complexity(t, 7) == 2
-    assert palindromic_complexity(t, 0) == 1
+    by_length = Eertree.build(sp.word).nodes_by_length()
+    assert by_length[6] == sp.index.palindrome_count(6) == 1
+    assert by_length[7] == sp.index.palindrome_count(7) == 2
+    assert sp.index.palindrome_count(0) == 1  # the empty word
 
 
 def test_palindromic_complexity_thue_morse_odd_gap():
     w = fixed_point(TM, "a", 512)
     t = Eertree.build(w)
     expected = sum(1 for p in palindromic_substrings(w.text) if len(p) == 7)
-    assert palindromic_complexity(t, 7) == expected == 0
-    with pytest.raises(OutOfRange):
-        palindromic_complexity(t, 513)
+    assert t.nodes_by_length().get(7, 0) == expected == 0
+
+
+def longest_palindromic_suffix(t: Eertree, i: int) -> str:
+    """The longest palindromic suffix of the tree's length-i prefix."""
+    length = t._len[t.node_at[i - 1]]
+    return t.alphabet.decode(t.data[i - length : i])
 
 
 def test_longest_palindromic_suffix_examples():
     t = Eertree.build(Word.parse("abca"))
-    assert longest_palindromic_suffix(t, 4).text == "a"
+    assert longest_palindromic_suffix(t, 4) == "a"
     t = Eertree.build(Word.parse("aabaa"))
-    assert longest_palindromic_suffix(t, 5).text == "aabaa"
+    assert longest_palindromic_suffix(t, 5) == "aabaa"
+    assert longest_palindromic_suffix(t, 4) == "aba"
     t = Eertree.build(Word.parse("ab"))
-    assert longest_palindromic_suffix(t, 2).text == "b"
-    with pytest.raises(OutOfRange):
-        longest_palindromic_suffix(t, 3)
+    assert longest_palindromic_suffix(t, 2) == "b"
 
 
 def test_is_rich_incremental_examples():
@@ -126,7 +135,7 @@ def test_eertree_push_pop_roundtrip():
 
 
 EERTREE_STATE = (
-    "data", "_len", "_link", "_trans", "_first_end", "node_at", "created_at", "_last", "_undo",
+    "data", "_len", "_link", "_trans", "node_at", "created_at", "_last", "_undo",
 )
 
 
@@ -233,7 +242,7 @@ def test_build_matches_pushed_tree(text):
     pushed = Eertree(w.alphabet)
     for c in w.data:
         pushed.push(c)
-    for attr in ("data", "_len", "_link", "_trans", "_first_end", "node_at", "created_at", "_last"):
+    for attr in ("data", "_len", "_link", "_trans", "node_at", "created_at", "_last"):
         assert getattr(built, attr) == getattr(pushed, attr), attr
 
 
@@ -244,22 +253,23 @@ def test_droubay_justin_pirillo_bound():
 
 def test_check_v2reverse_examples():
     sp = stabilized_prefix(lambda l: fixed_point(FIB, "a", l), 10)
-    ok, witness = check_v2reverse(sp.index, Word.parse("ab", sp.word.alphabet))
+    ok, witness = check_v2reverse(sp.word.data, sp.word.alphabet.encode("ab"))
     assert ok and witness is None
 
-    idx = build_index(Word.parse("abca"), 2)
-    ok, _ = check_v2reverse(idx, Word.parse("ab", idx.alphabet))
+    w = Word.parse("abca")
+    encode = w.alphabet.encode
+    ok, _ = check_v2reverse(w.data, encode("ab"))
     assert ok  # vacuous: no occurrence of the reversal
-    ok, witness = check_v2reverse(idx, Word.parse("a", idx.alphabet))
-    assert not ok and witness.text == "abca"
+    ok, witness = check_v2reverse(w.data, encode("a"))
+    assert not ok and w.alphabet.decode(witness) == "abca"
 
     with pytest.raises(FactorAbsent):
-        check_v2reverse(idx, Word.parse("cb", idx.alphabet))
+        check_v2reverse(w.data, encode("cb"))
 
 
 def test_check_v2reverse_palindromic_input_is_return_check():
-    idx = build_index(Word.parse("aabaaab"), 3)
-    ok, witness = check_v2reverse(idx, Word.parse("aa", idx.alphabet))
+    w = Word.parse("aabaaab")
+    ok, witness = check_v2reverse(w.data, w.alphabet.encode("aa"))
     # complete returns to aa: aabaa (pal) and aaa (pal) -> depends on word
     from oracles import complete_returns_naive
 
@@ -271,23 +281,23 @@ def test_check_v2reverse_palindromic_input_is_return_check():
 
 def test_check_alternation_examples():
     sp = stabilized_prefix(lambda l: fixed_point(FIB, "a", l), 10)
-    assert check_alternation(sp.index, Word.parse("ab", sp.word.alphabet))
+    assert check_alternation(sp.word.data, sp.word.alphabet.encode("ab"))
 
-    idx = build_index(Word.parse("abab"), 2)
-    assert check_alternation(idx, Word.parse("ab", idx.alphabet))
+    w = Word.parse("abab")
+    assert check_alternation(w.data, w.alphabet.encode("ab"))
 
-    idx = build_index(Word.parse("aabab"), 3)
-    assert check_alternation(idx, Word.parse("aab", idx.alphabet))
+    w = Word.parse("aabab")
+    assert check_alternation(w.data, w.alphabet.encode("aab"))
 
     with pytest.raises(PalindromicInput):
-        check_alternation(idx, Word.parse("aba", idx.alphabet))
+        check_alternation(w.data, w.alphabet.encode("aba"))
     with pytest.raises(FactorAbsent):
-        check_alternation(idx, Word.parse("bba", idx.alphabet))
+        check_alternation(w.data, w.alphabet.encode("bba"))
 
 
 def test_alternation_detects_violations():
-    idx = build_index(Word.parse("ababab"), 2)
-    assert check_alternation(idx, Word.parse("ab", idx.alphabet))
-    idx = build_index(Word.parse("abcab"), 3)
+    w = Word.parse("ababab")
+    assert check_alternation(w.data, w.alphabet.encode("ab"))
+    w = Word.parse("abcab")
     # ab occurs twice, ba never: two same-kind events in a row
-    assert not check_alternation(idx, Word.parse("ab", idx.alphabet))
+    assert not check_alternation(w.data, w.alphabet.encode("ab"))

