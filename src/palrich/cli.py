@@ -8,6 +8,7 @@ Every generator has exact factor sets, so no verdict is inconclusive.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -60,12 +61,19 @@ class RunConfig:
             )
 
 
-def _emit(text: str, out: str | None):
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The text stream a command writes to: the file ``out``, or stdout."""
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out: str | None):
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _family(cfg: RunConfig) -> WordFamily:
@@ -110,7 +118,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     source = _source_word(cfg)
     # The richness tree is dropped before the factor sets are built, so the
     # two never take memory at the same time.
-    rich = is_rich_incremental(Eertree.build(source[:RICHNESS_SAMPLE_CAP]))
+    rich = is_rich_incremental(Eertree.build(source))
     idx = _index_for(cfg, cfg.n_max, source)
     n_max = min(cfg.n_max, idx.n_max - 1)
     prof = analysis.profile_from_index(idx, n_max)
@@ -180,16 +188,19 @@ def cmd_graph(cfg: RunConfig, n: int, tier: str) -> int:
         raise UsageError("--n must be non-negative")
     idx = _index_for(cfg, n, _source_word(cfg))
     g = rauzy.build_rauzy(idx, n)
+    # The tier is built before the output is opened, so a failed build
+    # writes no file; the DOT lines then go straight to the output.
     if tier == "raw":
-        text = rauzy.rauzy_dot(g)
+        render, args = rauzy.rauzy_dot, (g,)
     elif tier == "reduced":
-        text = rauzy.reduced_dot(rauzy.reduce(g), g.alphabet)
+        render, args = rauzy.reduced_dot, (rauzy.reduce(g), g.alphabet)
     elif tier == "super":
         sg = rauzy.super_reduce(rauzy.reduce(g))
-        text = rauzy.super_dot(sg, g.alphabet)
+        render, args = rauzy.super_dot, (sg, g.alphabet)
     else:
         raise UsageError(f"unknown tier {tier!r}")
-    _emit(text, cfg.out)
+    with _output(cfg.out) as fh:
+        render(*args, fh)
     return EXIT_OK
 
 

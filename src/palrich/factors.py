@@ -28,9 +28,9 @@ C(0..D).  For a finite word this is the count of
 n-prefixes of the sorted G are sorted.  The first element of each run is
 the one whose LCP with its predecessor is below n; keeping only those
 gives F_n sorted and without repeats, with no sort and no set.
-``factors(n)`` and ``factor_set(n)`` derive F_n only for the order a caller
-asks for, and the index keeps the last two orders asked for, which is what
-one Rauzy graph reads.
+``factors(n)`` derives F_n only for the order a caller asks for, and the
+index keeps the last two orders asked for, which is what one Rauzy graph
+reads.
 
 *Membership.*  u, with |u| <= D, is a factor iff some element of G starts
 with u.  Those elements form a run, and every element at or after the
@@ -140,7 +140,7 @@ class FactorIndex:
             run += lengths[n]
             complexity[n] = run
         self._complexity = complexity
-        self._levels: dict[int, list] = {}
+        self._levels: dict[int, tuple[bytes, ...]] = {}
         self._pal_counts: list[int] | None = None
 
     @classmethod
@@ -170,30 +170,22 @@ class FactorIndex:
         if not 0 <= n <= self.n_max + 1:
             raise OutOfRange(f"length {n} outside indexed range 0..{self.n_max + 1}")
 
-    def _level(self, n: int) -> list:
-        # [F_n sorted, F_n as a frozenset or None]; the last two orders asked
-        # for stay, so one Rauzy graph derives each of its levels once.
+    def factors(self, n: int) -> tuple[bytes, ...]:
+        """Factors of length n in lexicographic (index) order.
+
+        The last two orders asked for stay, so one Rauzy graph derives each
+        of its levels once.
+        """
         self._check_length(n)
         level = self._levels.pop(n, None)
         if level is None:
-            shorter = tuple(
+            level = tuple(
                 g[:n] for g, h in zip(self._top, self._lcps) if h < n <= len(g)
             )
-            level = [shorter, None]
         self._levels[n] = level
         if len(self._levels) > 2:
             del self._levels[next(iter(self._levels))]
         return level
-
-    def factors(self, n: int) -> tuple[bytes, ...]:
-        """Factors of length n in lexicographic (index) order."""
-        return self._level(n)[0]
-
-    def factor_set(self, n: int) -> frozenset[bytes]:
-        level = self._level(n)
-        if level[1] is None:
-            level[1] = frozenset(level[0])
-        return level[1]
 
     def complexity(self, n: int) -> int:
         self._check_length(n)
@@ -348,13 +340,14 @@ def _suffix_array(data: bytes) -> list[int]:
 def is_closed_under_reversal(idx: FactorIndex, n: int) -> tuple[bool, Word | None]:
     """Check reversal closure of every factor set up to length n.
 
-    Only F_n is read.  For the factor sets of a word, closure at length m
-    implies closure at length m-1: each shorter factor u is a prefix or a
-    suffix of some length-m factor v, and the reversal of u is then a suffix
-    or a prefix of the reversal of v, which is a factor.  So the longest
-    failing length is always n, and F_n alone decides.  Every index of the
-    package holds the factor sets of a word, finite (``FactorIndex.build``)
-    or infinite (``WordFamily.index``), with F_n non-empty.
+    Only F_n is read, and each reversal is looked up with ``has_factor``.
+    For the factor sets of a word, closure at length m implies closure at
+    length m-1: each shorter factor u is a prefix or a suffix of some
+    length-m factor v, and the reversal of u is then a suffix or a prefix of
+    the reversal of v, which is a factor.  So the longest failing length is
+    always n, and F_n alone decides.  Every index of the package holds the
+    factor sets of a word, finite (``FactorIndex.build``) or infinite
+    (``WordFamily.index``), with F_n non-empty.
 
     On failure the witness is the first length-n factor, in first-occurrence
     order (lexicographic order when the index has no positional source),
@@ -362,8 +355,9 @@ def is_closed_under_reversal(idx: FactorIndex, n: int) -> tuple[bool, Word | Non
     """
     if not 0 <= n <= idx.n_max + 1:
         raise OutOfRange(f"closure check needs n <= n_max+1 = {idx.n_max + 1}")
-    fset = idx.factor_set(n)
-    if all(u[::-1] in fset for u in fset):
+    has = idx.has_factor
+    factors = idx.factors(n)
+    if all(has(u[::-1]) for u in factors):
         return True, None
     if len(idx.source) >= n:
         data = idx.source.data
@@ -373,10 +367,10 @@ def is_closed_under_reversal(idx: FactorIndex, n: int) -> tuple[bool, Word | Non
             if u in seen:
                 continue
             seen.add(u)
-            if u[::-1] not in fset:
+            if not has(u[::-1]):
                 return False, Word(idx.alphabet, u)
-    for u in sorted(fset):
-        if u[::-1] not in fset:
+    for u in factors:
+        if not has(u[::-1]):
             return False, Word(idx.alphabet, u)
     raise AssertionError("unreachable: failing length without failing factor")
 

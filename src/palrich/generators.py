@@ -1,8 +1,8 @@
 """Named word generators: every family used in the analysis experiments.
 
-Each registry entry packages a prefix producer with what is known about the
-family (richness, periodicity, reversal closure) and an exact factor-set
-construction that sidesteps prefix scanning entirely.
+Each registry entry packages a prefix producer with its expected richness,
+when known, and an exact factor-set construction that sidesteps prefix
+scanning entirely.
 """
 
 from __future__ import annotations
@@ -44,11 +44,9 @@ class WordFamily:
     """
 
     name: str
-    summary: str
     produce: Callable[[int], Word]
     exact_sets: Callable[[int], set[bytes]]
     rich_expected: bool | None = None
-    periodic_hint: bool = False
     params: dict = field(default_factory=dict)
 
     def describe(self) -> str:
@@ -165,9 +163,9 @@ def _fixed_point_producer(m: Morphism, seed: str) -> Callable[[int], Word]:
 
 
 def fibonacci(**_) -> WordFamily:
+    """The fixed point of a->ab, b->a (the Fibonacci word)."""
     return WordFamily(
         "fibonacci",
-        "fixed point of a->ab, b->a (the Fibonacci word)",
         _fixed_point_producer(FIBONACCI, "a"),
         _exact_from_morphism(FIBONACCI, "a"),
         rich_expected=True,
@@ -175,18 +173,14 @@ def fibonacci(**_) -> WordFamily:
 
 
 def tribonacci(**_) -> WordFamily:
-    return WordFamily(
-        "tribonacci",
-        "iterated palindromic closure along (abc)*",
-        *_episturmian_parts("abc"),
-        rich_expected=True,
-    )
+    """Iterated palindromic closure along (abc)*."""
+    return WordFamily("tribonacci", *_episturmian_parts("abc"), rich_expected=True)
 
 
 def thue_morse(**_) -> WordFamily:
+    """The fixed point of a->ab, b->ba."""
     return WordFamily(
         "thue-morse",
-        "fixed point of a->ab, b->ba",
         _fixed_point_producer(THUE_MORSE, "a"),
         _exact_from_morphism(THUE_MORSE, "a"),
         rich_expected=False,
@@ -194,9 +188,9 @@ def thue_morse(**_) -> WordFamily:
 
 
 def cassaigne_aab(**_) -> WordFamily:
+    """The fixed point of a->aab, b->b (complexity ~ n^2/2)."""
     return WordFamily(
         "cassaigne-aab",
-        "fixed point of a->aab, b->b (complexity ~ n^2/2)",
         _fixed_point_producer(CASSAIGNE_AAB, "a"),
         _exact_from_morphism(CASSAIGNE_AAB, "a"),
         rich_expected=True,
@@ -204,9 +198,9 @@ def cassaigne_aab(**_) -> WordFamily:
 
 
 def quadratic_abab(**_) -> WordFamily:
+    """The fixed point of a->abab, b->b (quadratic complexity)."""
     return WordFamily(
         "quadratic-abab",
-        "fixed point of a->abab, b->b (quadratic complexity)",
         _fixed_point_producer(QUADRATIC_ABAB, "a"),
         _exact_from_morphism(QUADRATIC_ABAB, "a"),
         rich_expected=True,
@@ -214,9 +208,9 @@ def quadratic_abab(**_) -> WordFamily:
 
 
 def psi_of_fibonacci(k: int = 0, **_) -> WordFamily:
+    """The image of the Fibonacci word under a->(aab)^{k+1} aabab, b->bab."""
     return WordFamily(
         "psi-of-fibonacci",
-        "image of the Fibonacci word under a->(aab)^{k+1} aabab, b->bab",
         _psi_of_fibonacci_producer(k),
         _psi_of_fibonacci_sets(k),
         rich_expected=True,
@@ -225,31 +219,25 @@ def psi_of_fibonacci(k: int = 0, **_) -> WordFamily:
 
 
 def periodic(block: str = "aabaabab", **_) -> WordFamily:
+    """The block repeated forever."""
     word = Word.parse(block)
     return WordFamily(
         "periodic",
-        f"the block {block!r} repeated forever",
         lambda length: periodic_word(word, length),
         lambda depth: periodic_factor_sets(word, depth),
-        periodic_hint=True,
         params={"block": block},
     )
 
 
 def s_word_family(**_) -> WordFamily:
-    return WordFamily(
-        "s-word",
-        "bc a^2 bc a^3 ... (recurrent, not closed under reversal)",
-        s_word,
-        s_word_factor_sets,
-        rich_expected=False,
-    )
+    """bc a^2 bc a^3 ... (recurrent, not closed under reversal)."""
+    return WordFamily("s-word", s_word, s_word_factor_sets, rich_expected=False)
 
 
 def episturmian(directive: str = "ab", **_) -> WordFamily:
+    """Iterated palindromic closure along the directive, repeated."""
     return WordFamily(
         "episturmian",
-        f"iterated palindromic closure along ({directive})*",
         *_episturmian_parts(directive),
         rich_expected=True,
         params={"directive": directive},
@@ -257,10 +245,10 @@ def episturmian(directive: str = "ab", **_) -> WordFamily:
 
 
 def morphic(morphism: str = "a->ab,b->a", seed: str = "a", **_) -> WordFamily:
+    """The fixed point of an inline morphism from a seed letter."""
     m = Morphism.parse(morphism)
     return WordFamily(
         "morphic",
-        f"fixed point of {morphism} from seed {seed!r}",
         _fixed_point_producer(m, seed),
         _exact_from_morphism(m, seed),
         params={"morphism": morphism, "seed": seed},

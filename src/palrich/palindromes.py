@@ -39,7 +39,6 @@ class Eertree:
         self._link = [0, 0]
         self._trans: list[dict[int, int]] = [{}, {}]
         self.node_at: list[int] = []  # per position: longest palindromic suffix node
-        self.created_at: list[int] = []  # per position: new node id, or 0
         self._last = 1
         self._undo: list[tuple[int, int, int, int]] = []
 
@@ -54,7 +53,7 @@ class Eertree:
         data = w.data
         t.data[:] = data
         length, link, trans = t._len, t._link, t._trans
-        node_at, created_at = t.node_at, t.created_at
+        node_at = t.node_at
         last = 1
         for pos, c in enumerate(data):
             # Walk suffix links to the longest palindromic suffix x of
@@ -82,9 +81,6 @@ class Eertree:
                 link.append(suffix)
                 trans.append({})
                 trans[cur][c] = nxt
-                created_at.append(nxt)
-            else:
-                created_at.append(0)
             node_at.append(nxt)
             last = nxt
         t._last = last
@@ -130,7 +126,6 @@ class Eertree:
         self._undo.append((self._last, 1 if created else 0, cur, c))
         self._last = nxt
         self.node_at.append(nxt)
-        self.created_at.append(nxt if created else 0)
         return created
 
     def pop(self):
@@ -144,7 +139,6 @@ class Eertree:
         self._last = prev_last
         self.data.pop()
         self.node_at.pop()
-        self.created_at.pop()
 
     def nodes_by_length(self) -> dict[int, int]:
         """Count of distinct palindromic factors per positive length."""
@@ -185,11 +179,16 @@ def _incremental_witness(t: Eertree, i: int) -> tuple[Word, Word]:
 
 
 def is_rich_incremental(t: Eertree) -> RichnessReport:
-    """Richness of the tree's word: every position must add a palindrome."""
+    """Richness of the tree's word: every position must add a palindrome.
+
+    Nodes are numbered in creation order, so while every position adds one
+    the node made at position i is node i + 2, and the first prefix that
+    adds none ends at the first i with ``node_at[i] != i + 2``.
+    """
     violation = None
-    for i, node in enumerate(t.created_at, start=1):
-        if node == 0:
-            violation = i
+    for i, node in enumerate(t.node_at):
+        if node != i + 2:
+            violation = i + 1
             break
     defect = len(t) - t.node_count
     if violation is None:

@@ -13,10 +13,12 @@ Periodic words have no special factors at large orders; reduction then
 returns a tagged single-cycle object instead of raising, and the identity is
 checked through the periodicity route by callers.
 
-Each fact has one source.  Degrees and special factors come from the
-index's extension maps (``FactorIndex.right_extensions`` and
-``left_extensions``), and the class count s and the special-palindrome
-count p from :func:`super_reduce`.
+Each fact has one source.  A Rauzy graph keeps one adjacency, the
+right-extension map of ``FactorIndex.right_extensions``: the edges out of
+v are v + c for its letters c.  The left map serves only to find the
+special factors.  The class count s and the special-palindrome count p
+come from :func:`super_reduce`.  The DOT renderers write each line to the
+text stream they are given as they make it, so no DOT text is held.
 
 :func:`build_rauzy` and :func:`reduce` build one order from its factor sets.
 :func:`reduced_graphs` evolves the reduced graph from one order to the next,
@@ -57,14 +59,17 @@ of an infinite word has one.  In a finite word the only factor of
 length m that can lack one is its final suffix of length m, since every
 other occurrence is followed by a letter.  When that suffix has no right
 extension it occurs once, so it is not special either, and a walk that
-meets it ends there: the path dangles.  One ``bytes.find`` of that suffix in
-each order-n label followed finds where.
+meets it ends there, at a dead end, with no simple path.  :func:`reduce`
+drops such a walk.  :func:`reduced_graphs` keeps the dangling walks of
+order n only as input to the order-(n+1) splice, whose walks that follow
+them end at a dead end too.  One ``bytes.find`` of that suffix in each
+order-n label followed finds where.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .errors import NotApplicable, OutOfRange
 from .factors import FactorIndex
@@ -73,9 +78,10 @@ from .factors import FactorIndex
 class RauzyGraph:
     """Directed graph of order n: F_n vertices, F_{n+1} edges.
 
-    Degrees and special factors are read from the index's extension maps:
-    the out-edges of v are v + c for its sorted right extensions c, so both
-    the edges out of a vertex and the vertices come in index order.
+    ``right`` is the index's right-extension map and the graph's one
+    adjacency: the edges out of v are v + c for the letters c of
+    ``right[v]``.  Vertices, edges and the keys of ``right`` come in index
+    order.
     """
 
     def __init__(self, idx: FactorIndex, n: int):
@@ -85,26 +91,11 @@ class RauzyGraph:
         self.alphabet = idx.alphabet
         self.vertices = idx.factors(n)
         self.edges = idx.factors(n + 1)
-        right = idx.right_extensions(n)
+        self.right = right = idx.right_extensions(n)
         left = idx.left_extensions(n)
-        out_edges: dict[bytes, tuple[bytes, ...]] = {}
-        out_degree: dict[bytes, int] = {}
-        in_degree: dict[bytes, int] = {}
-        for v in self.vertices:
-            cs = right[v]
-            # Most vertices have one right extension cs, and one edge v + cs.
-            if len(cs) == 1:
-                out_edges[v] = (v + cs,)
-            else:
-                out_edges[v] = tuple([v + bytes((c,)) for c in cs])
-            out_degree[v] = len(cs)
-            in_degree[v] = len(left[v])
-        self.out_edges = out_edges
-        self.out_degree = out_degree
-        self.in_degree = in_degree
-        self.right_special = frozenset(v for v, cs in right.items() if len(cs) >= 2)
-        self.left_special = frozenset(v for v, cs in left.items() if len(cs) >= 2)
-        self.special = self.right_special | self.left_special
+        self.special = frozenset(
+            v for v in self.vertices if len(right[v]) > 1 or len(left[v]) > 1
+        )
 
 
 def build_rauzy(idx: FactorIndex, n: int) -> RauzyGraph:
@@ -124,16 +115,6 @@ class SimplePath:
     source: bytes
     target: bytes
     label: bytes
-
-    @property
-    def vertices(self) -> tuple[bytes, ...]:
-        n, label = len(self.source), self.label
-        return tuple(label[i : i + n] for i in range(len(label) - n + 1))
-
-    @property
-    def edges(self) -> tuple[bytes, ...]:
-        n, label = len(self.source) + 1, self.label
-        return tuple(label[i : i + n] for i in range(len(label) - n + 1))
 
     @property
     def palindromic(self) -> bool:
@@ -159,41 +140,38 @@ class ReducedRauzyGraph:
     vertices: tuple[bytes, ...]
     edges: tuple[SimplePath, ...]
     cycle: CycleInfo | None = None
-    dangling: tuple[SimplePath, ...] = ()
 
     @property
     def no_specials(self) -> bool:
         return not self.vertices
 
 
-def _simple_paths(g: RauzyGraph) -> tuple[list[SimplePath], list[SimplePath]]:
-    special = g.special
-    complete: list[SimplePath] = []
-    dangling: list[SimplePath] = []
+def _simple_paths(g: RauzyGraph) -> list[SimplePath]:
+    special, right = g.special, g.right
+    paths: list[SimplePath] = []
     limit = len(g.edges) + 1
     for v in sorted(special):
-        for first in g.out_edges[v]:
-            label = bytearray(first)
-            cur = first[1:]
+        for c in right[v]:
+            label = bytearray(v)
+            label.append(c)
+            cur = bytes(label[1:])
             steps = 0
             while cur not in special:
-                outs = g.out_edges[cur]
-                if not outs:
-                    # Truncated walk: only possible in the graph of a finite word.
-                    dangling.append(SimplePath(v, cur, bytes(label)))
+                cs = right[cur]
+                if not cs:
+                    # A dead end, only in the graph of a finite word: no path.
                     break
-                if len(outs) > 1:
+                if len(cs) > 1:
                     raise AssertionError("non-special vertex with out-degree > 1")
-                e = outs[0]
-                label.append(e[-1])
-                cur = e[1:]
+                label += cs
+                cur = cur[1:] + cs
                 steps += 1
                 if steps > limit:
                     raise AssertionError("walk exceeded edge count; graph corrupt")
             else:
-                complete.append(SimplePath(v, cur, bytes(label)))
-    complete.sort(key=SimplePath.sort_key)
-    return complete, dangling
+                paths.append(SimplePath(v, cur, bytes(label)))
+    paths.sort(key=SimplePath.sort_key)
+    return paths
 
 
 def _trace_cycle(vertices, edges) -> CycleInfo:
@@ -215,18 +193,16 @@ def _trace_cycle(vertices, edges) -> CycleInfo:
 def reduce(g: RauzyGraph) -> ReducedRauzyGraph:
     """Contract maximal runs of non-special vertices into labeled edges.
 
-    A graph without special vertices (an eventually periodic word at this
-    order) yields a tagged cycle object with no vertices or edges.
+    Each walk leaves a special vertex through one of its edges and follows
+    the one right extension of every non-special vertex until it meets a
+    special one.  A walk that meets a vertex without a right extension (the
+    final suffix of a finite word) is not a path and is dropped.  A graph
+    without special vertices (an eventually periodic word at this order)
+    yields a tagged cycle object with no vertices or edges.
     """
     if not g.special:
         return ReducedRauzyGraph(g.n, (), (), cycle=_trace_cycle(g.vertices, g.edges))
-    complete, dangling = _simple_paths(g)
-    return ReducedRauzyGraph(
-        g.n,
-        tuple(sorted(g.special)),
-        tuple(complete),
-        dangling=tuple(dangling),
-    )
+    return ReducedRauzyGraph(g.n, tuple(sorted(g.special)), tuple(_simple_paths(g)))
 
 
 # -- Evolution across orders -------------------------------------------------
@@ -388,9 +364,7 @@ def reduced_graphs(idx: FactorIndex, n_max: int) -> Iterator[ReducedRauzyGraph]:
             cycle = _trace_cycle(idx.factors(n), idx.factors(n + 1))
             yield ReducedRauzyGraph(n, (), (), cycle=cycle)
             continue
-        yield ReducedRauzyGraph(
-            n, tuple(sorted(specials)), tuple(complete), dangling=tuple(dangling)
-        )
+        yield ReducedRauzyGraph(n, tuple(sorted(specials)), tuple(complete))
 
 
 def _class_key(v: bytes) -> tuple[bytes, bytes]:
@@ -526,7 +500,7 @@ def path_counting_identity(
     sg = super_reduce(rg)
     p_n, p_n1 = pal_counts
     lhs = p_n + p_n1
-    rhs = sum(g.out_degree[v] for v in rg.vertices) - 2 * (sg.s - 1) + sg.p
+    rhs = sum(len(g.right[v]) for v in rg.vertices) - 2 * (sg.s - 1) + sg.p
     centers: dict[bytes, int] = {}
     for path in rg.edges:
         if not path.palindromic:
@@ -553,64 +527,64 @@ def _quote(text: str) -> str:
     return '"' + text.replace('"', '\\"') + '"'
 
 
-def rauzy_dot(g: RauzyGraph) -> str:
-    """Deterministic DOT for the raw graph: one edge per (n+1)-factor.
+def rauzy_dot(g: RauzyGraph, out: TextIO) -> None:
+    """Write deterministic DOT for the raw graph: one edge per (n+1)-factor.
 
-    Each line ends with its newline, so the text is joined once.
+    Each line goes to ``out`` as it is made, so no text is held.
     """
     decode = g.alphabet.decode
-    lines = [f"digraph rauzy_{g.n} {{\n"]
+    write = out.write
+    write(f"digraph rauzy_{g.n} {{\n")
     if not g.special:
-        lines.append('  graph [note="no special vertices; single cycle"];\n')
+        write('  graph [note="no special vertices; single cycle"];\n')
     for v in g.vertices:
-        lines.append(f"  {_quote(decode(v))};\n")
+        write(f"  {_quote(decode(v))};\n")
     for e in g.edges:
         src, dst = decode(e[:-1]), decode(e[1:])
-        lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(decode(e))}];\n")
-    lines.append("}\n")
-    return "".join(lines)
+        write(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(decode(e))}];\n")
+    write("}\n")
 
 
-def reduced_dot(rg: ReducedRauzyGraph, alphabet) -> str:
-    """Deterministic DOT for the reduced graph with path labels."""
+def reduced_dot(rg: ReducedRauzyGraph, alphabet, out: TextIO) -> None:
+    """Write deterministic DOT for the reduced graph with path labels to ``out``."""
     decode = alphabet.decode
-    lines = [f"digraph reduced_rauzy_{rg.n} {{\n"]
+    write = out.write
+    write(f"digraph reduced_rauzy_{rg.n} {{\n")
     if rg.no_specials:
-        lines.append('  graph [note="no special vertices; single cycle"];\n')
+        write('  graph [note="no special vertices; single cycle"];\n')
         cyc = rg.cycle
         if cyc is not None:
             for v in sorted(cyc.vertices):
-                lines.append(f"  {_quote(decode(v))};\n")
+                write(f"  {_quote(decode(v))};\n")
             ring = list(cyc.vertices)
             if cyc.closed:
                 ring.append(cyc.vertices[0])
             for a, b in zip(ring, ring[1:]):
-                lines.append(f"  {_quote(decode(a))} -> {_quote(decode(b))};\n")
+                write(f"  {_quote(decode(a))} -> {_quote(decode(b))};\n")
     else:
         for v in rg.vertices:
-            lines.append(f"  {_quote(decode(v))};\n")
+            write(f"  {_quote(decode(v))};\n")
         for path in rg.edges:
             src, dst = decode(path.source), decode(path.target)
-            lines.append(
+            write(
                 f"  {_quote(src)} -> {_quote(dst)} "
                 f"[label={_quote(decode(path.label))}];\n"
             )
-    lines.append("}\n")
-    return "".join(lines)
+    write("}\n")
 
 
-def super_dot(sg: SuperReducedRauzyGraph, alphabet) -> str:
-    """Deterministic DOT for the super-reduced graph (undirected)."""
+def super_dot(sg: SuperReducedRauzyGraph, alphabet, out: TextIO) -> None:
+    """Write deterministic DOT for the super-reduced graph (undirected) to ``out``."""
     decode = alphabet.decode
-    lines = [f"graph super_reduced_rauzy_{sg.n} {{\n"]
+    write = out.write
+    write(f"graph super_reduced_rauzy_{sg.n} {{\n")
     if sg.no_specials:
-        lines.append('  graph [note="no special vertices; single cycle"];\n')
+        write('  graph [note="no special vertices; single cycle"];\n')
     for cls in sg.classes:
-        lines.append(f"  {_quote('[' + decode(cls[0]) + ']')};\n")
+        write(f"  {_quote('[' + decode(cls[0]) + ']')};\n")
     for e in sg.edges:
         a = _quote("[" + decode(e.class_a[0]) + "]")
         b = _quote("[" + decode(e.class_b[0]) + "]")
         label = _quote("[" + decode(e.label_class[0]) + "]")
-        lines.append(f"  {a} -- {b} [label={label}];\n")
-    lines.append("}\n")
-    return "".join(lines)
+        write(f"  {a} -- {b} [label={label}];\n")
+    write("}\n")

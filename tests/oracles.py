@@ -137,15 +137,12 @@ def closure_naive(idx, n: int):
     index's source (sorted order for factors the source lacks) whose
     reversal is absent.
     """
-    failing = [
-        m
-        for m in range(1, n + 1)
-        if any(u[::-1] not in idx.factor_set(m) for u in idx.factor_set(m))
-    ]
+    sets = {m: set(idx.factors(m)) for m in range(1, n + 1)}
+    failing = [m for m, fset in sets.items() if any(u[::-1] not in fset for u in fset)]
     if not failing:
         return True, None
     m = max(failing)
-    fset = idx.factor_set(m)
+    fset = sets[m]
     data = idx.source.data
     firsts = dict.fromkeys(data[i : i + m] for i in range(len(data) - m + 1))
     for u in [*firsts, *sorted(fset)]:
@@ -177,7 +174,7 @@ def extensions_naive(idx, n: int, side: str) -> dict[bytes, bytes]:
 
     Walks the sorted F_{n+1} and sorts the letters of every factor.
     """
-    ext: dict[bytes, list[int]] = {u: [] for u in idx.factor_set(n)}
+    ext: dict[bytes, list[int]] = {u: [] for u in set(idx.factors(n))}
     for e in idx.factors(n + 1):
         if side == "right":
             ext[e[:-1]].append(e[-1])

@@ -51,7 +51,7 @@ def complexity_difference_identity(idx, n: int) -> tuple[int, int]:
     left = idx.left_extensions(n)
     rhs = sum(
         len(right[u]) - 1
-        for u in idx.factor_set(n)
+        for u in set(idx.factors(n))
         if len(right[u]) >= 2 or len(left[u]) >= 2
     )
     return lhs, rhs
@@ -249,17 +249,20 @@ def is_strongly_connected(g) -> bool:
 
 
 def _walk_label(vertices, g) -> bytes:
-    """The label of a walk in g; every edge must be an out-edge of its start."""
+    """The label of a walk in g; every edge must be an out-edge of its start.
+
+    The edges out of a are a + c for the letters c of ``g.right[a]``.
+    """
     if not vertices:
         raise NotAWalk("a walk needs at least one vertex")
     for v in vertices:
-        if v not in g.out_edges:
+        if v not in g.right:
             raise NotAWalk(f"{v!r} is not a vertex of the order-{g.n} graph")
     label = bytearray(vertices[0])
     for a, b in zip(vertices, vertices[1:]):
         if a[1:] != b[:-1]:
             raise NotAWalk(f"vertices {a!r} and {b!r} do not overlap")
-        if a + b[-1:] not in g.out_edges[a]:
+        if not b or b[-1] not in g.right[a]:
             raise NotAWalk(f"no edge {a + b[-1:]!r} in the order-{g.n} graph")
         label.append(b[-1])
     return bytes(label)

@@ -1,4 +1,5 @@
-"""Every definition under ``src/palrich/`` is reachable from a command.
+"""Every definition under ``src/palrich/`` is reachable from a command,
+and every field it stores is read.
 
 The roots are ``palrich.cli.main`` and every identifier-shaped string
 constant of ``perfbench/tracing.py``, which binds package functions by
@@ -10,6 +11,12 @@ and the names read inside a live definition (``ast.Name`` ids and
 Matching by name over-approximates liveness: a name that is used anywhere
 live keeps every definition of that name.  So the test never flags code that
 a command runs; what it flags is an API that nothing calls.
+
+A field is a dataclass field or an attribute that a method stores on
+``self``.  It is read when ``.name`` appears in load context somewhere in
+``src/palrich/`` or ``perfbench/tracing.py``; a field that is only stored
+is state that no command reads.  Matching by name over-approximates here
+too.
 """
 
 import ast
@@ -108,3 +115,75 @@ def test_the_scan_sees_the_command_routes():
     defs, _ = _definitions()
     qualified = {q for q, _, _ in defs}
     assert {"cli.main", "factors.stabilized_prefix", "rauzy.build_rauzy"} <= qualified
+
+
+# Fields that only the tests read.  Their classes stay in src/ because
+# perfbench/tracing.py binds them by name; they leave src/ with ROADMAP
+# item 4's benchmark change.
+UNREAD_ALLOWED = {
+    "factors.StabilizedPrefix.stable",
+    "factors.StabilizedPrefix.stable_lengths",
+    "rauzy.PathCountingIdentity.lhs",
+    "rauzy.PathCountingIdentity.rhs",
+    "rauzy.PathCountingIdentity.central_cover_ok",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _fields(module: str, node: ast.ClassDef) -> set[str]:
+    """Qualified names of the fields of one class."""
+    names = set()
+    if _is_dataclass(node):
+        names |= {
+            item.target.id
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        }
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+        ):
+            names.add(sub.attr)
+    return {f"{module}.{node.name}.{name}" for name in names}
+
+
+def unread_fields() -> list[str]:
+    fields = set()
+    read = set()
+    for path in [*sorted(PACKAGE.glob("*.py")), TRACING]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent == PACKAGE:
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef):
+                    fields |= _fields(path.stem, node)
+        read |= {
+            sub.attr
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+        }
+    return sorted(q for q in fields if q.rsplit(".", 1)[1] not in read)
+
+
+def test_every_field_is_read():
+    unread = [q for q in unread_fields() if q not in UNREAD_ALLOWED]
+    assert not unread, (
+        f"{len(unread)} fields under src/palrich/ are stored but never read "
+        "in src/palrich/ or perfbench/tracing.py: " + ", ".join(unread)
+    )
+
+
+def test_the_field_scan_sees_fields():
+    # The allowlisted fields are unread, so a scan that found no fields (or
+    # read every name) would fail here instead of passing vacuously.
+    assert UNREAD_ALLOWED <= set(unread_fields())

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from palrich import counting
 from palrich.cli import main
+from palrich.generators import get_family
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -133,6 +135,31 @@ def test_graph_raw_matches_golden(capsys):
     )
     assert code == 0
     assert out == (GOLDEN / "fibonacci_n2_raw.dot").read_text()
+
+
+def test_graph_streams_its_dot_output(tmp_path):
+    # The DOT lines go straight to the file, so the peak stays near the size
+    # of the factor sets (about 2 MB of F_1000 and F_1001), not of the text.
+    target = tmp_path / "fibonacci_1000.dot"
+    tracemalloc.start()
+    try:
+        code = main(
+            ["graph", "--generator", "fibonacci", "--n", "1000", "--out", str(target)]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 << 20
+    # A header, C(1000) = 1001 vertices, C(1001) = 1002 edges and a closing brace.
+    assert target.read_text().count("\n") == 2005
+
+
+def test_graph_failed_build_writes_no_file(capsys, tmp_path):
+    target = tmp_path / "graph.dot"
+    code, out, err = run(capsys, "graph", "--word", "abc", "--n", "5", "--out", str(target))
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert not target.exists()
 
 
 def test_graph_unary_cycle_note(capsys):
@@ -275,3 +302,20 @@ def test_prefix_cap_sizes_only_the_richness_sample(capsys):
     assert small["orders"] == full["orders"]
     code, out, _ = run(capsys, *argv, "--prefix-cap", str(1 << 20))
     assert json.loads(out) == full
+
+
+def test_analyze_judges_a_long_literal_word_whole(capsys):
+    # The 65,536-letter Fibonacci sample is rich; abbaab after it is not.
+    # Its last letter ends baababaaabbaab, a complete return to baab that is
+    # not a palindrome, and adds no new palindrome.
+    text = get_family("fibonacci").sample().text + "abbaab"
+    code, out, _ = run(
+        capsys, "analyze", "--word", text, "--n-max", "3", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["richness"] == {
+        "rich": False,
+        "defect": 1,
+        "first_violation_prefix": 65542,
+        "witness": ["baab", "baababaaabbaab"],
+    }

@@ -42,7 +42,7 @@ CAS = Morphism.parse("a->aab,b->b")
 
 
 def decode_set(idx, n):
-    return {idx.alphabet.decode(u) for u in idx.factor_set(n)}
+    return {idx.alphabet.decode(u) for u in set(idx.factors(n))}
 
 
 def test_build_index_examples():
@@ -422,7 +422,7 @@ def test_window_sets_match_naive_oracle(text):
         idx = build_index(w, n_max)
         for n in range(n_max + 2):
             assert decode_set(idx, n) == window_factors(text, n)
-            occs = [occurrences(text, idx.alphabet.decode(u)) for u in idx.factor_set(n)]
+            occs = [occurrences(text, idx.alphabet.decode(u)) for u in set(idx.factors(n))]
             assert all(len(o) >= 1 and list(o) == sorted(o) for o in occs)
 
 

@@ -147,7 +147,7 @@ def test_exact_sets_match_prefix_scan(name, params):
     scanned = stabilized_prefix(fam.produce, 8)
     assert scanned.stable, name
     for n in range(10):
-        assert exact[n] == scanned.index.factor_set(n), (name, params, n)
+        assert exact[n] == set(scanned.index.factors(n)), (name, params, n)
 
 
 def test_s_word_exact_complexities():

@@ -30,18 +30,28 @@ FIB = Morphism.parse("a->ab,b->a")
 TM = Morphism.parse("a->ab,b->ba")
 
 
+def created_flags(node_at):
+    """Per position: did it create a node?  Nodes are numbered in creation
+    order, so it did iff its entry exceeds every earlier one."""
+    flags, top = [], 1
+    for node in node_at:
+        flags.append(node > top)
+        top = max(top, node)
+    return flags
+
+
 def test_build_eertree_examples():
     t = Eertree.build(Word.parse("abca"))
     assert t.node_count == 3
-    assert [bool(c) for c in t.created_at] == [True, True, True, False]
+    assert created_flags(t.node_at) == [True, True, True, False]
 
     t = Eertree.build(Word.parse("aabaa"))
     assert t.node_count == 5
     # Each node is the palindrome that ends where it was created.
     pals = {
         t.alphabet.decode(t.data[end - t._len[node] : end])
-        for end, node in enumerate(t.created_at, 1)
-        if node
+        for end, (node, new) in enumerate(zip(t.node_at, created_flags(t.node_at)), 1)
+        if new
     }
     assert pals == {"a", "aa", "b", "aba", "aabaa"}
 
@@ -135,7 +145,7 @@ def test_eertree_push_pop_roundtrip():
 
 
 EERTREE_STATE = (
-    "data", "_len", "_link", "_trans", "node_at", "created_at", "_last", "_undo",
+    "data", "_len", "_link", "_trans", "node_at", "_last", "_undo",
 )
 
 
@@ -242,7 +252,7 @@ def test_build_matches_pushed_tree(text):
     pushed = Eertree(w.alphabet)
     for c in w.data:
         pushed.push(c)
-    for attr in ("data", "_len", "_link", "_trans", "node_at", "created_at", "_last"):
+    for attr in ("data", "_len", "_link", "_trans", "node_at", "_last"):
         assert getattr(built, attr) == getattr(pushed, attr), attr
 
 

@@ -1,3 +1,4 @@
+import io
 from collections import Counter
 
 import pytest
@@ -38,6 +39,30 @@ def label_reversal_exists(rg, path):
     return path.label[::-1] in {q.label for q in rg.edges}
 
 
+def windows(label, n):
+    return tuple(label[i : i + n] for i in range(len(label) - n + 1))
+
+
+def path_vertices(path):
+    """The vertices of a simple path in walk order: the |source|-windows of its label."""
+    return windows(path.label, len(path.source))
+
+
+def path_edges(path):
+    """The edges of a simple path in walk order: the (|source|+1)-windows of its label."""
+    return windows(path.label, len(path.source) + 1)
+
+
+def out_edges(g, v):
+    return tuple(v + bytes((c,)) for c in g.right[v])
+
+
+def dot(render, *args):
+    out = io.StringIO()
+    render(*args, out)
+    return out.getvalue()
+
+
 def test_build_rauzy_fibonacci_order2():
     idx = fib_index()
     g = rauzy.build_rauzy(idx, 2)
@@ -45,19 +70,31 @@ def test_build_rauzy_fibonacci_order2():
     assert decode(g.alphabet, g.edges) == ["aab", "aba", "baa", "bab"]
     assert len(g.vertices) == idx.complexity(2)
     assert len(g.edges) == idx.complexity(3)
-    assert sum(g.out_degree.values()) == sum(g.in_degree.values()) == len(g.edges)
+    left = idx.left_extensions(2)
+    assert sum(map(len, g.right.values())) == sum(map(len, left.values())) == len(g.edges)
     assert is_strongly_connected(g)
 
 
 def assert_graph_matches_naive(idx, n):
-    """Degrees and specials of build_rauzy equal the edge-by-edge oracle."""
+    """Degrees and specials of build_rauzy equal the edge-by-edge oracle.
+
+    Out-edges and out-degrees come from the graph's extension map, in-degrees
+    and left specials from the index's left extensions.
+    """
     g = rauzy.build_rauzy(idx, n)
+    left = idx.left_extensions(n)
+    actual = {
+        "out_edges": {v: out_edges(g, v) for v in g.right},
+        "out_degree": {v: len(cs) for v, cs in g.right.items()},
+        "in_degree": {v: len(cs) for v, cs in left.items()},
+        "right_special": frozenset(v for v, cs in g.right.items() if len(cs) >= 2),
+        "left_special": frozenset(v for v, cs in left.items() if len(cs) >= 2),
+    }
     for attr, expected in rauzy_graph_naive(idx, n).items():
-        actual = getattr(g, attr)
-        assert actual == expected, (attr, n)
+        assert actual[attr] == expected, (attr, n)
         if isinstance(expected, dict):
-            assert list(actual) == list(expected), (attr, n)
-    assert g.special == g.right_special | g.left_special
+            assert list(actual[attr]) == list(expected), (attr, n)
+    assert g.special == actual["right_special"] | actual["left_special"]
     return g
 
 
@@ -77,9 +114,9 @@ def test_build_rauzy_matches_naive_graph_on_literal_words(text):
         # earlier; likewise its first factor has no in-edge.
         last, first = data[len(data) - n :], data[:n]
         if data.find(last) == len(data) - n:
-            assert g.out_degree[last] == 0 and g.out_edges[last] == ()
+            assert g.right[last] == b"" and out_edges(g, last) == ()
         if data.rfind(first) == 0:
-            assert g.in_degree[first] == 0
+            assert idx.left_extensions(n)[first] == b""
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
@@ -132,10 +169,9 @@ def test_reduction_soundness_edge_multiset():
         idx = get_family(name).index(n + 2)
         g = rauzy.build_rauzy(idx, n)
         rg = rauzy.reduce(g)
-        assert not rg.dangling
         covered = Counter()
         for path in rg.edges:
-            covered.update(path.edges)
+            covered.update(path_edges(path))
         assert covered == Counter({e: 1 for e in g.edges})
 
 
@@ -156,14 +192,15 @@ def test_path_label_both_factorizations():
     g = rauzy.build_rauzy(fib_index(), 2)
     rg = rauzy.reduce(g)
     for path in rg.edges:
-        k = len(path.vertices)
-        first_letters = bytes(v[0] for v in path.vertices[: k - 1])
-        last_letters = bytes(v[-1] for v in path.vertices[1:])
-        assert path.label == path.vertices[0] + last_letters
-        assert path.label == first_letters + path.vertices[-1]
-        assert len(path.label) == g.n + len(path.edges)
+        vertices = path_vertices(path)
+        k = len(vertices)
+        first_letters = bytes(v[0] for v in vertices[: k - 1])
+        last_letters = bytes(v[-1] for v in vertices[1:])
+        assert path.label == vertices[0] + last_letters
+        assert path.label == first_letters + vertices[-1]
+        assert len(path.label) == g.n + len(path_edges(path))
         # the i-th window of the label is the (i+1)-th vertex
-        for i, v in enumerate(path.vertices):
+        for i, v in enumerate(vertices):
             assert path.label[i : i + g.n] == v
 
 
@@ -176,7 +213,7 @@ def test_label_is_rich_on_fibonacci_walks():
             walk = stack.pop()
             yield walk
             if len(walk) <= limit:
-                for e in g.out_edges[walk[-1]]:
+                for e in out_edges(g, walk[-1]):
                     stack.append(walk + (e[1:],))
 
     for walk in walks(6):
@@ -195,7 +232,7 @@ def test_thue_morse_has_non_rich_walk_label():
         if not label_is_rich(g, walk):
             found = True
             break
-        for e in g.out_edges[walk[-1]]:
+        for e in out_edges(g, walk[-1]):
             stack.append(walk + (e[1:],))
     assert found
 
@@ -304,10 +341,10 @@ def test_dot_outputs_are_deterministic():
     g = rauzy.build_rauzy(idx, 2)
     rg = rauzy.reduce(g)
     sg = rauzy.super_reduce(rg)
-    assert rauzy.rauzy_dot(g) == rauzy.rauzy_dot(rauzy.build_rauzy(fib_index(), 2))
-    assert 'digraph reduced_rauzy_2' in rauzy.reduced_dot(rg, g.alphabet)
-    assert '"ba" -> "ab" [label="baab"]' in rauzy.reduced_dot(rg, g.alphabet)
-    assert rauzy.super_dot(sg, g.alphabet) == (
+    assert dot(rauzy.rauzy_dot, g) == dot(rauzy.rauzy_dot, rauzy.build_rauzy(fib_index(), 2))
+    assert 'digraph reduced_rauzy_2' in dot(rauzy.reduced_dot, rg, g.alphabet)
+    assert '"ba" -> "ab" [label="baab"]' in dot(rauzy.reduced_dot, rg, g.alphabet)
+    assert dot(rauzy.super_dot, sg, g.alphabet) == (
         'graph super_reduced_rauzy_2 {\n  "[ab]";\n}\n'
     )
 
@@ -316,10 +353,10 @@ def test_dot_cycle_note():
     idx = build_index(periodic_word(Word.parse("ab"), 64), 4)
     g = rauzy.build_rauzy(idx, 2)
     rg = rauzy.reduce(g)
-    text = rauzy.reduced_dot(rg, g.alphabet)
+    text = dot(rauzy.reduced_dot, rg, g.alphabet)
     assert "note=" in text and "single cycle" in text
     sg = rauzy.super_reduce(rg)
-    assert "note=" in rauzy.super_dot(sg, g.alphabet)
+    assert "note=" in dot(rauzy.super_dot, sg, g.alphabet)
 
 
 def _identity_holds(idx, g, rg):
@@ -373,7 +410,6 @@ def assert_evolution_matches_per_order_build(idx, n_max):
         assert [p.sort_key() for p in rg.edges] == sorted(
             p.sort_key() for p in ref.edges
         ), rg.n
-        assert rg.dangling == ref.dangling, rg.n
         assert rg.cycle == ref.cycle, rg.n
 
 
@@ -439,13 +475,13 @@ def test_reduced_graphs_match_per_order_build_on_literal_words(text):
 def test_literal_word_reaches_the_dangling_branch():
     # In abbbbab the final suffix bab has no right extension.  At order 2 it
     # is the middle edge of the path bb -> ba -> ab -> bb, so the order-3
-    # path from bbb that follows this label stops at bab, and dangles.
+    # walk from bbb that follows this label stops at bab, a dead end, and
+    # makes no path.
     idx = build_index(Word.parse("abbbbab"), 6)
     graphs = list(rauzy.reduced_graphs(idx, 5))
     triples = lambda paths: [tuple(map(idx.alphabet.decode, p.sort_key())) for p in paths]
     assert triples(graphs[2].edges) == [("bb", "bb", "bbabb"), ("bb", "bb", "bbb")]
-    assert not graphs[2].dangling
     assert triples(graphs[3].edges) == [("bbb", "bbb", "bbbb")]
-    assert triples(graphs[3].dangling) == [("bbb", "bab", "bbbab")]
+    assert all(p.target != idx.alphabet.encode("bab") for p in graphs[3].edges)
     with pytest.raises(OutOfRange):
         next(rauzy.reduced_graphs(idx, idx.n_max))
