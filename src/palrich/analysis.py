@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import rauzy
-from .errors import NotAPalindrome, WordTooShort
+from .errors import NotAPalindrome
 from .factors import (
     RICHNESS_SAMPLE_CAP,
     FactorIndex,
@@ -67,16 +67,13 @@ class ComplexityProfile:
         return self.slack[n] == 0
 
 
-def profile_from_index(idx: FactorIndex, n_max: int | None = None) -> ComplexityProfile:
-    """Profile read from an index.
+def profile_from_index(idx: FactorIndex) -> ComplexityProfile:
+    """Profile of every order 0..idx.n_max, read from the index.
 
     C and P come from the index's sorted windows, reversal closure from its
     one derived set F_{n_max+1}.
     """
-    if n_max is None:
-        n_max = idx.n_max
-    if n_max > idx.n_max:
-        raise WordTooShort(f"index only covers n_max = {idx.n_max}")
+    n_max = idx.n_max
     C = tuple(idx.complexity(n) for n in range(n_max + 2))
     P = tuple(idx.palindrome_count(n) for n in range(n_max + 2))
     slack = tuple(
@@ -275,10 +272,9 @@ def theorem1_experiment(
     Each order super-reduces its graph and records only the verdicts the
     reports and :meth:`TheoremReport.discrepancies` read.
     """
-    # Graphs at every order up to n_max need F_{n_max+2}.
-    idx = family.index(n_max + 1, prefix_cap)
+    idx = family.index(n_max, prefix_cap)
     sample = idx.source
-    prof = profile_from_index(idx, n_max)
+    prof = profile_from_index(idx)
     closed, witness = prof.reversal_closed, prof.closure_witness
     returns_sample = sample[:RETURNS_ORACLE_CAP]
     tree = Eertree.build(sample)
@@ -289,7 +285,7 @@ def theorem1_experiment(
         returns_sample_length=len(returns_sample),
     )
     orders = tuple(
-        _order_record(rg, prof) for rg in rauzy.reduced_graphs(idx, n_max)
+        _order_record(rg, prof) for rg in rauzy.reduced_graphs(idx)
     )
     return TheoremReport(
         description=family.describe(),

@@ -35,7 +35,7 @@ class RunConfig:
     word: str | None
     generator: str | None
     generator_params: dict
-    n_max: int
+    n_max: int | None
     prefix_cap: int
     fmt: str
     out: str | None
@@ -49,7 +49,7 @@ class RunConfig:
                 raise UsageError("exactly one of --word or --generator is required")
             if self.word is not None and not self.word:
                 raise UsageError("the literal word must be non-empty")
-        if self.n_max < 1:
+        if self.n_max is not None and self.n_max < 1:
             raise UsageError("--n-max must be at least 1")
         # Only generator sources read the cap, and only to size the richness
         # sample; the factor sets are exact.  A literal word is indexed as it
@@ -97,18 +97,16 @@ def _source_word(cfg: RunConfig) -> Word:
     return _family(cfg).sample(cfg.prefix_cap)
 
 
-def _index_for(cfg: RunConfig, depth_orders: int, source: Word) -> FactorIndex:
-    """Index of source deep enough for graphs at each order up to depth_orders.
+def _index_for(cfg: RunConfig, n: int, source: Word) -> FactorIndex:
+    """Index of source for every order up to n.
 
-    A generator's index holds the exact sets of its infinite word.
+    A generator's index holds the exact set F_{n+1} of its infinite word.  A
+    literal word w has no factor longer than |w|, so its index stops at
+    order min(n, |w| - 1).
     """
     if cfg.word is not None:
-        n_idx = min(depth_orders + 1, len(source) - 1)
-        if n_idx < 1:
-            raise UsageError("the literal word is too short to index")
-        return build_index(source, n_idx)
-    top = _family(cfg).exact_sets(depth_orders + 2)
-    return FactorIndex(source, depth_orders + 1, top)
+        return build_index(source, min(n, len(source) - 1))
+    return FactorIndex(source, n, _family(cfg).exact_sets(n + 1))
 
 
 # -- analyze -----------------------------------------------------------------
@@ -120,10 +118,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
     # two never take memory at the same time.
     rich = is_rich_incremental(Eertree.build(source))
     idx = _index_for(cfg, cfg.n_max, source)
-    n_max = min(cfg.n_max, idx.n_max - 1)
-    prof = analysis.profile_from_index(idx, n_max)
+    prof = analysis.profile_from_index(idx)
     rows = []
-    for n, specials in enumerate(rauzy.specials_by_order(idx, n_max)):
+    for n, specials in enumerate(rauzy.specials_by_order(idx)):
         right = left = both = 0
         for lefts, rights in specials.values():
             right += len(rights) > 1
@@ -143,7 +140,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     payload = {
         "report": "analyze",
         "source": _source_payload(cfg),
-        "n_max": n_max,
+        "n_max": idx.n_max,
         "reversal_closed": prof.reversal_closed,
         "closure_witness": prof.closure_witness.text if prof.closure_witness else None,
         "richness": {
@@ -193,7 +190,7 @@ def cmd_graph(cfg: RunConfig, n: int, tier: str) -> int:
     if tier == "raw":
         render, args = rauzy.rauzy_dot, (g,)
     elif tier == "reduced":
-        render, args = rauzy.reduced_dot, (rauzy.reduce(g), g.alphabet)
+        render, args = rauzy.reduced_dot, (rauzy.reduce(g), g)
     elif tier == "super":
         sg = rauzy.super_reduce(rauzy.reduce(g))
         render, args = rauzy.super_dot, (sg, g.alphabet)
@@ -375,7 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--directive", help="directive string for episturmian")
         p.add_argument("--morphism", help="inline morphism, e.g. 'a->ab,b->a'")
         p.add_argument("--seed", help="seed letter for the morphic family")
-        p.add_argument("--n-max", type=int, default=30)
         p.add_argument(
             "--prefix-cap",
             type=int,
@@ -407,6 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument("--alphabet", type=int, default=2)
     p_count.add_argument("--format", choices=["csv", "json"], default="csv")
+    # graph reads only --n.
+    for p in (p_analyze, p_verify, p_count):
+        p.add_argument("--n-max", type=int, default=30)
     return parser
 
 
@@ -421,7 +420,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         word=args.word,
         generator=args.generator,
         generator_params=params,
-        n_max=args.n_max,
+        n_max=getattr(args, "n_max", None),
         prefix_cap=args.prefix_cap,
         fmt=getattr(args, "format", "text"),
         out=args.out,

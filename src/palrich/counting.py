@@ -60,20 +60,10 @@ def sturmian_count(n: int) -> int:
 
 
 def sturmian_palindrome_count(n: int) -> int:
-    """Number of Sturmian palindromes of length n; p(0) = 1 by convention.
-
-    Evaluates both the unified totient sum and its even/odd split form and
-    insists they agree.
-    """
+    """Number of Sturmian palindromes of length n; p(0) = 1 by convention."""
     if n < 0:
         raise OutOfRange("length must be non-negative")
-    unified = 1 + sum(totient(n - 2 * i) for i in range((n + 1) // 2))
-    if n % 2 == 0:
-        split = 1 + sum(totient(2 * i) for i in range(1, n // 2 + 1))
-    else:
-        split = 1 + sum(totient(2 * i + 1) for i in range(n // 2 + 1))
-    assert unified == split, f"split form disagrees at n={n}"
-    return unified
+    return 1 + sum(totient(n - 2 * i) for i in range((n + 1) // 2))
 
 
 def _is_balanced(data: bytes) -> bool:

@@ -1,8 +1,12 @@
 """Exact factor bookkeeping for finite words and for infinite words.
 
-A :class:`FactorIndex` of depth D = n_max + 1 holds one sorted tuple G and
-the longest common prefixes (LCPs) of its adjacent elements, and nothing
-per length.  G is the distinct windows w[i:i+D] of its word.  In an
+A :class:`FactorIndex` built for n_max answers every order 0..n_max, and
+that is the one order rule of the package.  Everything at order n reads
+factors of lengths n and n+1 only: the order-n Rauzy graph has F_n as
+vertices and F_{n+1} as edges, and the equality at n reads C and P at n
+and n+1.  So the index has depth D = n_max + 1.  It holds one sorted tuple
+G and the longest common prefixes (LCPs) of its adjacent elements, and
+nothing per length.  G is the distinct windows w[i:i+D] of its word.  In an
 infinite word every window has D letters; in a finite word the last D - 1
 windows are cut short at the end of the word, so G is its suffixes cut to
 D letters.  Every length-n factor, n <= D, is the n-prefix of the window
@@ -29,8 +33,9 @@ n-prefixes of the sorted G are sorted.  The first element of each run is
 the one whose LCP with its predecessor is below n; keeping only those
 gives F_n sorted and without repeats, with no sort and no set.
 ``factors(n)`` derives F_n only for the order a caller asks for, and the
-index keeps the last two orders asked for, which is what one Rauzy graph
-reads.
+index keeps the last two lengths asked for: the vertices and edges of one
+Rauzy graph.  At the top length D the windows of full length are their
+own D-prefixes, so F_D shares their bytes instead of copying them.
 
 *Membership.*  u, with |u| <= D, is a factor iff some element of G starts
 with u.  Those elements form a run, and every element at or after the
@@ -143,27 +148,6 @@ class FactorIndex:
         self._levels: dict[int, tuple[bytes, ...]] = {}
         self._pal_counts: list[int] | None = None
 
-    @classmethod
-    def build(cls, w: Word, n_max: int) -> "FactorIndex":
-        """Index of the finite word w up to length n_max+1.
-
-        The windows are added in chunks of at most ``FACTOR_LETTER_BUDGET``
-        letters, so an oversized request stops at twice the budget.
-        """
-        if n_max < 0:
-            raise ValueError("n_max must be non-negative")
-        if n_max + 1 > len(w):
-            raise WordTooShort(f"need n_max+1 <= |w|, got {n_max + 1} > {len(w)}")
-        data = w.data
-        depth = n_max + 1
-        step = max(1, FACTOR_LETTER_BUDGET // depth)
-        top: set[bytes] = set()
-        for start in range(0, len(data), step):
-            stop = min(start + step, len(data))
-            top.update(data[i : i + depth] for i in range(start, stop))
-            _check_budget(len(top), depth)
-        return cls(w, n_max, top)
-
     # -- set-level queries ------------------------------------------------
 
     def _check_length(self, n: int) -> None:
@@ -254,8 +238,24 @@ def _lcp(a: bytes, b: bytes) -> int:
 
 
 def build_index(w: Word, n_max: int) -> FactorIndex:
-    """Index of the finite word w for all lengths 0..n_max+1."""
-    return FactorIndex.build(w, n_max)
+    """Index of the finite word w for every order 0..n_max.
+
+    The windows are added in chunks of at most ``FACTOR_LETTER_BUDGET``
+    letters, so an oversized request stops at twice the budget.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    if n_max + 1 > len(w):
+        raise WordTooShort(f"need n_max+1 <= |w|, got {n_max + 1} > {len(w)}")
+    data = w.data
+    depth = n_max + 1
+    step = max(1, FACTOR_LETTER_BUDGET // depth)
+    top: set[bytes] = set()
+    for start in range(0, len(data), step):
+        stop = min(start + step, len(data))
+        top.update(data[i : i + depth] for i in range(start, stop))
+        _check_budget(len(top), depth)
+    return FactorIndex(w, n_max, top)
 
 
 def finite_complexity(w: Word) -> list[int]:
@@ -346,7 +346,7 @@ def is_closed_under_reversal(idx: FactorIndex, n: int) -> tuple[bool, Word | Non
     length-m factor v, and the reversal of u is then a suffix or a prefix of
     the reversal of v, which is a factor.  So the longest failing length is
     always n, and F_n alone decides.  Every index of the package holds the
-    factor sets of a word, finite (``FactorIndex.build``) or infinite
+    factor sets of a word, finite (``build_index``) or infinite
     (``WordFamily.index``), with F_n non-empty.
 
     On failure the witness is the first length-n factor, in first-occurrence
@@ -411,7 +411,7 @@ def stabilized_prefix(
         raise ValueError(f"len_cap must be at least 4*(n_max+1) = {base}")
     length = base
     word = produce(length)
-    idx = FactorIndex.build(word, n_max)
+    idx = build_index(word, n_max)
     tried = [length]
     stable = False
     stable_lengths = (True,) + (False,) * depth
@@ -425,7 +425,7 @@ def stabilized_prefix(
         # The sets of a longer prefix contain those of a shorter one, so a
         # set changed exactly when its size did.
         sizes = [idx.complexity(n) for n in range(depth + 1)]
-        idx = FactorIndex.build(word, n_max)
+        idx = build_index(word, n_max)
         stable_lengths = tuple(
             idx.complexity(n) == size for n, size in enumerate(sizes)
         )

@@ -7,6 +7,7 @@ scanning entirely.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -63,11 +64,12 @@ class WordFamily:
         return self.produce(min(prefix_cap, RICHNESS_SAMPLE_CAP))
 
     def index(self, n_max: int, prefix_cap: int = RICHNESS_SAMPLE_CAP) -> FactorIndex:
-        """Index of the infinite word, from its exact factor set F_{n_max+1}.
+        """Index of the infinite word for every order 0..n_max.
 
-        The set comes from the family's exact construction; the index's
-        source word, which only serves as the richness sample and orders
-        witnesses, is ``sample(prefix_cap)``.
+        It holds the exact factor set F_{n_max+1}, the edges of the order-
+        n_max Rauzy graph, from the family's exact construction.  The
+        index's source word, which only serves as the richness sample and
+        orders witnesses, is ``sample(prefix_cap)``.
         """
         return FactorIndex(self.sample(prefix_cap), n_max, self.exact_sets(n_max + 1))
 
@@ -162,7 +164,7 @@ def _fixed_point_producer(m: Morphism, seed: str) -> Callable[[int], Word]:
     return produce
 
 
-def fibonacci(**_) -> WordFamily:
+def fibonacci() -> WordFamily:
     """The fixed point of a->ab, b->a (the Fibonacci word)."""
     return WordFamily(
         "fibonacci",
@@ -172,12 +174,12 @@ def fibonacci(**_) -> WordFamily:
     )
 
 
-def tribonacci(**_) -> WordFamily:
+def tribonacci() -> WordFamily:
     """Iterated palindromic closure along (abc)*."""
     return WordFamily("tribonacci", *_episturmian_parts("abc"), rich_expected=True)
 
 
-def thue_morse(**_) -> WordFamily:
+def thue_morse() -> WordFamily:
     """The fixed point of a->ab, b->ba."""
     return WordFamily(
         "thue-morse",
@@ -187,7 +189,7 @@ def thue_morse(**_) -> WordFamily:
     )
 
 
-def cassaigne_aab(**_) -> WordFamily:
+def cassaigne_aab() -> WordFamily:
     """The fixed point of a->aab, b->b (complexity ~ n^2/2)."""
     return WordFamily(
         "cassaigne-aab",
@@ -197,7 +199,7 @@ def cassaigne_aab(**_) -> WordFamily:
     )
 
 
-def quadratic_abab(**_) -> WordFamily:
+def quadratic_abab() -> WordFamily:
     """The fixed point of a->abab, b->b (quadratic complexity)."""
     return WordFamily(
         "quadratic-abab",
@@ -207,7 +209,7 @@ def quadratic_abab(**_) -> WordFamily:
     )
 
 
-def psi_of_fibonacci(k: int = 0, **_) -> WordFamily:
+def psi_of_fibonacci(k: int = 0) -> WordFamily:
     """The image of the Fibonacci word under a->(aab)^{k+1} aabab, b->bab."""
     return WordFamily(
         "psi-of-fibonacci",
@@ -218,7 +220,7 @@ def psi_of_fibonacci(k: int = 0, **_) -> WordFamily:
     )
 
 
-def periodic(block: str = "aabaabab", **_) -> WordFamily:
+def periodic(block: str = "aabaabab") -> WordFamily:
     """The block repeated forever."""
     word = Word.parse(block)
     return WordFamily(
@@ -229,12 +231,12 @@ def periodic(block: str = "aabaabab", **_) -> WordFamily:
     )
 
 
-def s_word_family(**_) -> WordFamily:
+def s_word_family() -> WordFamily:
     """bc a^2 bc a^3 ... (recurrent, not closed under reversal)."""
     return WordFamily("s-word", s_word, s_word_factor_sets, rich_expected=False)
 
 
-def episturmian(directive: str = "ab", **_) -> WordFamily:
+def episturmian(directive: str = "ab") -> WordFamily:
     """Iterated palindromic closure along the directive, repeated."""
     return WordFamily(
         "episturmian",
@@ -244,7 +246,7 @@ def episturmian(directive: str = "ab", **_) -> WordFamily:
     )
 
 
-def morphic(morphism: str = "a->ab,b->a", seed: str = "a", **_) -> WordFamily:
+def morphic(morphism: str = "a->ab,b->a", seed: str = "a") -> WordFamily:
     """The fixed point of an inline morphism from a seed letter."""
     m = Morphism.parse(morphism)
     return WordFamily(
@@ -270,9 +272,13 @@ REGISTRY: dict[str, Callable[..., WordFamily]] = {
 
 
 def get_family(name: str, **params) -> WordFamily:
+    """The family ``name`` with ``params``, each of which it must take."""
     try:
         factory = REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(REGISTRY))
         raise PalrichError(f"unknown generator {name!r}; known: {known}") from None
+    unknown = sorted(set(params) - set(inspect.signature(factory).parameters))
+    if unknown:
+        raise PalrichError(f"generator {name!r} takes no parameter {', '.join(unknown)}")
     return factory(**params)

@@ -10,8 +10,13 @@ combinatorial core of the equality
     P(n) + P(n+1) = C(n+1) - C(n) + 2.
 
 Periodic words have no special factors at large orders; reduction then
-returns a tagged single-cycle object instead of raising, and the identity is
-checked through the periodicity route by callers.
+returns a graph with no vertices instead of raising, the identity is
+checked through the periodicity route by callers, and :func:`reduced_dot`
+draws the cycle from the raw graph.
+
+An index built for n_max answers every order 0..n_max (``factors``
+docstring): the order-n graph reads F_n and F_{n+1}, and the evolution
+below reads factors of length at most n+1 at order n.
 
 Each fact has one source.  A Rauzy graph keeps one adjacency, the
 right-extension map of ``FactorIndex.right_extensions``: the edges out of
@@ -85,8 +90,8 @@ class RauzyGraph:
     """
 
     def __init__(self, idx: FactorIndex, n: int):
-        if not 0 <= n < idx.n_max:
-            raise OutOfRange(f"graph order must satisfy 0 <= n < n_max = {idx.n_max}")
+        if not 0 <= n <= idx.n_max:
+            raise OutOfRange(f"graph order must satisfy 0 <= n <= n_max = {idx.n_max}")
         self.n = n
         self.alphabet = idx.alphabet
         self.vertices = idx.factors(n)
@@ -125,21 +130,12 @@ class SimplePath:
 
 
 @dataclass(frozen=True)
-class CycleInfo:
-    """Fallback object when reduction meets a graph with no special vertex."""
-
-    vertices: tuple[bytes, ...]
-    closed: bool
-
-
-@dataclass(frozen=True)
 class ReducedRauzyGraph:
     """Special factors as vertices; one labeled edge per simple path."""
 
     n: int
     vertices: tuple[bytes, ...]
     edges: tuple[SimplePath, ...]
-    cycle: CycleInfo | None = None
 
     @property
     def no_specials(self) -> bool:
@@ -174,22 +170,6 @@ def _simple_paths(g: RauzyGraph) -> list[SimplePath]:
     return paths
 
 
-def _trace_cycle(vertices, edges) -> CycleInfo:
-    """Walk from the least vertex of a graph whose out-degrees are at most one."""
-    step = {e[:-1]: e[1:] for e in edges}
-    start = min(vertices)
-    seq = [start]
-    cur = start
-    for _ in range(len(step) + 1):
-        cur = step.get(cur)
-        if cur is None:
-            return CycleInfo(tuple(seq), closed=False)
-        if cur == start:
-            return CycleInfo(tuple(seq), closed=True)
-        seq.append(cur)
-    return CycleInfo(tuple(seq), closed=False)
-
-
 def reduce(g: RauzyGraph) -> ReducedRauzyGraph:
     """Contract maximal runs of non-special vertices into labeled edges.
 
@@ -198,10 +178,8 @@ def reduce(g: RauzyGraph) -> ReducedRauzyGraph:
     special one.  A walk that meets a vertex without a right extension (the
     final suffix of a finite word) is not a path and is dropped.  A graph
     without special vertices (an eventually periodic word at this order)
-    yields a tagged cycle object with no vertices or edges.
+    reduces to no vertices and no edges.
     """
-    if not g.special:
-        return ReducedRauzyGraph(g.n, (), (), cycle=_trace_cycle(g.vertices, g.edges))
     return ReducedRauzyGraph(g.n, tuple(sorted(g.special)), tuple(_simple_paths(g)))
 
 
@@ -309,44 +287,37 @@ def _next_paths(
     return complete, dangling
 
 
-def specials_by_order(
-    idx: FactorIndex, n_max: int
-) -> Iterator[dict[bytes, _Extensions]]:
-    """S_n for n = 0..n_max, each from the last (fact 1).
+def specials_by_order(idx: FactorIndex) -> Iterator[dict[bytes, _Extensions]]:
+    """S_n for n = 0..idx.n_max, each from the last (fact 1).
 
     Each order maps its special factors to their (left, right) extension
     letters, both sorted.  Once an order has none, no later order has any.
     """
-    if not 0 <= n_max < idx.n_max:
-        raise OutOfRange(f"orders must satisfy 0 <= n < n_max = {idx.n_max}")
     has = idx.has_factor
     letters = range(idx.alphabet.size)
     left, right = _extensions(b"", has, letters)
     specials = {b"": (left, right)} if len(right) > 1 else {}
-    for n in range(n_max + 1):
+    for n in range(idx.n_max + 1):
         if n > 0 and specials:
             specials = _next_specials(specials, has, letters)
         yield specials
 
 
-def reduced_graphs(idx: FactorIndex, n_max: int) -> Iterator[ReducedRauzyGraph]:
-    """``reduce(build_rauzy(idx, n))`` for n = 0..n_max, each from the last.
+def reduced_graphs(idx: FactorIndex) -> Iterator[ReducedRauzyGraph]:
+    """``reduce(build_rauzy(idx, n))`` for n = 0..idx.n_max, each from the last.
 
     The special factors of each order come from :func:`specials_by_order`;
     the simple paths of order n carry over to order n+1 through facts 2
-    and 3 of the module docstring; no order builds its full Rauzy graph.
-    Graphs without special factors come with the same cycle object as
-    :func:`reduce`.
+    and 3 of the module docstring; no order builds its full Rauzy graph,
+    and an order without special factors reads no factor set at all.
     """
-    if not 0 <= n_max < idx.n_max:
-        raise OutOfRange(f"graph orders must satisfy 0 <= n < n_max = {idx.n_max}")
     has = idx.has_factor
     letters = range(idx.alphabet.size)
     source = idx.source.data
     previous: dict[bytes, _Extensions] = {}
     complete: list[SimplePath] = []
     dangling: list[SimplePath] = []
-    for n, specials in enumerate(specials_by_order(idx, n_max)):
+    for n, specials in enumerate(specials_by_order(idx)):
         if n == 0:
             # One path per letter, from the empty word to itself.
             complete = [
@@ -360,10 +331,6 @@ def reduced_graphs(idx: FactorIndex, n_max: int) -> Iterator[ReducedRauzyGraph]:
                 (*complete, *dangling), previous, specials, has, dead, n - 1
             )
         previous = specials
-        if not specials:
-            cycle = _trace_cycle(idx.factors(n), idx.factors(n + 1))
-            yield ReducedRauzyGraph(n, (), (), cycle=cycle)
-            continue
         yield ReducedRauzyGraph(n, tuple(sorted(specials)), tuple(complete))
 
 
@@ -545,22 +512,28 @@ def rauzy_dot(g: RauzyGraph, out: TextIO) -> None:
     write("}\n")
 
 
-def reduced_dot(rg: ReducedRauzyGraph, alphabet, out: TextIO) -> None:
-    """Write deterministic DOT for the reduced graph with path labels to ``out``."""
-    decode = alphabet.decode
+def reduced_dot(rg: ReducedRauzyGraph, g: RauzyGraph, out: TextIO) -> None:
+    """Write deterministic DOT for the reduced graph ``rg`` of ``g`` to ``out``.
+
+    Each edge carries its path label.  A graph without special vertices is
+    drawn as the walk of ``g`` from its least vertex: every vertex has at
+    most one edge out and one in, so the walk closes into the cycle, or,
+    in the graph of a finite word, ends at the final suffix.
+    """
+    decode = g.alphabet.decode
     write = out.write
     write(f"digraph reduced_rauzy_{rg.n} {{\n")
     if rg.no_specials:
         write('  graph [note="no special vertices; single cycle"];\n')
-        cyc = rg.cycle
-        if cyc is not None:
-            for v in sorted(cyc.vertices):
-                write(f"  {_quote(decode(v))};\n")
-            ring = list(cyc.vertices)
-            if cyc.closed:
-                ring.append(cyc.vertices[0])
-            for a, b in zip(ring, ring[1:]):
-                write(f"  {_quote(decode(a))} -> {_quote(decode(b))};\n")
+        walk = [g.vertices[0]]
+        while g.right[walk[-1]]:
+            walk.append((walk[-1] + g.right[walk[-1]])[1:])
+            if walk[-1] == walk[0]:
+                break
+        for v in sorted(set(walk)):
+            write(f"  {_quote(decode(v))};\n")
+        for a, b in zip(walk, walk[1:]):
+            write(f"  {_quote(decode(a))} -> {_quote(decode(b))};\n")
     else:
         for v in rg.vertices:
             write(f"  {_quote(decode(v))};\n")

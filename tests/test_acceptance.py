@@ -56,9 +56,9 @@ def criterion(number: int, label: str):
 def test_criterion_1_sturmian_equality():
     with criterion(1, "Fibonacci: C(n)=n+1, P alternates 1/2, slack 0, n<=30"):
         started = time.perf_counter()
-        sp = stabilized_prefix(get_family("fibonacci").produce, 31)
+        sp = stabilized_prefix(get_family("fibonacci").produce, 30)
         assert sp.stable
-        prof = profile_from_index(sp.index, 30)
+        prof = profile_from_index(sp.index)
         for n in range(31):
             assert prof.C[n] == n + 1
             expected_p = 1 if n % 2 == 0 else 2
@@ -70,9 +70,9 @@ def test_criterion_1_sturmian_equality():
 def test_criterion_2_arnoux_rauzy_bound_attainment():
     with criterion(2, "Tribonacci: C(n+1)-C(n)=2 and P(n)+P(n+1)=4, 1<=n<=20"):
         started = time.perf_counter()
-        sp = stabilized_prefix(get_family("tribonacci").produce, 21)
+        sp = stabilized_prefix(get_family("tribonacci").produce, 20)
         assert sp.stable
-        prof = profile_from_index(sp.index, 20)
+        prof = profile_from_index(sp.index)
         for n in range(1, 21):
             assert prof.C[n + 1] - prof.C[n] == 2
             assert prof.P[n] + prof.P[n + 1] == 4
@@ -93,7 +93,7 @@ def test_criterion_3_worked_rauzy_example():
         assert rauzy.is_tree(sg)
         for render, args, golden in (
             (rauzy.rauzy_dot, (g,), "fibonacci_n2_raw.dot"),
-            (rauzy.reduced_dot, (rg, g.alphabet), "fibonacci_n2_reduced.dot"),
+            (rauzy.reduced_dot, (rg, g), "fibonacci_n2_reduced.dot"),
             (rauzy.super_dot, (sg, g.alphabet), "fibonacci_n2_super.dot"),
         ):
             out = io.StringIO()

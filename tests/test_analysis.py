@@ -31,7 +31,7 @@ TM = Morphism.parse("a->ab,b->ba")
 
 
 def fam_profile(name, n_max, **kw):
-    return profile_from_index(get_family(name, **kw).index(n_max), n_max)
+    return profile_from_index(get_family(name, **kw).index(n_max))
 
 
 def profile(w, n_max):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import tracemalloc
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from palrich import counting
-from palrich.cli import main
+from palrich.cli import _build_parser, main
+from palrich.factors import FactorIndex
 from palrich.generators import get_family
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -319,3 +321,79 @@ def test_analyze_judges_a_long_literal_word_whole(capsys):
         "first_violation_prefix": 65542,
         "witness": ["baab", "baababaaabbaab"],
     }
+
+
+SOURCE_OPTIONS = [
+    "--block", "--directive", "--generator", "--k", "--morphism", "--out",
+    "--prefix-cap", "--seed", "--word",
+]
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: sorted(s for a in p._actions for s in a.option_strings if s != "-h")
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "analyze": sorted(SOURCE_OPTIONS + ["--format", "--help", "--n-max"]),
+        "graph": sorted(SOURCE_OPTIONS + ["--help", "--n", "--tier"]),
+        "verify": sorted(SOURCE_OPTIONS + ["--format", "--help", "--n-max"]),
+        "count": sorted(
+            SOURCE_OPTIONS + ["--alphabet", "--format", "--help", "--kind", "--n-max"]
+        ),
+    }
+    # graph reads only --n, so an --n-max it would ignore is an error.
+    with pytest.raises(SystemExit):
+        parser.parse_args(["graph", "--generator", "fibonacci", "--n", "3", "--n-max", "0"])
+
+
+def test_generator_rejects_a_parameter_it_does_not_take(capsys):
+    code, out, err = run(
+        capsys, "verify", "--generator", "fibonacci", "--block", "zzz", "--format", "json"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: generator 'fibonacci' takes no parameter block\n"
+
+
+def test_generator_runs_index_exactly_the_orders_they_read(capsys, monkeypatch):
+    built = []
+    init = FactorIndex.__init__
+
+    def recording_init(self, source, n_max, top):
+        built.append(n_max)
+        init(self, source, n_max, top)
+
+    monkeypatch.setattr(FactorIndex, "__init__", recording_init)
+    for argv in (("analyze", "--n-max", "7"), ("verify", "--n-max", "7"), ("graph", "--n", "7")):
+        built.clear()
+        assert run(capsys, *argv, "--generator", "fibonacci")[0] == 0, argv
+        assert built == [7], argv
+
+
+def test_literal_words_answer_every_order_they_have(capsys):
+    # abbbbab has orders 0..6: its order-6 graph has the one edge abbbbab.
+    code, out, err = run(capsys, "graph", "--word", "abbbbab", "--n", "6")
+    assert (code, err) == (0, "")
+    assert out == (
+        "digraph rauzy_6 {\n"
+        '  graph [note="no special vertices; single cycle"];\n'
+        '  "abbbba";\n  "bbbbab";\n'
+        '  "abbbba" -> "bbbbab" [label="abbbbab"];\n}\n'
+    )
+    # Without special vertices the reduced tier draws the walk of the raw
+    # graph, which ends at the final suffix.
+    code, out, _ = run(capsys, "graph", "--word", "abbbbab", "--n", "6", "--tier", "reduced")
+    assert code == 0
+    assert out.endswith('  "abbbba";\n  "bbbbab";\n  "abbbba" -> "bbbbab";\n}\n')
+    code, out, err = run(capsys, "graph", "--word", "abbbbab", "--n", "7")
+    assert (code, out) == (1, "")
+    assert "0 <= n <= n_max = 6" in err
+    code, out, _ = run(capsys, "analyze", "--word", "abbbbab", "--n-max", "30", "--format", "json")
+    payload = json.loads(out)
+    assert payload["n_max"] == 6 and [r["n"] for r in payload["rows"]] == list(range(7))
+    # A one-letter word has the one order 0.
+    code, out, _ = run(capsys, "analyze", "--word", "a", "--format", "json")
+    assert code == 0
+    assert [(r["n"], r["C"], r["P"]) for r in json.loads(out)["rows"]] == [(0, 1, 1)]

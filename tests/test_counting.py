@@ -50,6 +50,17 @@ def test_sturmian_palindrome_count_examples():
     assert sturmian_palindrome_count(5) == 8
 
 
+def test_sturmian_palindrome_count_matches_its_even_odd_split():
+    # The indices n - 2i run over the even numbers 2..n when n is even and
+    # over the odd numbers 1..n when n is odd.
+    for n in range(301):
+        if n % 2 == 0:
+            split = 1 + sum(totient(2 * i) for i in range(1, n // 2 + 1))
+        else:
+            split = 1 + sum(totient(2 * i + 1) for i in range(n // 2 + 1))
+        assert sturmian_palindrome_count(n) == split, n
+
+
 def test_enumerate_balanced_examples():
     assert [w.text for w in enumerate_balanced(2)] == ["aa", "ab", "ba", "bb"]
     four = {w.text for w in enumerate_balanced(4)}

@@ -108,7 +108,7 @@ def special_factors(idx, n):
     The special factors come from ``specials_by_order``, the route of
     ``palrich analyze``, and are checked against the edge-by-edge graph.
     """
-    specials = list(specials_by_order(idx, n))[n]
+    specials = list(specials_by_order(idx))[n]
     right = sorted(u for u, (_, r) in specials.items() if len(r) > 1)
     left = sorted(u for u, (l, _) in specials.items() if len(l) > 1)
     naive = rauzy_graph_naive(idx, n)

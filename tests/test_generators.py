@@ -151,7 +151,7 @@ def test_exact_sets_match_prefix_scan(name, params):
 
 
 def test_s_word_exact_complexities():
-    prof = profile_from_index(get_family("s-word").index(22), 21)
+    prof = profile_from_index(get_family("s-word").index(21))
     assert (prof.C[18], prof.P[18], prof.C[21]) == (124, 1, 172)
 
 

@@ -153,9 +153,10 @@ def _row_counts(row):
 def test_analyze_special_counts_match_special_factors_on_literal_words(text):
     w = Word.parse(text)
     for n_max in range(1, len(w) + 1):
-        idx = build_index(w, min(n_max + 1, len(w) - 1))
+        idx = build_index(w, min(n_max, len(w) - 1))
         rows = _analyze_rows("--word", text, "--n-max", str(n_max))
-        assert len(rows) == min(n_max, idx.n_max - 1) + 1
+        # A literal word has orders up to |w| - 1: F_{|w|} is the word itself.
+        assert len(rows) == min(n_max, len(w) - 1) + 1
         for row in rows:
             assert _row_counts(row) == _special_counts(idx, row["n"]), (n_max, row["n"])
 
@@ -164,7 +165,7 @@ def test_analyze_special_counts_match_special_factors_on_literal_words(text):
 def test_analyze_special_counts_match_special_factors_on_families(name, params):
     flags = [f"--{key}={value}" for key, value in params.items()]
     rows = _analyze_rows("--generator", name, *flags, "--n-max", "60", "--prefix-cap", "64")
-    idx = get_family(name, **params).index(61, 64)
+    idx = get_family(name, **params).index(60, 64)
     assert [row["n"] for row in rows] == list(range(61))
     for row in rows:
         assert _row_counts(row) == _special_counts(idx, row["n"]), row["n"]

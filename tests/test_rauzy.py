@@ -106,7 +106,7 @@ def test_build_rauzy_matches_naive_graph_on_literal_words(text):
     w = Word.parse(text)
     data = w.data
     idx = build_index(w, len(text) - 1)
-    for n in range(idx.n_max):
+    for n in range(idx.n_max + 1):
         g = assert_graph_matches_naive(idx, n)
         if n == 0:
             continue
@@ -121,8 +121,8 @@ def test_build_rauzy_matches_naive_graph_on_literal_words(text):
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_build_rauzy_matches_naive_graph_on_registry_families(name):
-    idx = get_family(name).index(31)
-    for n in range(31):
+    idx = get_family(name).index(30)
+    for n in range(idx.n_max + 1):
         assert_graph_matches_naive(idx, n)
 
 
@@ -134,8 +134,11 @@ def test_build_rauzy_trivial_orders():
     g0 = rauzy.build_rauzy(idx, 0)
     assert len(g0.vertices) == 1
     assert len(g0.edges) == idx.complexity(1)
+    # An index built for n_max answers every order up to n_max.
+    top = rauzy.build_rauzy(idx, idx.n_max)
+    assert len(top.edges) == idx.complexity(idx.n_max + 1)
     with pytest.raises(OutOfRange):
-        rauzy.build_rauzy(idx, idx.n_max)
+        rauzy.build_rauzy(idx, idx.n_max + 1)
 
 
 def test_reduce_fibonacci_order2_worked_example():
@@ -159,9 +162,13 @@ def test_reduce_periodic_cycle_object():
     idx = build_index(periodic_word(Word.parse("ab"), 64), 4)
     g = rauzy.build_rauzy(idx, 2)
     rg = rauzy.reduce(g)
-    assert rg.no_specials
-    assert rg.cycle is not None and rg.cycle.closed
-    assert len(rg.cycle.vertices) == 2
+    assert rg.no_specials and rg.edges == ()
+    # The DOT draws the cycle of the raw graph: a closed ring of two vertices.
+    assert dot(rauzy.reduced_dot, rg, g) == (
+        "digraph reduced_rauzy_2 {\n"
+        '  graph [note="no special vertices; single cycle"];\n'
+        '  "ab";\n  "ba";\n  "ab" -> "ba";\n  "ba" -> "ab";\n}\n'
+    )
 
 
 def test_reduction_soundness_edge_multiset():
@@ -342,8 +349,8 @@ def test_dot_outputs_are_deterministic():
     rg = rauzy.reduce(g)
     sg = rauzy.super_reduce(rg)
     assert dot(rauzy.rauzy_dot, g) == dot(rauzy.rauzy_dot, rauzy.build_rauzy(fib_index(), 2))
-    assert 'digraph reduced_rauzy_2' in dot(rauzy.reduced_dot, rg, g.alphabet)
-    assert '"ba" -> "ab" [label="baab"]' in dot(rauzy.reduced_dot, rg, g.alphabet)
+    assert 'digraph reduced_rauzy_2' in dot(rauzy.reduced_dot, rg, g)
+    assert '"ba" -> "ab" [label="baab"]' in dot(rauzy.reduced_dot, rg, g)
     assert dot(rauzy.super_dot, sg, g.alphabet) == (
         'graph super_reduced_rauzy_2 {\n  "[ab]";\n}\n'
     )
@@ -353,7 +360,7 @@ def test_dot_cycle_note():
     idx = build_index(periodic_word(Word.parse("ab"), 64), 4)
     g = rauzy.build_rauzy(idx, 2)
     rg = rauzy.reduce(g)
-    text = dot(rauzy.reduced_dot, rg, g.alphabet)
+    text = dot(rauzy.reduced_dot, rg, g)
     assert "note=" in text and "single cycle" in text
     sg = rauzy.super_reduce(rg)
     assert "note=" in dot(rauzy.super_dot, sg, g.alphabet)
@@ -400,17 +407,19 @@ def test_rich_words_have_exactly_2s_minus_2_nonpalindromic_paths():
 # -- evolved reduced graphs against the per-order build ------------------------
 
 
-def assert_evolution_matches_per_order_build(idx, n_max):
-    """Every graph of reduced_graphs equals reduce(build_rauzy(idx, n))."""
-    evolved = list(rauzy.reduced_graphs(idx, n_max))
-    assert [rg.n for rg in evolved] == list(range(n_max + 1))
+def assert_evolution_matches_per_order_build(idx):
+    """Every graph of reduced_graphs equals reduce(build_rauzy(idx, n)).
+
+    The evolution runs through the index's top order.
+    """
+    evolved = list(rauzy.reduced_graphs(idx))
+    assert [rg.n for rg in evolved] == list(range(idx.n_max + 1))
     for rg in evolved:
         ref = rauzy.reduce(rauzy.build_rauzy(idx, rg.n))
         assert rg.vertices == ref.vertices, rg.n
         assert [p.sort_key() for p in rg.edges] == sorted(
             p.sort_key() for p in ref.edges
         ), rg.n
-        assert rg.cycle == ref.cycle, rg.n
 
 
 @pytest.mark.parametrize(
@@ -433,8 +442,7 @@ def assert_evolution_matches_per_order_build(idx, n_max):
     ],
 )
 def test_reduced_graphs_match_per_order_build_on_exact_families(name, params):
-    idx = get_family(name, **params).index(61)
-    assert_evolution_matches_per_order_build(idx, 60)
+    assert_evolution_matches_per_order_build(get_family(name, **params).index(60))
 
 
 @pytest.mark.parametrize(
@@ -443,8 +451,9 @@ def test_reduced_graphs_match_per_order_build_on_exact_families(name, params):
 )
 def test_reduced_graphs_match_per_order_build_on_prefixes(name, params):
     # The finite 2^14-letter prefixes, as literal words.
-    idx = build_index(get_family(name, **params).produce(1 << 14), 31)
-    assert_evolution_matches_per_order_build(idx, 30)
+    assert_evolution_matches_per_order_build(
+        build_index(get_family(name, **params).produce(1 << 14), 30)
+    )
 
 
 def _one_letter_changed(block, length, at, letter):
@@ -468,8 +477,7 @@ def _one_letter_changed(block, length, at, letter):
 @example("abbbbab")  # see test_literal_word_reaches_the_dangling_branch
 @settings(max_examples=300, deadline=None)
 def test_reduced_graphs_match_per_order_build_on_literal_words(text):
-    idx = build_index(Word.parse(text), len(text) - 1)
-    assert_evolution_matches_per_order_build(idx, idx.n_max - 1)
+    assert_evolution_matches_per_order_build(build_index(Word.parse(text), len(text) - 1))
 
 
 def test_literal_word_reaches_the_dangling_branch():
@@ -478,10 +486,11 @@ def test_literal_word_reaches_the_dangling_branch():
     # walk from bbb that follows this label stops at bab, a dead end, and
     # makes no path.
     idx = build_index(Word.parse("abbbbab"), 6)
-    graphs = list(rauzy.reduced_graphs(idx, 5))
+    graphs = list(rauzy.reduced_graphs(idx))
     triples = lambda paths: [tuple(map(idx.alphabet.decode, p.sort_key())) for p in paths]
     assert triples(graphs[2].edges) == [("bb", "bb", "bbabb"), ("bb", "bb", "bbb")]
     assert triples(graphs[3].edges) == [("bbb", "bbb", "bbbb")]
     assert all(p.target != idx.alphabet.encode("bab") for p in graphs[3].edges)
-    with pytest.raises(OutOfRange):
-        next(rauzy.reduced_graphs(idx, idx.n_max))
+    # The evolution runs through the top order |w| - 1 = 6, whose one edge
+    # abbbbab joins two non-special vertices.
+    assert [rg.n for rg in graphs] == list(range(7)) and graphs[6].no_specials
