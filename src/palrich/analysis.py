@@ -11,29 +11,24 @@ verdicts per word: richness, the slack being identically zero, and the
 graph-side conditions (palindromic connecting paths, super-reduced graph a
 tree).  Any disagreement is a hard discrepancy and is reported as such.
 
-Richness is read from one eertree of the sample: the incremental scan and
-the palindrome count (``by_count``) both read that tree, so ``by_count`` is
-visibly the same fact as a zero defect of the incremental verdict.  The
-complete-return sweep builds no tree and stays the independent verdict.
-
-Every generator family has exact factor sets, so C, P and the graphs of
-every order describe the infinite word itself; only the richness verdicts
-read a finite prefix, the sample.
+Every generator family has exact factor sets, so C, P, reversal closure
+and the graphs of every order describe the infinite word itself, and its
+index holds no prefix of it.  Only the richness verdicts read a finite
+prefix, the sample of ``WordFamily.sample``: the incremental scan and the
+palindrome count (``by_count``) both read one eertree of it, so
+``by_count`` is visibly the same fact as a zero defect of the incremental
+verdict.  The complete-return sweep builds no tree and stays the
+independent verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import rauzy
 from .errors import NotAPalindrome
-from .factors import (
-    RICHNESS_SAMPLE_CAP,
-    FactorIndex,
-    finite_complexity,
-    is_closed_under_reversal,
-)
+from .factors import FactorIndex, finite_complexity, is_closed_under_reversal
+from .generators import RICHNESS_SAMPLE_CAP, WordFamily
 from .palindromes import (
     Eertree,
     RichnessReport,
@@ -42,9 +37,6 @@ from .palindromes import (
     is_rich_incremental,
 )
 from .words import Word
-
-if TYPE_CHECKING:
-    from .generators import WordFamily
 
 # Longest prefix that the eertree-free complete-return sweep reads.  Its
 # cost grows with the number of palindrome occurrences, which is quadratic in
@@ -262,20 +254,21 @@ def theorem1_experiment(
 ) -> TheoremReport:
     """Run the full verdict triangle for one word family.
 
-    The exact factor sets come from :meth:`WordFamily.index`, whose source
-    word is the family's sample of ``prefix_cap`` letters, at most
-    ``RICHNESS_SAMPLE_CAP``.  Richness runs on that sample: one eertree of
-    it gives the incremental and the count verdict, and the eertree-free complete-return sweep reads the first
-    ``RETURNS_ORACLE_CAP`` letters.  The reduced Rauzy graphs of orders
-    0..n_max come from one pass of :func:`rauzy.reduced_graphs`, each
-    evolved from the one before; no order builds its full Rauzy graph.
+    C, P, reversal closure and the graphs read :meth:`WordFamily.index`,
+    built from the exact factor set alone.  Richness runs on the family's
+    sample of ``prefix_cap`` letters, at most ``RICHNESS_SAMPLE_CAP``
+    (:meth:`WordFamily.sample`): one eertree of it gives the incremental
+    and the count verdict, and the eertree-free complete-return sweep reads
+    its first ``RETURNS_ORACLE_CAP`` letters.  The reduced Rauzy graphs of
+    orders 0..n_max come from one pass of :func:`rauzy.reduced_graphs`,
+    each evolved from the one before; no order builds its full Rauzy graph.
     Each order super-reduces its graph and records only the verdicts the
     reports and :meth:`TheoremReport.discrepancies` read.
     """
-    idx = family.index(n_max, prefix_cap)
-    sample = idx.source
+    idx = family.index(n_max)
     prof = profile_from_index(idx)
     closed, witness = prof.reversal_closed, prof.closure_witness
+    sample = family.sample(prefix_cap)
     returns_sample = sample[:RETURNS_ORACLE_CAP]
     tree = Eertree.build(sample)
     richness = RichnessVerdicts(

@@ -15,8 +15,8 @@ import sys
 
 from . import analysis, counting, rauzy
 from .errors import PalrichError
-from .factors import RICHNESS_SAMPLE_CAP, FactorIndex, build_index
-from .generators import REGISTRY, WordFamily, get_family
+from .factors import FactorIndex, build_index
+from .generators import REGISTRY, RICHNESS_SAMPLE_CAP, WordFamily, get_family
 from .palindromes import Eertree, is_rich_incremental
 from .words import Word
 
@@ -36,29 +36,36 @@ class RunConfig:
     generator: str | None
     generator_params: dict
     n_max: int | None
-    prefix_cap: int
+    prefix_cap: int | None
     fmt: str
     out: str | None
 
     def __post_init__(self):
-        if self.command == "count":
-            if self.word is not None or self.generator is not None:
-                raise UsageError("count takes no word source")
-        else:
+        # count takes no source; its parser has no source options.
+        if self.command != "count":
             if (self.word is None) == (self.generator is None):
                 raise UsageError("exactly one of --word or --generator is required")
             if self.word is not None and not self.word:
                 raise UsageError("the literal word must be non-empty")
         if self.n_max is not None and self.n_max < 1:
             raise UsageError("--n-max must be at least 1")
-        # Only generator sources read the cap, and only to size the richness
-        # sample; the factor sets are exact.  A literal word is indexed as it
-        # is, and count takes no source.
-        if self.generator is not None and self.prefix_cap < 1:
-            raise UsageError(
-                f"prefix cap {self.prefix_cap} must be at least 1: it is the "
-                "length of the richness sample"
-            )
+        # Only generator sources read their parameters and the cap, which
+        # sizes the richness sample; the factor sets are exact.  A literal
+        # word is indexed and judged as it is.
+        if self.word is not None:
+            unread = [f"--{key}" for key in self.generator_params]
+            if self.prefix_cap is not None:
+                unread.append("--prefix-cap")
+            if unread:
+                raise UsageError(f"a literal word takes no {', '.join(unread)}")
+        if self.generator is not None:
+            if self.prefix_cap is None:
+                self.prefix_cap = RICHNESS_SAMPLE_CAP
+            elif self.prefix_cap < 1:
+                raise UsageError(
+                    f"prefix cap {self.prefix_cap} must be at least 1: it is the "
+                    "length of the richness sample"
+                )
 
 
 @contextlib.contextmanager
@@ -97,27 +104,27 @@ def _source_word(cfg: RunConfig) -> Word:
     return _family(cfg).sample(cfg.prefix_cap)
 
 
-def _index_for(cfg: RunConfig, n: int, source: Word) -> FactorIndex:
-    """Index of source for every order up to n.
+def _index_for(cfg: RunConfig, n: int) -> FactorIndex:
+    """Index of the source for every order up to n.
 
-    A generator's index holds the exact set F_{n+1} of its infinite word.  A
-    literal word w has no factor longer than |w|, so its index stops at
-    order min(n, |w| - 1).
+    A generator's index is :meth:`WordFamily.index`, the exact set F_{n+1} of
+    its infinite word.  A literal word w has no factor longer than |w|, so
+    its index stops at order min(n, |w| - 1).
     """
     if cfg.word is not None:
-        return build_index(source, min(n, len(source) - 1))
-    return FactorIndex(source, n, _family(cfg).exact_sets(n + 1))
+        w = Word.parse(cfg.word)
+        return build_index(w, min(n, len(w) - 1))
+    return _family(cfg).index(n)
 
 
 # -- analyze -----------------------------------------------------------------
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    source = _source_word(cfg)
     # The richness tree is dropped before the factor sets are built, so the
     # two never take memory at the same time.
-    rich = is_rich_incremental(Eertree.build(source))
-    idx = _index_for(cfg, cfg.n_max, source)
+    rich = is_rich_incremental(Eertree.build(_source_word(cfg)))
+    idx = _index_for(cfg, cfg.n_max)
     prof = analysis.profile_from_index(idx)
     rows = []
     for n, specials in enumerate(rauzy.specials_by_order(idx)):
@@ -183,7 +190,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 def cmd_graph(cfg: RunConfig, n: int, tier: str) -> int:
     if n < 0:
         raise UsageError("--n must be non-negative")
-    idx = _index_for(cfg, n, _source_word(cfg))
+    idx = _index_for(cfg, n)
     g = rauzy.build_rauzy(idx, n)
     # The tier is built before the output is opened, so a failed build
     # writes no file; the DOT lines then go straight to the output.
@@ -372,14 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--directive", help="directive string for episturmian")
         p.add_argument("--morphism", help="inline morphism, e.g. 'a->ab,b->a'")
         p.add_argument("--seed", help="seed letter for the morphic family")
-        p.add_argument(
-            "--prefix-cap",
-            type=int,
-            default=RICHNESS_SAMPLE_CAP,
-            help="length of a generator's richness sample "
-            f"(at most {RICHNESS_SAMPLE_CAP})",
-        )
-        p.add_argument("--out", help="write output to this path")
 
     p_analyze = sub.add_parser("analyze", help="per-order complexity table")
     add_source(p_analyze)
@@ -395,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
 
     p_count = sub.add_parser("count", help="emit counting tables")
-    add_source(p_count)
     p_count.add_argument(
         "--kind",
         choices=["sturmian", "sturmian-palindrome", "rich", "balanced-oracle"],
@@ -406,6 +404,16 @@ def _build_parser() -> argparse.ArgumentParser:
     # graph reads only --n.
     for p in (p_analyze, p_verify, p_count):
         p.add_argument("--n-max", type=int, default=30)
+    # Only the richness sample of analyze and verify reads the cap.
+    for p in (p_analyze, p_verify):
+        p.add_argument(
+            "--prefix-cap",
+            type=int,
+            help="length of a generator's richness sample "
+            f"(at most {RICHNESS_SAMPLE_CAP}, the default)",
+        )
+    for p in (p_analyze, p_graph, p_verify, p_count):
+        p.add_argument("--out", help="write output to this path")
     return parser
 
 
@@ -417,11 +425,11 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
             params[key] = value
     return RunConfig(
         command=args.command,
-        word=args.word,
-        generator=args.generator,
+        word=getattr(args, "word", None),
+        generator=getattr(args, "generator", None),
         generator_params=params,
         n_max=getattr(args, "n_max", None),
-        prefix_cap=args.prefix_cap,
+        prefix_cap=getattr(args, "prefix_cap", None),
         fmt=getattr(args, "format", "text"),
         out=args.out,
     )

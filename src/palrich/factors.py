@@ -41,9 +41,13 @@ own D-prefixes, so F_D shares their bytes instead of copying them.
 with u.  Those elements form a run, and every element at or after the
 first one >= u that does not start with u is greater than the whole run.
 So ``has_factor`` is one ``bisect`` and one ``startswith``.  It answers only
-up to D: G says nothing about longer words, and the source word of an
-infinite word's index is only a sample of it, so a longer u raises
-``OutOfRange``.
+up to D: G says nothing about longer words, so a longer u raises
+``OutOfRange``.  The index holds no word besides G: an infinite word's
+index is built from its exact factor set alone.
+
+*Suffixes.*  The elements of G shorter than D are the suffixes of a finite
+word that its end cuts short, one of each length 1..D-1; ``suffixes`` maps
+each length to its suffix.  An infinite word has none.
 
 *Palindromes.*  The palindromes of length n >= 2 are the words c p c with
 p a palindrome of length n - 2 and c a letter, and every factor of a
@@ -93,10 +97,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import OutOfRange, StabilizationFailed, TooLarge, WordTooShort
-from .words import Morphism, Word, fixed_point
-
-# Longest prefix that the richness checkers read.
-RICHNESS_SAMPLE_CAP = 1 << 16
+from .words import Alphabet, Morphism, Word, fixed_point
 
 # Rounds after which morphic_factor_sets gives up on saturating its sets.
 CLOSURE_ROUND_LIMIT = 4096
@@ -119,20 +120,21 @@ class FactorIndex:
     """The sorted windows G of a word, up to length n_max + 1 (module docstring).
 
     ``top`` holds the distinct windows: for an infinite word its factor set
-    F_{n_max+1}, for a finite word also its shorter suffixes.
+    F_{n_max+1}, for a finite word also its shorter suffixes, which
+    ``suffixes`` maps by length.
     """
 
-    def __init__(self, source: Word, n_max: int, top: Iterable[bytes]):
+    def __init__(self, alphabet: Alphabet, n_max: int, top: Iterable[bytes]):
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
         depth = n_max + 1
-        self.source = source
-        self.alphabet = source.alphabet
+        self.alphabet = alphabet
         self.n_max = n_max
         self._top = tuple(sorted(top))
         if not self._top:
             raise ValueError("an index needs at least one window")
         _check_budget(len(self._top), depth)
+        self.suffixes = {len(g): g for g in self._top if len(g) < depth}
         # _lcps[i] is the LCP of G[i-1] and G[i]; -1 before the first element.
         self._lcps = [-1] + [_lcp(a, b) for a, b in zip(self._top, self._top[1:])]
         lengths = Counter(map(len, self._top))
@@ -255,7 +257,7 @@ def build_index(w: Word, n_max: int) -> FactorIndex:
         stop = min(start + step, len(data))
         top.update(data[i : i + depth] for i in range(start, stop))
         _check_budget(len(top), depth)
-    return FactorIndex(w, n_max, top)
+    return FactorIndex(w.alphabet, n_max, top)
 
 
 def finite_complexity(w: Word) -> list[int]:
@@ -347,32 +349,18 @@ def is_closed_under_reversal(idx: FactorIndex, n: int) -> tuple[bool, Word | Non
     the reversal of v, which is a factor.  So the longest failing length is
     always n, and F_n alone decides.  Every index of the package holds the
     factor sets of a word, finite (``build_index``) or infinite
-    (``WordFamily.index``), with F_n non-empty.
+    (``WordFamily.index``).
 
-    On failure the witness is the first length-n factor, in first-occurrence
-    order (lexicographic order when the index has no positional source),
-    whose reversal is absent.
+    On failure the witness is the first length-n factor in index
+    (lexicographic) order whose reversal is absent.
     """
     if not 0 <= n <= idx.n_max + 1:
         raise OutOfRange(f"closure check needs n <= n_max+1 = {idx.n_max + 1}")
     has = idx.has_factor
-    factors = idx.factors(n)
-    if all(has(u[::-1]) for u in factors):
-        return True, None
-    if len(idx.source) >= n:
-        data = idx.source.data
-        seen = set()
-        for i in range(len(data) - n + 1):
-            u = data[i : i + n]
-            if u in seen:
-                continue
-            seen.add(u)
-            if not has(u[::-1]):
-                return False, Word(idx.alphabet, u)
-    for u in factors:
+    for u in idx.factors(n):
         if not has(u[::-1]):
             return False, Word(idx.alphabet, u)
-    raise AssertionError("unreachable: failing length without failing factor")
+    return True, None
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Each registry entry packages a prefix producer with its expected richness,
 when known, and an exact factor-set construction that sidesteps prefix
-scanning entirely.
+scanning entirely.  Only the richness checkers read a prefix, the sample;
+every factor index is built from the exact set.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import Callable
 
 from .errors import PalrichError
 from .factors import (
-    RICHNESS_SAMPLE_CAP,
     FactorIndex,
     image_factor_sets,
     morphic_factor_sets,
@@ -24,11 +24,15 @@ from .words import (
     Alphabet,
     BINARY,
     Morphism,
+    TERNARY,
     Word,
     fixed_point,
     periodic_word,
     s_word,
 )
+
+# Longest prefix that the richness checkers read.
+RICHNESS_SAMPLE_CAP = 1 << 16
 
 FIBONACCI = Morphism.parse("a->ab,b->a")
 THUE_MORSE = Morphism.parse("a->ab,b->ba")
@@ -38,13 +42,16 @@ QUADRATIC_ABAB = Morphism.parse("a->abab,b->b")
 
 @dataclass(frozen=True)
 class WordFamily:
-    """A named infinite word with a prefix producer and known properties.
+    """A named infinite word over ``alphabet`` with known properties.
 
     ``exact_sets(depth)`` gives the exact factor set F_depth of the
-    infinite word; :class:`FactorIndex` derives every shorter one.
+    infinite word, from which :meth:`index` builds every factor index of
+    the family.  ``produce(length)`` gives a prefix; only :meth:`sample`,
+    the prefix that the richness checkers read, calls it.
     """
 
     name: str
+    alphabet: Alphabet
     produce: Callable[[int], Word]
     exact_sets: Callable[[int], set[bytes]]
     rich_expected: bool | None = None
@@ -63,22 +70,36 @@ class WordFamily:
         """
         return self.produce(min(prefix_cap, RICHNESS_SAMPLE_CAP))
 
-    def index(self, n_max: int, prefix_cap: int = RICHNESS_SAMPLE_CAP) -> FactorIndex:
+    def index(self, n_max: int) -> FactorIndex:
         """Index of the infinite word for every order 0..n_max.
 
         It holds the exact factor set F_{n_max+1}, the edges of the order-
-        n_max Rauzy graph, from the family's exact construction.  The
-        index's source word, which only serves as the richness sample and
-        orders witnesses, is ``sample(prefix_cap)``.
+        n_max Rauzy graph, from the family's exact construction, and no
+        prefix of the word.
         """
-        return FactorIndex(self.sample(prefix_cap), n_max, self.exact_sets(n_max + 1))
+        return FactorIndex(self.alphabet, n_max, self.exact_sets(n_max + 1))
 
 
-def _exact_from_morphism(m: Morphism, seed: str):
-    def build(depth: int):
-        return morphic_factor_sets(m, seed, depth)
+def _fixed_point_family(name: str, m: Morphism, seed: str, **kw) -> WordFamily:
+    """The family of the fixed point of ``m`` from the letter ``seed``."""
+    return WordFamily(
+        name,
+        m.alphabet,
+        lambda length: fixed_point(m, seed, length),
+        lambda depth: morphic_factor_sets(m, seed, depth),
+        **kw,
+    )
 
-    return build
+
+def _periodic_family(name: str, block: Word, **kw) -> WordFamily:
+    """The family of ``block`` repeated forever."""
+    return WordFamily(
+        name,
+        block.alphabet,
+        lambda length: periodic_word(block, length),
+        lambda depth: periodic_factor_sets(block, depth),
+        **kw,
+    )
 
 
 def episturmian_morphism(directive: str) -> Morphism:
@@ -100,21 +121,18 @@ def episturmian_morphism(directive: str) -> Morphism:
     return Morphism(alphabet, images)
 
 
-def _episturmian_parts(directive: str):
-    """Producer and exact sets of the episturmian word along (directive)*.
+def _episturmian_family(name: str, directive: str, **kw) -> WordFamily:
+    """The episturmian word along (directive)*.
 
     A directive with one distinct letter x gives the periodic word x^omega;
-    any other gives a prolongable composed morphism (see
+    any other gives the fixed point of a prolongable composed morphism (see
     :func:`episturmian_morphism`).
     """
     if len(set(directive)) == 1:
-        block = Word.parse(directive[0])
-        return (
-            lambda length: periodic_word(block, length),
-            lambda depth: periodic_factor_sets(block, depth),
-        )
-    m = episturmian_morphism(directive)
-    return _fixed_point_producer(m, directive[0]), _exact_from_morphism(m, directive[0])
+        return _periodic_family(name, Word.parse(directive[0]), rich_expected=True, **kw)
+    return _fixed_point_family(
+        name, episturmian_morphism(directive), directive[0], rich_expected=True, **kw
+    )
 
 
 def family_block(k: int) -> Word:
@@ -135,7 +153,33 @@ def psi_morphism(k: int) -> Morphism:
     return Morphism.parse(f"a->{family_block(k).text},b->bab")
 
 
-def _psi_of_fibonacci_producer(k: int) -> Callable[[int], Word]:
+def fibonacci() -> WordFamily:
+    """The fixed point of a->ab, b->a (the Fibonacci word)."""
+    return _fixed_point_family("fibonacci", FIBONACCI, "a", rich_expected=True)
+
+
+def tribonacci() -> WordFamily:
+    """Iterated palindromic closure along (abc)*."""
+    return _episturmian_family("tribonacci", "abc")
+
+
+def thue_morse() -> WordFamily:
+    """The fixed point of a->ab, b->ba."""
+    return _fixed_point_family("thue-morse", THUE_MORSE, "a", rich_expected=False)
+
+
+def cassaigne_aab() -> WordFamily:
+    """The fixed point of a->aab, b->b (complexity ~ n^2/2)."""
+    return _fixed_point_family("cassaigne-aab", CASSAIGNE_AAB, "a", rich_expected=True)
+
+
+def quadratic_abab() -> WordFamily:
+    """The fixed point of a->abab, b->b (quadratic complexity)."""
+    return _fixed_point_family("quadratic-abab", QUADRATIC_ABAB, "a", rich_expected=True)
+
+
+def psi_of_fibonacci(k: int = 0) -> WordFamily:
+    """The image of the Fibonacci word under a->(aab)^{k+1} aabab, b->bab."""
     psi = psi_morphism(k)
 
     def produce(length: int) -> Word:
@@ -144,77 +188,15 @@ def _psi_of_fibonacci_producer(k: int) -> Callable[[int], Word]:
         base = fixed_point(FIBONACCI, "a", length // 3 + 1)
         return psi(base)[:length]
 
-    return produce
-
-
-def _psi_of_fibonacci_sets(k: int):
-    psi = psi_morphism(k)
-
-    def build(depth: int):
+    def exact_sets(depth: int) -> set[bytes]:
         base = morphic_factor_sets(FIBONACCI, "a", depth)
         return image_factor_sets(psi, base, depth)
 
-    return build
-
-
-def _fixed_point_producer(m: Morphism, seed: str) -> Callable[[int], Word]:
-    def produce(length: int) -> Word:
-        return fixed_point(m, seed, length)
-
-    return produce
-
-
-def fibonacci() -> WordFamily:
-    """The fixed point of a->ab, b->a (the Fibonacci word)."""
-    return WordFamily(
-        "fibonacci",
-        _fixed_point_producer(FIBONACCI, "a"),
-        _exact_from_morphism(FIBONACCI, "a"),
-        rich_expected=True,
-    )
-
-
-def tribonacci() -> WordFamily:
-    """Iterated palindromic closure along (abc)*."""
-    return WordFamily("tribonacci", *_episturmian_parts("abc"), rich_expected=True)
-
-
-def thue_morse() -> WordFamily:
-    """The fixed point of a->ab, b->ba."""
-    return WordFamily(
-        "thue-morse",
-        _fixed_point_producer(THUE_MORSE, "a"),
-        _exact_from_morphism(THUE_MORSE, "a"),
-        rich_expected=False,
-    )
-
-
-def cassaigne_aab() -> WordFamily:
-    """The fixed point of a->aab, b->b (complexity ~ n^2/2)."""
-    return WordFamily(
-        "cassaigne-aab",
-        _fixed_point_producer(CASSAIGNE_AAB, "a"),
-        _exact_from_morphism(CASSAIGNE_AAB, "a"),
-        rich_expected=True,
-    )
-
-
-def quadratic_abab() -> WordFamily:
-    """The fixed point of a->abab, b->b (quadratic complexity)."""
-    return WordFamily(
-        "quadratic-abab",
-        _fixed_point_producer(QUADRATIC_ABAB, "a"),
-        _exact_from_morphism(QUADRATIC_ABAB, "a"),
-        rich_expected=True,
-    )
-
-
-def psi_of_fibonacci(k: int = 0) -> WordFamily:
-    """The image of the Fibonacci word under a->(aab)^{k+1} aabab, b->bab."""
     return WordFamily(
         "psi-of-fibonacci",
-        _psi_of_fibonacci_producer(k),
-        _psi_of_fibonacci_sets(k),
+        psi.alphabet,
+        produce,
+        exact_sets,
         rich_expected=True,
         params={"k": k},
     )
@@ -222,38 +204,23 @@ def psi_of_fibonacci(k: int = 0) -> WordFamily:
 
 def periodic(block: str = "aabaabab") -> WordFamily:
     """The block repeated forever."""
-    word = Word.parse(block)
-    return WordFamily(
-        "periodic",
-        lambda length: periodic_word(word, length),
-        lambda depth: periodic_factor_sets(word, depth),
-        params={"block": block},
-    )
+    return _periodic_family("periodic", Word.parse(block), params={"block": block})
 
 
 def s_word_family() -> WordFamily:
     """bc a^2 bc a^3 ... (recurrent, not closed under reversal)."""
-    return WordFamily("s-word", s_word, s_word_factor_sets, rich_expected=False)
+    return WordFamily("s-word", TERNARY, s_word, s_word_factor_sets, rich_expected=False)
 
 
 def episturmian(directive: str = "ab") -> WordFamily:
     """Iterated palindromic closure along the directive, repeated."""
-    return WordFamily(
-        "episturmian",
-        *_episturmian_parts(directive),
-        rich_expected=True,
-        params={"directive": directive},
-    )
+    return _episturmian_family("episturmian", directive, params={"directive": directive})
 
 
 def morphic(morphism: str = "a->ab,b->a", seed: str = "a") -> WordFamily:
     """The fixed point of an inline morphism from a seed letter."""
-    m = Morphism.parse(morphism)
-    return WordFamily(
-        "morphic",
-        _fixed_point_producer(m, seed),
-        _exact_from_morphism(m, seed),
-        params={"morphism": morphism, "seed": seed},
+    return _fixed_point_family(
+        "morphic", Morphism.parse(morphism), seed, params={"morphism": morphism, "seed": seed}
     )
 
 

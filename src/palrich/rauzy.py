@@ -62,7 +62,10 @@ Facts 1 and 2 hold for any sets closed under taking factors; fact 3 needs
 in addition only that each edge met has a right extension.  Every factor
 of an infinite word has one.  In a finite word the only factor of
 length m that can lack one is its final suffix of length m, since every
-other occurrence is followed by a letter.  When that suffix has no right
+other occurrence is followed by a letter.  For m <= n_max that suffix is
+one of the windows that the end of the word cuts short
+(``FactorIndex.suffixes``), so no word besides the index is read, and an
+infinite word's orders test none.  When that suffix has no right
 extension it occurs once, so it is not special either, and a walk that
 meets it ends there, at a dead end, with no simple path.  :func:`reduce`
 drops such a walk.  :func:`reduced_graphs` keeps the dangling walks of
@@ -217,12 +220,16 @@ def _next_specials(
     return out
 
 
-def _dead_vertex(source: bytes, m: int, has: _Has, letters: range) -> bytes | None:
-    """The length-m factor without a right extension, if there is one (fact 3)."""
-    if len(source) < m:
-        return None
-    z = source[len(source) - m :]
-    if any(has(z + bytes((c,))) for c in letters):
+def _dead_vertex(
+    suffixes: dict[int, bytes], m: int, has: _Has, letters: range
+) -> bytes | None:
+    """The length-m factor without a right extension, if there is one (fact 3).
+
+    Only a finite word's length-m suffix can lack one; ``suffixes`` is
+    ``FactorIndex.suffixes``, empty for an infinite word.
+    """
+    z = suffixes.get(m)
+    if z is None or any(has(z + bytes((c,))) for c in letters):
         return None
     return z
 
@@ -313,7 +320,7 @@ def reduced_graphs(idx: FactorIndex) -> Iterator[ReducedRauzyGraph]:
     """
     has = idx.has_factor
     letters = range(idx.alphabet.size)
-    source = idx.source.data
+    suffixes = idx.suffixes
     previous: dict[bytes, _Extensions] = {}
     complete: list[SimplePath] = []
     dangling: list[SimplePath] = []
@@ -326,7 +333,7 @@ def reduced_graphs(idx: FactorIndex) -> Iterator[ReducedRauzyGraph]:
                 for c in right
             ]
         elif previous:
-            dead = _dead_vertex(source, n, has, letters)
+            dead = _dead_vertex(suffixes, n, has, letters)
             complete, dangling = _next_paths(
                 (*complete, *dangling), previous, specials, has, dead, n - 1
             )

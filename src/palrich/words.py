@@ -100,20 +100,12 @@ class Word:
             return Word(self.alphabet, self.data[item])
         return self.data[item]
 
-    def __add__(self, other: "Word") -> "Word":
-        if self.alphabet != other.alphabet:
-            raise ValueError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.data + other.data)
-
     def __eq__(self, other):
         return (
             isinstance(other, Word)
             and self.data == other.data
             and self.alphabet == other.alphabet
         )
-
-    def __lt__(self, other: "Word"):
-        return self.data < other.data
 
     def __hash__(self):
         return hash((self.alphabet, self.data))

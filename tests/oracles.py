@@ -133,22 +133,15 @@ def closure_naive(idx, n: int):
     """Reversal closure checked at every length 1..n of an index's sets.
 
     Returns (closed, witness bytes): the witness is taken at the longest
-    failing length, the first factor there in first-occurrence order of the
-    index's source (sorted order for factors the source lacks) whose
-    reversal is absent.
+    failing length, the least factor there in sorted order whose reversal
+    is absent.
     """
     sets = {m: set(idx.factors(m)) for m in range(1, n + 1)}
     failing = [m for m, fset in sets.items() if any(u[::-1] not in fset for u in fset)]
     if not failing:
         return True, None
-    m = max(failing)
-    fset = sets[m]
-    data = idx.source.data
-    firsts = dict.fromkeys(data[i : i + m] for i in range(len(data) - m + 1))
-    for u in [*firsts, *sorted(fset)]:
-        if u in fset and u[::-1] not in fset:
-            return False, u
-    raise AssertionError("failing length without failing factor")
+    fset = sets[max(failing)]
+    return False, min(u for u in fset if u[::-1] not in fset)
 
 
 def theorem2_rows_naive(w):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from palrich.counting import sturmian_count, sturmian_palindrome_count
 from palrich.errors import NotApplicable, OutOfRange, PalrichError
 from palrich.factors import FactorIndex, morphic_factor_sets
-from palrich.words import Morphism, Word, fixed_point
+from palrich.words import Morphism, Word
 
 from oracles import occurrences
 
@@ -193,9 +193,7 @@ def cassaigne_formula_check(n_max: int = 50) -> CassaigneCheck:
     reach of any prefix scan).
     """
     m = Morphism.parse("a->aab,b->b")
-    idx = FactorIndex(
-        fixed_point(m, "a", n_max + 1), n_max, morphic_factor_sets(m, "a", n_max + 1)
-    )
+    idx = FactorIndex(m.alphabet, n_max, morphic_factor_sets(m, "a", n_max + 1))
     C = [idx.complexity(n) for n in range(n_max + 2)]
     P = [idx.palindrome_count(n) for n in range(n_max + 2)]
     rows = []

@@ -135,10 +135,11 @@ def test_criterion_4_theorem1_triangle():
             else:
                 assert report.closure_ok is True, label
         # the pinned closure witness for the s-word, at the depth of the
-        # worked example
+        # worked example: the first factor of length 3, in index order,
+        # whose reversal is absent (no b is preceded by an a)
         ok, witness = is_closed_under_reversal(get_family("s-word").index(5), 3)
         assert not ok
-        assert witness.text == "bca" and witness.reversed().text == "acb"
+        assert witness.text == "aab" and witness.reversed().text == "baa"
 
 
 def test_criterion_5_cassaigne_formula_chain():

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -7,10 +8,10 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from palrich import counting
+from palrich import cli, counting
 from palrich.cli import _build_parser, main
 from palrich.factors import FactorIndex
-from palrich.generators import get_family
+from palrich.generators import RICHNESS_SAMPLE_CAP, get_family
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -87,14 +88,20 @@ def test_analyze_usage_errors(capsys):
     )
 
 
-def test_literal_words_ignore_prefix_cap(capsys):
-    for argv in (
-        ("verify", "--word", "abacaba"),
-        ("analyze", "--word", "abacaba", "--n-max", "3"),
+def test_literal_words_reject_generator_options(capsys):
+    # A literal word is indexed and judged whole: no family parameter and no
+    # sample cap applies to it.
+    for argv, unread in (
+        (("analyze", "--word", "abaab", "--k", "5"), "--k"),
+        (("verify", "--word", "abaaba", "--prefix-cap", "0"), "--prefix-cap"),
+        (("verify", "--word", "abacaba", "--prefix-cap", "8"), "--prefix-cap"),
+        (("graph", "--word", "abacaba", "--n", "2", "--block", "ab"), "--block"),
+        (
+            ("analyze", "--word", "abacaba", "--morphism", "a->ab", "--prefix-cap", "8"),
+            "--morphism, --prefix-cap",
+        ),
     ):
-        code, out, err = run(capsys, *argv, "--prefix-cap", "8")
-        assert code == 0 and err == "", argv
-        assert (code, out, err) == run(capsys, *argv), argv
+        assert run(capsys, *argv) == (1, "", f"error: a literal word takes no {unread}\n")
     code, out, err = run(
         capsys, "verify", "--generator", "fibonacci", "--n-max", "3", "--prefix-cap", "8"
     )
@@ -247,24 +254,28 @@ def test_count_reports_oracle_mismatch(capsys, monkeypatch, kind, oracle, messag
     assert out == message + "\n"
 
 
+def _assert_count_rejects(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--kind", "sturmian", "--n-max", "3", *extra])
+    assert exc.value.code == 2, extra
+    assert "unrecognized arguments" in capsys.readouterr().err, extra
+
+
 def test_count_rejects_source(capsys):
-    code, _, err = run(
-        capsys, "count", "--kind", "sturmian", "--word", "ab", "--n-max", "4"
-    )
-    assert code == 1
-    code, _, err = run(
-        capsys, "count", "--kind", "sturmian", "--word", "ab", "--n-max", "5",
-        "--prefix-cap", "8",
-    )
-    assert code == 1 and "count takes no word source" in err
+    # count reads no source and no family parameter.
+    for extra in (
+        ("--word", "ab"),
+        ("--generator", "fibonacci"),
+        ("--block", "zzz"),
+        ("--morphism", "x"),
+    ):
+        _assert_count_rejects(capsys, extra)
 
 
-def test_count_ignores_prefix_cap(capsys):
-    code, out, err = run(
-        capsys, "count", "--kind", "sturmian", "--n-max", "5", "--prefix-cap", "8"
-    )
-    assert code == 0 and err == ""
-    assert out == run(capsys, "count", "--kind", "sturmian", "--n-max", "5")[1]
+def test_count_rejects_prefix_cap(capsys):
+    # count samples no word, so it takes no sample cap either.
+    _assert_count_rejects(capsys, ("--prefix-cap", "8"))
+    _assert_count_rejects(capsys, ("--prefix-cap", "0"))
 
 
 def test_outputs_are_byte_deterministic(capsys):
@@ -324,8 +335,7 @@ def test_analyze_judges_a_long_literal_word_whole(capsys):
 
 
 SOURCE_OPTIONS = [
-    "--block", "--directive", "--generator", "--k", "--morphism", "--out",
-    "--prefix-cap", "--seed", "--word",
+    "--block", "--directive", "--generator", "--k", "--morphism", "--seed", "--word",
 ]
 
 
@@ -337,16 +347,23 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         for name, p in sub.choices.items()
     }
     assert options == {
-        "analyze": sorted(SOURCE_OPTIONS + ["--format", "--help", "--n-max"]),
-        "graph": sorted(SOURCE_OPTIONS + ["--help", "--n", "--tier"]),
-        "verify": sorted(SOURCE_OPTIONS + ["--format", "--help", "--n-max"]),
-        "count": sorted(
-            SOURCE_OPTIONS + ["--alphabet", "--format", "--help", "--kind", "--n-max"]
+        "analyze": sorted(
+            SOURCE_OPTIONS + ["--format", "--help", "--n-max", "--out", "--prefix-cap"]
         ),
+        "graph": sorted(SOURCE_OPTIONS + ["--help", "--n", "--out", "--tier"]),
+        "verify": sorted(
+            SOURCE_OPTIONS + ["--format", "--help", "--n-max", "--out", "--prefix-cap"]
+        ),
+        "count": ["--alphabet", "--format", "--help", "--kind", "--n-max", "--out"],
     }
-    # graph reads only --n, so an --n-max it would ignore is an error.
-    with pytest.raises(SystemExit):
-        parser.parse_args(["graph", "--generator", "fibonacci", "--n", "3", "--n-max", "0"])
+    # graph reads only --n and builds no richness sample, so an --n-max or a
+    # --prefix-cap it would ignore is an error.
+    for argv in (
+        ["graph", "--generator", "fibonacci", "--n", "3", "--n-max", "0"],
+        ["graph", "--generator", "fibonacci", "--n", "3", "--prefix-cap", "8"],
+    ):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
 
 
 def test_generator_rejects_a_parameter_it_does_not_take(capsys):
@@ -361,9 +378,9 @@ def test_generator_runs_index_exactly_the_orders_they_read(capsys, monkeypatch):
     built = []
     init = FactorIndex.__init__
 
-    def recording_init(self, source, n_max, top):
+    def recording_init(self, alphabet, n_max, top):
         built.append(n_max)
-        init(self, source, n_max, top)
+        init(self, alphabet, n_max, top)
 
     monkeypatch.setattr(FactorIndex, "__init__", recording_init)
     for argv in (("analyze", "--n-max", "7"), ("verify", "--n-max", "7"), ("graph", "--n", "7")):
@@ -397,3 +414,31 @@ def test_literal_words_answer_every_order_they_have(capsys):
     code, out, _ = run(capsys, "analyze", "--word", "a", "--format", "json")
     assert code == 0
     assert [(r["n"], r["C"], r["P"]) for r in json.loads(out)["rows"]] == [(0, 1, 1)]
+
+
+def test_only_the_richness_leg_produces_a_sample(capsys, monkeypatch):
+    # Every index is built from the exact sets; a prefix of the word is
+    # produced only as the richness sample of verify and analyze.
+    produced = []
+
+    def recording_get_family(name, **params):
+        family = get_family(name, **params)
+
+        def produce(length):
+            produced.append(length)
+            return family.produce(length)
+
+        return dataclasses.replace(family, produce=produce)
+
+    monkeypatch.setattr(cli, "get_family", recording_get_family)
+    for argv, lengths in (
+        (("graph", "--n", "9"), []),
+        (("graph", "--n", "9", "--tier", "super"), []),
+        (("verify", "--n-max", "9"), [RICHNESS_SAMPLE_CAP]),
+        (("analyze", "--n-max", "9"), [RICHNESS_SAMPLE_CAP]),
+        (("verify", "--n-max", "9", "--prefix-cap", "300"), [300]),
+        (("analyze", "--n-max", "9", "--prefix-cap", str(1 << 20)), [RICHNESS_SAMPLE_CAP]),
+    ):
+        produced.clear()
+        assert run(capsys, *argv, "--generator", "cassaigne-aab")[0] == 0, argv
+        assert produced == lengths, argv

@@ -59,11 +59,11 @@ def test_build_index_examples():
 
 def test_has_factor_answers_only_up_to_the_index_depth():
     # b^20 is a factor of the a -> aab fixed point, but no b-run that long
-    # occurs in the 65,536-letter sample that is the index's source word.
+    # occurs in its 65,536-letter richness sample.
     idx = get_family("cassaigne-aab").index(10)
     b20 = b"\x01" * 20
     assert b20 in morphic_factor_sets(CASSAIGNE_AAB, "a", 20)
-    assert b20 not in idx.source.data
+    assert b20 not in get_family("cassaigne-aab").sample().data
     assert idx.has_factor(b"\x01" * 11)
     with pytest.raises(OutOfRange):
         idx.has_factor(b20)
@@ -244,8 +244,10 @@ def test_closure_s_word_witness():
     idx = build_index(s_word(500), 4)
     ok, witness = is_closed_under_reversal(idx, 3)
     assert not ok
-    assert witness.text == "bca"
-    assert witness.reversed().text == "acb"
+    # The first length-3 factor in index order whose reversal is absent: no
+    # b is preceded by an a.
+    assert witness.text == "aab"
+    assert witness.reversed().text == "baa"
 
 
 def _closure_pair(idx, n):
@@ -284,7 +286,7 @@ CLOSURE_FAMILIES = [
 
 @pytest.mark.parametrize("name,params,closed", CLOSURE_FAMILIES)
 def test_closure_at_top_length_matches_all_lengths_on_families(name, params, closed):
-    idx = get_family(name, **params).index(12, 1 << 16)
+    idx = get_family(name, **params).index(12)
     for n in range(idx.n_max + 2):
         assert _closure_pair(idx, n) == closure_naive(idx, n), (name, n)
     assert is_closed_under_reversal(idx, idx.n_max + 1)[0] is closed
@@ -292,7 +294,7 @@ def test_closure_at_top_length_matches_all_lengths_on_families(name, params, clo
 
 @pytest.mark.parametrize("name,params,closed", CLOSURE_FAMILIES)
 def test_extension_maps_match_sorted_walk_on_families(name, params, closed):
-    idx = get_family(name, **params).index(12, 1 << 14)
+    idx = get_family(name, **params).index(12)
     for n in range(idx.n_max + 1):
         assert idx.right_extensions(n) == extensions_naive(idx, n, "right"), (name, n)
         assert idx.left_extensions(n) == extensions_naive(idx, n, "left"), (name, n)

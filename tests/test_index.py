@@ -3,7 +3,8 @@
 ``FactorIndex`` keeps one sorted tuple of windows and reads C, P,
 membership, every F_n and the extension maps off it.  The oracle here is
 the projection of ``derive_down``: every set F_0..F_D, built from the top
-set alone, as the index did before it kept only the windows.
+set alone, as the index did before it kept only the windows.  Closure
+witnesses are the first failing factor in index (sorted) order.
 """
 
 import contextlib
@@ -42,9 +43,8 @@ class ProjectedSets:
     indexes of different depths are compared with it.
     """
 
-    def __init__(self, source: Word, top, depth: int, finite: bool):
-        self.source = source
-        self.sets = derive_down(top, depth, source.data if finite else None)
+    def __init__(self, top, depth: int, word: bytes | None = None):
+        self.sets = derive_down(top, depth, word)
         self.sorted = [tuple(sorted(s)) for s in self.sets]
         self.palindromes = [sum(u == u[::-1] for u in s) for s in self.sets]
         self.closure = [self._closure(n) for n in range(depth + 1)]
@@ -61,16 +61,9 @@ class ProjectedSets:
         return self.sorted[n]
 
     def _closure(self, n):
-        """Reversal closure of F_n; the witness in first-occurrence order."""
-        fset = self.sets[n]
-        if all(u[::-1] in fset for u in fset):
-            return True, None
-        data = self.source.data
-        firsts = dict.fromkeys(data[i : i + n] for i in range(len(data) - n + 1))
-        for u in [*firsts, *sorted(fset)]:
-            if u in fset and u[::-1] not in fset:
-                return False, u
-        raise AssertionError("failing set without failing factor")
+        """Reversal closure of F_n; the witness is the least failing factor."""
+        failing = [u for u in self.sets[n] if u[::-1] not in self.sets[n]]
+        return (False, min(failing)) if failing else (True, None)
 
 
 def assert_index_matches(idx, oracle):
@@ -109,7 +102,7 @@ def test_index_matches_projected_sets_on_literal_words(text):
     for n_max in range(len(w)):
         depth = n_max + 1
         top = {data[i : i + depth] for i in range(len(data) - depth + 1)}
-        assert_index_matches(build_index(w, n_max), ProjectedSets(w, top, depth, True))
+        assert_index_matches(build_index(w, n_max), ProjectedSets(top, depth, data))
 
 
 FAMILIES = [(name, {}) for name in sorted(REGISTRY)] + [
@@ -119,12 +112,31 @@ FAMILIES = [(name, {}) for name in sorted(REGISTRY)] + [
 ]
 
 
+@given(st.text(alphabet="abc", min_size=1, max_size=40))
+@example("abbbbab")
+@example("a")
+@settings(max_examples=60, deadline=None)
+def test_suffixes_are_the_windows_the_end_cuts_short(text):
+    w = Word.parse(text, ABC)
+    data = w.data
+    for n_max in range(len(w)):
+        idx = build_index(w, n_max)
+        assert idx.suffixes == {m: data[-m:] for m in range(1, n_max + 1)}, n_max
+
+
+@pytest.mark.parametrize("name,params", FAMILIES)
+def test_an_infinite_word_has_no_suffixes(name, params):
+    family = get_family(name, **params)
+    for n_max in (0, 1, 7, 30):
+        assert family.index(n_max).suffixes == {}, n_max
+
+
 @pytest.mark.parametrize("name,params", FAMILIES)
 def test_index_matches_projected_sets_on_families(name, params):
     family = get_family(name, **params)
-    oracle = ProjectedSets(family.sample(256), family.exact_sets(61), 61, False)
+    oracle = ProjectedSets(family.exact_sets(61), 61)
     for n_max in range(61):
-        idx = family.index(n_max, 256)
+        idx = family.index(n_max)
         assert_index_matches(idx, oracle)
 
 
@@ -165,7 +177,7 @@ def test_analyze_special_counts_match_special_factors_on_literal_words(text):
 def test_analyze_special_counts_match_special_factors_on_families(name, params):
     flags = [f"--{key}={value}" for key, value in params.items()]
     rows = _analyze_rows("--generator", name, *flags, "--n-max", "60", "--prefix-cap", "64")
-    idx = get_family(name, **params).index(60, 64)
+    idx = get_family(name, **params).index(60)
     assert [row["n"] for row in rows] == list(range(61))
     for row in rows:
         assert _row_counts(row) == _special_counts(idx, row["n"]), row["n"]
@@ -193,12 +205,12 @@ def test_every_source_raises_too_large_over_the_budget(monkeypatch):
     monkeypatch.setattr(factors, "FACTOR_LETTER_BUDGET", 3340)
     top = morphic_factor_sets(cas, "a", 20)
     assert len(top) == 167
-    assert FactorIndex(Word.parse("a"), 19, top).complexity(20) == 167
+    assert FactorIndex(cas.alphabet, 19, top).complexity(20) == 167
     monkeypatch.setattr(factors, "FACTOR_LETTER_BUDGET", 3339)
     with pytest.raises(TooLarge):
         morphic_factor_sets(cas, "a", 20)
     with pytest.raises(TooLarge):
-        FactorIndex(Word.parse("a"), 19, top)
+        FactorIndex(cas.alphabet, 19, top)
     with pytest.raises(TooLarge):
         image_factor_sets(psi_morphism(0), fibonacci_top, 200)
     with pytest.raises(TooLarge):

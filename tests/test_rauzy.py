@@ -286,7 +286,7 @@ def test_path_counting_identity_fibonacci():
     idx = fib_index()
     g = rauzy.build_rauzy(idx, 2)
     rg = rauzy.reduce(g)
-    by_length = Eertree.build(idx.source).nodes_by_length()
+    by_length = Eertree.build(fixed_point(FIB, "a", 64)).nodes_by_length()
     pal_counts = (by_length[2], by_length[3])
     ident = rauzy.path_counting_identity(g, rg, pal_counts)
     assert ident.lhs == ident.rhs == 3
