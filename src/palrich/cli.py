@@ -1,6 +1,9 @@
 """Command-line surface: analyze, graph, verify, count.
 
-Exit codes: 0 success, 1 usage error, 3 internal consistency failure (a
+Exit codes: 0 success, 1 usage error found after parsing (a bad value, an
+oversized request, a parameter the source does not read), 2 the parser
+rejected the command line (an unknown option or one the subcommand does not
+take, a missing or malformed argument), 3 internal consistency failure (a
 formula disagrees with its oracle, or the verdict triangle fails to close).
 Every generator has exact factor sets, so no verdict is inconclusive.
 """

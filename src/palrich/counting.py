@@ -211,7 +211,8 @@ def count_rich_naive(alphabet_size: int, n: int) -> list[int]:
     One unpruned depth-first sweep over all k^n words on one eertree with
     push/pop; every node at depth d is a word of length d, counted when
     every push on its path created a node.  It uses no letter symmetry and
-    shares no code with ``count_rich``.
+    shares no code with ``count_rich``: the search keeps its own arrays,
+    although ``Eertree`` lays out its nodes the same way.
     """
     if alphabet_size not in RICH_BUDGETS:
         raise UnsupportedAlphabet("rich-word counting supports alphabets of 2..4")

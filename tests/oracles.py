@@ -82,6 +82,47 @@ def returns_report_naive(text: str):
     return witness is None, witness, first, defect
 
 
+def eertree_naive(data: bytes):
+    """(lengths, suffix links, node_at, transitions) of the eertree of data.
+
+    One dict of child nodes per node, and every suffix-link walk tests its
+    bounds; transitions maps (node, letter) to the child letter·node·letter.
+    Nodes are numbered as in the library: 0 the length -1 root, 1 the empty
+    root, then in creation order.
+    """
+    length, link, trans = [-1, 0], [0, 0], [{}, {}]
+    node_at = []
+
+    def fits(node, pos, c):
+        j = pos - length[node] - 1
+        return j >= 0 and data[j] == c
+
+    last = 1
+    for pos, c in enumerate(data):
+        cur = last
+        while not fits(cur, pos, c):
+            cur = link[cur]
+        nxt = trans[cur].get(c)
+        if nxt is None:
+            nxt = len(length)
+            suffix = 1
+            if cur != 0:
+                suffix = link[cur]
+                while not fits(suffix, pos, c):
+                    suffix = link[suffix]
+                suffix = trans[suffix][c]
+            length.append(length[cur] + 2)
+            link.append(suffix)
+            trans.append({})
+            trans[cur][c] = nxt
+        node_at.append(nxt)
+        last = nxt
+    transitions = {
+        (node, c): child for node, row in enumerate(trans) for c, child in row.items()
+    }
+    return length, link, node_at, transitions
+
+
 def shortest_palindrome_with_prefix(text: str) -> str:
     """Constraint-filling oracle for palindromic closure.
 

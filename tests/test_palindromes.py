@@ -1,19 +1,24 @@
+import tracemalloc
+from copy import copy
+from string import ascii_lowercase
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from palrich.factors import stabilized_prefix
-from palrich.generators import family_block
+from palrich.generators import REGISTRY, family_block, get_family
 from palrich.palindromes import (
     Eertree,
     is_rich_by_count,
     is_rich_by_returns,
     is_rich_incremental,
 )
-from palrich.words import Morphism, Word, fixed_point
+from palrich.words import Alphabet, Morphism, Word, fixed_point
 
 from oracles import (
     all_words,
     distinct_palindromes_including_empty,
+    eertree_naive,
     episturmian_prefix,
     is_rich_naive,
     palindromic_substrings,
@@ -254,6 +259,70 @@ def test_build_matches_pushed_tree(text):
         pushed.push(c)
     for attr in ("data", "_len", "_link", "_trans", "node_at", "_last"):
         assert getattr(built, attr) == getattr(pushed, attr), attr
+
+
+def flat_state(t: Eertree):
+    """The tree as ``eertree_naive`` gives it: its flat slots read as a dict."""
+    k = t.alphabet.size
+    transitions = {divmod(slot, k): child for slot, child in enumerate(t._trans) if child}
+    return t._len, t._link, t.node_at, transitions
+
+
+def assert_matches_dict_eertree(w: Word):
+    expected = eertree_naive(w.data)
+    assert flat_state(Eertree.build(w)) == expected
+    pushed = Eertree(w.alphabet)
+    for c in w.data:
+        pushed.push(c)
+    assert flat_state(pushed) == expected
+
+
+def _words_over(k: int):
+    alphabet = Alphabet(ascii_lowercase[:k])
+    return st.text(alphabet=alphabet.letters, max_size=120).map(
+        lambda text: Word.parse(text, alphabet)
+    )
+
+
+@given(st.sampled_from((1, 2, 3, 4, 26)).flatmap(_words_over))
+@settings(max_examples=200)
+def test_flat_eertree_matches_dict_eertree(w):
+    assert_matches_dict_eertree(w)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_flat_eertree_matches_dict_eertree_on_family_samples(name):
+    assert_matches_dict_eertree(get_family(name).sample())
+
+
+def test_push_rejects_letter_outside_alphabet():
+    # A flat slot node*k + c with c >= k would be the next node's row.
+    t = Eertree(Alphabet("ab"))
+    for c in (0, 1, 0):
+        t.push(c)
+    before = {attr: copy(getattr(t, attr)) for attr in EERTREE_STATE}
+    for c in (2, 3, 25, -1):
+        with pytest.raises(ValueError):
+            t.push(c)
+        assert {attr: getattr(t, attr) for attr in EERTREE_STATE} == before
+
+
+def test_sample_eertree_memory():
+    # A few ints per node and k transition slots per node, no object per
+    # node: the flat tree of the 65,536-letter sample takes about 6.5 MiB.
+    w = get_family("fibonacci").sample()
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tree = Eertree.build(w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert tree.node_count == len(w)
+    assert peak < 10 * 2**20, peak
 
 
 def test_droubay_justin_pirillo_bound():
