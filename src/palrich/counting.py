@@ -6,13 +6,15 @@ The closed formulas count finite Sturmian words and Sturmian palindromes:
     p(n) = 1 + sum_{i=0..ceil(n/2)-1} phi(n-2i)
 
 Finite Sturmian words are realized for oracle purposes as balanced binary
-words, checked by the obviously-correct per-length window sweep.  Rich words
-have no known counting formula; ``count_rich`` enumerates them exactly with
-one depth-first search that counts every length up to n in a single pass,
-pruned by the one-new-palindrome-per-letter property, which is hereditary,
-so the pruning is sound.  Its oracle ``count_rich_naive`` is one unpruned
-sweep over all k^n words on an ``Eertree`` with push/pop, counting every
-shorter length on the way; the two share no code.
+words, enumerated depth-first; a new letter is checked against the windows
+that end at it, since every other window belongs to the balanced prefix.
+Rich words have no known counting formula; ``count_rich`` enumerates them
+exactly with one depth-first search that counts every length up to n in a
+single pass, pruned by the one-new-palindrome-per-letter property, which is
+hereditary, so the pruning is sound.  Its oracle ``count_rich_naive`` is one
+unpruned sweep over all k^n words, counting every shorter length on the
+way.  Both keep the eertree of the current word in their own flat arrays,
+laid out like ``Eertree``'s, and share no code.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import json
 from dataclasses import dataclass
 
 from .errors import OutOfRange, TooLarge, UnsupportedAlphabet
-from .palindromes import Eertree
 from .words import Alphabet, Word
 
 BALANCED_BUDGET = 22
@@ -66,51 +67,57 @@ def sturmian_palindrome_count(n: int) -> int:
     return 1 + sum(totient(n - 2 * i) for i in range((n + 1) // 2))
 
 
-def _is_balanced(data: bytes) -> bool:
-    # Pairwise window check, one pass per length: balanced iff for every
-    # length the a-counts of all windows differ by at most one.
-    m = len(data)
-    for l in range(1, m):
-        ones = sum(1 for b in data[:l] if b == 0)
-        lo = hi = ones
-        for i in range(m - l):
-            ones += (1 if data[i + l] == 0 else 0) - (1 if data[i] == 0 else 0)
-            if ones < lo:
-                lo = ones
-            elif ones > hi:
-                hi = ones
-            if hi - lo > 1:
-                return False
-    return True
-
-
 def enumerate_balanced(n: int) -> list[Word]:
     """All balanced binary words of length n, in lexicographic order.
 
     Depth-first with prefix pruning; prefixes of balanced words are
-    balanced, so cutting unbalanced prefixes loses nothing.
+    balanced, so cutting unbalanced prefixes loses nothing.  The search
+    keeps, per window length l, the least and greatest a-count lo[l] and
+    hi[l] over the windows of the balanced prefix u, and tests uc only on
+    the windows that end at the new letter c.  Proof: every other window of
+    uc is a window of u, so uc is balanced iff each new window's a-count x
+    satisfies hi[l] - 1 <= x <= lo[l] + 1, one test per length.  That is
+    O(|u|) per node instead of a sweep of all windows; the bounds a child
+    widens are restored when the search backtracks.
     """
     if n < 0:
         raise OutOfRange("length must be non-negative")
     if n > BALANCED_BUDGET:
         raise TooLarge(f"balanced enumeration is budgeted to n <= {BALANCED_BUDGET}")
     alphabet = Alphabet("ab")
+    if n == 0:
+        return [Word(alphabet)]
     out: list[Word] = []
-    prefix = bytearray()
+    prefix = bytearray(n)
+    ones = [0] * (n + 1)  # ones[i]: the a-count of prefix[:i]
+    lo = [0] * (n + 1)  # lo[l], hi[l]: bounds over the length-l windows
+    hi = [0] * (n + 1)
 
-    def dfs():
-        if len(prefix) == n:
+    def dfs(m: int) -> None:
+        if m == n:
             out.append(Word(alphabet, bytes(prefix)))
             return
         for c in (0, 1):
-            prefix.append(c)
-            if _is_balanced(bytes(prefix)):
-                dfs()
-            prefix.pop()
+            total = ones[m] + (c == 0)
+            # The new length-l window is prefix[m + 1 - l : m + 1].
+            for l in range(1, m + 1):
+                x = total - ones[m + 1 - l]
+                if x > lo[l] + 1 or x < hi[l] - 1:
+                    break
+            else:
+                saved = lo[1 : m + 1], hi[1 : m + 1]
+                for l in range(1, m + 1):
+                    x = total - ones[m + 1 - l]
+                    if x < lo[l]:
+                        lo[l] = x
+                    elif x > hi[l]:
+                        hi[l] = x
+                lo[m + 1] = hi[m + 1] = ones[m + 1] = total
+                prefix[m] = c
+                dfs(m + 1)
+                lo[1 : m + 1], hi[1 : m + 1] = saved
 
-    if n == 0:
-        return [Word(alphabet)]
-    dfs()
+    dfs(0)
     return out
 
 
@@ -208,11 +215,16 @@ def _rich_counts(k: int, depth: int) -> list[int]:
 def count_rich_naive(alphabet_size: int, n: int) -> list[int]:
     """Exhaustive oracle: [R_k(0), ..., R_k(n)], the words with |w| + 1 palindromes.
 
-    One unpruned depth-first sweep over all k^n words on one eertree with
-    push/pop; every node at depth d is a word of length d, counted when
-    every push on its path created a node.  It uses no letter symmetry and
-    shares no code with ``count_rich``: the search keeps its own arrays,
-    although ``Eertree`` lays out its nodes the same way.
+    One unpruned depth-first sweep over all k^n words, with no letter
+    symmetry, counting every shorter length on the way.  The sweep keeps the
+    eertree of the current word in its own flat arrays, laid out like
+    ``Eertree``'s: a sentinel in front of the letters, then per node its
+    length, suffix link and k transition slots.  Nodes are numbered by a
+    creation counter, so a word of length d with ``nodes`` nodes has
+    nodes - 2 distinct non-empty palindromes and is counted when
+    nodes == d + 2.  Undoing a letter clears the one slot it filled, if
+    any; the counter falls back with the recursion.  It shares no code with
+    the pruned search of ``count_rich``.
     """
     if alphabet_size not in RICH_BUDGETS:
         raise UnsupportedAlphabet("rich-word counting supports alphabets of 2..4")
@@ -220,21 +232,44 @@ def count_rich_naive(alphabet_size: int, n: int) -> list[int]:
         raise OutOfRange("length must be non-negative")
     if n > 16:
         raise TooLarge("the naive sweep is budgeted to n <= 16")
-    tree = Eertree(Alphabet("abcd"[:alphabet_size]))
-    push, pop = tree.push, tree.pop
-    letters = range(alphabet_size)
+    k = alphabet_size
     counts = [0] * (n + 1)
+    # buf[i + 1] is letter i; buf[0] is a sentinel no letter equals, so the
+    # suffix-link walks need no bounds test.
+    buf = bytearray([k]) * (n + 1)
+    length = [-1, 0] + [0] * n
+    link = [0] * (n + 2)
+    trans = [0] * ((n + 2) * k)  # trans[node * k + c]; 0 = no edge
+    letters = range(k)
 
-    def sweep(depth: int, rich: bool) -> None:
-        counts[depth] += rich
-        if depth == n:
+    def sweep(pos: int, last: int, nodes: int) -> None:
+        # The word has pos letters, longest palindromic suffix node last.
+        counts[pos] += nodes == pos + 2
+        if pos == n:
             return
         for c in letters:
-            created = push(c)
-            sweep(depth + 1, rich and created)
-            pop()
+            buf[pos + 1] = c
+            cur = last
+            while buf[pos - length[cur]] != c:
+                cur = link[cur]
+            slot = cur * k + c
+            child = trans[slot]
+            if child:
+                sweep(pos + 1, child, nodes)
+                continue
+            if cur:
+                suffix = link[cur]
+                while buf[pos - length[suffix]] != c:
+                    suffix = link[suffix]
+                link[nodes] = trans[suffix * k + c]
+            else:
+                link[nodes] = 1
+            length[nodes] = length[cur] + 2
+            trans[slot] = nodes
+            sweep(pos + 1, nodes, nodes + 1)
+            trans[slot] = 0
 
-    sweep(0, True)
+    sweep(0, 1, 2)
     return counts
 
 

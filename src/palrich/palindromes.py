@@ -7,9 +7,9 @@ palindromes per length: ``Eertree.nodes_by_length`` is P(n) for every n >= 1,
 which the finite-palindrome check reads instead of scanning factor sets.  A
 word is rich exactly when every position creates a new node.  Both eertree
 verdicts, the per-position scan and the palindrome count, read one built
-tree, so a caller builds it once.  Push/pop serve the exhaustive rich-word
-oracle in :mod:`palrich.counting`, which walks all words of one length on
-one tree.
+tree, so a caller builds it once.  The tree is built in one pass and never
+changes; the rich-word searches of :mod:`palrich.counting`, which grow and
+shrink one word letter by letter, keep their own arrays in the same layout.
 
 The tree lives in flat lists of ints, not one object per node: lengths,
 suffix links, and k transition slots per node, where 0 means "no edge"
@@ -32,19 +32,17 @@ from .words import Alphabet, Word
 
 
 class Eertree:
-    """Palindromic tree with undo support, in flat arrays.
+    """Palindromic tree in flat arrays, made by ``build``.
 
     Node 0 is the virtual root of length -1, node 1 the empty root.  Every
-    other node is a distinct non-empty palindromic factor of the pushed word,
+    other node is a distinct non-empty palindromic factor of the word,
     numbered in creation order.  ``_len`` and ``_link`` hold each node's
     length and suffix link, and ``node_at`` the longest palindromic suffix
     node of every prefix.  The transitions are one flat list of k slots per
     node (k the alphabet size): ``_trans[node * k + c]`` is the child
     c·node·c, or 0 for no edge, which is unambiguous because node 0 is never
     a child.  A created node appends its k empty slots, so the list holds
-    (nodes + 2)·k entries however long the word is.  ``pop`` reverts the
-    last push exactly: it clears one slot and drops the last k, which makes
-    depth-first word enumeration cheap.
+    (nodes + 2)·k entries however long the word is.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -55,21 +53,17 @@ class Eertree:
         self._link = [0, 0]
         self._trans = [0] * (2 * self._k)
         self.node_at: list[int] = []  # per position: longest palindromic suffix node
-        self._last = 1
-        self._undo: list[tuple[int, int]] = []  # (previous last node, created slot or -1)
 
     @classmethod
     def build(cls, w: Word) -> "Eertree":
-        """The tree of w in one pass: the same state as pushing each letter.
+        """The tree of w in one left-to-right pass.
 
         The walks read a copy of w with a sentinel in front: ``buf[pos + 1]``
         is letter pos and ``buf[0]`` is k, which no letter equals.  So the
         letter before a palindromic suffix x of w[:pos] is
         ``buf[pos - |x|]``, a suffix spanning all of w[:pos] meets the
         sentinel and never grows, and the length -1 root reads the letter
-        being added and always fits; no walk needs a bounds test.  The build
-        keeps no undo records, so ``pop`` can undo only letters pushed after
-        it.
+        being added and always fits; no walk needs a bounds test.
         """
         t = cls(w.alphabet)
         k = t._k
@@ -101,7 +95,6 @@ class Eertree:
                 trans[slot] = nxt
             node_at.append(nxt)
             last = nxt
-        t._last = last
         return t
 
     def __len__(self):
@@ -111,57 +104,6 @@ class Eertree:
     def node_count(self) -> int:
         """Number of distinct non-empty palindromic factors."""
         return len(self._len) - 2
-
-    def push(self, c: int) -> bool:
-        """Append one letter; True iff a new palindromic factor appeared."""
-        k = self._k
-        if not 0 <= c < k:
-            raise ValueError(f"letter index {c} out of range for an alphabet of {k}")
-        data = self.data
-        pos = len(data)
-        data.append(c)
-        length, link, trans = self._len, self._link, self._trans
-        cur = self._last
-        while True:
-            j = pos - length[cur] - 1
-            if j >= 0 and data[j] == c:
-                break
-            cur = link[cur]
-        slot = cur * k + c
-        nxt = trans[slot]
-        created = not nxt
-        if created:
-            nxt = len(length)
-            if cur:
-                suffix = link[cur]
-                while True:
-                    j = pos - length[suffix] - 1
-                    if j >= 0 and data[j] == c:
-                        break
-                    suffix = link[suffix]
-                link.append(trans[suffix * k + c])
-            else:
-                link.append(1)
-            length.append(length[cur] + 2)
-            trans += [0] * k
-            trans[slot] = nxt
-        self._undo.append((self._last, slot if created else -1))
-        self._last = nxt
-        self.node_at.append(nxt)
-        return created
-
-    def pop(self):
-        """Undo the last push."""
-        prev_last, slot = self._undo.pop()
-        if slot >= 0:
-            trans = self._trans
-            trans[slot] = 0
-            del trans[-self._k :]
-            self._len.pop()
-            self._link.pop()
-        self._last = prev_last
-        self.data.pop()
-        self.node_at.pop()
 
     def nodes_by_length(self) -> dict[int, int]:
         """Count of distinct palindromic factors per positive length."""

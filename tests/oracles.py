@@ -82,25 +82,30 @@ def returns_report_naive(text: str):
     return witness is None, witness, first, defect
 
 
-def eertree_naive(data: bytes):
-    """(lengths, suffix links, node_at, transitions) of the eertree of data.
+class DictEertree:
+    """An eertree grown one letter at a time, with one dict of children per node.
 
-    One dict of child nodes per node, and every suffix-link walk tests its
-    bounds; transitions maps (node, letter) to the child letter·node·letter.
-    Nodes are numbered as in the library: 0 the length -1 root, 1 the empty
-    root, then in creation order.
+    Every suffix-link walk tests its bounds.  Nodes are numbered as in the
+    library: 0 the length -1 root, 1 the empty root, then in creation order.
+    ``length[node_at[-1]]`` is the length of the longest palindromic suffix
+    of ``data``.
     """
-    length, link, trans = [-1, 0], [0, 0], [{}, {}]
-    node_at = []
 
-    def fits(node, pos, c):
-        j = pos - length[node] - 1
-        return j >= 0 and data[j] == c
+    def __init__(self):
+        self.data = bytearray()
+        self.length, self.link, self.trans = [-1, 0], [0, 0], [{}, {}]
+        self.node_at = []
 
-    last = 1
-    for pos, c in enumerate(data):
-        cur = last
-        while not fits(cur, pos, c):
+    def _fits(self, node, pos, c):
+        j = pos - self.length[node] - 1
+        return j >= 0 and self.data[j] == c
+
+    def push(self, c: int) -> None:
+        length, link, trans = self.length, self.link, self.trans
+        pos = len(self.data)
+        self.data.append(c)
+        cur = self.node_at[-1] if self.node_at else 1
+        while not self._fits(cur, pos, c):
             cur = link[cur]
         nxt = trans[cur].get(c)
         if nxt is None:
@@ -108,19 +113,29 @@ def eertree_naive(data: bytes):
             suffix = 1
             if cur != 0:
                 suffix = link[cur]
-                while not fits(suffix, pos, c):
+                while not self._fits(suffix, pos, c):
                     suffix = link[suffix]
                 suffix = trans[suffix][c]
             length.append(length[cur] + 2)
             link.append(suffix)
             trans.append({})
             trans[cur][c] = nxt
-        node_at.append(nxt)
-        last = nxt
+        self.node_at.append(nxt)
+
+
+def eertree_naive(data: bytes):
+    """(lengths, suffix links, node_at, transitions) of the eertree of data.
+
+    The ``DictEertree`` of data, pushed letter by letter; transitions maps
+    (node, letter) to the child letter·node·letter.
+    """
+    tree = DictEertree()
+    for c in data:
+        tree.push(c)
     transitions = {
-        (node, c): child for node, row in enumerate(trans) for c, child in row.items()
+        (node, c): child for node, row in enumerate(tree.trans) for c, child in row.items()
     }
-    return length, link, node_at, transitions
+    return tree.length, tree.link, tree.node_at, transitions
 
 
 def shortest_palindrome_with_prefix(text: str) -> str:
@@ -155,6 +170,27 @@ def is_balanced_naive(text: str) -> bool:
         counts = {text[i : i + l].count("a") for i in range(len(text) - l + 1)}
         if counts and max(counts) - min(counts) > 1:
             return False
+    return True
+
+
+def is_balanced_sweep(data: bytes) -> bool:
+    """Balance of a binary word (letter 0 = a) by a sweep of every window.
+
+    One pass per window length: balanced iff for every length the a-counts
+    of all windows differ by at most one.
+    """
+    m = len(data)
+    for l in range(1, m):
+        ones = sum(1 for b in data[:l] if b == 0)
+        lo = hi = ones
+        for i in range(m - l):
+            ones += (1 if data[i + l] == 0 else 0) - (1 if data[i] == 0 else 0)
+            if ones < lo:
+                lo = ones
+            elif ones > hi:
+                hi = ones
+            if hi - lo > 1:
+                return False
     return True
 
 
@@ -241,13 +277,13 @@ def s_word_stack(length: int) -> bytes:
         level += 1
 
 
-def _close(tree) -> None:
+def _close(tree: DictEertree) -> None:
     """Push the letters before the longest palindromic suffix, in reverse.
 
     The tree's word then is its palindromic closure: the shortest
     palindrome that has the old word as a prefix.
     """
-    gap = len(tree.data) - tree._len[tree.node_at[-1]]
+    gap = len(tree.data) - tree.length[tree.node_at[-1]]
     for b in bytes(tree.data[:gap])[::-1]:
         tree.push(b)
 
@@ -257,11 +293,10 @@ def palindromic_closure(text: str) -> str:
 
     Independent of the constraint filling of ``shortest_palindrome_with_prefix``.
     """
-    from palrich.palindromes import Eertree
     from palrich.words import Alphabet
 
     alphabet = Alphabet(sorted(set(text)))
-    tree = Eertree(alphabet)
+    tree = DictEertree()
     for ch in text:
         tree.push(alphabet.index(ch))
     _close(tree)
@@ -276,13 +311,12 @@ def episturmian_prefix(directive: str, length: int):
     palindromic suffix are appended in reverse.  This is the closure route,
     independent of the composed episturmian morphisms of the generators.
     """
-    from palrich.palindromes import Eertree
     from palrich.words import Alphabet, Word
 
     alphabet = Alphabet(sorted(set(directive)))
     if length == 0:
         return Word(alphabet)
-    tree = Eertree(alphabet)
+    tree = DictEertree()
     steps = 0
     while len(tree.data) < length:
         tree.push(alphabet.index(directive[steps % len(directive)]))

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from palrich.counting import (
 )
 from palrich.errors import OutOfRange, TooLarge, UnsupportedAlphabet
 
-from oracles import is_balanced_naive, totient_gcd_sweep
+from oracles import is_balanced_naive, is_balanced_sweep, is_rich_naive, totient_gcd_sweep
 from paper_facts import verify_c_identity
 
 
@@ -72,17 +73,22 @@ def test_enumerate_balanced_examples():
 
 
 def test_enumerated_words_are_balanced_and_complete():
-    from itertools import product
-
-    for n in range(9):
-        got = {w.text for w in enumerate_balanced(n)}
-        expected = {
-            "".join(p)
-            for p in product("ab", repeat=n)
-            if is_balanced_naive("".join(p))
-        }
-        assert got == expected
+    # Words and order alike: the incremental search against the window
+    # sweep of every one of the 2^n words, in lexicographic order.
+    for n in range(15):
+        expected = [bytes(p) for p in product((0, 1), repeat=n) if is_balanced_sweep(bytes(p))]
+        got = enumerate_balanced(n)
+        assert [w.data for w in got] == expected, n
         assert len(got) == sturmian_count(n)
+        if n < 9:
+            assert {w.text for w in got} == {
+                "".join(p) for p in product("ab", repeat=n) if is_balanced_naive("".join(p))
+            }
+
+
+def test_balanced_oracle_table_at_its_budget():
+    table = balanced_oracle_table(22)
+    assert table.values == {n: sturmian_count(n) for n in range(23)}
 
 
 def test_balance_is_hereditary():
@@ -111,6 +117,18 @@ def test_count_rich_small():
     assert count_rich(2, 3) == 8
     assert count_rich(2, 8) == 252  # first length with non-rich binary words
     assert count_rich(2, 7) == 128
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 12), (3, 8), (4, 6)])
+def test_count_rich_naive_matches_the_definition(k, n_max):
+    # No eertree: a word is counted when it has |w| + 1 distinct
+    # palindromic factors, the empty one included.
+    letters = "abcd"[:k]
+    expected = [
+        sum(is_rich_naive("".join(p)) for p in product(letters, repeat=n))
+        for n in range(n_max + 1)
+    ]
+    assert count_rich_naive(k, n_max) == expected
 
 
 def test_count_rich_matches_naive_sweep():

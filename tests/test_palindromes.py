@@ -1,5 +1,4 @@
 import tracemalloc
-from copy import copy
 from string import ascii_lowercase
 
 import pytest
@@ -135,41 +134,6 @@ def test_richness_witness_is_genuine():
         assert len(hits) == 2
 
 
-def test_eertree_push_pop_roundtrip():
-    t = Eertree(Word.parse("ab").alphabet)
-    word = "abaabbaba"
-    snapshots = []
-    for ch in word:
-        snapshots.append((t.node_count, bytes(t.data)))
-        t.push(0 if ch == "a" else 1)
-    for _ in range(len(word)):
-        t.pop()
-        expect_count, expect_data = snapshots.pop()
-        assert (t.node_count, bytes(t.data)) == (expect_count, expect_data)
-    assert t.node_count == 0 and len(t.data) == 0
-
-
-EERTREE_STATE = (
-    "data", "_len", "_link", "_trans", "node_at", "_last", "_undo",
-)
-
-
-@given(st.text(alphabet="abc", max_size=40))
-@settings(max_examples=120)
-def test_eertree_pop_restores_every_earlier_state(text):
-    w = Word.parse(text, Word.parse("abc").alphabet)
-    t = Eertree(w.alphabet)
-    for c in w.data:
-        t.push(c)
-    for n in range(len(w) - 1, -1, -1):
-        t.pop()
-        fresh = Eertree(w.alphabet)
-        for c in w.data[:n]:
-            fresh.push(c)
-        for attr in EERTREE_STATE:
-            assert getattr(t, attr) == getattr(fresh, attr), (n, attr)
-
-
 @given(st.text(alphabet="ab", max_size=60))
 @settings(max_examples=120)
 def test_eertree_counts_match_substring_oracle(text):
@@ -249,32 +213,11 @@ def test_returns_report_matches_naive_oracle(text):
     assert returns_report_fields(w) == returns_report_naive(text)
 
 
-@given(st.text(alphabet="abc", max_size=80))
-@settings(max_examples=120)
-def test_build_matches_pushed_tree(text):
-    w = Word.parse(text, Word.parse("abc").alphabet)
-    built = Eertree.build(w)
-    pushed = Eertree(w.alphabet)
-    for c in w.data:
-        pushed.push(c)
-    for attr in ("data", "_len", "_link", "_trans", "node_at", "_last"):
-        assert getattr(built, attr) == getattr(pushed, attr), attr
-
-
 def flat_state(t: Eertree):
     """The tree as ``eertree_naive`` gives it: its flat slots read as a dict."""
     k = t.alphabet.size
     transitions = {divmod(slot, k): child for slot, child in enumerate(t._trans) if child}
     return t._len, t._link, t.node_at, transitions
-
-
-def assert_matches_dict_eertree(w: Word):
-    expected = eertree_naive(w.data)
-    assert flat_state(Eertree.build(w)) == expected
-    pushed = Eertree(w.alphabet)
-    for c in w.data:
-        pushed.push(c)
-    assert flat_state(pushed) == expected
 
 
 def _words_over(k: int):
@@ -287,24 +230,13 @@ def _words_over(k: int):
 @given(st.sampled_from((1, 2, 3, 4, 26)).flatmap(_words_over))
 @settings(max_examples=200)
 def test_flat_eertree_matches_dict_eertree(w):
-    assert_matches_dict_eertree(w)
+    assert flat_state(Eertree.build(w)) == eertree_naive(w.data)
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_flat_eertree_matches_dict_eertree_on_family_samples(name):
-    assert_matches_dict_eertree(get_family(name).sample())
-
-
-def test_push_rejects_letter_outside_alphabet():
-    # A flat slot node*k + c with c >= k would be the next node's row.
-    t = Eertree(Alphabet("ab"))
-    for c in (0, 1, 0):
-        t.push(c)
-    before = {attr: copy(getattr(t, attr)) for attr in EERTREE_STATE}
-    for c in (2, 3, 25, -1):
-        with pytest.raises(ValueError):
-            t.push(c)
-        assert {attr: getattr(t, attr) for attr in EERTREE_STATE} == before
+    w = get_family(name).sample()
+    assert flat_state(Eertree.build(w)) == eertree_naive(w.data)
 
 
 def test_sample_eertree_memory():
