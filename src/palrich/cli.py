@@ -328,21 +328,17 @@ RICH_ORACLE_LIMIT = 12
 
 def cmd_count(cfg: RunConfig, kind: str, alphabet_size: int) -> int:
     n_max = cfg.n_max
-    oracle_checked_to = None
+    # An oracle lists the counts of lengths 0..oracle_checked_to.
+    oracle_checked_to = oracle = None
+    mismatch = "formula/oracle"
     if kind == "sturmian":
         table = counting.sturmian_table(n_max)
         oracle_checked_to = min(n_max, ORACLE_LIMIT)
-        for n in range(oracle_checked_to + 1):
-            if len(counting.enumerate_balanced(n)) != table.values[n]:
-                _emit(f"formula/oracle mismatch at n={n}\n", None)
-                return EXIT_INCONSISTENT
+        oracle = [len(level) for level in counting.balanced_levels(oracle_checked_to)]
     elif kind == "sturmian-palindrome":
         table = counting.sturmian_palindrome_table(n_max)
         oracle_checked_to = min(n_max, ORACLE_LIMIT)
-        for n in range(oracle_checked_to + 1):
-            if counting.sturmian_palindrome_enumeration_oracle(n) != table.values[n]:
-                _emit(f"formula/oracle mismatch at n={n}\n", None)
-                return EXIT_INCONSISTENT
+        oracle = counting.sturmian_palindrome_enumeration_oracle(oracle_checked_to)
     elif kind == "balanced-oracle":
         table = counting.balanced_oracle_table(n_max)
     elif kind == "rich":
@@ -351,15 +347,16 @@ def cmd_count(cfg: RunConfig, kind: str, alphabet_size: int) -> int:
         # match is an independent check; its one sweep visits all k^n words
         # of the checked length and every shorter one.
         oracle_checked_to = min(n_max, RICH_ORACLE_LIMIT)
-        naive = counting.count_rich_naive(alphabet_size, oracle_checked_to)
-        for n in range(oracle_checked_to + 1):
-            if naive[n] != table.values[n]:
-                _emit(f"enumeration/sweep mismatch at n={n}\n", None)
-                return EXIT_INCONSISTENT
+        oracle = counting.count_rich_naive(alphabet_size, oracle_checked_to)
+        mismatch = "enumeration/sweep"
     else:
         raise UsageError(f"unknown counting kind {kind!r}")
+    for n, count in enumerate(oracle or ()):
+        if count != table.values[n]:
+            _emit(f"{mismatch} mismatch at n={n}\n", None)
+            return EXIT_INCONSISTENT
     if cfg.fmt == "json":
-        payload = json.loads(table.to_json())
+        payload = table.to_dict()
         payload["report"] = "count"
         payload["oracle_checked_to"] = oracle_checked_to
         _emit(json.dumps(payload, indent=2) + "\n", cfg.out)

@@ -8,6 +8,7 @@ The closed formulas count finite Sturmian words and Sturmian palindromes:
 Finite Sturmian words are realized for oracle purposes as balanced binary
 words, enumerated depth-first; a new letter is checked against the windows
 that end at it, since every other window belongs to the balanced prefix.
+One search to the top length gives every shorter length as its prefixes.
 Rich words have no known counting formula; ``count_rich`` enumerates them
 exactly with one depth-first search that counts every length up to n in a
 single pass, pruned by the one-new-palindrome-per-letter property, which is
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 from .errors import OutOfRange, TooLarge, UnsupportedAlphabet
@@ -121,9 +121,22 @@ def enumerate_balanced(n: int) -> list[Word]:
     return out
 
 
-def sturmian_palindrome_enumeration_oracle(n: int) -> int:
-    """Count of balanced binary palindromes of length n, by enumeration."""
-    return sum(1 for w in enumerate_balanced(n) if w.is_palindrome())
+def balanced_levels(n: int) -> list[set[bytes]]:
+    """The balanced binary words of each length 0..n, from one search to n.
+
+    The balanced words of length m <= n are the distinct m-prefixes of
+    those of length n.  Proof: prefixes of balanced words are balanced, and
+    a balanced word is a factor of a Sturmian word x (Lothaire 2002, Prop.
+    2.1.17), so it extends letter by letter to factors of x of every
+    length, all balanced since x is.
+    """
+    words = [w.data for w in enumerate_balanced(n)]
+    return [{w[:m] for w in words} for m in range(n + 1)]
+
+
+def sturmian_palindrome_enumeration_oracle(n: int) -> list[int]:
+    """[p(0), ..., p(n)]: the balanced binary palindromes of each length."""
+    return [sum(1 for w in level if w == w[::-1]) for level in balanced_levels(n)]
 
 
 # Alphabet size -> [R(0), ..., R(d)] from the deepest pruned search so far.
@@ -290,8 +303,9 @@ class CountTable:
             writer.writerow([n, self.values[n], self.provenance])
         return buf.getvalue()
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The JSON payload, in its key order."""
+        return {
             "kind": self.kind,
             "alphabet_size": self.alphabet_size,
             "provenance": self.provenance,
@@ -299,7 +313,6 @@ class CountTable:
                 {"n": n, "count": self.values[n]} for n in sorted(self.values)
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
 
 
 def sturmian_table(n_max: int) -> CountTable:
@@ -324,7 +337,7 @@ def balanced_oracle_table(n_max: int) -> CountTable:
     return CountTable(
         "balanced-oracle",
         2,
-        {n: len(enumerate_balanced(n)) for n in range(n_max + 1)},
+        dict(enumerate(map(len, balanced_levels(n_max)))),
         "enumeration",
     )
 

