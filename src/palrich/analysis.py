@@ -14,11 +14,9 @@ tree).  Any disagreement is a hard discrepancy and is reported as such.
 Every generator family has exact factor sets, so C, P, reversal closure
 and the graphs of every order describe the infinite word itself, and its
 index holds no prefix of it.  Only the richness verdicts read a finite
-prefix, the sample of ``WordFamily.sample``: the incremental scan and the
-palindrome count (``by_count``) both read one eertree of it, so
-``by_count`` is visibly the same fact as a zero defect of the incremental
-verdict.  The complete-return sweep builds no tree and stays the
-independent verdict.
+prefix, the sample of ``WordFamily.sample`` (at most 4,096 letters): the
+incremental scan of its eertree and the eertree-free complete-return sweep
+judge that same word and must agree on every fact they report.
 """
 
 from __future__ import annotations
@@ -37,11 +35,6 @@ from .palindromes import (
     is_rich_incremental,
 )
 from .words import Word
-
-# Longest prefix that the eertree-free complete-return sweep reads.  Its
-# cost grows with the number of palindrome occurrences, which is quadratic in
-# the length for words such as a^n.
-RETURNS_ORACLE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -148,20 +141,23 @@ class OrderRecord:
 
 @dataclass(frozen=True)
 class RichnessVerdicts:
+    """The eertree and the complete-return verdicts on one sample.
+
+    A prefix adds a new palindrome exactly when its longest palindromic
+    suffix is new (Droubay, Justin and Pirillo, TCS 2001), and that is what
+    each sweep tests per position: the eertree by creating a node, the
+    returns sweep by finding no earlier occurrence.  So on the same word
+    both report the same richness, first failing prefix and defect.
+    """
+
     incremental: RichnessReport
-    by_count: bool
     by_returns: RichnessReport
-    returns_sample_length: int
 
     @property
     def agree(self) -> bool:
-        # The returns sweep reads a shorter prefix than the eertree verdicts,
-        # so it must agree with richness of that prefix, not of the sample.
-        first = self.incremental.first_violation_prefix
-        prefix_rich = first is None or first > self.returns_sample_length
-        return (
-            self.incremental.rich == self.by_count
-            and self.by_returns.rich == prefix_rich
+        a, b = self.incremental, self.by_returns
+        return (a.rich, a.first_violation_prefix, a.defect) == (
+            b.rich, b.first_violation_prefix, b.defect
         )
 
     @property
@@ -201,7 +197,6 @@ class TheoremReport:
             problems.append(
                 "richness checkers disagree: "
                 f"incremental={self.richness.incremental.rich} "
-                f"count={self.richness.by_count} "
                 f"returns={self.richness.by_returns.rich}"
             )
         if self.triangle_consistent is False:
@@ -257,9 +252,9 @@ def theorem1_experiment(
     C, P, reversal closure and the graphs read :meth:`WordFamily.index`,
     built from the exact factor set alone.  Richness runs on the family's
     sample of ``prefix_cap`` letters, at most ``RICHNESS_SAMPLE_CAP``
-    (:meth:`WordFamily.sample`): one eertree of it gives the incremental
-    and the count verdict, and the eertree-free complete-return sweep reads
-    its first ``RETURNS_ORACLE_CAP`` letters.  The reduced Rauzy graphs of
+    (:meth:`WordFamily.sample`): the incremental scan of its eertree and
+    the eertree-free complete-return sweep both read the whole sample, so
+    a defect past it goes unseen.  The reduced Rauzy graphs of
     orders 0..n_max come from one pass of :func:`rauzy.reduced_graphs`,
     each evolved from the one before; no order builds its full Rauzy graph.
     Each order super-reduces its graph and records only the verdicts the
@@ -269,13 +264,9 @@ def theorem1_experiment(
     prof = profile_from_index(idx)
     closed, witness = prof.reversal_closed, prof.closure_witness
     sample = family.sample(prefix_cap)
-    returns_sample = sample[:RETURNS_ORACLE_CAP]
-    tree = Eertree.build(sample)
     richness = RichnessVerdicts(
-        incremental=is_rich_incremental(tree),
-        by_count=is_rich_by_count(tree),
-        by_returns=is_rich_by_returns(returns_sample),
-        returns_sample_length=len(returns_sample),
+        incremental=is_rich_incremental(Eertree.build(sample)),
+        by_returns=is_rich_by_returns(sample),
     )
     orders = tuple(
         _order_record(rg, prof) for rg in rauzy.reduced_graphs(idx)

@@ -5,7 +5,10 @@ oversized request, a parameter the source does not read), 2 the parser
 rejected the command line (an unknown option or one the subcommand does not
 take, a missing or malformed argument), 3 internal consistency failure (a
 formula disagrees with its oracle, or the verdict triangle fails to close).
-Every generator has exact factor sets, so no verdict is inconclusive.
+A generator's C, P and graphs come from its exact factor sets, for the
+orders 0..--n-max only, and ``rich`` reads only its first ``--prefix-cap``
+letters (at most 4,096): a defect beyond the sample or the checked orders
+goes unseen, and can open the verdict triangle.
 """
 
 from __future__ import annotations
@@ -261,7 +264,6 @@ def _verify_generator(cfg: RunConfig) -> int:
         },
         "richness": {
             "incremental": report.richness.incremental.rich,
-            "by_count": report.richness.by_count,
             "by_returns": report.richness.by_returns.rich,
             "agree": report.richness.agree,
         },
@@ -326,7 +328,11 @@ ORACLE_LIMIT = 14
 RICH_ORACLE_LIMIT = 12
 
 
-def cmd_count(cfg: RunConfig, kind: str, alphabet_size: int) -> int:
+def cmd_count(cfg: RunConfig, kind: str, alphabet_size: int | None) -> int:
+    if alphabet_size is None:
+        alphabet_size = 2
+    elif kind != "rich":
+        raise UsageError(f"count --kind {kind} takes no --alphabet")
     n_max = cfg.n_max
     # An oracle lists the counts of lengths 0..oracle_checked_to.
     oracle_checked_to = oracle = None
@@ -406,7 +412,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["sturmian", "sturmian-palindrome", "rich", "balanced-oracle"],
         required=True,
     )
-    p_count.add_argument("--alphabet", type=int, default=2)
+    p_count.add_argument(
+        "--alphabet", type=int, help="alphabet size of --kind rich (default 2)"
+    )
     p_count.add_argument("--format", choices=["csv", "json"], default="csv")
     # graph reads only --n.
     for p in (p_analyze, p_verify, p_count):

@@ -6,22 +6,23 @@ pass the longest palindromic suffix of every prefix and the count of distinct
 palindromes per length: ``Eertree.nodes_by_length`` is P(n) for every n >= 1,
 which the finite-palindrome check reads instead of scanning factor sets.  A
 word is rich exactly when every position creates a new node.  Both eertree
-verdicts, the per-position scan and the palindrome count, read one built
-tree, so a caller builds it once.  The tree is built in one pass and never
-changes; the rich-word searches of :mod:`palrich.counting`, which grow and
-shrink one word letter by letter, keep their own arrays in the same layout.
+verdicts, the per-position scan and the palindrome count, read a built tree.
+The tree is built in one pass and never changes; the rich-word searches of
+:mod:`palrich.counting`, which grow and shrink one word letter by letter,
+keep their own arrays in the same layout.
 
 The tree lives in flat lists of ints, not one object per node: lengths,
 suffix links, and k transition slots per node, where 0 means "no edge"
 because the length -1 root (node 0) is no node's child.  ``build`` walks
 the suffix links over a copy of the word with a sentinel letter in front,
 so no walk tests its bounds.  The transitions grow by k slots per created
-node, so they take (nodes + 2)·k slots, not |w|·k: on the 65,536-letter
-richness samples the whole tree takes 6.5-7.1 MiB under ``tracemalloc``.
+node, so they take (nodes + 2)·k slots, not |w|·k: on the 4,096-letter
+richness samples the whole tree takes at most 0.42 MiB under
+``tracemalloc``, and on a 65,536-letter prefix 6.5-7.1 MiB.
 
 The complete-return sweep checks richness without the eertree, testing
 one return explicitly per letter, and validates the eertree-based
-verdicts.
+verdicts on the same word.
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palrich.analysis import (
-    RETURNS_ORACLE_CAP,
     profile_from_index,
     theorem1_experiment,
     theorem2_check,
@@ -225,19 +224,6 @@ def test_theorem1_psi_of_fibonacci():
     rep = theorem1_experiment(get_family("psi-of-fibonacci", k=0), 10)
     assert rep.richness.rich and rep.triangle_consistent
     assert rep.discrepancies() == ()
-
-
-def test_theorem1_returns_sample_shorter_than_defect_prefix():
-    # Rich for 4200 letters, so the returns sweep (first RETURNS_ORACLE_CAP
-    # letters) sees a rich word while the eertree verdicts see the defect.
-    block = get_family("fibonacci").produce(4200).text + "c"
-    rep = theorem1_experiment(get_family("periodic", block=block), 4)
-    rv = rep.richness
-    assert rv.returns_sample_length == RETURNS_ORACLE_CAP
-    assert rv.incremental.first_violation_prefix > RETURNS_ORACLE_CAP
-    assert rv.by_returns.rich and not rv.incremental.rich and not rv.by_count
-    assert rv.agree
-    assert not any("richness checkers disagree" in d for d in rep.discrepancies())
 
 
 def test_theorem1_report_fields():

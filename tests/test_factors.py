@@ -59,11 +59,11 @@ def test_build_index_examples():
 
 def test_has_factor_answers_only_up_to_the_index_depth():
     # b^20 is a factor of the a -> aab fixed point, but no b-run that long
-    # occurs in its 65,536-letter richness sample.
+    # occurs in its 65,536-letter prefix.
     idx = get_family("cassaigne-aab").index(10)
     b20 = b"\x01" * 20
     assert b20 in morphic_factor_sets(CASSAIGNE_AAB, "a", 20)
-    assert b20 not in get_family("cassaigne-aab").sample().data
+    assert b20 not in get_family("cassaigne-aab").produce(1 << 16).data
     assert idx.has_factor(b"\x01" * 11)
     with pytest.raises(OutOfRange):
         idx.has_factor(b20)

@@ -4,6 +4,7 @@ from string import ascii_lowercase
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from palrich.analysis import RichnessVerdicts
 from palrich.factors import stabilized_prefix
 from palrich.generators import REGISTRY, family_block, get_family
 from palrich.palindromes import (
@@ -213,6 +214,29 @@ def test_returns_report_matches_naive_oracle(text):
     assert returns_report_fields(w) == returns_report_naive(text)
 
 
+def assert_sweeps_agree(w: Word):
+    """The eertree and the complete-return sweep report the same facts of w."""
+    verdicts = RichnessVerdicts(is_rich_incremental(Eertree.build(w)), is_rich_by_returns(w))
+    a, b = verdicts.incremental, verdicts.by_returns
+    assert (a.rich, a.first_violation_prefix, a.defect) == (
+        b.rich, b.first_violation_prefix, b.defect
+    )
+    assert verdicts.agree
+
+
+@given(st.one_of(st.text(alphabet="abc", max_size=150), _block_repetitions(), _episturmian_slices()))
+@settings(max_examples=150, deadline=None)
+def test_eertree_and_returns_sweeps_agree(text):
+    # A prefix adds a palindrome iff its longest palindromic suffix is new,
+    # which is what each sweep tests per position.
+    assert_sweeps_agree(Word.parse(text, Word.parse("abc").alphabet))
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_eertree_and_returns_sweeps_agree_on_family_samples(name):
+    assert_sweeps_agree(get_family(name).sample())
+
+
 def flat_state(t: Eertree):
     """The tree as ``eertree_naive`` gives it: its flat slots read as a dict."""
     k = t.alphabet.size
@@ -235,14 +259,14 @@ def test_flat_eertree_matches_dict_eertree(w):
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_flat_eertree_matches_dict_eertree_on_family_samples(name):
-    w = get_family(name).sample()
+    w = get_family(name).produce(1 << 16)
     assert flat_state(Eertree.build(w)) == eertree_naive(w.data)
 
 
 def test_sample_eertree_memory():
     # A few ints per node and k transition slots per node, no object per
-    # node: the flat tree of the 65,536-letter sample takes about 6.5 MiB.
-    w = get_family("fibonacci").sample()
+    # node: the flat tree of a 65,536-letter prefix takes about 6.5 MiB.
+    w = get_family("fibonacci").produce(1 << 16)
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
