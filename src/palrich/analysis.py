@@ -22,11 +22,10 @@ judge that same word and must agree on every fact they report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from . import rauzy
 from .errors import NotAPalindrome
 from .factors import FactorIndex, finite_complexity, is_closed_under_reversal
-from .generators import RICHNESS_SAMPLE_CAP, WordFamily
 from .palindromes import (
     Eertree,
     RichnessReport,
@@ -35,6 +34,12 @@ from .palindromes import (
     is_rich_incremental,
 )
 from .words import Word
+
+# Only theorem1_experiment and _order_record run rauzy, and they import it
+# themselves, so `verify --word` runs neither rauzy nor generators.
+if TYPE_CHECKING:
+    from .generators import WordFamily
+    from .rauzy import ReducedRauzyGraph
 
 
 @dataclass(frozen=True)
@@ -218,7 +223,9 @@ class TheoremReport:
         return tuple(problems)
 
 
-def _order_record(rg: rauzy.ReducedRauzyGraph, prof: ComplexityProfile) -> OrderRecord:
+def _order_record(rg: ReducedRauzyGraph, prof: ComplexityProfile) -> OrderRecord:
+    from . import rauzy
+
     n = rg.n
     periodic_route = rg.no_specials
     if periodic_route:
@@ -245,25 +252,28 @@ def theorem1_experiment(
     family: WordFamily,
     n_max: int = 30,
     *,
-    prefix_cap: int = RICHNESS_SAMPLE_CAP,
+    prefix_cap: int | None = None,
 ) -> TheoremReport:
     """Run the full verdict triangle for one word family.
 
     C, P, reversal closure and the graphs read :meth:`WordFamily.index`,
     built from the exact factor set alone.  Richness runs on the family's
-    sample of ``prefix_cap`` letters, at most ``RICHNESS_SAMPLE_CAP``
-    (:meth:`WordFamily.sample`): the incremental scan of its eertree and
-    the eertree-free complete-return sweep both read the whole sample, so
-    a defect past it goes unseen.  The reduced Rauzy graphs of
-    orders 0..n_max come from one pass of :func:`rauzy.reduced_graphs`,
-    each evolved from the one before; no order builds its full Rauzy graph.
-    Each order super-reduces its graph and records only the verdicts the
-    reports and :meth:`TheoremReport.discrepancies` read.
+    sample of ``prefix_cap`` letters, at most (and by default)
+    ``generators.RICHNESS_SAMPLE_CAP`` (:meth:`WordFamily.sample`): the
+    incremental scan of its eertree and the eertree-free complete-return
+    sweep both read the whole sample, so a defect past it goes unseen.  The
+    reduced Rauzy graphs of orders 0..n_max come from one pass of
+    :func:`rauzy.reduced_graphs`, each evolved from the one before; no order
+    builds its full Rauzy graph.  Each order super-reduces its graph and
+    records only the verdicts the reports and
+    :meth:`TheoremReport.discrepancies` read.
     """
+    from . import rauzy
+
     idx = family.index(n_max)
     prof = profile_from_index(idx)
     closed, witness = prof.reversal_closed, prof.closure_witness
-    sample = family.sample(prefix_cap)
+    sample = family.sample() if prefix_cap is None else family.sample(prefix_cap)
     richness = RichnessVerdicts(
         incremental=is_rich_incremental(Eertree.build(sample)),
         by_returns=is_rich_by_returns(sample),

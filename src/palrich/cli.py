@@ -9,6 +9,14 @@ A generator's C, P and graphs come from its exact factor sets, for the
 orders 0..--n-max only, and ``rich`` reads only its first ``--prefix-cap``
 letters (at most 4,096): a defect beyond the sample or the checked orders
 goes unseen, and can open the verdict triangle.
+
+A command executes only the modules it runs; the others stay deferred
+(see ``_deferred``).  ``--help`` and a rejected command line run none but
+``errors``; ``count`` runs ``counting`` and ``words``; ``verify --word``
+runs ``analysis``, ``factors``, ``palindromes`` and ``words``; ``graph``
+runs ``factors``, ``rauzy`` and ``words``; ``analyze`` runs those of
+both.  A generator source adds ``generators``, so ``analyze`` and
+``verify`` of a generator run every module but ``counting``.
 """
 
 from __future__ import annotations
@@ -16,15 +24,57 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import importlib.util
 import json
 import sys
 
-from . import analysis, counting, rauzy
 from .errors import PalrichError
-from .factors import FactorIndex, build_index
-from .generators import REGISTRY, RICHNESS_SAMPLE_CAP, WordFamily, get_family
-from .palindromes import Eertree, is_rich_incremental
-from .words import Word
+
+
+def _deferred(name: str):
+    """The submodule ``palrich.<name>``, executed on its first attribute access.
+
+    The stdlib ``LazyLoader`` recipe: the module sits in ``sys.modules`` from
+    the start, so code that looks it up there (``perfbench/tracing.py``
+    does) finds it, but its body runs only when a command first reads one
+    of its names.  A module that is already imported is returned as it is.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+analysis = _deferred("analysis")
+counting = _deferred("counting")
+factors = _deferred("factors")
+generators = _deferred("generators")
+palindromes = _deferred("palindromes")
+rauzy = _deferred("rauzy")
+words = _deferred("words")
+
+# The parser's copies of sorted(generators.REGISTRY) and
+# generators.RICHNESS_SAMPLE_CAP, so that --help and a rejected command line
+# load no generator; tests/test_cli.py pins them to the originals.
+GENERATOR_NAMES = (
+    "cassaigne-aab",
+    "episturmian",
+    "fibonacci",
+    "morphic",
+    "periodic",
+    "psi-of-fibonacci",
+    "quadratic-abab",
+    "s-word",
+    "thue-morse",
+    "tribonacci",
+)
+SAMPLE_CAP = 4096
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,7 +116,7 @@ class RunConfig:
                 raise UsageError(f"a literal word takes no {', '.join(unread)}")
         if self.generator is not None:
             if self.prefix_cap is None:
-                self.prefix_cap = RICHNESS_SAMPLE_CAP
+                self.prefix_cap = generators.RICHNESS_SAMPLE_CAP
             elif self.prefix_cap < 1:
                 raise UsageError(
                     f"prefix cap {self.prefix_cap} must be at least 1: it is the "
@@ -89,8 +139,8 @@ def _emit(text: str, out: str | None):
         fh.write(text)
 
 
-def _family(cfg: RunConfig) -> WordFamily:
-    return get_family(cfg.generator, **cfg.generator_params)
+def _family(cfg: RunConfig) -> generators.WordFamily:
+    return generators.get_family(cfg.generator, **cfg.generator_params)
 
 
 def _source_payload(cfg: RunConfig) -> dict:
@@ -103,14 +153,14 @@ def _source_payload(cfg: RunConfig) -> dict:
     }
 
 
-def _source_word(cfg: RunConfig) -> Word:
+def _source_word(cfg: RunConfig) -> words.Word:
     """The literal word, or the generator's richness sample."""
     if cfg.word is not None:
-        return Word.parse(cfg.word)
+        return words.Word.parse(cfg.word)
     return _family(cfg).sample(cfg.prefix_cap)
 
 
-def _index_for(cfg: RunConfig, n: int) -> FactorIndex:
+def _index_for(cfg: RunConfig, n: int) -> factors.FactorIndex:
     """Index of the source for every order up to n.
 
     A generator's index is :meth:`WordFamily.index`, the exact set F_{n+1} of
@@ -118,8 +168,8 @@ def _index_for(cfg: RunConfig, n: int) -> FactorIndex:
     its index stops at order min(n, |w| - 1).
     """
     if cfg.word is not None:
-        w = Word.parse(cfg.word)
-        return build_index(w, min(n, len(w) - 1))
+        w = words.Word.parse(cfg.word)
+        return factors.build_index(w, min(n, len(w) - 1))
     return _family(cfg).index(n)
 
 
@@ -129,7 +179,9 @@ def _index_for(cfg: RunConfig, n: int) -> FactorIndex:
 def cmd_analyze(cfg: RunConfig) -> int:
     # The richness tree is dropped before the factor sets are built, so the
     # two never take memory at the same time.
-    rich = is_rich_incremental(Eertree.build(_source_word(cfg)))
+    rich = palindromes.is_rich_incremental(
+        palindromes.Eertree.build(_source_word(cfg))
+    )
     idx = _index_for(cfg, cfg.n_max)
     prof = analysis.profile_from_index(idx)
     rows = []
@@ -218,7 +270,7 @@ def cmd_graph(cfg: RunConfig, n: int, tier: str) -> int:
 
 
 def _verify_literal(cfg: RunConfig) -> int:
-    w = Word.parse(cfg.word)
+    w = words.Word.parse(cfg.word)
     report = analysis.theorem2_check(w)
     payload = {
         "report": "verify-theorem2",
@@ -322,7 +374,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 # The formula tables are checked against enumeration up to ORACLE_LIMIT,
 # and the rich table against the exhaustive sweep up to RICH_ORACLE_LIMIT.
 # The sweep visits all k^n words: at 4^12 it sets the cost of
-# `count --kind rich --alphabet 4 --n-max 12`, about 16 s on a 2-vCPU
+# `count --kind rich --alphabet 4 --n-max 12`, about 12 s on a 2-vCPU
 # x86 host, where the table itself takes 0.25 s.
 ORACLE_LIMIT = 14
 RICH_ORACLE_LIMIT = 12
@@ -385,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_source(p):
         p.add_argument("--word", help="literal word over a-z")
         p.add_argument(
-            "--generator", choices=sorted(REGISTRY), help="named word family"
+            "--generator", choices=GENERATOR_NAMES, help="named word family"
         )
         p.add_argument("--k", type=int, help="parameter for parametrized families")
         p.add_argument("--block", help="repeating block for the periodic family")
@@ -425,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--prefix-cap",
             type=int,
             help="length of a generator's richness sample "
-            f"(at most {RICHNESS_SAMPLE_CAP}, the default)",
+            f"(at most {SAMPLE_CAP}, the default)",
         )
     for p in (p_analyze, p_graph, p_verify, p_count):
         p.add_argument("--out", help="write output to this path")

@@ -236,8 +236,10 @@ def count_rich_naive(alphabet_size: int, n: int) -> list[int]:
     creation counter, so a word of length d with ``nodes`` nodes has
     nodes - 2 distinct non-empty palindromes and is counted when
     nodes == d + 2.  Undoing a letter clears the one slot it filled, if
-    any; the counter falls back with the recursion.  It shares no code with
-    the pruned search of ``count_rich``.
+    any; the counter falls back with the recursion.  The words of length n
+    are counted at their last letter, from the suffix walk and one slot
+    probe, with no node built.  It shares no code with the pruned search of
+    ``count_rich``.
     """
     if alphabet_size not in RICH_BUDGETS:
         raise UnsupportedAlphabet("rich-word counting supports alphabets of 2..4")
@@ -260,6 +262,7 @@ def count_rich_naive(alphabet_size: int, n: int) -> list[int]:
         counts[pos] += nodes == pos + 2
         if pos == n:
             return
+        to_leaf = pos + 1 == n
         for c in letters:
             buf[pos + 1] = c
             cur = last
@@ -267,6 +270,11 @@ def count_rich_naive(alphabet_size: int, n: int) -> list[int]:
                 cur = link[cur]
             slot = cur * k + c
             child = trans[slot]
+            if to_leaf:
+                # A word of length n is counted where it ends: its letter
+                # adds a node exactly when the slot is empty.
+                counts[n] += nodes + (not child) == n + 2
+                continue
             if child:
                 sweep(pos + 1, child, nodes)
                 continue

@@ -8,7 +8,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from palrich import analysis, cli, counting
+from palrich import analysis, cli, counting, generators
 from palrich.cli import _build_parser, main
 from palrich.factors import FactorIndex
 from palrich.generators import RICHNESS_SAMPLE_CAP, get_family
@@ -411,6 +411,20 @@ def test_each_subcommand_takes_only_the_options_it_reads():
             parser.parse_args(argv)
 
 
+def test_parser_constants_are_the_generators_own(monkeypatch):
+    # The parser spells out the generator names and the sample cap so that
+    # building it loads no generator; both must stay the registry's.
+    assert cli.GENERATOR_NAMES == tuple(sorted(generators.REGISTRY))
+    assert cli.SAMPLE_CAP == generators.RICHNESS_SAMPLE_CAP
+    # The help texts, captured at 80 columns before the constants existed.
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert parser.format_help() == (GOLDEN / "help_palrich.txt").read_text()
+    for name in ("analyze", "graph", "verify", "count"):
+        assert sub.choices[name].format_help() == (GOLDEN / f"help_{name}.txt").read_text(), name
+
+
 def test_generator_rejects_a_parameter_it_does_not_take(capsys):
     code, out, err = run(
         capsys, "verify", "--generator", "fibonacci", "--block", "zzz", "--format", "json"
@@ -475,7 +489,7 @@ def test_only_the_richness_leg_produces_a_sample(capsys, monkeypatch):
 
         return dataclasses.replace(family, produce=produce)
 
-    monkeypatch.setattr(cli, "get_family", recording_get_family)
+    monkeypatch.setattr(generators, "get_family", recording_get_family)
     for argv, lengths in (
         (("graph", "--n", "9"), []),
         (("graph", "--n", "9", "--tier", "super"), []),
