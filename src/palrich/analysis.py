@@ -151,8 +151,9 @@ class RichnessVerdicts:
     A prefix adds a new palindrome exactly when its longest palindromic
     suffix is new (Droubay, Justin and Pirillo, TCS 2001), and that is what
     each sweep tests per position: the eertree by creating a node, the
-    returns sweep by finding no earlier occurrence.  So on the same word
-    both report the same richness, first failing prefix and defect.
+    returns sweep by finding no earlier occurrence (an unmet hash or a
+    failed search).  So on the same word both report the same richness,
+    first failing prefix and defect.
     """
 
     incremental: RichnessReport

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import importlib.util
 import json
 import sys
@@ -85,18 +84,32 @@ class UsageError(PalrichError):
     pass
 
 
-@dataclasses.dataclass
 class RunConfig:
-    command: str
-    word: str | None
-    generator: str | None
-    generator_params: dict
-    n_max: int | None
-    prefix_cap: int | None
-    fmt: str
-    out: str | None
+    """The options of one command, checked against each other.
 
-    def __post_init__(self):
+    A plain class, not a dataclass, so that ``--help`` and a rejected
+    command line import no ``dataclasses``.
+    """
+
+    def __init__(
+        self,
+        command: str,
+        word: str | None,
+        generator: str | None,
+        generator_params: dict,
+        n_max: int | None,
+        prefix_cap: int | None,
+        fmt: str,
+        out: str | None,
+    ):
+        self.command = command
+        self.word = word
+        self.generator = generator
+        self.generator_params = generator_params
+        self.n_max = n_max
+        self.prefix_cap = prefix_cap
+        self.fmt = fmt
+        self.out = out
         # count takes no source; its parser has no source options.
         if self.command != "count":
             if (self.word is None) == (self.generator is None):

@@ -33,10 +33,10 @@ from .words import (
 )
 
 # Longest prefix that the richness checkers read, the eertree verdict and
-# the complete-return sweep alike.  It is the sweep's affordable reach: its
-# cost is the number of palindrome occurrences, which is quadratic in the
-# length on periodic words: 4,096 letters of aabaabab take about 0.11 s on
-# a 2-vCPU x86 host.
+# the complete-return sweep alike.  Both take milliseconds on it (the sweep
+# about 8 ms on 4,096 letters of aabaabab on a 2-vCPU x86 host), so the cap
+# is no longer a cost bound; it stays because the reports print the sample
+# length and judge richness on it, so a new cap would change them.
 RICHNESS_SAMPLE_CAP = 1 << 12
 
 FIBONACCI = Morphism.parse("a->ab,b->a")

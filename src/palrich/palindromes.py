@@ -22,7 +22,13 @@ richness samples the whole tree takes at most 0.42 MiB under
 
 The complete-return sweep checks richness without the eertree, testing
 one return explicitly per letter, and validates the eertree-based
-verdicts on the same word.
+verdicts on the same word.  It reads the longest palindromic suffix of
+every prefix from Manacher's algorithm (J. ACM 1975), a linear scan of the
+palindrome radius at every centre followed by one monotone pointer over
+the centres, and it searches for an earlier occurrence of that suffix only
+when the hash of an earlier longest suffix matches: a palindrome first
+occurs where it is the longest palindromic suffix (Droubay, Justin and
+Pirillo, TCS 2001), so an unmatched hash means a new palindrome.
 """
 
 from __future__ import annotations
@@ -161,23 +167,63 @@ def is_rich_incremental(t: Eertree) -> RichnessReport:
     return RichnessReport(False, violation, _incremental_witness(t, violation), defect)
 
 
+def _longest_palindromic_suffixes(data: bytes) -> list[int]:
+    """q(e), the length of the longest palindromic suffix of data[:e], for e = 1..|data|.
+
+    Manacher's algorithm runs over t, the letters interleaved with a
+    separator and closed by two distinct sentinels, so every palindrome of
+    the word, of either parity, is an odd palindrome of t centred on a
+    letter or a separator.  ``rad[i]`` is the radius of the longest
+    palindrome of t centred at i, which is also the length of the word's
+    palindrome it covers; a centre inside the rightmost palindrome found so
+    far starts from its mirror's radius, so the scan is linear.
+
+    The palindromes around one centre are nested, so a palindrome centred
+    at i ends at letter j exactly when i + rad[i] reaches the separator
+    2j + 3 after it, and the longest such one has the leftmost such centre.
+    A centre that falls short of one end falls short of every later end,
+    so one pointer walks the centres left to right over all ends; it never
+    passes the centre 2j + 2 of the letter itself, whose radius is at least 1.
+    """
+    n = len(data)
+    t = [-1] * (2 * n + 3)
+    t[0], t[-1] = -2, -3
+    t[2 : 2 * n + 2 : 2] = data
+    rad = [0] * len(t)
+    centre = right = 0
+    for i in range(1, 2 * n + 2):
+        r = min(right - i, rad[2 * centre - i]) if i < right else 0
+        while t[i + r + 1] == t[i - r - 1]:
+            r += 1
+        rad[i] = r
+        if i + r > right:
+            centre, right = i, i + r
+    out = []
+    i = 1
+    for end in range(3, 2 * n + 3, 2):
+        while i + rad[i] < end:
+            i += 1
+        out.append(end - i)
+    return out
+
+
 def is_rich_by_returns(w: Word) -> RichnessReport:
     """Every complete return to a palindrome is a palindrome, in one sweep.
 
     A complete return to q is a factor that starts and ends with q and holds
     exactly two occurrences of it; each one is named by its final occurrence
-    of q.  The sweep walks the end positions e = 1..|w| and keeps S_e, the
-    lengths of the palindromic suffixes of w[:e] in descending order:
-    L is in S_e iff L-2 is in S_{e-1} and w[e-L] = w[e-1], where the empty
-    word (length 0) and a root of length -1 always belong to S_{e-1}.  At
-    each e only the return to the longest element of S_e is checked, by one
-    ``rfind`` for the previous occurrence of that palindrome.  The longest
-    palindromic suffix is new exactly when that ``rfind`` fails, which gives
-    the defect and the first violating prefix from the same sweep.
+    of q.  The sweep walks the end positions e = 1..|w| and checks at each
+    only the return to the longest palindromic suffix of w[:e], whose
+    length Manacher's algorithm gives for every e in one linear pass
+    (``_longest_palindromic_suffixes``).  The return is found by one
+    ``rfind`` for the previous occurrence of that palindrome; the
+    palindrome is new exactly when there is none, which gives the defect
+    and the first violating prefix from the same sweep.
 
     Checking only the longest suffix loses no failing return.  Let r be a
     non-palindromic complete return to q ending at e where q is not the
-    longest element of S_e, and let q' be the next longer element.
+    longest palindromic suffix of w[:e], and let q' be the next longer
+    palindromic suffix.
 
     (A) q is a suffix of the palindrome q', hence also its prefix, so q
         ends at e - (|q'| - |q|) as well: the return r starts at or after
@@ -188,30 +234,43 @@ def is_rich_by_returns(w: Word) -> RichnessReport:
         starts strictly before r.
 
     So the earliest-starting failing return to any palindrome q ends at a
-    position where q is the longest element of S_e, and the sweep checks it.
-    Hence the word is rich iff no checked return fails, and the witness, the
-    least (palindrome, start) pair over the checked failures, is the
-    lexicographically least palindrome with a non-palindromic complete
-    return together with its earliest such return.  No eertree is involved,
-    so the verdict is independent of the eertree-based ones.
+    position where q is the longest palindromic suffix, and the sweep
+    checks it.  Hence the word is rich iff no checked return fails, and the
+    witness, the least (palindrome, start) pair over the checked failures,
+    is the lexicographically least palindrome with a non-palindromic
+    complete return together with its earliest such return.  No eertree is
+    involved, so the verdict is independent of the eertree-based ones.
 
-    The S_e lists sum to the number of palindrome occurrences in w, which is
-    about |w|^2 / 2 for a^n: a^4096 takes about 1.8 s on a 2-vCPU x86 host.
-    The word families of the package have far fewer.
+    Most ``rfind`` calls are skipped by the first-occurrence lemma (Droubay,
+    Justin and Pirillo): a palindrome p first occurs ending at a position e
+    where it is the longest palindromic suffix of w[:e].  Proof: a longer
+    palindromic suffix s of w[:e] has p as a suffix, so, being a
+    palindrome, also as a prefix, and p would occur ending at e - |s| + |p|,
+    before e.  So the sweep keeps the hashes of the longest suffixes met so
+    far, and a longest suffix whose hash is not among them has never
+    occurred: it is new, and no ``rfind`` runs.  A hash that is among them
+    runs the ``rfind`` as before, so a collision costs one search, never a
+    wrong verdict.  Hashes, not the palindromes, are kept: the palindromes
+    of a periodic sample would take megabytes.
+
+    The cost is O(|w|) for Manacher, plus a slice and a hash of each longest
+    suffix, plus an ``rfind`` for each one met before.  On a 2-vCPU x86 host
+    a^4096 takes about 8 ms, and the 4,096-letter richness samples of the
+    word families 6-10 ms each; the most is thue-morse's, whose repeated
+    suffixes each run a search.
     """
     data = w.data
-    # No letter equals the sentinel, so a suffix spanning all of w[:e-1]
-    # never grows; it also lets the empty word grow only when e >= 2.
-    padded = b"\xff" + data
-    chain = [0, -1]  # S_0 plus the two roots, descending
+    seen = set()  # hashes of the longest palindromic suffixes met so far
     new_palindromes = 0
     violation = None
     least = None  # (palindrome, start, end) of the least failing return
-    for e, c in enumerate(data, 1):
-        chain = [l + 2 for l in chain if padded[e - 1 - l] == c]
-        chain += (0, -1)
-        q = chain[0]
+    for e, q in enumerate(_longest_palindromic_suffixes(data), 1):
         pal = data[e - q : e]
+        key = hash(pal)
+        if key not in seen:
+            seen.add(key)
+            new_palindromes += 1
+            continue
         start = data.rfind(pal, 0, e - 1)
         if start < 0:
             new_palindromes += 1

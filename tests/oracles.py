@@ -82,6 +82,34 @@ def returns_report_naive(text: str):
     return witness is None, witness, first, defect
 
 
+def longest_palindromic_suffixes_naive(data) -> list[int]:
+    """Per prefix data[:e], e = 1..|data|: the length of its longest palindromic suffix.
+
+    Tries every suffix, longest first.
+    """
+    out = []
+    for e in range(1, len(data) + 1):
+        out.append(next(l for l in range(e, 0, -1) if data[e - l : e] == data[e - l : e][::-1]))
+    return out
+
+
+def palindromic_suffix_chains(data) -> list[list[int]]:
+    """Per prefix data[:e], e = 1..|data|: its palindromic suffix lengths, descending.
+
+    The chain update S_e from S_{e-1}: L is in S_e iff L-2 is in S_{e-1}
+    and data[e-L] = data[e-1], where the empty word (length 0) and a root
+    of length -1 always belong to S_{e-1}.  The ``None`` in front is no
+    letter, so a suffix spanning all of data[:e-1] never grows.
+    """
+    padded = [None, *data]
+    chain = []
+    out = []
+    for e, c in enumerate(data, 1):
+        chain = [l + 2 for l in (*chain, 0, -1) if padded[e - 1 - l] == c]
+        out.append(chain)
+    return out
+
+
 class DictEertree:
     """An eertree grown one letter at a time, with one dict of children per node.
 

@@ -4,11 +4,13 @@ from string import ascii_lowercase
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from palrich import palindromes
 from palrich.analysis import RichnessVerdicts
 from palrich.factors import stabilized_prefix
 from palrich.generators import REGISTRY, family_block, get_family
 from palrich.palindromes import (
     Eertree,
+    _longest_palindromic_suffixes,
     is_rich_by_count,
     is_rich_by_returns,
     is_rich_incremental,
@@ -21,7 +23,9 @@ from oracles import (
     eertree_naive,
     episturmian_prefix,
     is_rich_naive,
+    longest_palindromic_suffixes_naive,
     palindromic_substrings,
+    palindromic_suffix_chains,
     returns_report_naive,
 )
 from paper_facts import (
@@ -211,6 +215,78 @@ def _flip(text: str, at: int) -> str:
 @settings(max_examples=150, deadline=None)
 def test_returns_report_matches_naive_oracle(text):
     w = Word.parse(text, Word.parse("abc").alphabet)
+    assert returns_report_fields(w) == returns_report_naive(text)
+
+
+def assert_longest_suffixes_match_oracles(data: bytes):
+    got = _longest_palindromic_suffixes(data)
+    assert got == longest_palindromic_suffixes_naive(data)
+    assert got == [chain[0] for chain in palindromic_suffix_chains(data)]
+
+
+def test_longest_palindromic_suffixes_on_every_short_word():
+    for text in all_words("abc", 10):
+        assert_longest_suffixes_match_oracles(text.encode())
+
+
+@given(st.text(alphabet="abcd", max_size=200))
+@settings(max_examples=150, deadline=None)
+def test_longest_palindromic_suffixes_match_oracles(text):
+    assert_longest_suffixes_match_oracles(text.encode())
+
+
+def reports_with_every_suffix_searched(w: Word):
+    """The fields of the sweep's report of w, checked with every hash equal.
+
+    With ``hash`` shadowed by a constant in ``palindromes``, every longest
+    suffix after the first looks met before, so each one runs the
+    ``rfind``; the report must not change.
+    """
+    plain = is_rich_by_returns(w)
+    hashed = []
+
+    def constant(data):
+        hashed.append(data)
+        return 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(palindromes, "hash", constant, raising=False)
+        searched = is_rich_by_returns(w)
+    assert len(hashed) == len(w)
+    assert searched == plain
+    return returns_report_fields(w)
+
+
+@given(st.one_of(st.text(alphabet="abc", max_size=150), _block_repetitions(), _episturmian_slices()))
+@settings(max_examples=100, deadline=None)
+def test_hash_collisions_leave_the_returns_report_unchanged(text):
+    w = Word.parse(text, Word.parse("abc").alphabet)
+    assert reports_with_every_suffix_searched(w) == returns_report_naive(text)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_hash_collisions_leave_family_reports_unchanged(name):
+    sample = get_family(name).sample()
+    reports_with_every_suffix_searched(sample)
+    # The naive oracle is cubic, so it reads a prefix; every alphabet of the
+    # registry lists its letters in string order, as the oracle assumes.
+    head = sample[:300]
+    assert reports_with_every_suffix_searched(head) == returns_report_naive(head.text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "aabaabab" * 30,
+        "abaab" * 50,
+        "a" * 250,
+        "aabaabab" * 29 + "aabaabb",
+        "a" * 120 + "b" + "a" * 119,
+    ],
+    ids=["aabaabab^30", "abaab^50", "a^250", "aabaabab^29-flip", "a^120-b-a^119"],
+)
+def test_returns_report_on_long_palindromes(text):
+    w = Word.parse(text, Word.parse("ab").alphabet)
     assert returns_report_fields(w) == returns_report_naive(text)
 
 

@@ -6,7 +6,8 @@ command first reads one of its names.  Each case below starts one child
 interpreter, runs one command line through ``palrich.cli.main`` and lists
 the modules whose body ran.  A body that ran has ``__builtins__`` in its
 namespace (``exec`` puts it there); the namespace is read without the
-attribute access that would run a deferred body.
+attribute access that would run a deferred body.  The child also reports
+whether ``dataclasses`` was imported.
 """
 
 import json
@@ -33,28 +34,35 @@ ran = sorted(
     if name.startswith("palrich.") and name != "palrich.cli"
     and "__builtins__" in object.__getattribute__(module, "__dict__")
 )
-print(json.dumps({"code": code, "ran": ran}), file=sys.stderr)
+print(json.dumps({"code": code, "ran": ran, "dataclasses": "dataclasses" in sys.modules}),
+      file=sys.stderr)
 """
 
 ALL = {"analysis", "counting", "errors", "factors", "generators", "palindromes", "rauzy", "words"}
 
 
-def executed(*argv):
+def child(*argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, *argv],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
     )
-    result = json.loads(proc.stderr.splitlines()[-1])
-    return result["code"], set(result["ran"]), proc.stdout
+    return json.loads(proc.stderr.splitlines()[-1]), proc.stdout
+
+
+def executed(*argv):
+    result, out = child(*argv)
+    return result["code"], set(result["ran"]), out
 
 
 def test_help_and_parser_errors_run_no_module_but_errors():
-    code, ran, out = executed("--help")
-    assert (code, ran) == (0, {"errors"})
+    result, out = child("--help")
+    assert (result["code"], set(result["ran"])) == (0, {"errors"})
+    assert not result["dataclasses"]
     assert out == (GOLDEN / "help_palrich.txt").read_text()
-    code, ran, _ = executed("count", "--kind", "nothing")
-    assert (code, ran) == (2, {"errors"})
+    result, _ = child("count", "--kind", "nothing")
+    assert (result["code"], set(result["ran"])) == (2, {"errors"})
+    assert not result["dataclasses"]
 
 
 def test_count_runs_counting_words_and_errors_only():
