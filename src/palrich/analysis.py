@@ -197,7 +197,7 @@ class TheoremReport:
         return self.richness.rich == self.equality_all == self.conditions_all
 
     def discrepancies(self) -> tuple[str, ...]:
-        """Hard failures: any break in the verdict triangle."""
+        """Hard failures; an open triangle counts only on a reversal-closed word."""
         problems = []
         if not self.richness.agree:
             problems.append(
@@ -205,7 +205,7 @@ class TheoremReport:
                 f"incremental={self.richness.incremental.rich} "
                 f"returns={self.richness.by_returns.rich}"
             )
-        if self.triangle_consistent is False:
+        if self.closure_ok and not self.triangle_consistent:
             problems.append(
                 f"verdict triangle open: rich={self.richness.rich} "
                 f"equality={self.equality_all} conditions={self.conditions_all}"

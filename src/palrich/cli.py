@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 usage error found after parsing (a bad value, an
 oversized request, a parameter the source does not read), 2 the parser
 rejected the command line (an unknown option or one the subcommand does not
 take, a missing or malformed argument), 3 internal consistency failure (a
-formula disagrees with its oracle, or the verdict triangle fails to close).
+formula fails its oracle, or a reversal-closed word's triangle is open).
 A generator's C, P and graphs come from its exact factor sets, for the
 orders 0..--n-max only, and ``rich`` reads only its first ``--prefix-cap``
 letters (at most 4,096): a defect beyond the sample or the checked orders
@@ -12,11 +12,11 @@ goes unseen, and can open the verdict triangle.
 
 A command executes only the modules it runs; the others stay deferred
 (see ``_deferred``).  ``--help`` and a rejected command line run none but
-``errors``; ``count`` runs ``counting`` and ``words``; ``verify --word``
-runs ``analysis``, ``factors``, ``palindromes`` and ``words``; ``graph``
-runs ``factors``, ``rauzy`` and ``words``; ``analyze`` runs those of
-both.  A generator source adds ``generators``, so ``analyze`` and
-``verify`` of a generator run every module but ``counting``.
+``errors``; ``count`` runs ``counting`` and ``words``; ``analyze`` and
+``verify --word`` run ``analysis``, ``factors``, ``palindromes`` and
+``words``; ``graph`` runs ``factors``, ``rauzy`` and ``words``.  A
+generator source adds ``generators``, and ``verify`` of a generator adds
+``rauzy`` too, so it runs every module but ``counting``.
 """
 
 from __future__ import annotations
@@ -198,12 +198,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
     idx = _index_for(cfg, cfg.n_max)
     prof = analysis.profile_from_index(idx)
     rows = []
-    for n, specials in enumerate(rauzy.specials_by_order(idx)):
-        right = left = both = 0
-        for lefts, rights in specials.values():
-            right += len(rights) > 1
-            left += len(lefts) > 1
-            both += len(lefts) > 1 and len(rights) > 1
+    for n, specials in enumerate(idx.specials()):
+        right = sum(len(r) > 1 for _, r in specials.values())
+        left = sum(is_left for is_left, _ in specials.values())
+        both = sum(is_left and len(r) > 1 for is_left, r in specials.values())
         rows.append(
             {
                 "n": n,

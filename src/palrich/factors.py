@@ -45,9 +45,27 @@ up to D: G says nothing about longer words, so a longer u raises
 ``OutOfRange``.  The index holds no word besides G: an infinite word's
 index is built from its exact factor set alone.
 
-*Right extensions.*  ``rauzy.reduced_graphs`` needs every factor of length
-at most n_max to have a right extension.  Every factor of an infinite word
-has one, so every ``WordFamily.index`` does.
+*Special factors.*  ``specials`` reads off G, for every order n, the
+factors u of length n that are right special (ua and ub are factors for
+two letters a != b) or left special (au and bu are).
+
+(R) u is right special iff some adjacent pair of G, both longer than n,
+has LCP n and n-prefix u; its right letters are the letters at position n
+of those pairs.  Proof: the elements that start with u form one run (see
+*Complexity*): u first, if it is in G, then the longer ones in the order
+of their letter at position n, which changes exactly at such pairs.
+
+(L) u is left special iff two elements of G with different first letters
+have tails g[1:] that start with u.  Proof: F_{n+1} is the set of
+(n+1)-prefixes of G, so au is a factor iff some g in G with g[0] = a has a
+tail that starts with u.  In tail order these tails form one run, with
+two first letters iff one of its adjacent pairs has.  So L_n is the set of
+n-prefixes of the tails of the adjacent pairs in tail order whose first
+letters differ and whose tails share h >= n letters.  G lists each first
+letter's elements in tail order, so merging those blocks gives the tail
+order.  This holds on every index; the right specials of the sorted
+reversed windows do not, since the windows' suffixes miss the factors that
+occur only in the first D - 1 letters (ab in abcb, a in a -> ab, b -> bb).
 
 *Palindromes.*  The palindromes of length n >= 2 are the words c p c with
 p a palindrome of length n - 2 and c a letter, and every factor of a
@@ -91,10 +109,12 @@ reads C(0..|w|) off one suffix array and its LCP array (Kasai et al.).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from heapq import merge
+from itertools import pairwise
+from typing import Callable, Iterable, Iterator
 
 from .errors import OutOfRange, StabilizationFailed, TooLarge, WordTooShort
 from .words import Alphabet, Morphism, Word, fixed_point
@@ -224,6 +244,36 @@ class FactorIndex:
         for e in self.factors(n + 1):
             ext[e[1:]] += e[:1]
         return ext
+
+    def specials(self) -> Iterator[dict[bytes, tuple[bool, bytes]]]:
+        """The special factors of every order 0..n_max, by (R) and (L) above.
+
+        Order n maps each special u of length n to (whether u is left
+        special, its sorted right letters).  A left special that is not right
+        special has one right letter, after u in the next element of G, or,
+        at the final suffix of a finite word, none.
+        """
+        top, lcps = self._top, self._lcps
+        # (R): the adjacent pairs of G, both longer than their LCP, by LCP.
+        branches: list[list[int]] = [[] for _ in range(self.n_max + 1)]
+        for i in range(1, len(top)):
+            if lcps[i] < len(top[i - 1]):
+                branches[lcps[i]].append(i)
+        # (L): G's blocks of one first letter, cut where the LCP is below 1.
+        cuts = [i for i, h in enumerate(lcps) if h < 1] + [len(top)]
+        tails = merge(*(top[i:j] for i, j in zip(cuts, cuts[1:])), key=lambda g: g[1:])
+        shared = [a[1 : 1 + _lcp(a[1:], b[1:])] for a, b in pairwise(tails) if a[0] != b[0]]
+        for n, pairs in enumerate(branches):
+            left = {t[:n] for t in shared if len(t) >= n}
+            right: dict[bytes, bytes] = {}
+            for i in pairs:
+                u = top[i][:n]
+                right[u] = right.get(u, top[i - 1][n : n + 1]) + top[i][n : n + 1]
+            out = {u: (u in left, letters) for u, letters in right.items()}
+            for u in sorted(left.difference(right)):
+                g = top[min(bisect_right(top, u), len(top) - 1)]
+                out[u] = (True, g[n : n + 1] if g.startswith(u) else b"")
+            yield out
 
 
 def _lcp(a: bytes, b: bytes) -> int:

@@ -35,13 +35,10 @@ vertices are the order-n edges.  Three facts carry one order to the next:
 1. *Specials.*  Every x in S_{n+1} is b + w or w + c with w in S_n.  If x is
    right special, x + a and x + b are factors, hence so are x[1:] + a and
    x[1:] + b, and x[1:] is right special; likewise a left-special x has a
-   left-special x[:-1].  So S_{n+1} is found among the one-letter
-   extensions of S_n by membership tests of words of length n+2
-   (``FactorIndex.has_factor``, a binary search in the index).  This needs
-   only that the sets are closed under taking factors.
-   :func:`specials_by_order` runs this evolution; it gives the special
-   factors of every order to :func:`reduced_graphs` and to the counts of
-   ``palrich analyze``.
+   left-special x[:-1]; this needs only closure under taking factors.
+   ``FactorIndex.specials`` reads S_n, with right letters, off the sorted
+   windows (facts (R) and (L) of ``factors``) for :func:`reduced_graphs`
+   and for the counts of ``palrich analyze``.
 2. *Interior edges.*  An edge in the interior of an order-n simple path
    joins two non-special vertices, so by fact 1 it is not special at order
    n+1.  Only the first edge (the head) and the last edge (the tail) of an
@@ -182,43 +179,14 @@ def reduce(g: RauzyGraph) -> ReducedRauzyGraph:
 
 # -- Evolution across orders -------------------------------------------------
 
-# Left and right extension letters of a special factor, each sorted.
-_Extensions = tuple[bytes, bytes]
-
-# Factor membership, FactorIndex.has_factor.
-_Has = Callable[[bytes], bool]
-
-
-def _extensions(x: bytes, has: _Has, letters: range) -> _Extensions:
-    return (
-        bytes(a for a in letters if has(bytes((a,)) + x)),
-        bytes(c for c in letters if has(x + bytes((c,)))),
-    )
-
-
-def _next_specials(
-    specials: dict[bytes, _Extensions], has: _Has, letters: range
-) -> dict[bytes, _Extensions]:
-    """S_{n+1} with its extensions, from S_n (fact 1)."""
-    candidates = set()
-    for w, (left, right) in specials.items():
-        if len(right) > 1:
-            candidates.update(bytes((a,)) + w for a in left)
-        if len(left) > 1:
-            candidates.update(w + bytes((c,)) for c in right)
-    out = {}
-    for x in candidates:
-        left, right = ext = _extensions(x, has, letters)
-        if len(left) > 1 or len(right) > 1:
-            out[x] = ext
-    return out
+_Specials = dict[bytes, tuple[bool, bytes]]  # one order of FactorIndex.specials
 
 
 def _next_paths(
     previous: Sequence[SimplePath],
-    specials: dict[bytes, _Extensions],
-    new_specials: dict[bytes, _Extensions],
-    has: _Has,
+    specials: _Specials,
+    new_specials: _Specials,
+    has: Callable[[bytes], bool],
     n: int,
 ) -> list[SimplePath]:
     """The order-(n+1) simple paths, spliced from the order-n ones (facts 2, 3).
@@ -266,35 +234,19 @@ def _next_paths(
     return out
 
 
-def specials_by_order(idx: FactorIndex) -> Iterator[dict[bytes, _Extensions]]:
-    """S_n for n = 0..idx.n_max, each from the last (fact 1).
-
-    Each order maps its special factors to their (left, right) extension
-    letters, both sorted.  Once an order has none, no later order has any.
-    """
-    has = idx.has_factor
-    letters = range(idx.alphabet.size)
-    left, right = _extensions(b"", has, letters)
-    specials = {b"": (left, right)} if len(right) > 1 else {}
-    for n in range(idx.n_max + 1):
-        if n > 0 and specials:
-            specials = _next_specials(specials, has, letters)
-        yield specials
-
-
 def reduced_graphs(idx: FactorIndex) -> Iterator[ReducedRauzyGraph]:
     """``reduce(build_rauzy(idx, n))`` for n = 0..idx.n_max, each from the last.
 
-    The special factors of each order come from :func:`specials_by_order`;
+    The special factors of each order come from ``FactorIndex.specials``;
     the simple paths of order n carry over to order n+1 through facts 2
     and 3 of the module docstring; no order builds its full Rauzy graph,
     and an order without special factors reads no factor set at all.
     Every factor of ``idx`` of length at most n_max must have a right
     extension, as in the index of an infinite word.
     """
-    previous: dict[bytes, _Extensions] = {}
+    previous: _Specials = {}
     paths: list[SimplePath] = []
-    for n, specials in enumerate(specials_by_order(idx)):
+    for n, specials in enumerate(idx.specials()):
         if n == 0:
             # One path per letter, from the empty word to itself.
             paths = [
@@ -324,11 +276,11 @@ class SuperEdge:
 class SuperReducedRauzyGraph:
     """Reversal classes of special factors with undirected path edges.
 
-    Paths joining a class to itself (a special factor to its own reversal)
-    are not edges here; the reduced graph keeps every path.  A class pair
-    gets one edge per reversal class of the labels joining it, so
-    multi-edges are kept apart and tree detection sees them.  ``s`` counts
-    the classes and ``p`` the special palindromes.
+    A path from a special factor to its own reversal is no edge here
+    (condition 1 reads those); a path from w back to w, with its reversal,
+    is a loop on the class of w.  A class pair gets one edge per reversal
+    class of the labels joining it, so tree detection sees multi-edges and
+    loops.  ``s`` counts the classes and ``p`` the special palindromes.
     """
 
     n: int
@@ -344,9 +296,9 @@ def super_reduce(rg: ReducedRauzyGraph) -> SuperReducedRauzyGraph:
     p = sum(1 for v in rg.vertices if v == v[::-1])
     grouped: dict[tuple, set[tuple[bytes, bytes]]] = {}
     for path in rg.edges:
-        ka, kb = _class_key(path.source), _class_key(path.target)
-        if ka == kb:
+        if path.target == path.source[::-1]:
             continue
+        ka, kb = _class_key(path.source), _class_key(path.target)
         if kb < ka:
             ka, kb = kb, ka
         label = path.label

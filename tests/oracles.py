@@ -422,3 +422,41 @@ def derive_down(top, depth: int, source: bytes | None = None) -> list:
             shorter = chain(shorter, (source[len(source) - n :],))
         sets[n] = frozenset(shorter)
     return sets
+
+
+def specials_evolution(idx):
+    """S_n for n = 0..idx.n_max, each from the last by factor membership.
+
+    Cassaigne's evolution (fact 1 of ``rauzy``): a right-special x of
+    length n+1 has a right-special x[1:], and a left-special x a
+    left-special x[:-1], so S_{n+1} lies among the one-letter extensions
+    of S_n, and each candidate is judged by 2k ``has_factor`` tests.  Each
+    order maps its special factors to their (left, right) letters, both
+    sorted.
+    """
+    has = idx.has_factor
+    letters = range(idx.alphabet.size)
+
+    def extensions(x):
+        return (
+            bytes(a for a in letters if has(bytes((a,)) + x)),
+            bytes(c for c in letters if has(x + bytes((c,)))),
+        )
+
+    specials = {}
+    for n in range(idx.n_max + 1):
+        if n == 0:
+            candidates = {b""}
+        else:
+            candidates = set()
+            for w, (left, right) in specials.items():
+                if len(right) > 1:
+                    candidates.update(bytes((a,)) + w for a in left)
+                if len(left) > 1:
+                    candidates.update(w + bytes((c,)) for c in right)
+        specials = {}
+        for x in candidates:
+            left, right = ext = extensions(x)
+            if len(left) > 1 or len(right) > 1:
+                specials[x] = ext
+        yield specials

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,7 @@ from palrich.analysis import (
     theorem2_check,
 )
 from palrich.errors import NotApplicable, NotAPalindrome
-from palrich.factors import build_index
+from palrich.factors import build_index, is_closed_under_reversal
 from palrich.generators import get_family
 from palrich.words import Alphabet, Morphism, Word, periodic_word
 
@@ -224,6 +226,79 @@ def test_theorem1_psi_of_fibonacci():
     rep = theorem1_experiment(get_family("psi-of-fibonacci", k=0), 10)
     assert rep.richness.rich and rep.triangle_consistent
     assert rep.discrepancies() == ()
+
+
+def _primitive_blocks(alphabet: str, max_len: int):
+    """One block per rotation class of the primitive words using every letter."""
+    seen = set()
+    for length in range(1, max_len + 1):
+        for letters in product(alphabet, repeat=length):
+            u = "".join(letters)
+            rotation = min(u[i:] + u[:i] for i in range(length))
+            if set(u) == set(alphabet) and (u + u).find(u, 1) == length and rotation not in seen:
+                seen.add(rotation)
+                yield rotation
+
+
+def _periodic_corpus():
+    yield from _primitive_blocks("ab", 10)
+    yield from _primitive_blocks("abc", 7)
+
+
+def _morphism_corpus():
+    images = ["".join(t) for length in (1, 2, 3) for t in product("ab", repeat=length)]
+    for x in images:
+        if x[0] == "a" and len(x) > 1:
+            yield from (f"a->{x},b->{y}" for y in images)
+
+
+def assert_theorem_holds(family, n_max):
+    """On a reversal-closed word the three verdicts agree at every order."""
+    idx = family.index(n_max)
+    if not is_closed_under_reversal(idx, n_max + 1)[0]:
+        return False
+    rep = theorem1_experiment(family, n_max)
+    assert rep.discrepancies() == (), family.describe()
+    assert rep.richness.rich == rep.equality_all == rep.conditions_all, family.describe()
+    return True
+
+
+@pytest.mark.parametrize(
+    "name, params, n_max",
+    [
+        ("periodic", {"block": "abacbabc"}, 18),
+        ("periodic", {"block": "abcacbac"}, 18),
+        ("periodic", {"block": "abcbacbc"}, 18),
+        ("morphic", {"morphism": "a->abab,b->baba"}, 12),
+    ],
+)
+def test_theorem1_on_words_whose_graphs_have_loops(name, params, n_max):
+    # Each has a path from a special factor back to itself, a loop of the
+    # super-reduced graph, at some order: order 2 for the blocks, 12 for
+    # the morphism.
+    rep = theorem1_experiment(get_family(name, **params), n_max)
+    assert rep.closure_ok and not rep.richness.rich
+    assert rep.discrepancies() == ()
+    assert not rep.equality_all and not rep.conditions_all
+
+
+def test_theorem1_on_the_periodic_corpus():
+    # Blocks of at most 10 letters over {a,b} and 7 over {a,b,c}, orders
+    # up to 2q + 2.
+    closed = sum(
+        assert_theorem_holds(get_family("periodic", block=u), 2 * len(u) + 2)
+        for u in _periodic_corpus()
+    )
+    assert closed == 184
+
+
+def test_theorem1_on_the_morphism_corpus():
+    # a -> x, b -> y with |x|, |y| <= 3 and x = a..., up to order 12.
+    closed = sum(
+        assert_theorem_holds(get_family("morphic", morphism=m), 12)
+        for m in _morphism_corpus()
+    )
+    assert closed == 60
 
 
 def test_theorem1_report_fields():

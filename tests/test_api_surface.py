@@ -119,7 +119,7 @@ def test_the_scan_sees_the_command_routes():
 
 # Fields that only the tests read.  Their classes stay in src/ because
 # perfbench/tracing.py binds them by name; they leave src/ with ROADMAP
-# item 4's benchmark change.
+# item 3's benchmark change.
 UNREAD_ALLOWED = {
     "factors.StabilizedPrefix.stable",
     "factors.StabilizedPrefix.stable_lengths",

@@ -347,6 +347,28 @@ def test_a_defect_past_the_checked_orders_is_not_an_inconsistency(capsys):
     assert code == 0
 
 
+def test_verify_checks_the_triangle_only_on_reversal_closed_words(capsys):
+    # The theorem assumes closure under reversal; abbb... is not closed.
+    code, out, _ = run(
+        capsys, "verify", "--generator", "morphic", "--morphism", "a->ab,b->bb",
+        "--n-max", "4",
+    )
+    assert code == 0
+    assert "closure: False (witness 'abbbb'/'bbbba')\n" in out
+    assert "triangle consistent: False\n" in out and "discrepancy" not in out
+
+
+def test_analyze_counts_the_left_specials_of_a_finite_word(capsys):
+    # b is left special in abcb (ab, cb), though no 3-letter window ends in
+    # ab: the right specials of the sorted reversed windows miss it.
+    code, out, _ = run(capsys, "analyze", "--format", "json", "--word", "abcb", "--n-max", "2")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["right_special"], r["left_special"], r["bispecial"]) for r in rows] == [
+        (1, 1, 1), (0, 1, 0), (0, 0, 0)
+    ]
+
+
 def test_prefix_cap_sizes_only_the_richness_sample(capsys):
     argv = ("verify", "--generator", "tribonacci", "--n-max", "12", "--format", "json")
     code, out, _ = run(capsys, *argv)

@@ -15,12 +15,12 @@ from palrich.factors import (
 )
 from palrich.generators import (
     CASSAIGNE_AAB,
+    REGISTRY,
     episturmian_morphism,
     family_block,
     get_family,
     psi_morphism,
 )
-from palrich.rauzy import specials_by_order
 from palrich.words import Morphism, Word, fixed_point, periodic_word, s_word
 
 from oracles import (
@@ -32,6 +32,7 @@ from oracles import (
     image_windows_all,
     occurrences,
     rauzy_graph_naive,
+    specials_evolution,
     window_factors,
 )
 from paper_facts import complexity_difference_identity, recurrence_probe
@@ -103,14 +104,14 @@ def test_tribonacci_complexity_is_2n_plus_1():
 
 
 def special_factors(idx, n):
-    """(right, left, bispecial) sorted texts of order n, from the evolution.
+    """(right, left, bispecial) sorted texts of order n, from the index.
 
-    The special factors come from ``specials_by_order``, the route of
+    The special factors come from ``FactorIndex.specials``, the route of
     ``palrich analyze``, and are checked against the edge-by-edge graph.
     """
-    specials = list(specials_by_order(idx))[n]
+    specials = list(idx.specials())[n]
     right = sorted(u for u, (_, r) in specials.items() if len(r) > 1)
-    left = sorted(u for u, (l, _) in specials.items() if len(l) > 1)
+    left = sorted(u for u, (is_left, _) in specials.items() if is_left)
     naive = rauzy_graph_naive(idx, n)
     assert set(right) == naive["right_special"] and set(left) == naive["left_special"]
     decode = idx.alphabet.decode
@@ -142,6 +143,52 @@ def test_special_factors_unary_and_thue_morse():
         if len({w[-1] for w in window_factors(text, 3) if w.startswith(v)}) >= 2
     }
     assert rs == expect == {"ab", "ba"}
+
+
+def assert_specials_match_evolution(idx):
+    """``idx.specials()`` equals the membership evolution at every order."""
+    expected = [
+        {u: (len(left) > 1, right) for u, (left, right) in specials.items()}
+        for specials in specials_evolution(idx)
+    ]
+    assert list(idx.specials()) == expected
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_specials_match_the_evolution_on_registry_families(name):
+    assert_specials_match_evolution(get_family(name).index(60))
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("periodic", {"block": "abacbabc"}),
+        ("periodic", {"block": "abcacbac"}),
+        ("periodic", {"block": "abcbacbc"}),
+        ("periodic", {"block": "abaababaabaababaababaabaababaabaabac"}),
+        ("morphic", {"morphism": "a->abab,b->baba"}),
+        ("morphic", {"morphism": "a->ab,b->bb"}),
+    ],
+)
+def test_specials_match_the_evolution_on_the_theorem_corpora(name, params):
+    assert_specials_match_evolution(get_family(name, **params).index(30))
+
+
+@given(st.text(alphabet="abc", min_size=1, max_size=40), st.data())
+@settings(max_examples=200, deadline=None)
+def test_specials_match_the_evolution_on_literal_words(text, data):
+    n_max = data.draw(st.integers(0, len(text) - 1))
+    assert_specials_match_evolution(build_index(Word.parse(text), n_max))
+
+
+def test_specials_of_a_fixed_point_that_is_not_recurrent():
+    # In abbb..., the fixed point of a -> ab, b -> bb, every b^n is left
+    # special (ab^n, b^(n+1)) and none is right special.  The right specials
+    # of the sorted reversed windows miss the b^n with n < D - 1.
+    idx = get_family("morphic", morphism="a->ab,b->bb").index(12)
+    for n, specials in enumerate(idx.specials()):
+        if n:
+            assert specials == {b"\x01" * n: (True, b"\x01")}, n
 
 
 def test_complexity_difference_identity():

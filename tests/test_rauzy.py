@@ -106,8 +106,9 @@ def test_build_rauzy_matches_naive_graph_on_literal_words(text):
     w = Word.parse(text)
     data = w.data
     idx = build_index(w, len(text) - 1)
-    for n in range(idx.n_max + 1):
+    for n, specials in zip(range(idx.n_max + 1), idx.specials(), strict=True):
         g = assert_graph_matches_naive(idx, n)
+        assert g.special == specials.keys()
         if n == 0:
             continue
         # The final suffix of a finite word has no out-edge unless it occurs
@@ -122,8 +123,8 @@ def test_build_rauzy_matches_naive_graph_on_literal_words(text):
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_build_rauzy_matches_naive_graph_on_registry_families(name):
     idx = get_family(name).index(30)
-    for n in range(idx.n_max + 1):
-        assert_graph_matches_naive(idx, n)
+    for n, specials in zip(range(idx.n_max + 1), idx.specials(), strict=True):
+        assert assert_graph_matches_naive(idx, n).special == specials.keys()
 
 
 def test_build_rauzy_trivial_orders():
@@ -269,6 +270,25 @@ def test_super_reduce_thue_morse_order3_not_tree():
     cond1, witness = rauzy.palindromic_path_condition(rg)
     assert cond1 and witness is None
     assert len(nonpalindromic_paths(rg)) == 8 > 2 * (sg.s - 1)
+
+
+def test_super_reduce_keeps_a_path_back_to_its_source_as_a_loop():
+    # Order 2 of (abacbabc)^omega: the specials ab and ba form one class.
+    # aba and bab join each to its reversal; abcab (ab -> ab) and bacba
+    # (ba -> ba), one reversal pair, are a loop on the class, so the graph
+    # is no tree, and the word is not rich (bacb returns to b).
+    idx = get_family("periodic", block="abacbabc").index(3)
+    rg = rauzy.reduce(rauzy.build_rauzy(idx, 2))
+    sg = rauzy.super_reduce(rg)
+    encode = idx.alphabet.encode
+    ab = (encode("ab"), encode("ba"))
+    assert sg.classes == (ab,) and (sg.s, sg.p) == (1, 0)
+    assert sg.edges == (rauzy.SuperEdge(ab, ab, (encode("abcab"), encode("bacba"))),)
+    assert not rauzy.is_tree(sg)
+    assert dot(rauzy.super_dot, sg, idx.alphabet) == (
+        'graph super_reduced_rauzy_2 {\n  "[ab]";\n'
+        '  "[ab]" -- "[ab]" [label="[abcab]"];\n}\n'
+    )
 
 
 def test_palindromic_path_condition_violation_on_s_word():

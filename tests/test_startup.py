@@ -74,10 +74,11 @@ def test_count_runs_counting_words_and_errors_only():
     "argv, unused",
     [
         (("verify", "--word", "abacaba"), {"counting", "generators", "rauzy"}),
+        (("analyze", "--word", "abacaba"), {"counting", "generators", "rauzy"}),
         (("graph", "--generator", "fibonacci", "--n", "3", "--tier", "super"),
          {"analysis", "counting", "palindromes"}),
     ],
-    ids=["verify-word", "graph"],
+    ids=["verify-word", "analyze-word", "graph"],
 )
 def test_a_command_runs_none_of_the_modules_it_does_not_use(argv, unused):
     code, ran, _ = executed(*argv)
