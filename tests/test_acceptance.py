@@ -12,10 +12,10 @@ from pathlib import Path
 
 from palrich import rauzy
 from palrich.analysis import profile_from_index, theorem1_experiment, theorem2_check
+from palrich.cli import main
 from palrich.counting import (
     count_rich_naive,
     enumerate_balanced,
-    rich_table,
     sturmian_count,
     sturmian_palindrome_count,
     sturmian_palindrome_enumeration_oracle,
@@ -214,13 +214,12 @@ def test_criterion_9_span_and_alternation_properties():
                         assert check_alternation(data, u), (name, v.text)
 
 
-def test_criterion_10_rich_word_table():
+def test_criterion_10_rich_word_table(capsys):
     with criterion(10, "rich-word counts: pruned DFS = naive sweep, golden table"):
-        table = rich_table(2, 16)
-        naive = count_rich_naive(2, 14)
-        for n in range(15):
-            assert table.values[n] == naive[n]
-        assert table.to_csv() == (GOLDEN / "rich_binary_counts.csv").read_text()
-        full = {n: 2**n for n in range(17)}
-        least_defective = min(n for n in range(17) if table.values[n] < full[n])
+        assert main(["count", "--kind", "rich", "--alphabet", "2", "--n-max", "16"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / "rich_binary_counts.csv").read_text()
+        values = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert values[:15] == count_rich_naive(2, 14)
+        least_defective = min(n for n, count in enumerate(values) if count < 2**n)
         assert least_defective == 8

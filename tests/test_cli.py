@@ -230,6 +230,44 @@ def test_count_csv_and_json(capsys):
     assert out.strip().splitlines()[1] == "0,1,formula"
 
 
+COUNT_KINDS = {
+    "sturmian": "formula",
+    "sturmian-palindrome": "formula",
+    "balanced-oracle": "enumeration",
+    "rich": "enumeration",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+def test_count_matches_golden(capsys, kind, fmt):
+    extra = ("--alphabet", "3") if kind == "rich" else ()
+    code, out, err = run(capsys, "count", "--kind", kind, *extra, "--n-max", "6", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"count_{kind}.{fmt}").read_bytes()
+
+
+def test_count_table_layout_and_provenance(capsys):
+    values = {}
+    for kind, provenance in COUNT_KINDS.items():
+        code, out, _ = run(capsys, "count", "--kind", kind, "--n-max", "6")
+        assert code == 0
+        assert "\r" not in out
+        lines = out.split("\n")
+        assert lines[0] == "n,count,provenance" and lines[-1] == ""
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert [int(n) for n, _, _ in rows] == list(range(7))
+        assert {p for _, _, p in rows} == {provenance}
+        values[kind] = [int(c) for _, c, _ in rows]
+        code, out, _ = run(capsys, "count", "--kind", kind, "--n-max", "6", "--format", "json")
+        payload = json.loads(out)
+        validate(payload)
+        assert (payload["kind"], payload["provenance"]) == (kind, provenance)
+        assert [v["count"] for v in payload["values"]] == values[kind]
+    assert values["balanced-oracle"] == values["sturmian"]
+    assert values["sturmian"][4] == 14
+
+
 @pytest.mark.parametrize(
     "kind, oracle, message",
     [
