@@ -7,12 +7,13 @@ take, a missing or malformed argument), 3 internal consistency failure (a
 formula fails its oracle, or a reversal-closed word's triangle is open).
 A generator's C, P and graphs come from its exact factor sets, for the
 orders 0..--n-max only, and ``rich`` reads only its first ``--prefix-cap``
-letters (at most 4,096): a defect beyond the sample or the checked orders
-goes unseen, and can open the verdict triangle.
+letters (at most 4,096): a defect beyond the sample goes unseen, and can
+open the verdict triangle.  A defect of the sample that no checked order
+shows leaves it open too, but exits 0: that run is inconclusive.
 
 A command executes only the modules it runs; the others stay deferred
 (see ``_deferred``).  ``--help`` and a rejected command line run none but
-``errors``; ``count`` runs ``counting`` and ``words``; ``analyze`` and
+``errors``; ``count`` adds ``counting`` alone; ``analyze`` and
 ``verify --word`` run ``analysis``, ``factors``, ``palindromes`` and
 ``words``; ``graph`` runs ``factors``, ``rauzy`` and ``words``.  A
 generator source adds ``generators``, and ``verify`` of a generator adds
@@ -399,38 +400,48 @@ def cmd_count(cfg: RunConfig, kind: str, alphabet_size: int | None) -> int:
     n_max = cfg.n_max
     # An oracle lists the counts of lengths 0..oracle_checked_to.
     oracle_checked_to = oracle = None
-    mismatch = "formula/oracle"
+    provenance, mismatch = "formula", "formula/oracle"
     if kind == "sturmian":
-        table = counting.sturmian_table(n_max)
+        values = [counting.sturmian_count(n) for n in range(n_max + 1)]
         oracle_checked_to = min(n_max, ORACLE_LIMIT)
         oracle = [len(level) for level in counting.balanced_levels(oracle_checked_to)]
     elif kind == "sturmian-palindrome":
-        table = counting.sturmian_palindrome_table(n_max)
+        values = [counting.sturmian_palindrome_count(n) for n in range(n_max + 1)]
         oracle_checked_to = min(n_max, ORACLE_LIMIT)
         oracle = counting.sturmian_palindrome_enumeration_oracle(oracle_checked_to)
     elif kind == "balanced-oracle":
-        table = counting.balanced_oracle_table(n_max)
+        provenance = "enumeration"
+        values = [len(level) for level in counting.balanced_levels(n_max)]
     elif kind == "rich":
-        table = counting.rich_table(alphabet_size, n_max)
+        # Asking for n_max first runs the one search; the shorter lengths
+        # read its cache.
+        top = counting.count_rich(alphabet_size, n_max)
+        values = [counting.count_rich(alphabet_size, n) for n in range(n_max)] + [top]
         # The exhaustive sweep shares no code with the pruned search, so a
         # match is an independent check; its one sweep visits all k^n words
         # of the checked length and every shorter one.
         oracle_checked_to = min(n_max, RICH_ORACLE_LIMIT)
         oracle = counting.count_rich_naive(alphabet_size, oracle_checked_to)
-        mismatch = "enumeration/sweep"
+        provenance, mismatch = "enumeration", "enumeration/sweep"
     else:
         raise UsageError(f"unknown counting kind {kind!r}")
     for n, count in enumerate(oracle or ()):
-        if count != table.values[n]:
+        if count != values[n]:
             _emit(f"{mismatch} mismatch at n={n}\n", None)
             return EXIT_INCONSISTENT
     if cfg.fmt == "json":
-        payload = table.to_dict()
-        payload["report"] = "count"
-        payload["oracle_checked_to"] = oracle_checked_to
+        payload = {
+            "kind": kind,
+            "alphabet_size": alphabet_size,
+            "provenance": provenance,
+            "values": [{"n": n, "count": count} for n, count in enumerate(values)],
+            "report": "count",
+            "oracle_checked_to": oracle_checked_to,
+        }
         _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
     else:
-        _emit(table.to_csv(), cfg.out)
+        rows = (f"{n},{count},{provenance}\n" for n, count in enumerate(values))
+        _emit("n,count,provenance\n" + "".join(rows), cfg.out)
     return EXIT_OK
 
 

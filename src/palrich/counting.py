@@ -1,4 +1,4 @@
-"""Exact counting: totient sums, balanced-word oracles, rich-word tables.
+"""Exact counting: totient sums, balanced-word oracles, rich-word counts.
 
 The closed formulas count finite Sturmian words and Sturmian palindromes:
 
@@ -6,9 +6,11 @@ The closed formulas count finite Sturmian words and Sturmian palindromes:
     p(n) = 1 + sum_{i=0..ceil(n/2)-1} phi(n-2i)
 
 Finite Sturmian words are realized for oracle purposes as balanced binary
-words, enumerated depth-first; a new letter is checked against the windows
-that end at it, since every other window belongs to the balanced prefix.
-One search to the top length gives every shorter length as its prefixes.
+words, enumerated depth-first as bytes; a new letter is checked against the
+windows that end at it, since every other window belongs to the balanced
+prefix.  One search to the top length gives every shorter length as its
+prefixes.  Every function returns plain ints and bytes; ``palrich count``
+writes the tables.
 Rich words have no known counting formula; ``count_rich`` enumerates them
 exactly with one depth-first search that counts every length up to n in a
 single pass, pruned by the one-new-palindrome-per-letter property, which is
@@ -20,12 +22,7 @@ laid out like ``Eertree``'s, and share no code.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
-
 from .errors import OutOfRange, TooLarge, UnsupportedAlphabet
-from .words import Alphabet, Word
 
 BALANCED_BUDGET = 22
 RICH_BUDGETS = {2: 24, 3: 18, 4: 14}
@@ -67,8 +64,8 @@ def sturmian_palindrome_count(n: int) -> int:
     return 1 + sum(totient(n - 2 * i) for i in range((n + 1) // 2))
 
 
-def enumerate_balanced(n: int) -> list[Word]:
-    """All balanced binary words of length n, in lexicographic order.
+def enumerate_balanced(n: int) -> list[bytes]:
+    """All balanced words of length n over {0, 1}, in lexicographic order.
 
     Depth-first with prefix pruning; prefixes of balanced words are
     balanced, so cutting unbalanced prefixes loses nothing.  The search
@@ -84,10 +81,9 @@ def enumerate_balanced(n: int) -> list[Word]:
         raise OutOfRange("length must be non-negative")
     if n > BALANCED_BUDGET:
         raise TooLarge(f"balanced enumeration is budgeted to n <= {BALANCED_BUDGET}")
-    alphabet = Alphabet("ab")
     if n == 0:
-        return [Word(alphabet)]
-    out: list[Word] = []
+        return [b""]
+    out: list[bytes] = []
     prefix = bytearray(n)
     ones = [0] * (n + 1)  # ones[i]: the a-count of prefix[:i]
     lo = [0] * (n + 1)  # lo[l], hi[l]: bounds over the length-l windows
@@ -95,7 +91,7 @@ def enumerate_balanced(n: int) -> list[Word]:
 
     def dfs(m: int) -> None:
         if m == n:
-            out.append(Word(alphabet, bytes(prefix)))
+            out.append(bytes(prefix))
             return
         for c in (0, 1):
             total = ones[m] + (c == 0)
@@ -130,7 +126,7 @@ def balanced_levels(n: int) -> list[set[bytes]]:
     2.1.17), so it extends letter by letter to factors of x of every
     length, all balanced since x is.
     """
-    words = [w.data for w in enumerate_balanced(n)]
+    words = enumerate_balanced(n)
     return [{w[:m] for w in words} for m in range(n + 1)]
 
 
@@ -292,68 +288,3 @@ def count_rich_naive(alphabet_size: int, n: int) -> list[int]:
 
     sweep(0, 1, 2)
     return counts
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """A counting table keyed by length, with provenance."""
-
-    kind: str  # sturmian | sturmian-palindrome | rich | balanced-oracle
-    alphabet_size: int
-    values: dict[int, int]
-    provenance: str  # formula | enumeration
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "count", "provenance"])
-        for n in sorted(self.values):
-            writer.writerow([n, self.values[n], self.provenance])
-        return buf.getvalue()
-
-    def to_dict(self) -> dict:
-        """The JSON payload, in its key order."""
-        return {
-            "kind": self.kind,
-            "alphabet_size": self.alphabet_size,
-            "provenance": self.provenance,
-            "values": [
-                {"n": n, "count": self.values[n]} for n in sorted(self.values)
-            ],
-        }
-
-
-def sturmian_table(n_max: int) -> CountTable:
-    return CountTable(
-        "sturmian",
-        2,
-        {n: sturmian_count(n) for n in range(n_max + 1)},
-        "formula",
-    )
-
-
-def sturmian_palindrome_table(n_max: int) -> CountTable:
-    return CountTable(
-        "sturmian-palindrome",
-        2,
-        {n: sturmian_palindrome_count(n) for n in range(n_max + 1)},
-        "formula",
-    )
-
-
-def balanced_oracle_table(n_max: int) -> CountTable:
-    return CountTable(
-        "balanced-oracle",
-        2,
-        dict(enumerate(map(len, balanced_levels(n_max)))),
-        "enumeration",
-    )
-
-
-def rich_table(alphabet_size: int, n_max: int) -> CountTable:
-    # Asking for n_max first runs the one search; the shorter lengths read
-    # its cache.
-    top = count_rich(alphabet_size, n_max)
-    values = {n: count_rich(alphabet_size, n) for n in range(n_max)}
-    values[n_max] = top
-    return CountTable("rich", alphabet_size, values, "enumeration")

@@ -12,7 +12,6 @@ from palrich import analysis, cli, counting, generators
 from palrich.cli import _build_parser, main
 from palrich.factors import FactorIndex
 from palrich.generators import RICHNESS_SAMPLE_CAP, get_family
-from palrich.words import Word
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -286,7 +285,7 @@ def test_count_reports_oracle_mismatch(capsys, monkeypatch, kind, oracle, messag
         # One search to the top length; a spurious word whose 5-prefix
         # baabb is unbalanced (it holds aa and bb) raises the count of every
         # length from 5 on.
-        return result + [Word.parse("baabb".ljust(args[-1], "b"))]
+        return result + [b"\1\0\0\1\1".ljust(args[-1], b"\1")]
 
     monkeypatch.setattr(counting, oracle, off_by_one_at_5)
     code, out, _ = run(capsys, "count", "--kind", kind, "--n-max", "8")
@@ -370,19 +369,19 @@ def test_verify_reports_richness_sweeps_that_disagree(capsys, monkeypatch):
     assert "discrepancy: richness checkers disagree: incremental=True returns=True\n" in out
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="rich reads the sample, where this word fails at prefix 43, but orders 0..4 "
-    "cannot see that defect, so the triangle reads as open (exit 3); see ROADMAP "
-    "items 1 and 6",
-)
 def test_a_defect_past_the_checked_orders_is_not_an_inconsistency(capsys):
+    # The sample fails at prefix 43 (Fibonacci prefix + c) and at prefix 8
+    # (Thue-Morse), but orders 0..4 and 0..1 cannot see those defects: the
+    # triangle reads as open and the run is inconclusive, not inconsistent.
     block = "abaababaabaababaababaabaababaabaabac"
-    code, out, _ = run(
-        capsys, "verify", "--generator", "periodic", "--block", block, "--n-max", "4"
-    )
-    assert "closure: True\nrich=False equality=True conditions=True\n" in out
-    assert code == 0
+    for argv in (
+        ("--generator", "periodic", "--block", block, "--n-max", "4"),
+        ("--generator", "thue-morse", "--n-max", "1"),
+    ):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert "closure: True\nrich=False equality=True conditions=True\n" in out
+        assert "triangle consistent: False\n" in out and "discrepancy" not in out
+        assert code == 0
 
 
 def test_verify_checks_the_triangle_only_on_reversal_closed_words(capsys):

@@ -5,21 +5,24 @@ from hypothesis import given, settings, strategies as st
 
 from palrich import counting
 from palrich.counting import (
-    balanced_oracle_table,
+    balanced_levels,
     count_rich,
     count_rich_naive,
     enumerate_balanced,
-    rich_table,
     sturmian_count,
     sturmian_palindrome_count,
     sturmian_palindrome_enumeration_oracle,
-    sturmian_table,
     totient,
 )
 from palrich.errors import OutOfRange, TooLarge, UnsupportedAlphabet
 
 from oracles import is_balanced_naive, is_balanced_sweep, is_rich_naive, totient_gcd_sweep
 from paper_facts import verify_c_identity
+
+
+def text(w: bytes) -> str:
+    """A balanced word of ``enumerate_balanced`` over the letters a and b."""
+    return w.translate(bytes.maketrans(b"\0\1", b"ab")).decode()
 
 
 def test_totient_examples():
@@ -62,11 +65,11 @@ def test_sturmian_palindrome_count_matches_its_even_odd_split():
 
 
 def test_enumerate_balanced_examples():
-    assert [w.text for w in enumerate_balanced(2)] == ["aa", "ab", "ba", "bb"]
-    four = {w.text for w in enumerate_balanced(4)}
+    assert enumerate_balanced(2) == [b"\0\0", b"\0\1", b"\1\0", b"\1\1"]
+    four = set(enumerate_balanced(4))
     assert len(four) == 14
-    assert "aabb" not in four and "bbaa" not in four
-    assert len(enumerate_balanced(0)) == 1
+    assert b"\0\0\1\1" not in four and b"\1\1\0\0" not in four
+    assert enumerate_balanced(0) == [b""]
     with pytest.raises(TooLarge):
         enumerate_balanced(23)
 
@@ -77,25 +80,23 @@ def test_enumerated_words_are_balanced_and_complete():
     for n in range(15):
         expected = [bytes(p) for p in product((0, 1), repeat=n) if is_balanced_sweep(bytes(p))]
         got = enumerate_balanced(n)
-        assert [w.data for w in got] == expected, n
+        assert got == expected, n
         assert len(got) == sturmian_count(n)
         if n < 9:
-            assert {w.text for w in got} == {
+            assert {text(w) for w in got} == {
                 "".join(p) for p in product("ab", repeat=n) if is_balanced_naive("".join(p))
             }
 
 
 def test_balanced_oracle_table_at_its_budget():
-    table = balanced_oracle_table(22)
-    assert table.values == {n: sturmian_count(n) for n in range(23)}
+    assert [len(level) for level in balanced_levels(22)] == [sturmian_count(n) for n in range(23)]
 
 
 def test_balance_is_hereditary():
-    for w in enumerate_balanced(10):
-        text = w.text
-        for i in range(len(text)):
-            for j in range(i, len(text) + 1):
-                assert is_balanced_naive(text[i:j])
+    for w in map(text, enumerate_balanced(10)):
+        for i in range(len(w)):
+            for j in range(i, len(w) + 1):
+                assert is_balanced_naive(w[i:j])
 
 
 def test_palindrome_oracle_matches_formula():
@@ -172,17 +173,3 @@ def test_rich_fraction_monotone_non_increasing():
     counts = [count_rich(2, n) for n in range(15)]
     fractions = [c / 2**n for n, c in enumerate(counts)]
     assert all(b <= a for a, b in zip(fractions, fractions[1:]))
-
-
-def test_tables_and_serialization():
-    tbl = sturmian_table(6)
-    csv_text = tbl.to_csv()
-    assert csv_text.splitlines()[0] == "n,count,provenance"
-    assert len(csv_text.splitlines()) == 8
-    assert csv_text.endswith("\n") and "\r" not in csv_text
-    payload = tbl.to_dict()
-    assert payload["kind"] == "sturmian"
-    assert payload["values"][4]["count"] == 14
-    assert balanced_oracle_table(6).values == tbl.values
-    rt = rich_table(2, 6)
-    assert rt.provenance == "enumeration"
