@@ -23,8 +23,7 @@ judge that same word and must agree on every fact they report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NotAPalindrome
 from .factors import FactorIndex, finite_complexity, is_closed_under_reversal
@@ -44,9 +43,12 @@ if TYPE_CHECKING:
     from .rauzy import ReducedRauzyGraph
 
 
-@dataclass(frozen=True)
-class ComplexityProfile:
-    """Aligned complexity arrays with per-order equality slack."""
+class ComplexityProfile(NamedTuple):
+    """Aligned complexity arrays with per-order equality slack.
+
+    A ``NamedTuple``: it equals the plain tuple of its values and iterates
+    over them; no caller relies on either.
+    """
 
     n_max: int
     C: tuple[int, ...]  # lengths 0..n_max+1
@@ -78,8 +80,13 @@ def profile_from_index(idx: FactorIndex) -> ComplexityProfile:
 # -- Theorem for finite palindromes -----------------------------------------
 
 
-@dataclass(frozen=True)
-class Theorem2Report:
+class Theorem2Report(NamedTuple):
+    """The three richness verdicts on a finite palindrome, with the identity rows.
+
+    A ``NamedTuple``: it equals the plain tuple of its values and iterates
+    over them; no caller relies on either.
+    """
+
     word: Word
     count_ok: bool
     returns_ok: bool
@@ -128,9 +135,12 @@ def theorem2_check(w: Word) -> Theorem2Report:
 # -- Theorem experiment on infinite-word generators --------------------------
 
 
-@dataclass(frozen=True)
-class OrderRecord:
-    """The verdicts of one order n, as the reports read them."""
+class OrderRecord(NamedTuple):
+    """The verdicts of one order n, as the reports read them.
+
+    A ``NamedTuple``: it equals the plain tuple of its values and iterates
+    over them; no caller relies on either.
+    """
 
     n: int
     C_n: int
@@ -146,8 +156,7 @@ class OrderRecord:
         return self.condition1 and self.condition2
 
 
-@dataclass(frozen=True)
-class RichnessVerdicts:
+class RichnessVerdicts(NamedTuple):
     """The eertree and the complete-return verdicts on one sample.
 
     A prefix adds a new palindrome exactly when its longest palindromic
@@ -156,6 +165,9 @@ class RichnessVerdicts:
     returns sweep by finding no earlier occurrence (an unmet hash or a
     failed search).  So on the same word both report the same richness,
     first failing prefix and defect.
+
+    A ``NamedTuple``: it equals the plain tuple of its values and iterates
+    over them; no caller relies on either.
     """
 
     incremental: RichnessReport
@@ -173,9 +185,12 @@ class RichnessVerdicts:
         return self.incremental.rich
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    """Cross-checked verdict triangle for one word generator."""
+class TheoremReport(NamedTuple):
+    """Cross-checked verdict triangle for one word generator.
+
+    A ``NamedTuple``: it equals the plain tuple of its values and iterates
+    over them; no caller relies on either.
+    """
 
     description: str
     n_max: int

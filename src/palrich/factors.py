@@ -111,10 +111,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from heapq import merge
 from itertools import pairwise
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import OutOfRange, StabilizationFailed, TooLarge, WordTooShort
 from .words import Alphabet, Morphism, Word, fixed_point
@@ -411,13 +410,15 @@ def is_closed_under_reversal(idx: FactorIndex, n: int) -> tuple[bool, Word | Non
     return True, None
 
 
-@dataclass(frozen=True)
-class StabilizedPrefix:
+class StabilizedPrefix(NamedTuple):
     """Result of doubling a generator prefix until factor sets settle.
 
     ``stable`` says whether the last doubling changed no set, and
     ``stable_lengths`` says which lengths it left unchanged.  Neither proves
     the sets complete.
+
+    A ``NamedTuple``: it equals the plain tuple of its values and iterates
+    over them; no caller relies on either.
     """
 
     word: Word

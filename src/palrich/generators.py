@@ -53,6 +53,11 @@ class WordFamily:
     infinite word, from which :meth:`index` builds every factor index of
     the family.  ``produce(length)`` gives a prefix; only :meth:`sample`,
     the prefix that the richness checkers read, calls it.
+
+    The one dataclass under ``src/palrich/``; the other records are
+    ``NamedTuple`` classes.  ``perfbench/tracing.py`` rebuilds a family with
+    ``dataclasses.replace``, so it stays one, and a generator job imports
+    ``dataclasses``, until the benchmark change of ROADMAP item 3.
     """
 
     name: str

@@ -33,7 +33,7 @@ Pirillo, TCS 2001), so an unmatched hash means a new palindrome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import Alphabet, Word
 
@@ -120,13 +120,15 @@ class Eertree:
         return counts
 
 
-@dataclass(frozen=True)
-class RichnessReport:
+class RichnessReport(NamedTuple):
     """Verdict of a richness check with diagnostics.
 
     ``rich`` holds iff the defect is 0 iff no prefix fails to contribute a
     new palindrome.  When present, ``witness`` is a (palindrome, complete
     return) pair where the return is not a palindrome.
+
+    A ``NamedTuple``: it equals the plain tuple of its values and iterates
+    over them; no caller relies on either.
     """
 
     rich: bool

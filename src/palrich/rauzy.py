@@ -67,8 +67,7 @@ no path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import NotApplicable, OutOfRange
 from .factors import FactorIndex
@@ -102,13 +101,16 @@ def build_rauzy(idx: FactorIndex, n: int) -> RauzyGraph:
     return RauzyGraph(idx, n)
 
 
-@dataclass(frozen=True)
-class SimplePath:
+class SimplePath(NamedTuple):
     """A directed path with special endpoints and non-special interior.
 
     Only the endpoints and the label are stored.  With n = |source|, the
     vertices are the length-n windows of the label and the edges its
     length-(n+1) windows, both in walk order.
+
+    A ``NamedTuple``, so paths sort by (source, target, label), as
+    ``reduce`` and ``reduced_graphs`` list them.  It also equals the plain
+    tuple of its values and iterates over them; no caller relies on either.
     """
 
     source: bytes
@@ -119,13 +121,13 @@ class SimplePath:
     def palindromic(self) -> bool:
         return self.label == self.label[::-1]
 
-    def sort_key(self):
-        return (self.source, self.target, self.label)
 
+class ReducedRauzyGraph(NamedTuple):
+    """Special factors as vertices; one labeled edge per simple path.
 
-@dataclass(frozen=True)
-class ReducedRauzyGraph:
-    """Special factors as vertices; one labeled edge per simple path."""
+    A ``NamedTuple``: it equals the plain tuple of its values and iterates
+    over them; no caller relies on either.
+    """
 
     n: int
     vertices: tuple[bytes, ...]
@@ -160,7 +162,7 @@ def _simple_paths(g: RauzyGraph) -> list[SimplePath]:
                     raise AssertionError("walk exceeded edge count; graph corrupt")
             else:
                 paths.append(SimplePath(v, cur, bytes(label)))
-    paths.sort(key=SimplePath.sort_key)
+    paths.sort()
     return paths
 
 
@@ -230,7 +232,7 @@ def _next_paths(
                 check_head = True
             else:
                 raise AssertionError("walk exceeded the path count; sets corrupt")
-    out.sort(key=SimplePath.sort_key)
+    out.sort()
     return out
 
 
@@ -265,15 +267,19 @@ def _class_key(v: bytes) -> tuple[bytes, bytes]:
     return (v, r) if v <= r else (r, v)
 
 
-@dataclass(frozen=True)
-class SuperEdge:
+class SuperEdge(NamedTuple):
+    """One edge of the super-reduced graph: two classes and a label class.
+
+    A ``NamedTuple``: it equals the plain tuple of its values and iterates
+    over them; no caller relies on either.
+    """
+
     class_a: tuple[bytes, bytes]
     class_b: tuple[bytes, bytes]
     label_class: tuple[bytes, bytes]
 
 
-@dataclass(frozen=True)
-class SuperReducedRauzyGraph:
+class SuperReducedRauzyGraph(NamedTuple):
     """Reversal classes of special factors with undirected path edges.
 
     A path from a special factor to its own reversal is no edge here
@@ -281,6 +287,9 @@ class SuperReducedRauzyGraph:
     is a loop on the class of w.  A class pair gets one edge per reversal
     class of the labels joining it, so tree detection sees multi-edges and
     loops.  ``s`` counts the classes and ``p`` the special palindromes.
+
+    A ``NamedTuple``: it equals the plain tuple of its values and iterates
+    over them; no caller relies on either.
     """
 
     n: int
@@ -347,9 +356,12 @@ def palindromic_path_condition(
     return True, None
 
 
-@dataclass(frozen=True)
-class PathCountingIdentity:
-    """Both sides of the palindromic path-counting identity at one order."""
+class PathCountingIdentity(NamedTuple):
+    """Both sides of the palindromic path-counting identity at one order.
+
+    A ``NamedTuple``: it equals the plain tuple of its values and iterates
+    over them; no caller relies on either.
+    """
 
     lhs: int  # P(n) + P(n+1)
     rhs: int  # sum of out-degrees over specials - 2(s-1) + p

@@ -8,12 +8,11 @@ bc a^2 bc a^3 ... word.
 
 from __future__ import annotations
 
-import string
 from typing import Iterable
 
 from .errors import EmptyBlock, ErasingMorphism, NotProlongable
 
-_LOWER = set(string.ascii_lowercase)
+_LOWER = set("abcdefghijklmnopqrstuvwxyz")
 
 
 class Alphabet:

@@ -12,7 +12,8 @@ Matching by name over-approximates liveness: a name that is used anywhere
 live keeps every definition of that name.  So the test never flags code that
 a command runs; what it flags is an API that nothing calls.
 
-A field is a dataclass field or an attribute that a method stores on
+A field is a record field (an annotated name in the body of a dataclass or
+of a ``NamedTuple`` class) or an attribute that a method stores on
 ``self``.  It is read when ``.name`` appears in load context somewhere in
 ``src/palrich/`` or ``perfbench/tracing.py``; a field that is only stored
 is state that no command reads.  Matching by name over-approximates here
@@ -129,19 +130,22 @@ UNREAD_ALLOWED = {
 }
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
+def _name(node) -> str | None:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A dataclass, or a class whose bases include ``NamedTuple``."""
     for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-        if name == "dataclass":
+        if _name(dec.func if isinstance(dec, ast.Call) else dec) == "dataclass":
             return True
-    return False
+    return any(_name(base) == "NamedTuple" for base in node.bases)
 
 
 def _fields(module: str, node: ast.ClassDef) -> set[str]:
     """Qualified names of the fields of one class."""
     names = set()
-    if _is_dataclass(node):
+    if _is_record(node):
         names |= {
             item.target.id
             for item in node.body

@@ -361,7 +361,7 @@ def test_verify_reports_richness_sweeps_that_disagree(capsys, monkeypatch):
 
     def defect_off_by_one(w):
         report = by_returns(w)
-        return dataclasses.replace(report, defect=report.defect + 1)
+        return report._replace(defect=report.defect + 1)
 
     monkeypatch.setattr(analysis, "is_rich_by_returns", defect_off_by_one)
     code, out, _ = run(capsys, "verify", "--generator", "fibonacci", "--n-max", "5")
