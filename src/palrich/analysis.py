@@ -87,7 +87,6 @@ class Theorem2Report(NamedTuple):
     over them; no caller relies on either.
     """
 
-    word: Word
     count_ok: bool
     returns_ok: bool
     identity_ok: bool
@@ -129,24 +128,23 @@ def theorem2_check(w: Word) -> Theorem2Report:
         rows.append((i, lhs, rhs))
         if lhs != rhs:
             identity_ok = False
-    return Theorem2Report(w, count_ok, returns_ok, identity_ok, tuple(rows))
+    return Theorem2Report(count_ok, returns_ok, identity_ok, tuple(rows))
 
 
 # -- Theorem experiment on infinite-word generators --------------------------
 
 
 class OrderRecord(NamedTuple):
-    """The verdicts of one order n, as the reports read them.
+    """The graph-side verdicts of one order n.
+
+    C(n), P(n), the slack and the equality of order n are read from the
+    report's profile (``TheoremReport.profile``), not copied here.
 
     A ``NamedTuple``: it equals the plain tuple of its values and iterates
     over them; no caller relies on either.
     """
 
     n: int
-    C_n: int
-    P_n: int
-    slack: int
-    equality: bool
     periodic_route: bool
     condition1: bool
     condition2: bool
@@ -188,22 +186,24 @@ class RichnessVerdicts(NamedTuple):
 class TheoremReport(NamedTuple):
     """Cross-checked verdict triangle for one word generator.
 
+    C, P, the slack, n_max and the reversal closure are read from
+    ``profile``, the profile of the family's index; ``orders`` holds the
+    graph-side verdicts of its orders 0..n_max.
+
     A ``NamedTuple``: it equals the plain tuple of its values and iterates
     over them; no caller relies on either.
     """
 
     description: str
-    n_max: int
     prefix_length: int
-    closure_ok: bool
-    closure_witness: Word | None
+    profile: ComplexityProfile
     richness: RichnessVerdicts
     orders: tuple[OrderRecord, ...]
     rich_expected: bool | None = None
 
     @property
     def equality_all(self) -> bool:
-        return all(r.equality for r in self.orders)
+        return all(s == 0 for s in self.profile.slack)
 
     @property
     def conditions_all(self) -> bool:
@@ -228,16 +228,18 @@ class TheoremReport(NamedTuple):
                 f"returns={self.richness.by_returns.rich}"
             )
         past_n_max = not self.richness.rich and self.equality_all and self.conditions_all
-        if self.closure_ok and not self.triangle_consistent and not past_n_max:
+        closed = self.profile.reversal_closed
+        if closed and not self.triangle_consistent and not past_n_max:
             problems.append(
                 f"verdict triangle open: rich={self.richness.rich} "
                 f"equality={self.equality_all} conditions={self.conditions_all}"
             )
-        if self.closure_ok:
+        if closed:
             for r in self.orders:
-                if r.equality != r.conditions:
+                equality = self.profile.equality(r.n)
+                if equality != r.conditions:
                     problems.append(
-                        f"order {r.n}: equality={r.equality} but "
+                        f"order {r.n}: equality={equality} but "
                         f"conditions=({r.condition1},{r.condition2})"
                     )
         if self.rich_expected is not None and self.richness.rich != self.rich_expected:
@@ -260,16 +262,7 @@ def _order_record(rg: ReducedRauzyGraph, prof: ComplexityProfile) -> OrderRecord
         sg = rauzy.super_reduce(rg)
         cond1, _ = rauzy.palindromic_path_condition(rg)
         cond2 = rauzy.is_tree(sg)
-    return OrderRecord(
-        n=n,
-        C_n=prof.C[n],
-        P_n=prof.P[n],
-        slack=prof.slack[n],
-        equality=prof.equality(n),
-        periodic_route=periodic_route,
-        condition1=cond1,
-        condition2=cond2,
-    )
+    return OrderRecord(n, periodic_route, cond1, cond2)
 
 
 def theorem1_experiment(
@@ -296,22 +289,11 @@ def theorem1_experiment(
 
     idx = family.index(n_max)
     prof = profile_from_index(idx)
-    closed, witness = prof.reversal_closed, prof.closure_witness
-    sample = family.sample() if prefix_cap is None else family.sample(prefix_cap)
+    sample = family.sample(prefix_cap)
     richness = RichnessVerdicts(
-        incremental=is_rich_incremental(Eertree.build(sample)),
-        by_returns=is_rich_by_returns(sample),
+        is_rich_incremental(Eertree.build(sample)), is_rich_by_returns(sample)
     )
-    orders = tuple(
-        _order_record(rg, prof) for rg in rauzy.reduced_graphs(idx)
-    )
+    orders = tuple(_order_record(rg, prof) for rg in rauzy.reduced_graphs(idx))
     return TheoremReport(
-        description=family.describe(),
-        n_max=n_max,
-        prefix_length=len(sample),
-        closure_ok=closed,
-        closure_witness=witness,
-        richness=richness,
-        orders=orders,
-        rich_expected=family.rich_expected,
+        family.describe(), len(sample), prof, richness, orders, family.rich_expected
     )

@@ -5,6 +5,9 @@ oversized request, a parameter the source does not read), 2 the parser
 rejected the command line (an unknown option or one the subcommand does not
 take, a missing or malformed argument), 3 internal consistency failure (a
 formula fails its oracle, or a reversal-closed word's triangle is open).
+The commands read the parser's namespace; ``_check`` makes every check of
+its options that the parser cannot, before any command runs, and the
+parser's ``choices`` leave no unknown command, tier or counting kind.
 A generator's C, P and graphs come from its exact factor sets, for the
 orders 0..--n-max only, and ``rich`` reads only its first ``--prefix-cap``
 letters (at most 4,096): a defect beyond the sample goes unseen, and can
@@ -85,57 +88,50 @@ class UsageError(PalrichError):
     pass
 
 
-class RunConfig:
-    """The options of one command, checked against each other.
+def _params(args: argparse.Namespace) -> dict:
+    """The family parameters given on the command line."""
+    params = {}
+    for key in ("k", "block", "directive", "morphism", "seed"):
+        value = getattr(args, key, None)
+        if value is not None:
+            params[key] = value
+    return params
 
-    A plain class, not a dataclass, so that ``--help`` and a rejected
-    command line import no ``dataclasses``.
+
+def _check(args: argparse.Namespace) -> None:
+    """The checks of option values and combinations that the parser cannot make.
+
+    A subcommand's namespace holds only its own options; others read as absent.
     """
-
-    def __init__(
-        self,
-        command: str,
-        word: str | None,
-        generator: str | None,
-        generator_params: dict,
-        n_max: int | None,
-        prefix_cap: int | None,
-        fmt: str,
-        out: str | None,
-    ):
-        self.command = command
-        self.word = word
-        self.generator = generator
-        self.generator_params = generator_params
-        self.n_max = n_max
-        self.prefix_cap = prefix_cap
-        self.fmt = fmt
-        self.out = out
-        # count takes no source; its parser has no source options.
-        if self.command != "count":
-            if (self.word is None) == (self.generator is None):
-                raise UsageError("exactly one of --word or --generator is required")
-            if self.word is not None and not self.word:
-                raise UsageError("the literal word must be non-empty")
-        if self.n_max is not None and self.n_max < 1:
-            raise UsageError("--n-max must be at least 1")
-        # Only generator sources read their parameters and the cap, which
-        # sizes the richness sample; the factor sets are exact.  A literal
-        # word is indexed and judged as it is.
-        if self.word is not None:
-            unread = [f"--{key}" for key in self.generator_params]
-            if self.prefix_cap is not None:
-                unread.append("--prefix-cap")
-            if unread:
-                raise UsageError(f"a literal word takes no {', '.join(unread)}")
-        if self.generator is not None:
-            if self.prefix_cap is None:
-                self.prefix_cap = generators.RICHNESS_SAMPLE_CAP
-            elif self.prefix_cap < 1:
-                raise UsageError(
-                    f"prefix cap {self.prefix_cap} must be at least 1: it is the "
-                    "length of the richness sample"
-                )
+    word = getattr(args, "word", None)
+    n_max = getattr(args, "n_max", None)
+    prefix_cap = getattr(args, "prefix_cap", None)
+    # count takes no source; its parser has no source options.
+    if args.command != "count":
+        if (word is None) == (args.generator is None):
+            raise UsageError("exactly one of --word or --generator is required")
+        if word == "":
+            raise UsageError("the literal word must be non-empty")
+    if n_max is not None and n_max < 1:
+        raise UsageError("--n-max must be at least 1")
+    # Only generator sources read their parameters and the cap, which
+    # sizes the richness sample; the factor sets are exact.  A literal
+    # word is indexed and judged as it is.
+    if word is not None:
+        unread = [f"--{key}" for key in _params(args)]
+        if prefix_cap is not None:
+            unread.append("--prefix-cap")
+        if unread:
+            raise UsageError(f"a literal word takes no {', '.join(unread)}")
+    elif prefix_cap is not None and prefix_cap < 1:
+        raise UsageError(
+            f"prefix cap {prefix_cap} must be at least 1: it is the "
+            "length of the richness sample"
+        )
+    if args.command == "graph" and args.n < 0:
+        raise UsageError("--n must be non-negative")
+    if args.command == "count" and args.alphabet is not None and args.kind != "rich":
+        raise UsageError(f"count --kind {args.kind} takes no --alphabet")
 
 
 @contextlib.contextmanager
@@ -153,50 +149,46 @@ def _emit(text: str, out: str | None):
         fh.write(text)
 
 
-def _family(cfg: RunConfig) -> generators.WordFamily:
-    return generators.get_family(cfg.generator, **cfg.generator_params)
+def _family(args: argparse.Namespace) -> generators.WordFamily:
+    return generators.get_family(args.generator, **_params(args))
 
 
-def _source_payload(cfg: RunConfig) -> dict:
-    if cfg.word is not None:
-        return {"kind": "literal", "word": cfg.word}
-    return {
-        "kind": "generator",
-        "name": cfg.generator,
-        "params": {k: v for k, v in cfg.generator_params.items()},
-    }
+def _source_payload(args: argparse.Namespace) -> dict:
+    if args.word is not None:
+        return {"kind": "literal", "word": args.word}
+    return {"kind": "generator", "name": args.generator, "params": _params(args)}
 
 
-def _source_word(cfg: RunConfig) -> words.Word:
+def _source_word(args: argparse.Namespace) -> words.Word:
     """The literal word, or the generator's richness sample."""
-    if cfg.word is not None:
-        return words.Word.parse(cfg.word)
-    return _family(cfg).sample(cfg.prefix_cap)
+    if args.word is not None:
+        return words.Word.parse(args.word)
+    return _family(args).sample(args.prefix_cap)
 
 
-def _index_for(cfg: RunConfig, n: int) -> factors.FactorIndex:
+def _index_for(args: argparse.Namespace, n: int) -> factors.FactorIndex:
     """Index of the source for every order up to n.
 
     A generator's index is :meth:`WordFamily.index`, the exact set F_{n+1} of
     its infinite word.  A literal word w has no factor longer than |w|, so
     its index stops at order min(n, |w| - 1).
     """
-    if cfg.word is not None:
-        w = words.Word.parse(cfg.word)
+    if args.word is not None:
+        w = words.Word.parse(args.word)
         return factors.build_index(w, min(n, len(w) - 1))
-    return _family(cfg).index(n)
+    return _family(args).index(n)
 
 
 # -- analyze -----------------------------------------------------------------
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     # The richness tree is dropped before the factor sets are built, so the
     # two never take memory at the same time.
     rich = palindromes.is_rich_incremental(
-        palindromes.Eertree.build(_source_word(cfg))
+        palindromes.Eertree.build(_source_word(args))
     )
-    idx = _index_for(cfg, cfg.n_max)
+    idx = _index_for(args, args.n_max)
     prof = analysis.profile_from_index(idx)
     rows = []
     for n, specials in enumerate(idx.specials()):
@@ -216,7 +208,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         )
     payload = {
         "report": "analyze",
-        "source": _source_payload(cfg),
+        "source": _source_payload(args),
         "n_max": idx.n_max,
         "reversal_closed": prof.reversal_closed,
         "closure_witness": prof.closure_witness.text if prof.closure_witness else None,
@@ -228,16 +220,16 @@ def cmd_analyze(cfg: RunConfig) -> int:
         },
         "rows": rows,
     }
-    if cfg.fmt == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
-    elif cfg.fmt == "csv":
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    elif args.format == "csv":
         lines = ["n,C,P,slack,right_special,left_special,bispecial,rich"]
         for r in rows:
             lines.append(
                 f"{r['n']},{r['C']},{r['P']},{r['slack']},{r['right_special']},"
                 f"{r['left_special']},{r['bispecial']},{rich.rich}"
             )
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
         lines = [
             f"source: {payload['source']}",
@@ -250,43 +242,37 @@ def cmd_analyze(cfg: RunConfig) -> int:
             lines.append(
                 f"{r['n']:>4} {r['C']:>8} {r['P']:>6} {r['slack']:>6} {special:>16}"
             )
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 # -- graph -------------------------------------------------------------------
 
 
-def cmd_graph(cfg: RunConfig, n: int, tier: str) -> int:
-    if n < 0:
-        raise UsageError("--n must be non-negative")
-    idx = _index_for(cfg, n)
-    g = rauzy.build_rauzy(idx, n)
+def cmd_graph(args: argparse.Namespace) -> int:
+    g = rauzy.build_rauzy(_index_for(args, args.n), args.n)
     # The tier is built before the output is opened, so a failed build
     # writes no file; the DOT lines then go straight to the output.
-    if tier == "raw":
-        render, args = rauzy.rauzy_dot, (g,)
-    elif tier == "reduced":
-        render, args = rauzy.reduced_dot, (rauzy.reduce(g), g)
-    elif tier == "super":
-        sg = rauzy.super_reduce(rauzy.reduce(g))
-        render, args = rauzy.super_dot, (sg, g.alphabet)
+    if args.tier == "raw":
+        render, graphs = rauzy.rauzy_dot, (g,)
+    elif args.tier == "reduced":
+        render, graphs = rauzy.reduced_dot, (rauzy.reduce(g), g)
     else:
-        raise UsageError(f"unknown tier {tier!r}")
-    with _output(cfg.out) as fh:
-        render(*args, fh)
+        sg = rauzy.super_reduce(rauzy.reduce(g))
+        render, graphs = rauzy.super_dot, (sg, g.alphabet)
+    with _output(args.out) as fh:
+        render(*graphs, fh)
     return EXIT_OK
 
 
 # -- verify ------------------------------------------------------------------
 
 
-def _verify_literal(cfg: RunConfig) -> int:
-    w = words.Word.parse(cfg.word)
-    report = analysis.theorem2_check(w)
+def _verify_literal(args: argparse.Namespace) -> int:
+    report = analysis.theorem2_check(words.Word.parse(args.word))
     payload = {
         "report": "verify-theorem2",
-        "word": cfg.word,
+        "word": args.word,
         "properties": {
             "count": report.count_ok,
             "returns": report.returns_ok,
@@ -295,36 +281,35 @@ def _verify_literal(cfg: RunConfig) -> int:
         "agree": report.agree,
         "identity_rows": [list(row) for row in report.identity_rows],
     }
-    if cfg.fmt == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         lines = [
-            f"word: {cfg.word}",
+            f"word: {args.word}",
             f"palindrome count = |w|+1: {report.count_ok}",
             f"complete returns palindromic: {report.returns_ok}",
             f"complexity identity on 0..|w|: {report.identity_ok}",
             f"three-way agreement: {report.agree}",
         ]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if report.agree else EXIT_INCONSISTENT
 
 
-def _verify_generator(cfg: RunConfig) -> int:
-    family = _family(cfg)
+def _verify_generator(args: argparse.Namespace) -> int:
     report = analysis.theorem1_experiment(
-        family, cfg.n_max, prefix_cap=cfg.prefix_cap
+        _family(args), args.n_max, prefix_cap=args.prefix_cap
     )
+    prof = report.profile
+    witness = prof.closure_witness
     problems = report.discrepancies()
     payload = {
         "report": "verify-theorem1",
-        "source": _source_payload(cfg),
-        "n_max": report.n_max,
+        "source": _source_payload(args),
+        "n_max": prof.n_max,
         "prefix_length": report.prefix_length,
         "closure": {
-            "ok": report.closure_ok,
-            "witness": report.closure_witness.text
-            if report.closure_witness
-            else None,
+            "ok": prof.reversal_closed,
+            "witness": witness.text if witness else None,
         },
         "richness": {
             "incremental": report.richness.incremental.rich,
@@ -340,10 +325,10 @@ def _verify_generator(cfg: RunConfig) -> int:
         "orders": [
             {
                 "n": r.n,
-                "C": r.C_n,
-                "P": r.P_n,
-                "slack": r.slack,
-                "equality": r.equality,
+                "C": prof.C[r.n],
+                "P": prof.P[r.n],
+                "slack": prof.slack[r.n],
+                "equality": prof.equality(r.n),
                 "condition1": r.condition1,
                 "condition2": r.condition2,
                 "periodic_route": r.periodic_route,
@@ -352,17 +337,16 @@ def _verify_generator(cfg: RunConfig) -> int:
         ],
         "discrepancies": list(problems),
     }
-    if cfg.fmt == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         lines = [
             f"source: {report.description}",
             f"prefix={report.prefix_length}",
-            f"closure: {report.closure_ok}"
+            f"closure: {prof.reversal_closed}"
             + (
-                f" (witness {report.closure_witness.text!r}/"
-                f"{report.closure_witness.reversed().text!r})"
-                if report.closure_witness
+                f" (witness {witness.text!r}/{witness.reversed().text!r})"
+                if witness
                 else ""
             ),
             f"rich={report.richness.rich} equality={report.equality_all} "
@@ -371,14 +355,14 @@ def _verify_generator(cfg: RunConfig) -> int:
         ]
         for problem in problems:
             lines.append(f"discrepancy: {problem}")
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_INCONSISTENT if problems else EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.word is not None:
-        return _verify_literal(cfg)
-    return _verify_generator(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.word is not None:
+        return _verify_literal(args)
+    return _verify_generator(args)
 
 
 # -- count -------------------------------------------------------------------
@@ -392,12 +376,9 @@ ORACLE_LIMIT = 14
 RICH_ORACLE_LIMIT = 12
 
 
-def cmd_count(cfg: RunConfig, kind: str, alphabet_size: int | None) -> int:
-    if alphabet_size is None:
-        alphabet_size = 2
-    elif kind != "rich":
-        raise UsageError(f"count --kind {kind} takes no --alphabet")
-    n_max = cfg.n_max
+def cmd_count(args: argparse.Namespace) -> int:
+    kind, n_max = args.kind, args.n_max
+    alphabet_size = 2 if args.alphabet is None else args.alphabet
     # An oracle lists the counts of lengths 0..oracle_checked_to.
     oracle_checked_to = oracle = None
     provenance, mismatch = "formula", "formula/oracle"
@@ -412,7 +393,7 @@ def cmd_count(cfg: RunConfig, kind: str, alphabet_size: int | None) -> int:
     elif kind == "balanced-oracle":
         provenance = "enumeration"
         values = [len(level) for level in counting.balanced_levels(n_max)]
-    elif kind == "rich":
+    else:  # rich
         # Asking for n_max first runs the one search; the shorter lengths
         # read its cache.
         top = counting.count_rich(alphabet_size, n_max)
@@ -423,13 +404,11 @@ def cmd_count(cfg: RunConfig, kind: str, alphabet_size: int | None) -> int:
         oracle_checked_to = min(n_max, RICH_ORACLE_LIMIT)
         oracle = counting.count_rich_naive(alphabet_size, oracle_checked_to)
         provenance, mismatch = "enumeration", "enumeration/sweep"
-    else:
-        raise UsageError(f"unknown counting kind {kind!r}")
     for n, count in enumerate(oracle or ()):
         if count != values[n]:
             _emit(f"{mismatch} mismatch at n={n}\n", None)
             return EXIT_INCONSISTENT
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "kind": kind,
             "alphabet_size": alphabet_size,
@@ -438,10 +417,10 @@ def cmd_count(cfg: RunConfig, kind: str, alphabet_size: int | None) -> int:
             "report": "count",
             "oracle_checked_to": oracle_checked_to,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         rows = (f"{n},{count},{provenance}\n" for n, count in enumerate(values))
-        _emit("n,count,provenance\n" + "".join(rows), cfg.out)
+        _emit("n,count,provenance\n" + "".join(rows), args.out)
     return EXIT_OK
 
 
@@ -506,38 +485,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    params = {}
-    for key in ("k", "block", "directive", "morphism", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    return RunConfig(
-        command=args.command,
-        word=getattr(args, "word", None),
-        generator=getattr(args, "generator", None),
-        generator_params=params,
-        n_max=getattr(args, "n_max", None),
-        prefix_cap=getattr(args, "prefix_cap", None),
-        fmt=getattr(args, "format", "text"),
-        out=args.out,
-    )
+COMMANDS = {
+    "analyze": cmd_analyze,
+    "graph": cmd_graph,
+    "verify": cmd_verify,
+    "count": cmd_count,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        if args.command == "graph":
-            return cmd_graph(cfg, args.n, args.tier)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "count":
-            return cmd_count(cfg, args.kind, args.alphabet)
-        raise UsageError(f"unknown command {args.command!r}")
+        _check(args)
+        return COMMANDS[args.command](args)
     except (PalrichError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

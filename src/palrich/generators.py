@@ -73,12 +73,15 @@ class WordFamily:
             return f"{self.name}({inner})"
         return self.name
 
-    def sample(self, prefix_cap: int = RICHNESS_SAMPLE_CAP) -> Word:
+    def sample(self, prefix_cap: int | None = None) -> Word:
         """The prefix that both richness checkers read.
 
-        Its length is ``prefix_cap``, but at most ``RICHNESS_SAMPLE_CAP``
-        (4,096 letters), so a defect that starts later goes unseen.
+        Its length is ``prefix_cap``, but at most (and by default)
+        ``RICHNESS_SAMPLE_CAP`` (4,096 letters), so a defect that starts
+        later goes unseen.
         """
+        if prefix_cap is None:
+            prefix_cap = RICHNESS_SAMPLE_CAP
         return self.produce(min(prefix_cap, RICHNESS_SAMPLE_CAP))
 
     def index(self, n_max: int) -> FactorIndex:

@@ -43,19 +43,20 @@ class Eertree:
 
     Node 0 is the virtual root of length -1, node 1 the empty root.  Every
     other node is a distinct non-empty palindromic factor of the word,
-    numbered in creation order.  ``_len`` and ``_link`` hold each node's
-    length and suffix link, and ``node_at`` the longest palindromic suffix
-    node of every prefix.  The transitions are one flat list of k slots per
-    node (k the alphabet size): ``_trans[node * k + c]`` is the child
-    c·node·c, or 0 for no edge, which is unambiguous because node 0 is never
-    a child.  A created node appends its k empty slots, so the list holds
-    (nodes + 2)·k entries however long the word is.
+    numbered in creation order.  ``data`` is the word's own bytes, not a
+    copy.  ``_len`` and ``_link`` hold each node's length and suffix link,
+    and ``node_at`` the longest palindromic suffix node of every prefix.
+    The transitions are one flat list of k slots per node (k the alphabet
+    size): ``_trans[node * k + c]`` is the child c·node·c, or 0 for no edge,
+    which is unambiguous because node 0 is never a child.  A created node
+    appends its k empty slots, so the list holds (nodes + 2)·k entries
+    however long the word is.
     """
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
         self._k = alphabet.size
-        self.data = bytearray()
+        self.data = b""
         self._len = [-1, 0]
         self._link = [0, 0]
         self._trans = [0] * (2 * self._k)
@@ -74,8 +75,7 @@ class Eertree:
         """
         t = cls(w.alphabet)
         k = t._k
-        data = w.data
-        t.data[:] = data
+        t.data = data = w.data
         buf = bytes((k,)) + data
         length, link, trans = t._len, t._link, t._trans
         node_at = t.node_at
@@ -141,7 +141,7 @@ def _incremental_witness(t: Eertree, i: int) -> tuple[Word, Word]:
     # At the first violating position the longest palindromic suffix p has an
     # earlier occurrence; the span from the latest one is a complete return
     # to p, and it cannot be a palindrome (it would beat p as a suffix).
-    data = bytes(t.data)
+    data = t.data
     node = t.node_at[i - 1]
     l = t._len[node]
     p = data[i - l : i]

@@ -295,8 +295,11 @@ class SuperReducedRauzyGraph(NamedTuple):
     n: int
     classes: tuple[tuple[bytes, bytes], ...]
     edges: tuple[SuperEdge, ...]
-    s: int
     p: int
+
+    @property
+    def s(self) -> int:
+        return len(self.classes)
 
 
 def super_reduce(rg: ReducedRauzyGraph) -> SuperReducedRauzyGraph:
@@ -319,7 +322,7 @@ def super_reduce(rg: ReducedRauzyGraph) -> SuperReducedRauzyGraph:
         for (ka, kb), labels in sorted(grouped.items())
         for lkey in sorted(labels)
     )
-    return SuperReducedRauzyGraph(rg.n, tuple(classes), edges, len(classes), p)
+    return SuperReducedRauzyGraph(rg.n, tuple(classes), edges, p)
 
 
 def is_tree(sg: SuperReducedRauzyGraph) -> bool:

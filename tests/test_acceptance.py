@@ -131,9 +131,9 @@ def test_criterion_4_theorem1_triangle():
             assert report.triangle_consistent, label
             assert report.discrepancies() == (), label
             if name == "s-word":
-                assert report.closure_ok is False, label
+                assert report.profile.reversal_closed is False, label
             else:
-                assert report.closure_ok is True, label
+                assert report.profile.reversal_closed is True, label
         # the pinned closure witness for the s-word, at the depth of the
         # worked example: the first factor of length 3, in index order,
         # whose reversal is absent (no b is preceded by an a)

@@ -209,7 +209,7 @@ def test_theorem1_fibonacci_all_green():
     assert rep.equality_all and rep.conditions_all
     assert rep.triangle_consistent
     assert rep.discrepancies() == ()
-    assert rep.closure_ok
+    assert rep.profile.reversal_closed
 
 
 def test_theorem1_thue_morse_consistently_red():
@@ -219,7 +219,7 @@ def test_theorem1_thue_morse_consistently_red():
     assert rep.triangle_consistent
     assert rep.discrepancies() == ()
     for r in rep.orders:
-        assert r.equality == r.conditions
+        assert rep.profile.equality(r.n) == r.conditions
 
 
 def test_theorem1_psi_of_fibonacci():
@@ -277,7 +277,7 @@ def test_theorem1_on_words_whose_graphs_have_loops(name, params, n_max):
     # super-reduced graph, at some order: order 2 for the blocks, 12 for
     # the morphism.
     rep = theorem1_experiment(get_family(name, **params), n_max)
-    assert rep.closure_ok and not rep.richness.rich
+    assert rep.profile.reversal_closed and not rep.richness.rich
     assert rep.discrepancies() == ()
     assert not rep.equality_all and not rep.conditions_all
 
@@ -303,9 +303,9 @@ def test_theorem1_on_the_morphism_corpus():
 
 def test_theorem1_report_fields():
     rep = theorem1_experiment(get_family("fibonacci"), 6)
-    assert rep.n_max == 6
+    assert rep.profile.n_max == 6
     assert len(rep.orders) == 7
-    assert rep.orders[0].equality  # order 0 always satisfies the identity
+    assert rep.profile.equality(0)  # order 0 always satisfies the identity
 
 
 def test_rich_recurrent_profiles_have_pal_sum_at_least_two():

@@ -300,6 +300,24 @@ def _assert_count_rejects(capsys, extra):
     assert "unrecognized arguments" in capsys.readouterr().err, extra
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "--generator", "fibonacci", "--n", "3", "--tier", "bogus"),
+        ("count", "--kind", "bogus"),
+        ("bogus",),
+    ],
+    ids=["tier", "kind", "command"],
+)
+def test_the_parser_rejects_an_unknown_choice(capsys, argv):
+    # The commands have no branch for an unknown tier, counting kind or
+    # command: the parser's choices reject each before any command runs.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_count_rejects_source(capsys):
     # count reads no source and no family parameter.
     for extra in (
@@ -323,6 +341,10 @@ def test_count_takes_alphabet_only_for_rich_words(capsys):
         assert run(capsys, "count", "--kind", kind, "--n-max", "2", "--alphabet", "7") == (
             1, "", f"error: count --kind {kind} takes no --alphabet\n"
         )
+    # The --n-max check comes first.
+    assert run(capsys, "count", "--kind", "sturmian", "--alphabet", "3", "--n-max", "0") == (
+        1, "", "error: --n-max must be at least 1\n"
+    )
     argv = ("count", "--kind", "rich", "--n-max", "2", "--format", "json")
     code, out, _ = run(capsys, *argv, "--alphabet", "3")
     assert code == 0 and json.loads(out)["alphabet_size"] == 3
