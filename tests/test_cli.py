@@ -131,11 +131,15 @@ def test_graph_reduced_matches_golden(capsys):
 
 
 def test_graph_super_matches_golden(capsys):
-    code, out, _ = run(
-        capsys, "graph", "--generator", "fibonacci", "--n", "2", "--tier", "super"
-    )
-    assert code == 0
-    assert out == (GOLDEN / "fibonacci_n2_super.dot").read_text()
+    # Thue-Morse at order 3 has four classes and four edges; each label
+    # class is drawn by its least member ([babb] for babb and bbab).
+    for name, n in (("fibonacci", "2"), ("thue-morse", "3")):
+        code, out, _ = run(
+            capsys, "graph", "--generator", name, "--n", n, "--tier", "super"
+        )
+        assert code == 0
+        golden = f"{name.replace('-', '_')}_n{n}_super.dot"
+        assert out == (GOLDEN / golden).read_text(), name
 
 
 def test_graph_raw_matches_golden(capsys):
