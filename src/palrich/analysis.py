@@ -7,11 +7,12 @@ P(0..N+1) with the per-order slack
 
 which is zero at every order exactly for rich words among those whose factor
 set is closed under reversal.  The experiment harness cross-checks three
-verdicts per word: richness, the slack being identically zero, and the
-graph-side conditions (palindromic connecting paths, super-reduced graph a
-tree).  A disagreement is a discrepancy, unless only the sample is non-rich:
-its defect may show only past the checked orders, so that run is
-inconclusive (see ``TheoremReport.discrepancies``).
+verdicts per word, which ``TheoremReport`` holds side by side: richness,
+the slack being identically zero, and the graph-side conditions
+(palindromic connecting paths, super-reduced graph a tree).  A
+disagreement is a discrepancy, unless only the sample is non-rich: its
+defect may show only past the checked orders, so that run is inconclusive
+(see ``TheoremReport.discrepancies``).
 
 Every generator family has exact factor sets, so C, P, reversal closure
 and the graphs of every order describe the infinite word itself, and its
@@ -154,41 +155,22 @@ class OrderRecord(NamedTuple):
         return self.condition1 and self.condition2
 
 
-class RichnessVerdicts(NamedTuple):
-    """The eertree and the complete-return verdicts on one sample.
-
-    A prefix adds a new palindrome exactly when its longest palindromic
-    suffix is new (Droubay, Justin and Pirillo, TCS 2001), and that is what
-    each sweep tests per position: the eertree by creating a node, the
-    returns sweep by finding no earlier occurrence (an unmet hash or a
-    failed search).  So on the same word both report the same richness,
-    first failing prefix and defect.
-
-    A ``NamedTuple``: it equals the plain tuple of its values and iterates
-    over them; no caller relies on either.
-    """
-
-    incremental: RichnessReport
-    by_returns: RichnessReport
-
-    @property
-    def agree(self) -> bool:
-        a, b = self.incremental, self.by_returns
-        return (a.rich, a.first_violation_prefix, a.defect) == (
-            b.rich, b.first_violation_prefix, b.defect
-        )
-
-    @property
-    def rich(self) -> bool:
-        return self.incremental.rich
-
-
 class TheoremReport(NamedTuple):
     """Cross-checked verdict triangle for one word generator.
 
-    C, P, the slack, n_max and the reversal closure are read from
-    ``profile``, the profile of the family's index; ``orders`` holds the
-    graph-side verdicts of its orders 0..n_max.
+    The three legs are siblings: ``rich``, ``equality_all`` and
+    ``conditions_all``.  C, P, the slack, n_max and the reversal closure
+    are read from ``profile``, the profile of the family's index;
+    ``orders`` holds the graph-side verdicts of its orders 0..n_max.
+
+    ``incremental`` and ``by_returns`` are the eertree and the
+    complete-return verdicts on the one sample.  A prefix adds a new
+    palindrome exactly when its longest palindromic suffix is new
+    (Droubay, Justin and Pirillo, TCS 2001), and that is what each sweep
+    tests per position: the eertree by creating a node, the returns sweep
+    by finding no earlier occurrence (an unmet hash or a failed search).
+    So on the same word both report the same richness, first failing
+    prefix and defect (``sweeps_agree``).
 
     A ``NamedTuple``: it equals the plain tuple of its values and iterates
     over them; no caller relies on either.
@@ -197,9 +179,21 @@ class TheoremReport(NamedTuple):
     description: str
     prefix_length: int
     profile: ComplexityProfile
-    richness: RichnessVerdicts
+    incremental: RichnessReport
+    by_returns: RichnessReport
     orders: tuple[OrderRecord, ...]
     rich_expected: bool | None = None
+
+    @property
+    def rich(self) -> bool:
+        return self.incremental.rich
+
+    @property
+    def sweeps_agree(self) -> bool:
+        a, b = self.incremental, self.by_returns
+        return (a.rich, a.first_violation_prefix, a.defect) == (
+            b.rich, b.first_violation_prefix, b.defect
+        )
 
     @property
     def equality_all(self) -> bool:
@@ -211,7 +205,7 @@ class TheoremReport(NamedTuple):
 
     @property
     def triangle_consistent(self) -> bool:
-        return self.richness.rich == self.equality_all == self.conditions_all
+        return self.rich == self.equality_all == self.conditions_all
 
     def discrepancies(self) -> tuple[str, ...]:
         """Hard failures; an open triangle counts only on a reversal-closed word.
@@ -221,17 +215,17 @@ class TheoremReport(NamedTuple):
         equality fails at some order, which may lie past n_max.
         """
         problems = []
-        if not self.richness.agree:
+        if not self.sweeps_agree:
             problems.append(
                 "richness checkers disagree: "
-                f"incremental={self.richness.incremental.rich} "
-                f"returns={self.richness.by_returns.rich}"
+                f"incremental={self.incremental.rich} "
+                f"returns={self.by_returns.rich}"
             )
-        past_n_max = not self.richness.rich and self.equality_all and self.conditions_all
+        past_n_max = not self.rich and self.equality_all and self.conditions_all
         closed = self.profile.reversal_closed
         if closed and not self.triangle_consistent and not past_n_max:
             problems.append(
-                f"verdict triangle open: rich={self.richness.rich} "
+                f"verdict triangle open: rich={self.rich} "
                 f"equality={self.equality_all} conditions={self.conditions_all}"
             )
         if closed:
@@ -242,10 +236,8 @@ class TheoremReport(NamedTuple):
                         f"order {r.n}: equality={equality} but "
                         f"conditions=({r.condition1},{r.condition2})"
                     )
-        if self.rich_expected is not None and self.richness.rich != self.rich_expected:
-            problems.append(
-                f"expected rich={self.rich_expected}, observed {self.richness.rich}"
-            )
+        if self.rich_expected is not None and self.rich != self.rich_expected:
+            problems.append(f"expected rich={self.rich_expected}, observed {self.rich}")
         return tuple(problems)
 
 
@@ -278,22 +270,22 @@ def theorem1_experiment(
     sample of ``prefix_cap`` letters, at most (and by default)
     ``generators.RICHNESS_SAMPLE_CAP`` (:meth:`WordFamily.sample`): the
     incremental scan of its eertree and the eertree-free complete-return
-    sweep both read the whole sample, so a defect past it goes unseen.  The
-    reduced Rauzy graphs of orders 0..n_max come from one pass of
-    :func:`rauzy.reduced_graphs`, each evolved from the one before; no order
-    builds its full Rauzy graph.  Each order super-reduces its graph and
-    records only the verdicts the reports and
-    :meth:`TheoremReport.discrepancies` read.
+    sweep both read the whole sample, so a defect past it goes unseen; the
+    report keeps both verdicts.  The reduced Rauzy graphs of orders
+    0..n_max come from one pass of :func:`rauzy.reduced_graphs`, each
+    evolved from the one before; no order builds its full Rauzy graph.
+    Each order super-reduces its graph and records only the verdicts the
+    reports and :meth:`TheoremReport.discrepancies` read.
     """
     from . import rauzy
 
     idx = family.index(n_max)
     prof = profile_from_index(idx)
     sample = family.sample(prefix_cap)
-    richness = RichnessVerdicts(
-        is_rich_incremental(Eertree.build(sample)), is_rich_by_returns(sample)
-    )
+    incremental = is_rich_incremental(Eertree.build(sample))
+    by_returns = is_rich_by_returns(sample)
     orders = tuple(_order_record(rg, prof) for rg in rauzy.reduced_graphs(idx))
     return TheoremReport(
-        family.describe(), len(sample), prof, richness, orders, family.rich_expected
+        family.describe(), len(sample), prof, incremental, by_returns, orders,
+        family.rich_expected,
     )

@@ -149,7 +149,10 @@ def _emit(text: str, out: str | None):
         fh.write(text)
 
 
-def _family(args: argparse.Namespace) -> generators.WordFamily:
+def _source(args: argparse.Namespace) -> words.Word | generators.WordFamily:
+    """The parsed literal word, or the generator's family; a command builds it once."""
+    if args.word is not None:
+        return words.Word.parse(args.word)
     return generators.get_family(args.generator, **_params(args))
 
 
@@ -159,36 +162,30 @@ def _source_payload(args: argparse.Namespace) -> dict:
     return {"kind": "generator", "name": args.generator, "params": _params(args)}
 
 
-def _source_word(args: argparse.Namespace) -> words.Word:
-    """The literal word, or the generator's richness sample."""
-    if args.word is not None:
-        return words.Word.parse(args.word)
-    return _family(args).sample(args.prefix_cap)
-
-
-def _index_for(args: argparse.Namespace, n: int) -> factors.FactorIndex:
+def _index_for(
+    source: words.Word | generators.WordFamily, n: int
+) -> factors.FactorIndex:
     """Index of the source for every order up to n.
 
     A generator's index is :meth:`WordFamily.index`, the exact set F_{n+1} of
     its infinite word.  A literal word w has no factor longer than |w|, so
     its index stops at order min(n, |w| - 1).
     """
-    if args.word is not None:
-        w = words.Word.parse(args.word)
-        return factors.build_index(w, min(n, len(w) - 1))
-    return _family(args).index(n)
+    if isinstance(source, words.Word):
+        return factors.build_index(source, min(n, len(source) - 1))
+    return source.index(n)
 
 
 # -- analyze -----------------------------------------------------------------
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    source = _source(args)
+    sample = source if args.word is not None else source.sample(args.prefix_cap)
     # The richness tree is dropped before the factor sets are built, so the
     # two never take memory at the same time.
-    rich = palindromes.is_rich_incremental(
-        palindromes.Eertree.build(_source_word(args))
-    )
-    idx = _index_for(args, args.n_max)
+    rich = palindromes.is_rich_incremental(palindromes.Eertree.build(sample))
+    idx = _index_for(source, args.n_max)
     prof = analysis.profile_from_index(idx)
     rows = []
     for n, specials in enumerate(idx.specials()):
@@ -250,7 +247,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    g = rauzy.build_rauzy(_index_for(args, args.n), args.n)
+    g = rauzy.build_rauzy(_index_for(_source(args), args.n), args.n)
     # The tier is built before the output is opened, so a failed build
     # writes no file; the DOT lines then go straight to the output.
     if args.tier == "raw":
@@ -269,7 +266,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _verify_literal(args: argparse.Namespace) -> int:
-    report = analysis.theorem2_check(words.Word.parse(args.word))
+    report = analysis.theorem2_check(_source(args))
     payload = {
         "report": "verify-theorem2",
         "word": args.word,
@@ -297,7 +294,7 @@ def _verify_literal(args: argparse.Namespace) -> int:
 
 def _verify_generator(args: argparse.Namespace) -> int:
     report = analysis.theorem1_experiment(
-        _family(args), args.n_max, prefix_cap=args.prefix_cap
+        _source(args), args.n_max, prefix_cap=args.prefix_cap
     )
     prof = report.profile
     witness = prof.closure_witness
@@ -312,12 +309,12 @@ def _verify_generator(args: argparse.Namespace) -> int:
             "witness": witness.text if witness else None,
         },
         "richness": {
-            "incremental": report.richness.incremental.rich,
-            "by_returns": report.richness.by_returns.rich,
-            "agree": report.richness.agree,
+            "incremental": report.incremental.rich,
+            "by_returns": report.by_returns.rich,
+            "agree": report.sweeps_agree,
         },
         "verdicts": {
-            "rich": report.richness.rich,
+            "rich": report.rich,
             "equality": report.equality_all,
             "conditions": report.conditions_all,
             "triangle_consistent": report.triangle_consistent,
@@ -349,7 +346,7 @@ def _verify_generator(args: argparse.Namespace) -> int:
                 if witness
                 else ""
             ),
-            f"rich={report.richness.rich} equality={report.equality_all} "
+            f"rich={report.rich} equality={report.equality_all} "
             f"conditions={report.conditions_all}",
             f"triangle consistent: {report.triangle_consistent}",
         ]

@@ -413,16 +413,15 @@ def is_closed_under_reversal(idx: FactorIndex, n: int) -> tuple[bool, Word | Non
 class StabilizedPrefix(NamedTuple):
     """Result of doubling a generator prefix until factor sets settle.
 
-    ``stable`` says whether the last doubling changed no set, and
-    ``stable_lengths`` says which lengths it left unchanged.  Neither proves
-    the sets complete.
+    ``stable_lengths`` says which lengths the last doubling left unchanged;
+    the prefix is stable when all are, which never proves the sets
+    complete.
 
     A ``NamedTuple``: it equals the plain tuple of its values and iterates
     over them; no caller relies on either.
     """
 
     word: Word
-    stable: bool
     stable_lengths: tuple[bool, ...]
     index: FactorIndex
     lengths_tried: tuple[int, ...]
@@ -436,9 +435,9 @@ def stabilized_prefix(
     """Grow a prefix by doubling until F_0..F_{n_max+1} stop changing.
 
     Starts at 4*(n_max+1) letters and stops at ``len_cap``.  When the cap is
-    hit first, the result is flagged unstable and the per-length flags mark
-    which factor sets were still growing across the final doubling; nothing
-    is thrown.  The index is that of the final prefix.  This is the
+    hit first, the per-length flags mark which factor sets were still
+    growing across the final doubling (at least one was); nothing is
+    thrown.  The index is that of the final prefix.  This is the
     prefix-scan cross-check of the exact constructions, not a source of
     exact sets.
     """
@@ -450,7 +449,6 @@ def stabilized_prefix(
     word = produce(length)
     idx = build_index(word, n_max)
     tried = [length]
-    stable = False
     stable_lengths = (True,) + (False,) * depth
     while length < len_cap:
         length = min(2 * length, len_cap)
@@ -467,9 +465,8 @@ def stabilized_prefix(
             idx.complexity(n) == size for n, size in enumerate(sizes)
         )
         if all(stable_lengths):
-            stable = True
             break
-    return StabilizedPrefix(word, stable, stable_lengths, idx, tuple(tried))
+    return StabilizedPrefix(word, stable_lengths, idx, tuple(tried))
 
 
 def _windows(data: bytes, depth: int) -> set[bytes]:

@@ -21,9 +21,11 @@ below reads factors of length at most n+1 at order n.
 Each fact has one source.  A Rauzy graph keeps one adjacency, the
 right-extension map of ``FactorIndex.right_extensions``: the edges out of
 v are v + c for its letters c.  The left map serves only to find the
-special factors.  The class count s and the special-palindrome count p
-come from :func:`super_reduce`.  The DOT renderers write each line to the
-text stream they are given as they make it, so no DOT text is held.
+special factors.  The super-reduced graph stores each reversal class as
+its least member, and reads both the class count s and the
+special-palindrome count p off those classes.  The DOT renderers write
+each line to the text stream they are given as they make it, so no DOT
+text is held.
 
 :func:`build_rauzy` and :func:`reduce` build one order from its factor sets.
 :func:`reduced_graphs` evolves the reduced graph from one order to the next,
@@ -262,21 +264,23 @@ def reduced_graphs(idx: FactorIndex) -> Iterator[ReducedRauzyGraph]:
         yield ReducedRauzyGraph(n, tuple(sorted(specials)), tuple(paths))
 
 
-def _class_key(v: bytes) -> tuple[bytes, bytes]:
-    r = v[::-1]
-    return (v, r) if v <= r else (r, v)
+def _least(w: bytes) -> bytes:
+    """The least member of the reversal class {w, reversal of w}."""
+    return min(w, w[::-1])
 
 
 class SuperEdge(NamedTuple):
     """One edge of the super-reduced graph: two classes and a label class.
 
+    Each class is its least member, and ``class_a`` <= ``class_b``.
+
     A ``NamedTuple``: it equals the plain tuple of its values and iterates
     over them; no caller relies on either.
     """
 
-    class_a: tuple[bytes, bytes]
-    class_b: tuple[bytes, bytes]
-    label_class: tuple[bytes, bytes]
+    class_a: bytes
+    class_b: bytes
+    label_class: bytes
 
 
 class SuperReducedRauzyGraph(NamedTuple):
@@ -286,43 +290,44 @@ class SuperReducedRauzyGraph(NamedTuple):
     (condition 1 reads those); a path from w back to w, with its reversal,
     is a loop on the class of w.  A class pair gets one edge per reversal
     class of the labels joining it, so tree detection sees multi-edges and
-    loops.  ``s`` counts the classes and ``p`` the special palindromes.
+    loops.  Each class is its least member, in sorted order; ``s`` counts
+    the classes and ``p`` the special palindromes, the classes whose member
+    is a palindrome.
 
     A ``NamedTuple``: it equals the plain tuple of its values and iterates
     over them; no caller relies on either.
     """
 
     n: int
-    classes: tuple[tuple[bytes, bytes], ...]
+    classes: tuple[bytes, ...]
     edges: tuple[SuperEdge, ...]
-    p: int
 
     @property
     def s(self) -> int:
         return len(self.classes)
 
+    @property
+    def p(self) -> int:
+        return sum(1 for c in self.classes if c == c[::-1])
+
 
 def super_reduce(rg: ReducedRauzyGraph) -> SuperReducedRauzyGraph:
     """Quotient the reduced graph by reversal."""
-    classes = sorted({_class_key(v) for v in rg.vertices})
-    p = sum(1 for v in rg.vertices if v == v[::-1])
-    grouped: dict[tuple, set[tuple[bytes, bytes]]] = {}
+    classes = sorted({_least(v) for v in rg.vertices})
+    grouped: dict[tuple[bytes, bytes], set[bytes]] = {}
     for path in rg.edges:
         if path.target == path.source[::-1]:
             continue
-        ka, kb = _class_key(path.source), _class_key(path.target)
+        ka, kb = _least(path.source), _least(path.target)
         if kb < ka:
             ka, kb = kb, ka
-        label = path.label
-        rlabel = label[::-1]
-        lkey = (label, rlabel) if label <= rlabel else (rlabel, label)
-        grouped.setdefault((ka, kb), set()).add(lkey)
+        grouped.setdefault((ka, kb), set()).add(_least(path.label))
     edges = tuple(
-        SuperEdge(ka, kb, lkey)
+        SuperEdge(ka, kb, label)
         for (ka, kb), labels in sorted(grouped.items())
-        for lkey in sorted(labels)
+        for label in sorted(labels)
     )
-    return SuperReducedRauzyGraph(rg.n, tuple(classes), edges, p)
+    return SuperReducedRauzyGraph(rg.n, tuple(classes), edges)
 
 
 def is_tree(sg: SuperReducedRauzyGraph) -> bool:
@@ -359,18 +364,6 @@ def palindromic_path_condition(
     return True, None
 
 
-class PathCountingIdentity(NamedTuple):
-    """Both sides of the palindromic path-counting identity at one order.
-
-    A ``NamedTuple``: it equals the plain tuple of its values and iterates
-    over them; no caller relies on either.
-    """
-
-    lhs: int  # P(n) + P(n+1)
-    rhs: int  # sum of out-degrees over specials - 2(s-1) + p
-    central_cover_ok: bool
-
-
 def _central_factor(label: bytes, m: int) -> bytes:
     offset = (len(label) - m) // 2
     return label[offset : offset + m]
@@ -380,16 +373,17 @@ def path_counting_identity(
     g: RauzyGraph,
     rg: ReducedRauzyGraph,
     pal_counts: tuple[int, int],
-) -> PathCountingIdentity:
-    """Evaluate P(n)+P(n+1) against the simple-path count at order n.
+) -> tuple[int, int, bool]:
+    """The triple ``(lhs, rhs, central_cover_ok)`` of the identity at order n.
 
-    The right-hand side counts non-trivial simple paths (one per out-edge of
-    a special factor), subtracts the non-palindromic ones, expected to pair
-    up across the s-1 tree edges, and adds the special palindromes (trivial
-    palindromic paths).  Also verifies that every palindromic factor of
-    length n or n+1 is the central factor of exactly one palindromic simple
-    path.  Meaningful on rich reversal-closed words; on Thue-Morse, which
-    is closed but not rich, it fails at some orders.
+    lhs is P(n) + P(n+1).  rhs counts the non-trivial simple paths (one
+    per out-edge of a special factor), subtracts the non-palindromic ones,
+    expected to pair up across the s-1 tree edges, and adds the special
+    palindromes (trivial palindromic paths): the sum of out-degrees over
+    the specials - 2(s-1) + p.  ``central_cover_ok`` says that every
+    palindromic factor of length n or n+1 is the central factor of exactly
+    one palindromic simple path.  Meaningful on rich reversal-closed words;
+    on Thue-Morse, which is closed but not rich, it fails at some orders.
 
     ``rg`` is the reduced graph of ``g``; s and p are read from its
     :func:`super_reduce`.  ``pal_counts`` is the pair (P(n), P(n+1)), for
@@ -420,7 +414,7 @@ def path_counting_identity(
     cover_ok = all(centers.get(u, 0) == 1 for u in palindromes) and set(
         centers
     ) <= palindromes
-    return PathCountingIdentity(lhs, rhs, cover_ok)
+    return lhs, rhs, cover_ok
 
 
 # -- DOT rendering ---------------------------------------------------------
@@ -490,10 +484,10 @@ def super_dot(sg: SuperReducedRauzyGraph, alphabet, out: TextIO) -> None:
     if not sg.classes:
         write('  graph [note="no special vertices; single cycle"];\n')
     for cls in sg.classes:
-        write(f"  {_quote('[' + decode(cls[0]) + ']')};\n")
+        write(f"  {_quote('[' + decode(cls) + ']')};\n")
     for e in sg.edges:
-        a = _quote("[" + decode(e.class_a[0]) + "]")
-        b = _quote("[" + decode(e.class_b[0]) + "]")
-        label = _quote("[" + decode(e.label_class[0]) + "]")
+        a = _quote("[" + decode(e.class_a) + "]")
+        b = _quote("[" + decode(e.class_b) + "]")
+        label = _quote("[" + decode(e.label_class) + "]")
         write(f"  {a} -- {b} [label={label}];\n")
     write("}\n")

@@ -205,7 +205,7 @@ def test_cassaigne_formula_small_instances():
 
 def test_theorem1_fibonacci_all_green():
     rep = theorem1_experiment(get_family("fibonacci"), 12)
-    assert rep.richness.rich and rep.richness.agree
+    assert rep.rich and rep.sweeps_agree
     assert rep.equality_all and rep.conditions_all
     assert rep.triangle_consistent
     assert rep.discrepancies() == ()
@@ -214,7 +214,7 @@ def test_theorem1_fibonacci_all_green():
 
 def test_theorem1_thue_morse_consistently_red():
     rep = theorem1_experiment(get_family("thue-morse"), 10)
-    assert not rep.richness.rich
+    assert not rep.rich
     assert rep.equality_all is False and rep.conditions_all is False
     assert rep.triangle_consistent
     assert rep.discrepancies() == ()
@@ -224,7 +224,7 @@ def test_theorem1_thue_morse_consistently_red():
 
 def test_theorem1_psi_of_fibonacci():
     rep = theorem1_experiment(get_family("psi-of-fibonacci", k=0), 10)
-    assert rep.richness.rich and rep.triangle_consistent
+    assert rep.rich and rep.triangle_consistent
     assert rep.discrepancies() == ()
 
 
@@ -259,7 +259,7 @@ def assert_theorem_holds(family, n_max):
         return False
     rep = theorem1_experiment(family, n_max)
     assert rep.discrepancies() == (), family.describe()
-    assert rep.richness.rich == rep.equality_all == rep.conditions_all, family.describe()
+    assert rep.rich == rep.equality_all == rep.conditions_all, family.describe()
     return True
 
 
@@ -277,7 +277,7 @@ def test_theorem1_on_words_whose_graphs_have_loops(name, params, n_max):
     # super-reduced graph, at some order: order 2 for the blocks, 12 for
     # the morphism.
     rep = theorem1_experiment(get_family(name, **params), n_max)
-    assert rep.profile.reversal_closed and not rep.richness.rich
+    assert rep.profile.reversal_closed and not rep.rich
     assert rep.discrepancies() == ()
     assert not rep.equality_all and not rep.conditions_all
 

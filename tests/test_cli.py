@@ -8,7 +8,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from palrich import analysis, cli, counting, generators
+from palrich import analysis, cli, counting, generators, words
 from palrich.cli import _build_parser, main
 from palrich.factors import FactorIndex
 from palrich.generators import RICHNESS_SAMPLE_CAP, get_family
@@ -586,3 +586,30 @@ def test_only_the_richness_leg_produces_a_sample(capsys, monkeypatch):
         produced.clear()
         assert run(capsys, *argv, "--generator", "cassaigne-aab")[0] == 0, argv
         assert produced == lengths, argv
+
+
+def test_each_command_builds_its_source_once(capsys, monkeypatch):
+    # A command gets its family, or parses its word, once, and reads the
+    # sample and the index from that one source.
+    built = []
+    get_family_, parse = generators.get_family, words.Word.parse.__func__
+
+    def recording_get_family(name, **params):
+        built.append(name)
+        return get_family_(name, **params)
+
+    def recording_parse(cls, text, alphabet=None):
+        built.append(text)
+        return parse(cls, text, alphabet)
+
+    monkeypatch.setattr(generators, "get_family", recording_get_family)
+    monkeypatch.setattr(words.Word, "parse", classmethod(recording_parse))
+    for argv in (
+        ("analyze", "--n-max", "5"),
+        ("verify", "--n-max", "5"),
+        ("graph", "--n", "3", "--tier", "super"),
+    ):
+        for source in (("--generator", "fibonacci"), ("--word", "abacaba")):
+            built.clear()
+            assert run(capsys, *argv, *source)[0] == 0, (argv, source)
+            assert built == [source[1]], (argv, source)

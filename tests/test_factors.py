@@ -90,7 +90,7 @@ def test_factor_complexity_bounds_and_oracle():
 
 def test_fibonacci_complexity_is_n_plus_1():
     sp = stabilized_prefix(lambda l: fixed_point(FIB, "a", l), 10)
-    assert sp.stable
+    assert all(sp.stable_lengths)
     assert sp.index.complexity(7) == 8
     for n in range(12):
         assert sp.index.complexity(n) == n + 1
@@ -356,13 +356,12 @@ def test_recurrence_probe():
 
 def test_stabilized_prefix_behaviour():
     sp = stabilized_prefix(lambda l: fixed_point(FIB, "a", l), 20)
-    assert sp.stable and len(sp.word) <= 2048
+    assert all(sp.stable_lengths) and len(sp.word) <= 2048
     sp = stabilized_prefix(lambda l: periodic_word(Word.parse("a"), l), 5)
-    assert sp.stable and len(sp.word) == 48
+    assert all(sp.stable_lengths) and len(sp.word) == 48
     # Capped run is flagged, not thrown: each doubling of the a->aab fixed
     # point reveals a longer b-run, so it can never go quiet under a cap.
     sp = stabilized_prefix(lambda l: fixed_point(CAS, "a", l), 24, len_cap=2048)
-    assert not sp.stable
     assert not all(sp.stable_lengths)
 
 
@@ -465,8 +464,9 @@ def test_periodic_factor_sets_match_prefix_scan():
 @settings(max_examples=80)
 def test_window_sets_match_naive_oracle(text):
     w = Word.parse(text)
-    # At n_max = |w| - 1, the depth theorem2_check uses, some factors occur
-    # only as the final suffix of w and have no right extension.
+    # At n_max = |w| - 1, where cli._index_for caps a literal word for
+    # analyze --word and graph --word, some factors occur only as the final
+    # suffix of w and have no right extension.
     for n_max in (min(6, len(w) - 1), len(w) - 1):
         idx = build_index(w, n_max)
         for n in range(n_max + 2):
@@ -494,4 +494,3 @@ def test_stable_lengths_match_window_oracle(produce, n_max, len_cap):
         for n in range(n_max + 2)
     )
     assert sp.stable_lengths == expect
-    assert sp.stable == all(expect)

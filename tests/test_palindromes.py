@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palrich import palindromes
-from palrich.analysis import RichnessVerdicts
 from palrich.factors import stabilized_prefix
 from palrich.generators import REGISTRY, family_block, get_family
 from palrich.palindromes import (
@@ -292,12 +291,10 @@ def test_returns_report_on_long_palindromes(text):
 
 def assert_sweeps_agree(w: Word):
     """The eertree and the complete-return sweep report the same facts of w."""
-    verdicts = RichnessVerdicts(is_rich_incremental(Eertree.build(w)), is_rich_by_returns(w))
-    a, b = verdicts.incremental, verdicts.by_returns
+    a, b = is_rich_incremental(Eertree.build(w)), is_rich_by_returns(w)
     assert (a.rich, a.first_violation_prefix, a.defect) == (
         b.rich, b.first_violation_prefix, b.defect
     )
-    assert verdicts.agree
 
 
 @given(st.one_of(st.text(alphabet="abc", max_size=150), _block_repetitions(), _episturmian_slices()))
