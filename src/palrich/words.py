@@ -18,7 +18,7 @@ _LOWER = set("abcdefghijklmnopqrstuvwxyz")
 class Alphabet:
     """An ordered set of 1..26 distinct letters, each mapped to its index."""
 
-    __slots__ = ("letters", "_index")
+    __slots__ = ("letters", "_index", "_ascii")
 
     def __init__(self, letters: Iterable[str]):
         letters = tuple(letters)
@@ -31,6 +31,7 @@ class Alphabet:
                 raise ValueError(f"letters must be single characters a-z, got {ch!r}")
         self.letters = letters
         self._index = {ch: i for i, ch in enumerate(letters)}
+        self._ascii = "".join(letters).encode("ascii").ljust(256, b"\xff")
 
     @property
     def size(self) -> int:
@@ -46,8 +47,16 @@ class Alphabet:
         return bytes(self.index(ch) for ch in text)
 
     def decode(self, data: bytes) -> str:
-        letters = self.letters
-        return "".join(letters[b] for b in data)
+        """The letters of ``data``, through one 256-byte translate table.
+
+        Index i maps to the ASCII code of letter i and every other byte to
+        0xFF, which is not ASCII, so ``decode("ascii")`` raises on a byte
+        outside the alphabet instead of passing it through.
+        """
+        try:
+            return data.translate(self._ascii).decode("ascii")
+        except UnicodeDecodeError:
+            raise ValueError("letter index out of range for alphabet") from None
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.letters == other.letters
@@ -120,22 +129,34 @@ class Word:
 
 
 class Morphism:
-    """A non-erasing substitution: one non-empty image word per letter."""
+    """A non-erasing substitution: one non-empty image word per letter.
 
-    __slots__ = ("alphabet", "images")
+    ``__init__`` builds, once, the translate table and the (marker, image)
+    pairs that ``apply_bytes`` runs on.
+    """
+
+    __slots__ = ("alphabet", "images", "_table", "_long")
 
     def __init__(self, alphabet: Alphabet, images: dict[str, str]):
         missing = [ch for ch in alphabet.letters if ch not in images]
         if missing:
             raise ValueError(f"missing images for letters {missing}")
-        encoded = []
-        for ch in alphabet.letters:
+        encoded, long = [], []
+        table = bytearray(b"\xff" * 256)
+        for c, ch in enumerate(alphabet.letters):
             img = alphabet.encode(images[ch])
             if not img:
                 raise ErasingMorphism(f"image of {ch!r} is empty")
             encoded.append(img)
+            if len(img) == 1:
+                table[c] = img[0]
+            else:
+                table[c] = 128 + c
+                long.append((bytes([128 + c]), img))
         self.alphabet = alphabet
         self.images = tuple(encoded)
+        self._table = bytes(table)
+        self._long = tuple(long)
 
     @classmethod
     def parse(cls, spec: str, alphabet: Alphabet | None = None) -> "Morphism":
@@ -164,8 +185,24 @@ class Morphism:
         return cls(alphabet, rules)
 
     def apply_bytes(self, data: bytes) -> bytes:
-        images = self.images
-        return b"".join(images[b] for b in data)
+        """The concatenated images of the letters of ``data``, built in C.
+
+        One ``bytes.translate`` maps each letter whose image is one letter
+        straight to that letter, each letter c with a longer image to the
+        marker byte 128 + c, and every byte outside the alphabet to 0xFF.
+        Then one ``bytes.replace(marker, image)`` per longer image expands
+        its markers.  Alphabets have at most 26 letters, so every image byte
+        is below 26: no image holds a marker or 0xFF, and no replace sees
+        another's output.  A one-letter image needs no replace, because the
+        translate maps all bytes at once; so letter permutations such as
+        a -> b, b -> a come out right.
+        """
+        out = data.translate(self._table)
+        if 255 in out:
+            raise ValueError("letter index out of range for alphabet")
+        for marker, image in self._long:
+            out = out.replace(marker, image)
+        return out
 
     def __call__(self, w: Word) -> Word:
         return morphic_image(self, w)

@@ -357,11 +357,13 @@ def image_windows_all(m, base_top, depth: int) -> set:
     """Every depth-length window of every m(u), u in base_top.
 
     The scan of all windows, with no restriction to those that start inside
-    the image of the first letter.
+    the image of the first letter.  Each image is joined letter by letter
+    from ``m.images``, not through the translate table of ``apply_bytes``.
     """
+    images = m.images
     top = set()
     for u in base_top:
-        img = m.apply_bytes(bytes(u))
+        img = b"".join(images[b] for b in u)
         for i in range(len(img) - depth + 1):
             top.add(img[i : i + depth])
     return top

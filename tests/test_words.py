@@ -93,6 +93,61 @@ def test_morphic_image_examples():
     assert morphic_image(m2, Word.parse("aba", m2.alphabet)).text == "abaab"
     ident = Morphism.parse("a->a,b->b")
     assert morphic_image(ident, Word.parse("abba", ident.alphabet)).text == "abba"
+    long = "ab" * 60
+    for spec, text, image in (
+        ("a->b,b->a", "aabab", "bbaba"),  # a permutation maps all letters at once
+        ("a->b,b->c,c->aa", "abcca", "bcaaaab"),  # a chain into a longer image
+        ("a->aab,b->b", "", ""),
+        (f"a->{long},b->ba", "aba", long + "ba" + long),
+    ):
+        m = Morphism.parse(spec)
+        assert morphic_image(m, Word.parse(text, m.alphabet)).text == image, spec
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    rev = Morphism(Alphabet(letters), dict(zip(letters, reversed(letters))))
+    assert morphic_image(rev, Word.parse(letters, rev.alphabet)).text == letters[::-1]
+
+
+@st.composite
+def morphisms(draw):
+    """Alphabets of 1..26 letters in any order, each letter's image either
+    one letter or a word of up to 40 letters."""
+    letters = draw(st.permutations("abcdefghijklmnopqrstuvwxyz"))
+    letters = letters[: draw(st.integers(1, 26))]
+    image = st.one_of(
+        st.sampled_from(letters), st.text(alphabet=letters, min_size=1, max_size=40)
+    )
+    return Morphism(Alphabet(letters), {ch: draw(image) for ch in letters})
+
+
+def letter_bytes(size):
+    return st.lists(st.integers(0, size - 1), max_size=60).map(bytes)
+
+
+@given(morphisms(), st.data())
+def test_apply_bytes_is_the_letterwise_join(m, data):
+    w = data.draw(letter_bytes(m.alphabet.size))
+    assert m.apply_bytes(w) == b"".join(m.images[b] for b in w)
+
+
+@given(morphisms(), st.data())
+def test_decode_is_the_letterwise_join(m, data):
+    alphabet = m.alphabet
+    w = data.draw(letter_bytes(alphabet.size))
+    assert alphabet.decode(w) == "".join(alphabet.letters[b] for b in w)
+    assert alphabet.encode(alphabet.decode(w)) == w
+
+
+@given(morphisms(), st.data())
+def test_bytes_outside_the_alphabet_raise(m, data):
+    w = data.draw(letter_bytes(m.alphabet.size))
+    # Markers 128 + c and 0xFF are the translate tables' own values.
+    bad = data.draw(st.integers(m.alphabet.size, 255) | st.sampled_from((128, 153, 255)))
+    i = data.draw(st.integers(0, len(w)))
+    w = w[:i] + bytes([bad]) + w[i:]
+    with pytest.raises(ValueError):
+        m.apply_bytes(w)
+    with pytest.raises(ValueError):
+        m.alphabet.decode(w)
 
 
 @given(st.text(alphabet="ab", max_size=10), st.text(alphabet="ab", max_size=10))
