@@ -28,6 +28,15 @@ Conversely an adjacent pair with LCP >= n has two elements of length
 C(0..D).  For a finite word this is the count of
 :func:`finite_complexity`, cut to D letters.
 
+Each LCP is read off integers, with no Python call per pair.  Every window,
+padded to D letters with the byte 0xff, is read as one big-endian int, and
+two adjacent ints are XORed.  The leading zero bytes of the XOR are the
+common prefix, so the LCP is D minus the byte length of the XOR.  The
+padding changes no LCP: it is above every letter, so a short window
+differs from every longer word it is a prefix of at its first padded
+byte.  The ints stream pairwise into the LCPs, and no list of them is
+held.
+
 *Prefixes come out sorted.*  If a <= b then a[:n] <= b[:n], so the
 n-prefixes of the sorted G are sorted.  The first element of each run is
 the one whose LCP with its predecessor is below n; keeping only those
@@ -112,7 +121,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from heapq import merge
-from itertools import pairwise
+from itertools import pairwise, repeat, starmap
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import OutOfRange, StabilizationFailed, TooLarge, WordTooShort
@@ -153,7 +162,11 @@ class FactorIndex:
             raise ValueError("an index needs at least one window")
         _check_budget(len(self._top), depth)
         # _lcps[i] is the LCP of G[i-1] and G[i]; -1 before the first element.
-        self._lcps = [-1] + [_lcp(a, b) for a, b in zip(self._top, self._top[1:])]
+        # The XORs of the padded windows' ints give them (*Complexity*).
+        padded = map(bytes.ljust, self._top, repeat(depth), repeat(b"\xff"))
+        xors = starmap(int.__xor__, pairwise(map(int.from_bytes, padded, repeat("big"))))
+        self._lcps = [-1]
+        self._lcps += [depth - (bits + 7) // 8 for bits in map(int.bit_length, xors)]
         lengths = Counter(map(len, self._top))
         if max(lengths) > depth:
             raise ValueError(f"windows must have at most n_max+1 = {depth} letters")
@@ -249,8 +262,10 @@ class FactorIndex:
 
         Order n maps each special u of length n to (whether u is left
         special, its sorted right letters).  A left special that is not right
-        special has one right letter, after u in the next element of G, or,
-        at the final suffix of a finite word, none.
+        special has one right letter, read after u in the longest shared tail
+        that starts with u.  When every such tail ends with u, as at the top
+        order, it is read after u in the next element of G, and at the final
+        suffix of a finite word there is none.
         """
         top, lcps = self._top, self._lcps
         # (R): the adjacent pairs of G, both longer than their LCP, by LCP.
@@ -262,16 +277,27 @@ class FactorIndex:
         cuts = [i for i, h in enumerate(lcps) if h < 1] + [len(top)]
         tails = merge(*(top[i:j] for i, j in zip(cuts, cuts[1:])), key=lambda g: g[1:])
         shared = [a[1 : 1 + _lcp(a[1:], b[1:])] for a, b in pairwise(tails) if a[0] != b[0]]
+        # Longest first, so each order reads only the tails that reach it.
+        shared.sort(key=len, reverse=True)
+        reach = len(shared)
         for n, pairs in enumerate(branches):
-            left = {t[:n] for t in shared if len(t) >= n}
+            while reach and len(shared[reach - 1]) < n:
+                reach -= 1
+            # Each u maps to the letter after it in its longest tail, if any.
+            left = {t[:n]: t[n : n + 1] for t in reversed(shared[:reach])}
             right: dict[bytes, bytes] = {}
             for i in pairs:
                 u = top[i][:n]
                 right[u] = right.get(u, top[i - 1][n : n + 1]) + top[i][n : n + 1]
             out = {u: (u in left, letters) for u, letters in right.items()}
-            for u in sorted(left.difference(right)):
-                g = top[min(bisect_right(top, u), len(top) - 1)]
-                out[u] = (True, g[n : n + 1] if g.startswith(u) else b"")
+            for u in sorted(left.keys() - right.keys()):
+                letter = left[u]
+                if not letter:
+                    # Every shared tail that starts with u ends with it, as at
+                    # the top order.
+                    g = top[min(bisect_right(top, u), len(top) - 1)]
+                    letter = g[n : n + 1] if g.startswith(u) else b""
+                out[u] = (True, letter)
             yield out
 
 
@@ -389,7 +415,8 @@ def _suffix_array(data: bytes) -> list[int]:
 def is_closed_under_reversal(idx: FactorIndex, n: int) -> tuple[bool, Word | None]:
     """Check reversal closure of every factor set up to length n.
 
-    Only F_n is read, and each reversal is looked up with ``has_factor``.
+    Only F_n is read: one set of it is built, and each reversal is looked
+    up in that set, in index order, so the witness order is kept.
     For the factor sets of a word, closure at length m implies closure at
     length m-1: each shorter factor u is a prefix or a suffix of some
     length-m factor v, and the reversal of u is then a suffix or a prefix of
@@ -403,9 +430,10 @@ def is_closed_under_reversal(idx: FactorIndex, n: int) -> tuple[bool, Word | Non
     """
     if not 0 <= n <= idx.n_max + 1:
         raise OutOfRange(f"closure check needs n <= n_max+1 = {idx.n_max + 1}")
-    has = idx.has_factor
-    for u in idx.factors(n):
-        if not has(u[::-1]):
+    level = idx.factors(n)
+    present = set(level)
+    for u in level:
+        if u[::-1] not in present:
             return False, Word(idx.alphabet, u)
     return True, None
 

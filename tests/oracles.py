@@ -462,3 +462,31 @@ def specials_evolution(idx):
             if len(left) > 1 or len(right) > 1:
                 specials[x] = ext
         yield specials
+
+
+def super_reduce_per_path(rg):
+    """The super-reduced graph of ``rg``, each class computed where it is read.
+
+    Every path takes the least member of its source's, its target's and
+    its label's reversal class on its own, three ``min`` calls, and a path
+    is dropped as w -> reversal of w by comparing its target with the
+    reversed source alone.  The classes of the vertices form their own set.
+    """
+    from palrich.rauzy import SuperEdge, SuperReducedRauzyGraph
+
+    def least(w):
+        return min(w, w[::-1])
+
+    classes = sorted({least(v) for v in rg.vertices})
+    grouped = {}
+    for path in rg.edges:
+        if path.target == path.source[::-1]:
+            continue
+        ka, kb = sorted((least(path.source), least(path.target)))
+        grouped.setdefault((ka, kb), set()).add(least(path.label))
+    edges = tuple(
+        SuperEdge(ka, kb, label)
+        for (ka, kb), labels in sorted(grouped.items())
+        for label in sorted(labels)
+    )
+    return SuperReducedRauzyGraph(rg.n, tuple(classes), edges)

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from palrich import rauzy
 from palrich.analysis import (
     profile_from_index,
     theorem1_experiment,
@@ -17,6 +18,7 @@ from oracles import (
     all_returns_to_palindromes_palindromic,
     all_words,
     is_rich_naive,
+    super_reduce_per_path,
     theorem2_rows_naive,
 )
 from paper_facts import (
@@ -299,6 +301,18 @@ def test_theorem1_on_the_morphism_corpus():
         for m in _morphism_corpus()
     )
     assert closed == 60
+
+
+def test_super_reduce_matches_per_path_oracle_on_the_corpora():
+    # Every order of the periodic corpus up to 2q + 2 and of the morphism
+    # corpus up to 12, reversal-closed or not.
+    families = [(get_family("periodic", block=u), 2 * len(u) + 2) for u in _periodic_corpus()]
+    families += [(get_family("morphic", morphism=m), 12) for m in _morphism_corpus()]
+    for family, n_max in families:
+        for rg in rauzy.reduced_graphs(family.index(n_max)):
+            assert rauzy.super_reduce(rg) == super_reduce_per_path(rg), (
+                family.describe(), rg.n,
+            )
 
 
 def test_theorem1_report_fields():

@@ -29,7 +29,7 @@ from palrich.factors import (
     s_word_factor_sets,
 )
 from palrich.generators import REGISTRY, get_family, psi_morphism
-from palrich.words import Morphism, Word, s_word
+from palrich.words import Alphabet, Morphism, Word, s_word
 
 from oracles import all_words, derive_down, extensions_naive, rauzy_graph_naive
 
@@ -187,6 +187,31 @@ def test_analyze_special_counts_match_special_factors_on_families(name, params):
     assert [row["n"] for row in rows] == list(range(61))
     for row in rows:
         assert _row_counts(row) == _special_counts(idx, row["n"]), row["n"]
+
+
+@st.composite
+def window_sets(draw):
+    """Windows of mixed lengths over up to 26 letters, some prefixes of others."""
+    top_letter = draw(st.sampled_from([1, 2, 25]))
+    word = st.lists(st.integers(0, top_letter), min_size=1, max_size=12).map(bytes)
+    words = draw(st.lists(word, min_size=1, max_size=20))
+    cuts = draw(st.lists(st.integers(1, 12), max_size=len(words)))
+    return set(words) | {w[:cut] for w, cut in zip(words, cuts)}
+
+
+@given(window_sets(), st.integers(0, 2))
+@example({b"\x00\x01", b"\x00\x01\x00"}, 0)
+@example({bytes((c,)) for c in range(26)} | {bytes((c, c)) for c in range(26)}, 0)
+@settings(max_examples=200, deadline=None)
+def test_complexity_counts_prefixes_of_any_window_set(top, extra):
+    # C(n) is the number of distinct n-prefixes of the windows with at
+    # least n letters, whatever their lengths and letters.
+    n_max = max(map(len, top)) - 1 + extra
+    idx = FactorIndex(Alphabet("abcdefghijklmnopqrstuvwxyz"), n_max, top)
+    for n in range(n_max + 2):
+        prefixes = {g[:n] for g in top if len(g) >= n}
+        assert idx.complexity(n) == len(prefixes), n
+        assert idx.factors(n) == tuple(sorted(prefixes)), n
 
 
 def test_index_keeps_no_per_length_sets():

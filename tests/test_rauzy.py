@@ -12,7 +12,7 @@ from palrich.generators import REGISTRY, get_family
 from palrich.palindromes import Eertree, is_rich_incremental
 from palrich.words import Morphism, Word, fixed_point, periodic_word, s_word
 
-from oracles import rauzy_graph_naive
+from oracles import rauzy_graph_naive, super_reduce_per_path
 from paper_facts import NotAWalk, is_strongly_connected, path_label, path_reversal_facts
 
 FIB = Morphism.parse("a->ab,b->a")
@@ -430,7 +430,8 @@ def test_rich_words_have_exactly_2s_minus_2_nonpalindromic_paths():
 def assert_evolution_matches_per_order_build(idx):
     """Every graph of reduced_graphs equals reduce(build_rauzy(idx, n)).
 
-    The evolution runs through the index's top order.
+    The evolution runs through the index's top order.  Each graph's
+    super-reduction also equals that of the per-path oracle.
     """
     evolved = list(rauzy.reduced_graphs(idx))
     assert [rg.n for rg in evolved] == list(range(idx.n_max + 1))
@@ -438,6 +439,7 @@ def assert_evolution_matches_per_order_build(idx):
         ref = rauzy.reduce(rauzy.build_rauzy(idx, rg.n))
         assert rg.vertices == ref.vertices, rg.n
         assert list(rg.edges) == sorted(ref.edges), rg.n
+        assert rauzy.super_reduce(rg) == super_reduce_per_path(rg), rg.n
 
 
 @pytest.mark.parametrize(
@@ -461,6 +463,21 @@ def assert_evolution_matches_per_order_build(idx):
 )
 def test_reduced_graphs_match_per_order_build_on_exact_families(name, params):
     assert_evolution_matches_per_order_build(get_family(name, **params).index(60))
+
+
+@pytest.mark.parametrize("name", ["cassaigne-aab", "quadratic-abab"])
+def test_reduced_graphs_match_per_order_build_at_deep_orders(name):
+    # Up to order 120 about two paths in three are one edge x -> x[1:] + c,
+    # read off the specials alone (fact 3); at the top orders checked here
+    # more than half are.
+    idx = get_family(name).index(120)
+    evolved = list(rauzy.reduced_graphs(idx))
+    for n in (100, 110, 120):
+        rg = evolved[n]
+        ref = rauzy.reduce(rauzy.build_rauzy(idx, n))
+        assert rg == ref, n
+        one_edge = sum(len(p.label) == n + 1 for p in rg.edges)
+        assert 2 * one_edge > len(rg.edges), n
 
 
 @given(st.text(alphabet="abc", min_size=1, max_size=8), st.integers(0, 4))
