@@ -150,6 +150,20 @@ def test_graph_raw_matches_golden(capsys):
     assert out == (GOLDEN / "fibonacci_n2_raw.dot").read_text()
 
 
+def test_graph_loops_and_notes_match_golden(capsys):
+    # abacbabc at order 2 has a loop at ab in every tier below raw; the
+    # super tier of (ab)^omega at order 3 has a note and no classes.
+    cases = [
+        (("--block", "abacbabc", "--n", "2", "--tier", tier), f"periodic_abacbabc_n2_{tier}.dot")
+        for tier in ("raw", "reduced", "super")
+    ]
+    cases.append((("--block", "ab", "--n", "3", "--tier", "super"), "periodic_ab_n3_super.dot"))
+    for argv, golden in cases:
+        code, out, _ = run(capsys, "graph", "--generator", "periodic", *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(), golden
+
+
 def test_graph_streams_its_dot_output(tmp_path):
     # The DOT lines go straight to the file, so the peak stays near the size
     # of the factor sets (about 2 MB of F_1000 and F_1001), not of the text.
