@@ -74,7 +74,7 @@ def profile_from_index(idx: FactorIndex) -> ComplexityProfile:
     slack = tuple(
         (C[n + 1] - C[n] + 2) - (P[n] + P[n + 1]) for n in range(n_max + 1)
     )
-    closed, witness = is_closed_under_reversal(idx, n_max + 1)
+    closed, witness = is_closed_under_reversal(idx)
     return ComplexityProfile(n_max, C, P, slack, closed, witness)
 
 
@@ -259,7 +259,7 @@ def _order_record(rg: ReducedRauzyGraph, prof: ComplexityProfile) -> OrderRecord
 
 def theorem1_experiment(
     family: WordFamily,
-    n_max: int = 30,
+    n_max: int,
     *,
     prefix_cap: int | None = None,
 ) -> TheoremReport:

@@ -1,15 +1,16 @@
 """Exact factor bookkeeping for finite words and for infinite words.
 
-A :class:`FactorIndex` built for n_max answers every order 0..n_max, and
-that is the one order rule of the package.  Everything at order n reads
+A :class:`FactorIndex` of depth D answers every order 0..n_max = D - 1,
+and that is the one order rule of the package.  Everything at order n reads
 factors of lengths n and n+1 only: the order-n Rauzy graph has F_n as
 vertices and F_{n+1} as edges, and the equality at n reads C and P at n
-and n+1.  So the index has depth D = n_max + 1.  It holds one sorted tuple
-G and the longest common prefixes (LCPs) of its adjacent elements, and
-nothing per length.  G is the distinct windows w[i:i+D] of its word.  In an
-infinite word every window has D letters; in a finite word the last D - 1
-windows are cut short at the end of the word, so G is its suffixes cut to
-D letters.  Every length-n factor, n <= D, is the n-prefix of the window
+and n+1.  So an index for n_max has depth D = n_max + 1, the length of its
+longest window.  It holds one sorted tuple G and the longest common
+prefixes (LCPs) of its adjacent elements, and nothing per length.  G is
+the distinct windows w[i:i+D] of its word.  In an infinite word every
+window has D letters; in a finite word the last D - 1 windows are cut
+short at the end of the word, so G is its suffixes cut to D letters.
+Every length-n factor, n <= D, is the n-prefix of the window
 at one of its occurrences, and that window has at least n letters.  So
 F_n is the set of n-prefixes of the elements of G with |g| >= n.
 
@@ -86,8 +87,9 @@ Every factor-set source computes only the top set F_depth:
 
 * ``build_index`` scans the windows of a concrete finite word.
 * ``morphic_factor_sets`` computes the exact factor set of a morphism fixed
-  point by saturating windows of letter images.  Words like the fixed point
-  of a -> aab, b -> b carry factors (long b-runs) whose first occurrence lies
+  point by saturating windows of letter images, from the one window of the
+  fixed point's first D letters.  Words like the fixed point of a -> aab,
+  b -> b carry factors (long b-runs) whose first occurrence lies
   exponentially deep, far beyond any scannable prefix, and this closure is
   the only exact route to their complexity at useful depths.  Its
   ``image_factor_sets`` companion does the same for a morphic image.
@@ -97,13 +99,15 @@ Every factor-set source computes only the top set F_depth:
 Each of them, and every index, holds at most ``FACTOR_LETTER_BUDGET``
 letters, D times the number of factors; past it they raise ``TooLarge``.
 The morphic closure checks as its set grows, so an oversized request fails
-fast instead of running out of memory.
+fast instead of running out of memory: it starts from one window, and
+between two checks its set grows by at most max|m(a)| windows.
 
-Each closure only scans the windows of m(u) that start inside m(u[0]): every
-depth-length window of m(w) starts inside the image of some letter w[i], at
-an offset j < |m(w[i])|, and since no image is empty, m(w[i..i+depth-1]) has
-at least |m(w[i])| + depth - 1 >= j + depth letters, so the window lies in
-the image of the depth-length factor w[i..i+depth-1], starting inside the
+Both image closures scan only the windows of m(u) that start inside
+m(u[0]), at most |m(u[0])| per factor u: every depth-length window of m(w)
+starts inside the image of some letter w[i], at an offset j < |m(w[i])|,
+and since no image is empty, m(w[i..i+depth-1]) has at least
+|m(w[i])| + depth - 1 >= j + depth letters, so the window lies in the
+image of the depth-length factor w[i..i+depth-1], starting inside the
 image of its first letter.
 
 ``stabilized_prefix`` doubles a generator's prefix until the factor sets of
@@ -145,21 +149,22 @@ def _check_budget(count: int, depth: int) -> None:
 
 
 class FactorIndex:
-    """The sorted windows G of a word, up to length n_max + 1 (module docstring).
+    """The sorted windows G of a word (module docstring).
 
     ``top`` holds the distinct windows: for an infinite word its factor set
-    F_{n_max+1}, for a finite word also its shorter suffixes.
+    F_D, for a finite word also its shorter suffixes.  The depth D is the
+    length of the longest window, so ``n_max`` is D - 1; a set with no
+    window of at least one letter raises ``ValueError``.
     """
 
-    def __init__(self, alphabet: Alphabet, n_max: int, top: Iterable[bytes]):
-        if n_max < 0:
-            raise ValueError("n_max must be non-negative")
-        depth = n_max + 1
+    def __init__(self, alphabet: Alphabet, top: Iterable[bytes]):
         self.alphabet = alphabet
-        self.n_max = n_max
         self._top = tuple(sorted(top))
-        if not self._top:
-            raise ValueError("an index needs at least one window")
+        lengths = Counter(map(len, self._top))
+        depth = max(lengths, default=0)
+        if depth < 1:
+            raise ValueError("an index needs a window of at least one letter")
+        self.n_max = depth - 1
         _check_budget(len(self._top), depth)
         # _lcps[i] is the LCP of G[i-1] and G[i]; -1 before the first element.
         # The XORs of the padded windows' ints give them (*Complexity*).
@@ -167,9 +172,6 @@ class FactorIndex:
         xors = starmap(int.__xor__, pairwise(map(int.from_bytes, padded, repeat("big"))))
         self._lcps = [-1]
         self._lcps += [depth - (bits + 7) // 8 for bits in map(int.bit_length, xors)]
-        lengths = Counter(map(len, self._top))
-        if max(lengths) > depth:
-            raise ValueError(f"windows must have at most n_max+1 = {depth} letters")
         lengths.subtract(Counter(self._lcps[1:]))
         complexity = [0] * (depth + 1)
         run = 0
@@ -217,7 +219,7 @@ class FactorIndex:
             older, newer = [b""], [c for c in letters if has(c)]
             counts = [1, len(newer)]
             for _ in range(2, self.n_max + 2):
-                grown = [c + p + c for p in older for c in letters if has(c + p + c)]
+                grown = [u for p in older for c in letters if has(u := c + p + c)]
                 older, newer = newer, grown
                 counts.append(len(grown))
             self._pal_counts = counts
@@ -330,7 +332,7 @@ def build_index(w: Word, n_max: int) -> FactorIndex:
         stop = min(start + step, len(data))
         top.update(data[i : i + depth] for i in range(start, stop))
         _check_budget(len(top), depth)
-    return FactorIndex(w.alphabet, n_max, top)
+    return FactorIndex(w.alphabet, top)
 
 
 def finite_complexity(w: Word) -> list[int]:
@@ -412,25 +414,24 @@ def _suffix_array(data: bytes) -> list[int]:
     return sa
 
 
-def is_closed_under_reversal(idx: FactorIndex, n: int) -> tuple[bool, Word | None]:
-    """Check reversal closure of every factor set up to length n.
+def is_closed_under_reversal(idx: FactorIndex) -> tuple[bool, Word | None]:
+    """Check reversal closure of every factor set the index holds.
 
-    Only F_n is read: one set of it is built, and each reversal is looked
-    up in that set, in index order, so the witness order is kept.
+    Only the top set F_D is read: one set of it is built, and each reversal
+    is looked up in that set, in index order, so the witness order is kept.
     For the factor sets of a word, closure at length m implies closure at
     length m-1: each shorter factor u is a prefix or a suffix of some
     length-m factor v, and the reversal of u is then a suffix or a prefix of
     the reversal of v, which is a factor.  So the longest failing length is
-    always n, and F_n alone decides.  Every index of the package holds the
+    always D, and F_D alone decides.  Every index of the package holds the
     factor sets of a word, finite (``build_index``) or infinite
-    (``WordFamily.index``).
+    (``WordFamily.index``); to check a shorter length n, build the index of
+    depth n.
 
-    On failure the witness is the first length-n factor in index
+    On failure the witness is the first length-D factor in index
     (lexicographic) order whose reversal is absent.
     """
-    if not 0 <= n <= idx.n_max + 1:
-        raise OutOfRange(f"closure check needs n <= n_max+1 = {idx.n_max + 1}")
-    level = idx.factors(n)
+    level = idx.factors(idx.n_max + 1)
     present = set(level)
     for u in level:
         if u[::-1] not in present:
@@ -506,21 +507,20 @@ def morphic_factor_sets(m: Morphism, seed: str, depth: int) -> set[bytes]:
     """Exact factor set F_depth of the fixed point of ``m``.
 
     Saturates the map u -> windows of m(u) at window length ``depth``,
-    starting from the windows of a concrete prefix.  Every window found is
-    a factor.  Conversely, with x = m(x), the window of x at position p
+    starting from the one window x[:depth].  Every window found is a
+    factor.  Conversely, with x = m(x), the window of x at position p
     starts inside m(x[i]) for some i, and lies in m(x[i..i+depth-1]) at an
     offset below |m(x[i])| (module docstring).  Since |m(seed)| >= 2, the
     image of x[i] starts at |m(x[:i])| >= i + 1 when i >= 1, so i < p
-    unless i = 0, whose factor is in the starting prefix; induction on p
-    then reaches every factor.  Only the windows that start inside the
-    image of the first letter are scanned.  The set is checked against
-    ``FACTOR_LETTER_BUDGET`` after the windows of each factor are added.
+    unless i = 0, whose factor is the starting window: the base case.
+    Induction on p then reaches every factor.  Only the windows that start
+    inside the image of the first letter are scanned, so each factor adds
+    at most max|m(a)| windows, and the set is checked against
+    ``FACTOR_LETTER_BUDGET`` after each factor's windows are added.
     """
     if depth == 0:
         return {b""}
-    prefix = fixed_point(m, seed, max(4 * depth, 64)).data
-    top = _windows(prefix, depth)
-    _check_budget(len(top), depth)
+    top = {fixed_point(m, seed, depth).data}
     frontier = list(top)
     rounds = 0
     while frontier:

@@ -91,7 +91,7 @@ class WordFamily:
         n_max Rauzy graph, from the family's exact construction, and no
         prefix of the word.
         """
-        return FactorIndex(self.alphabet, n_max, self.exact_sets(n_max + 1))
+        return FactorIndex(self.alphabet, self.exact_sets(n_max + 1))
 
 
 def _fixed_point_family(name: str, m: Morphism, seed: str, **kw) -> WordFamily:

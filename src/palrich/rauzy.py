@@ -23,9 +23,10 @@ right-extension map of ``FactorIndex.right_extensions``: the edges out of
 v are v + c for its letters c.  The left map serves only to find the
 special factors.  The super-reduced graph stores each reversal class as
 its least member, and reads both the class count s and the
-special-palindrome count p off those classes.  The DOT renderers write
-each line to the text stream they are given as they make it, so no DOT
-text is held.
+special-palindrome count p off those classes.  The three DOT renderers
+hand their nodes and (a, b, label) edges to one line writer, which writes
+each line to the text stream it is given as it makes it, so no DOT text
+is held.
 
 :func:`build_rauzy` and :func:`reduce` build one order from its factor sets.
 :func:`reduced_graphs` evolves the reduced graph from one order to the next,
@@ -117,8 +118,8 @@ class SimplePath(NamedTuple):
     length-(n+1) windows, both in walk order.
 
     A ``NamedTuple``, so paths sort by (source, target, label), as
-    ``reduce`` and ``reduced_graphs`` list them.  It also equals the plain
-    tuple of its values and iterates over them; no caller relies on either.
+    ``reduce`` and ``reduced_graphs`` list them.  It also iterates as
+    (source, target, label), the edge that ``reduced_dot`` draws.
     """
 
     source: bytes
@@ -444,70 +445,65 @@ def _quote(text: str) -> str:
     return '"' + text.replace('"', '\\"') + '"'
 
 
-def rauzy_dot(g: RauzyGraph, out: TextIO) -> None:
-    """Write deterministic DOT for the raw graph: one edge per (n+1)-factor.
+def _write_dot(out: TextIO, head: str, name, cycle: bool, nodes, edges, arrow: str) -> None:
+    """Write one graph in DOT to ``out``, each line as it is made.
 
-    Each line goes to ``out`` as it is made, so no text is held.
+    ``head`` opens the graph, and ``cycle`` adds the note of a graph with no
+    special vertex.  Then come one line per node and one per edge
+    (a, b, label), drawn with ``arrow`` (``->`` or ``--``) and with no label
+    when it is None.  ``name`` turns each node, end and label into its text.
+    Every DOT line of the package is written here.
     """
-    decode = g.alphabet.decode
     write = out.write
-    write(f"digraph rauzy_{g.n} {{\n")
-    if not g.special:
+    write(f"{head} {{\n")
+    if cycle:
         write('  graph [note="no special vertices; single cycle"];\n')
-    for v in g.vertices:
-        write(f"  {_quote(decode(v))};\n")
-    for e in g.edges:
-        src, dst = decode(e[:-1]), decode(e[1:])
-        write(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(decode(e))}];\n")
+    for v in nodes:
+        write(f"  {_quote(name(v))};\n")
+    for a, b, label in edges:
+        attrs = "" if label is None else f" [label={_quote(name(label))}]"
+        write(f"  {_quote(name(a))} {arrow} {_quote(name(b))}{attrs};\n")
     write("}\n")
+
+
+def rauzy_dot(g: RauzyGraph, out: TextIO) -> None:
+    """Write deterministic DOT for the raw graph: one edge per (n+1)-factor."""
+    edges = ((e[:-1], e[1:], e) for e in g.edges)
+    head = f"digraph rauzy_{g.n}"
+    _write_dot(out, head, g.alphabet.decode, not g.special, g.vertices, edges, "->")
 
 
 def reduced_dot(rg: ReducedRauzyGraph, g: RauzyGraph, out: TextIO) -> None:
     """Write deterministic DOT for the reduced graph ``rg`` of ``g`` to ``out``.
 
     Each edge carries its path label.  A graph without special vertices is
-    drawn as the walk of ``g`` from its least vertex: every vertex has at
-    most one edge out and one in, so the walk closes into the cycle, or,
-    in the graph of a finite word, ends at the final suffix.
+    drawn as the walk of ``g`` from its least vertex, with unlabelled
+    edges: every vertex has at most one edge out and one in, so the walk
+    closes into the cycle, or, in the graph of a finite word, ends at the
+    final suffix.
     """
-    decode = g.alphabet.decode
-    write = out.write
-    write(f"digraph reduced_rauzy_{rg.n} {{\n")
+    nodes, edges = rg.vertices, rg.edges
     if rg.no_specials:
-        write('  graph [note="no special vertices; single cycle"];\n')
         walk = [g.vertices[0]]
         while g.right[walk[-1]]:
             walk.append((walk[-1] + g.right[walk[-1]])[1:])
             if walk[-1] == walk[0]:
                 break
-        for v in sorted(set(walk)):
-            write(f"  {_quote(decode(v))};\n")
-        for a, b in zip(walk, walk[1:]):
-            write(f"  {_quote(decode(a))} -> {_quote(decode(b))};\n")
-    else:
-        for v in rg.vertices:
-            write(f"  {_quote(decode(v))};\n")
-        for path in rg.edges:
-            src, dst = decode(path.source), decode(path.target)
-            write(
-                f"  {_quote(src)} -> {_quote(dst)} "
-                f"[label={_quote(decode(path.label))}];\n"
-            )
-    write("}\n")
+        nodes = sorted(set(walk))
+        edges = ((a, b, None) for a, b in zip(walk, walk[1:]))
+    head = f"digraph reduced_rauzy_{rg.n}"
+    _write_dot(out, head, g.alphabet.decode, rg.no_specials, nodes, edges, "->")
 
 
 def super_dot(sg: SuperReducedRauzyGraph, alphabet, out: TextIO) -> None:
-    """Write deterministic DOT for the super-reduced graph (undirected) to ``out``."""
-    decode = alphabet.decode
-    write = out.write
-    write(f"graph super_reduced_rauzy_{sg.n} {{\n")
-    if not sg.classes:
-        write('  graph [note="no special vertices; single cycle"];\n')
-    for cls in sg.classes:
-        write(f"  {_quote('[' + decode(cls) + ']')};\n")
-    for e in sg.edges:
-        a = _quote("[" + decode(e.class_a) + "]")
-        b = _quote("[" + decode(e.class_b) + "]")
-        label = _quote("[" + decode(e.label_class) + "]")
-        write(f"  {a} -- {b} [label={label}];\n")
-    write("}\n")
+    """Write deterministic DOT for the super-reduced graph (undirected) to ``out``.
+
+    Each class is drawn as its least member in brackets.
+    """
+
+    def name(u: bytes) -> str:
+        return "[" + alphabet.decode(u) + "]"
+
+    edges = ((e.class_a, e.class_b, e.label_class) for e in sg.edges)
+    head = f"graph super_reduced_rauzy_{sg.n}"
+    _write_dot(out, head, name, not sg.classes, sg.classes, edges, "--")

@@ -159,8 +159,12 @@ class Morphism:
         self._long = tuple(long)
 
     @classmethod
-    def parse(cls, spec: str, alphabet: Alphabet | None = None) -> "Morphism":
-        """Parse the textual form ``"a->ab,b->a"``."""
+    def parse(cls, spec: str) -> "Morphism":
+        """Parse the textual form ``"a->ab,b->a"``.
+
+        The alphabet is every letter the rules name, sorted; a letter with
+        no rule of its own maps to itself.
+        """
         rules: dict[str, str] = {}
         for part in spec.split(","):
             part = part.strip()
@@ -175,11 +179,7 @@ class Morphism:
             rules[lhs] = rhs
         if not rules:
             raise ValueError("empty morphism specification")
-        if alphabet is None:
-            seen = set(rules)
-            for rhs in rules.values():
-                seen.update(rhs)
-            alphabet = Alphabet(sorted(seen))
+        alphabet = Alphabet(sorted(set(rules).union(*rules.values())))
         for ch in alphabet.letters:
             rules.setdefault(ch, ch)
         return cls(alphabet, rules)

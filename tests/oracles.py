@@ -369,6 +369,35 @@ def image_windows_all(m, base_top, depth: int) -> set:
     return top
 
 
+def prefix_seeded_closure(m, seed: str, depth: int) -> set:
+    """F_depth of the fixed point of m from seed, saturated from a prefix.
+
+    The morphic closure as it first was: it starts from every window of the
+    first max(4 * depth, 64) letters, then adds the windows of m(u) that
+    start inside m(u[0]) for each new window u, until none is new.  The
+    prefix and every image are joined letter by letter from ``m.images``.
+    """
+    if depth == 0:
+        return {b""}
+    images = m.images
+    length = max(4 * depth, 64)
+    prefix = bytes([m.alphabet.index(seed)])
+    while len(prefix) < length:
+        prefix = b"".join(images[b] for b in prefix)[:length]
+    top = {prefix[i : i + depth] for i in range(length - depth + 1)}
+    frontier = list(top)
+    while frontier:
+        fresh = []
+        for u in frontier:
+            img = b"".join(images[b] for b in u)
+            for i in range(len(images[u[0]])):
+                if img[i : i + depth] not in top:
+                    top.add(img[i : i + depth])
+                    fresh.append(img[i : i + depth])
+        frontier = fresh
+    return top
+
+
 def rauzy_graph_naive(idx, n: int) -> dict:
     """Out-edges, degrees and special factors of the order-n Rauzy graph.
 

@@ -134,10 +134,10 @@ def test_criterion_4_theorem1_triangle():
                 assert report.profile.reversal_closed is False, label
             else:
                 assert report.profile.reversal_closed is True, label
-        # the pinned closure witness for the s-word, at the depth of the
-        # worked example: the first factor of length 3, in index order,
-        # whose reversal is absent (no b is preceded by an a)
-        ok, witness = is_closed_under_reversal(get_family("s-word").index(5), 3)
+        # the pinned closure witness for the s-word, from its index of
+        # depth 3: the first factor of length 3, in index order, whose
+        # reversal is absent (no b is preceded by an a)
+        ok, witness = is_closed_under_reversal(get_family("s-word").index(2))
         assert not ok
         assert witness.text == "aab" and witness.reversed().text == "baa"
 

@@ -56,6 +56,7 @@ def test_tracer_installs_runs_and_uninstalls(capsys):
         "generators.produce.letters",
         "factors.extensions.s",
         "analysis.theorem2_check.self_s",
+        "rauzy.dot.s",
     ):
         assert metrics[name] > 0, name
     # verify evolves its reduced graphs, so only the graph job builds one;

@@ -536,9 +536,9 @@ def test_generator_runs_index_exactly_the_orders_they_read(capsys, monkeypatch):
     built = []
     init = FactorIndex.__init__
 
-    def recording_init(self, alphabet, n_max, top):
-        built.append(n_max)
-        init(self, alphabet, n_max, top)
+    def recording_init(self, alphabet, top):
+        init(self, alphabet, top)
+        built.append(self.n_max)
 
     monkeypatch.setattr(FactorIndex, "__init__", recording_init)
     for argv in (("analyze", "--n-max", "7"), ("verify", "--n-max", "7"), ("graph", "--n", "7")):

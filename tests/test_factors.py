@@ -31,6 +31,7 @@ from oracles import (
     extensions_naive,
     image_windows_all,
     occurrences,
+    prefix_seeded_closure,
     rauzy_graph_naive,
     specials_evolution,
     window_factors,
@@ -280,16 +281,16 @@ def test_complete_returns_contain_exactly_two_occurrences(text):
 
 
 def test_closure_fibonacci_and_unary():
-    sp = stabilized_prefix(lambda l: fixed_point(FIB, "a", l), 10)
-    ok, witness = is_closed_under_reversal(sp.index, 10)
+    sp = stabilized_prefix(lambda l: fixed_point(FIB, "a", l), 9)
+    ok, witness = is_closed_under_reversal(sp.index)
     assert ok and witness is None
-    idx = build_index(Word.parse("aaaa"), 2)
-    assert is_closed_under_reversal(idx, 2) == (True, None)
+    idx = build_index(Word.parse("aaaa"), 1)
+    assert is_closed_under_reversal(idx) == (True, None)
 
 
 def test_closure_s_word_witness():
-    idx = build_index(s_word(500), 4)
-    ok, witness = is_closed_under_reversal(idx, 3)
+    idx = build_index(s_word(500), 2)
+    ok, witness = is_closed_under_reversal(idx)
     assert not ok
     # The first length-3 factor in index order whose reversal is absent: no
     # b is preceded by an a.
@@ -297,8 +298,8 @@ def test_closure_s_word_witness():
     assert witness.reversed().text == "baa"
 
 
-def _closure_pair(idx, n):
-    ok, witness = is_closed_under_reversal(idx, n)
+def _closure_pair(idx):
+    ok, witness = is_closed_under_reversal(idx)
     return ok, witness and witness.data
 
 
@@ -307,9 +308,11 @@ def test_closure_at_top_length_matches_all_lengths_on_small_words():
     for text in all_words("abc", 7):
         if not text:
             continue
-        idx = build_index(Word.parse(text, base), len(text) - 1)
-        for n in range(len(text) + 1):
-            assert _closure_pair(idx, n) == closure_naive(idx, n), (text, n)
+        w = Word.parse(text, base)
+        idx = build_index(w, len(text) - 1)
+        # The index of depth n checks length n.
+        for n in range(1, len(text) + 1):
+            assert _closure_pair(build_index(w, n - 1)) == closure_naive(idx, n), (text, n)
 
 
 CLOSURE_FAMILIES = [
@@ -333,10 +336,12 @@ CLOSURE_FAMILIES = [
 
 @pytest.mark.parametrize("name,params,closed", CLOSURE_FAMILIES)
 def test_closure_at_top_length_matches_all_lengths_on_families(name, params, closed):
-    idx = get_family(name, **params).index(12)
-    for n in range(idx.n_max + 2):
-        assert _closure_pair(idx, n) == closure_naive(idx, n), (name, n)
-    assert is_closed_under_reversal(idx, idx.n_max + 1)[0] is closed
+    family = get_family(name, **params)
+    idx = family.index(12)
+    # The index of depth n checks length n.
+    for n in range(1, idx.n_max + 2):
+        assert _closure_pair(family.index(n - 1)) == closure_naive(idx, n), (name, n)
+    assert is_closed_under_reversal(idx)[0] is closed
 
 
 @pytest.mark.parametrize("name,params,closed", CLOSURE_FAMILIES)
@@ -385,6 +390,35 @@ def test_morphic_factor_sets_match_prefix_scan(morphism, seed):
     for n in range(depth + 1):
         got = {morphism.alphabet.decode(u) for u in sets[n]}
         assert got == window_factors(text, n), f"length {n}"
+
+
+# The registry's morphisms (fibonacci, tribonacci, thue-morse, cassaigne-aab,
+# quadratic-abab and the default episturmian word; morphic and psi default
+# to fibonacci's), then a->ab,b->bb (not recurrent), a->aba,b->bb (not
+# primitive), a->aa,b->b (b never occurs) and a->abab,b->baba.
+SEEDED_CLOSURE_CASES = {
+    "fibonacci": FIB,
+    "tribonacci": episturmian_morphism("abc"),
+    "thue-morse": TM,
+    "cassaigne-aab": CAS,
+    "quadratic-abab": Morphism.parse("a->abab,b->b"),
+    "episturmian-ab": episturmian_morphism("ab"),
+    **{
+        spec: Morphism.parse(spec)
+        for spec in ("a->ab,b->bb", "a->aba,b->bb", "a->aa,b->b", "a->abab,b->baba")
+    },
+}
+
+
+@pytest.mark.parametrize("m", list(SEEDED_CLOSURE_CASES.values()), ids=list(SEEDED_CLOSURE_CASES))
+def test_closure_from_one_window_matches_the_prefix_seeded_closure(m):
+    for depth in range(41):
+        assert morphic_factor_sets(m, "a", depth) == prefix_seeded_closure(m, "a", depth), depth
+
+
+@pytest.mark.parametrize("m,depth", [(CAS, 121), (FIB, 301)], ids=["cassaigne-aab", "fibonacci"])
+def test_closure_from_one_window_matches_the_prefix_seeded_closure_deep(m, depth):
+    assert morphic_factor_sets(m, "a", depth) == prefix_seeded_closure(m, "a", depth)
 
 
 def test_image_factor_sets_match_prefix_scan():

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import tracemalloc
+from itertools import pairwise
 from time import perf_counter
 
 import pytest
@@ -28,7 +29,14 @@ from palrich.factors import (
     periodic_factor_sets,
     s_word_factor_sets,
 )
-from palrich.generators import REGISTRY, get_family, psi_morphism
+from palrich.generators import (
+    FIBONACCI,
+    REGISTRY,
+    THUE_MORSE,
+    episturmian_morphism,
+    get_family,
+    psi_morphism,
+)
 from palrich.words import Alphabet, Morphism, Word, s_word
 
 from oracles import all_words, derive_down, extensions_naive, rauzy_graph_naive
@@ -75,8 +83,10 @@ def assert_index_matches(idx, oracle):
         assert set(idx.factors(n)) == fset, n
         assert idx.factors(n) == oracle.factors(n), n
         assert all(map(idx.has_factor, fset)), n
-        closed, witness = is_closed_under_reversal(idx, n)
-        assert (closed, witness and witness.data) == oracle.closure[n], n
+    # Closure at a shorter length is that of the index of that depth, which
+    # the callers build too.
+    closed, witness = is_closed_under_reversal(idx)
+    assert (closed, witness and witness.data) == oracle.closure[depth]
     for n in range(depth):
         for side, ext in (("right", idx.right_extensions), ("left", idx.left_extensions)):
             assert list(ext(n).items()) == oracle.extensions[n, side], (side, n)
@@ -199,19 +209,27 @@ def window_sets(draw):
     return set(words) | {w[:cut] for w, cut in zip(words, cuts)}
 
 
-@given(window_sets(), st.integers(0, 2))
-@example({b"\x00\x01", b"\x00\x01\x00"}, 0)
-@example({bytes((c,)) for c in range(26)} | {bytes((c, c)) for c in range(26)}, 0)
+@given(window_sets())
+@example({b"\x00\x01", b"\x00\x01\x00"})
+@example({bytes((c,)) for c in range(26)} | {bytes((c, c)) for c in range(26)})
 @settings(max_examples=200, deadline=None)
-def test_complexity_counts_prefixes_of_any_window_set(top, extra):
+def test_complexity_counts_prefixes_of_any_window_set(top):
     # C(n) is the number of distinct n-prefixes of the windows with at
-    # least n letters, whatever their lengths and letters.
-    n_max = max(map(len, top)) - 1 + extra
-    idx = FactorIndex(Alphabet("abcdefghijklmnopqrstuvwxyz"), n_max, top)
+    # least n letters, whatever their lengths and letters; the depth is the
+    # longest window's length.
+    idx = FactorIndex(Alphabet("abcdefghijklmnopqrstuvwxyz"), top)
+    n_max = max(map(len, top)) - 1
+    assert idx.n_max == n_max
     for n in range(n_max + 2):
         prefixes = {g[:n] for g in top if len(g) >= n}
         assert idx.complexity(n) == len(prefixes), n
         assert idx.factors(n) == tuple(sorted(prefixes)), n
+
+
+@pytest.mark.parametrize("top", [set(), {b""}], ids=["empty", "empty-word"])
+def test_an_index_needs_a_window_of_one_letter(top):
+    with pytest.raises(ValueError):
+        FactorIndex(ABC, top)
 
 
 def test_index_keeps_no_per_length_sets():
@@ -236,12 +254,12 @@ def test_every_source_raises_too_large_over_the_budget(monkeypatch):
     monkeypatch.setattr(factors, "FACTOR_LETTER_BUDGET", 3340)
     top = morphic_factor_sets(cas, "a", 20)
     assert len(top) == 167
-    assert FactorIndex(cas.alphabet, 19, top).complexity(20) == 167
+    assert FactorIndex(cas.alphabet, top).complexity(20) == 167
     monkeypatch.setattr(factors, "FACTOR_LETTER_BUDGET", 3339)
     with pytest.raises(TooLarge):
         morphic_factor_sets(cas, "a", 20)
     with pytest.raises(TooLarge):
-        FactorIndex(cas.alphabet, 19, top)
+        FactorIndex(cas.alphabet, top)
     with pytest.raises(TooLarge):
         image_factor_sets(psi_morphism(0), fibonacci_top, 200)
     with pytest.raises(TooLarge):
@@ -250,6 +268,28 @@ def test_every_source_raises_too_large_over_the_budget(monkeypatch):
         s_word_factor_sets(100)
     with pytest.raises(TooLarge):
         build_index(s_word(4000), 99)
+
+
+@pytest.mark.parametrize(
+    "m", [FIBONACCI, THUE_MORSE, episturmian_morphism("abc")],
+    ids=["fibonacci", "thue-morse", "tribonacci"],
+)
+def test_the_morphic_closure_checks_the_budget_as_its_set_grows(monkeypatch, m):
+    # The closure starts from one window, and each factor adds at most
+    # max|m(a)| windows before the next check, so a set over the budget is
+    # caught within max|m(a)| windows of it.  At depth 40 every window of a
+    # 160-letter prefix would be more than max|m(a)| windows at once.
+    counts = [1]
+    check = factors._check_budget
+
+    def record(count, depth):
+        counts.append(count)
+        check(count, depth)
+
+    monkeypatch.setattr(factors, "_check_budget", record)
+    top = morphic_factor_sets(m, "a", 40)
+    assert max(b - a for a, b in pairwise(counts)) <= max(map(len, m.images))
+    assert counts[-1] == len(top)
 
 
 def test_over_budget_analyze_exits_fast():
