@@ -160,11 +160,7 @@ class Morphism:
 
     @classmethod
     def parse(cls, spec: str) -> "Morphism":
-        """Parse the textual form ``"a->ab,b->a"``.
-
-        The alphabet is every letter the rules name, sorted; a letter with
-        no rule of its own maps to itself.
-        """
+        """Parse ``"a->ab,b->a"``; the alphabet is every letter named, sorted."""
         rules: dict[str, str] = {}
         for part in spec.split(","):
             part = part.strip()
@@ -179,7 +175,10 @@ class Morphism:
             rules[lhs] = rhs
         if not rules:
             raise ValueError("empty morphism specification")
-        alphabet = Alphabet(sorted(set(rules).union(*rules.values())))
+        seen = set(rules)
+        for rhs in rules.values():
+            seen.update(rhs)
+        alphabet = Alphabet(sorted(seen))
         for ch in alphabet.letters:
             rules.setdefault(ch, ch)
         return cls(alphabet, rules)
