@@ -1,4 +1,5 @@
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,8 @@ from palrich.errors import OutOfRange, TooLarge, UnsupportedAlphabet
 
 from oracles import is_balanced_naive, is_balanced_sweep, is_rich_naive, totient_gcd_sweep
 from paper_facts import verify_c_identity
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def text(w: bytes) -> str:
@@ -138,6 +141,20 @@ def test_count_rich_matches_naive_sweep():
         assert len(naive) == n_max + 1
         for n in range(n_max + 1):
             assert count_rich(k, n) == naive[n], (k, n)
+
+
+def test_count_rich_matches_golden_past_the_oracle():
+    # R_k(n) beyond the exhaustive sweep's reach: binary to 22, ternary to
+    # 16, quaternary to 13.
+    golden: dict[int, list[int]] = {}
+    for line in (GOLDEN / "rich_counts.csv").read_text().splitlines()[1:]:
+        k, n, count = map(int, line.split(","))
+        assert n == len(golden.setdefault(k, []))
+        golden[k].append(count)
+    assert {k: len(counts) - 1 for k, counts in golden.items()} == {2: 22, 3: 16, 4: 13}
+    for k, counts in golden.items():
+        top = count_rich(k, len(counts) - 1)
+        assert [count_rich(k, n) for n in range(len(counts) - 1)] + [top] == counts, k
 
 
 @pytest.mark.parametrize("order", ["high_first", "low_first"])
