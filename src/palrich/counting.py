@@ -16,8 +16,10 @@ exactly with one depth-first search that counts every length up to n in a
 single pass, pruned by the one-new-palindrome-per-letter property, which is
 hereditary, so the pruning is sound.  Its oracle ``count_rich_naive`` is one
 unpruned sweep over all k^n words, counting every shorter length on the
-way.  Both keep the eertree of the current word in their own flat arrays,
-laid out like ``Eertree``'s, and share no code.
+way.  Both keep the eertree of the current word in their own flat arrays:
+per node its length and suffix link, and one row of transitions per letter
+(``rows[c][node]``, where ``Eertree`` keeps k slots per node), so a letter's
+lookups index one list.  They share no code.
 """
 
 from __future__ import annotations
@@ -164,16 +166,33 @@ def count_rich(alphabet_size: int, n: int) -> int:
 def _rich_counts(k: int, depth: int) -> list[int]:
     """[R(0), ..., R(depth)] over k letters from one pruned search.
 
-    The search keeps the eertree of the current word in flat arrays.  A word
-    is rich iff every prefix adds a new palindrome, so an extension that
-    creates no node is cut with its whole subtree.  On a rich path the node
-    created by letter i is node i+2 and is the longest palindromic suffix, so
-    undoing a letter only clears its one transition.  Richness is preserved
-    by letter permutations: the first letter is fixed and the counts of
-    non-empty words multiplied by k.
+    The search keeps the eertree of the current word in flat arrays, with
+    one row of transitions per letter: ``rows[c][node]`` is the node
+    c·node·c, 0 if there is none.  A word is rich iff every prefix adds a
+    new palindrome, so an extension that creates no node is cut with its
+    whole subtree.  On a rich path the node created by letter i is node i+2
+    and is the longest palindromic suffix, so undoing a letter only clears
+    its one transition.  Richness is preserved by letter permutations: the
+    first letter is fixed and the counts of non-empty words multiplied by k.
+
+    Lemma: on a rich path of length pos, let pre be the letter just before
+    the longest palindromic suffix P = node pos+1, if P is not the whole
+    word.  Then appending pre creates the node pre·P·pre, and appending any
+    other letter c reaches its palindrome by the suffix-link walk from
+    link[P].  Proof: P was created by the last letter, and a node's
+    children are created by later letters, so P has no child yet; pre·P·pre
+    is a palindromic suffix of the word plus pre, the longest one since a
+    longer one would give a palindromic suffix of the word longer than P,
+    and it is not a node.  For c != pre the walk cannot stop at P, whose
+    preceding letter is pre, so it continues at link[P].
+
+    Every word of length at most 2 is rich, so the counts below length 3
+    are [1, k, k*k].  From depth 3 the frame at length depth-2 counts the
+    last two levels itself: it builds each child's node, then counts the
+    child's letters that would create a node, with no node built for them.
     """
-    if depth < 2:
-        return [1, k][: depth + 1]
+    if depth < 3:
+        return [1, k, k * k][: depth + 1]
     found = [0] * (depth + 1)
     # buf[i + 1] is letter i; buf[0] is a sentinel no letter equals, so the
     # suffix-link walks need no bounds test (the length -1 root reads the
@@ -181,41 +200,64 @@ def _rich_counts(k: int, depth: int) -> list[int]:
     buf = bytearray([k]) * (depth + 1)
     length = [-1, 0] + [0] * depth
     link = [0] * (depth + 2)
-    trans = [0] * ((depth + 2) * k)  # trans[node * k + c]; 0 = no edge
+    rows = [[0] * (depth + 2) for _ in range(k)]
     letters = range(k)
+    last = depth - 2
     # The first letter: node 2 = "a", a child of the length -1 root.
     buf[1] = 0
     length[2] = 1
     link[2] = 1
-    trans[0] = 2
+    rows[0][0] = 2
 
     def extend(pos: int) -> None:
-        # The word has pos letters; its longest palindromic suffix is node pos+1.
+        # The word has pos letters; its longest palindromic suffix is node
+        # pos+1, made by the last letter.
         found[pos] += 1
-        to_leaf = pos + 1 == depth
+        top = pos + 1
         new = pos + 2
+        back = link[top]
+        pre = buf[pos - length[top]]
         for c in letters:
-            buf[pos + 1] = c
-            cur = pos + 1
-            while buf[pos - length[cur]] != c:
-                cur = link[cur]
-            slot = cur * k + c
-            if trans[slot]:
-                continue
-            if to_leaf:
-                found[depth] += 1
-                continue
+            buf[top] = c
+            row = rows[c]
+            if c == pre:
+                cur = top
+            else:
+                cur = back
+                while buf[pos - length[cur]] != c:
+                    cur = link[cur]
+                if row[cur]:
+                    continue
             if cur:
                 suffix = link[cur]
                 while buf[pos - length[suffix]] != c:
                     suffix = link[suffix]
-                link[new] = trans[suffix * k + c]
+                link[new] = row[suffix]
             else:
                 link[new] = 1
             length[new] = length[cur] + 2
-            trans[slot] = new
-            extend(pos + 1)
-            trans[slot] = 0
+            row[cur] = new
+            if pos < last:
+                extend(top)
+            else:
+                # The child has depth-1 letters and its newest node is new;
+                # by the lemma its letter before new makes a node, and
+                # each other letter d does iff the walk from link[new]
+                # ends at a node with no child d.
+                found[top] += 1
+                end = pos + 2
+                grand = buf[top - length[new]]
+                start = link[new]
+                made = grand < k
+                for d in letters:
+                    if d != grand:
+                        buf[end] = d
+                        node = start
+                        while buf[top - length[node]] != d:
+                            node = link[node]
+                        made += not rows[d][node]
+                found[depth] += made
+            row[cur] = 0
 
     extend(1)
     return [1] + [f * k for f in found[1:]]
@@ -226,23 +268,27 @@ def count_rich_naive(alphabet_size: int, n: int) -> list[int]:
 
     One unpruned depth-first sweep over all k^n words, with no letter
     symmetry, counting every shorter length on the way.  The sweep keeps the
-    eertree of the current word in its own flat arrays, laid out like
-    ``Eertree``'s: a sentinel in front of the letters, then per node its
-    length, suffix link and k transition slots.  Nodes are numbered by a
+    eertree of the current word in its own flat arrays: a sentinel in front
+    of the letters, per node its length and suffix link, and one row of
+    transitions per letter, ``rows[c][node]``.  Nodes are numbered by a
     creation counter, so a word of length d with ``nodes`` nodes has
     nodes - 2 distinct non-empty palindromes and is counted when
     nodes == d + 2.  Undoing a letter clears the one slot it filled, if
-    any; the counter falls back with the recursion.  The words of length n
-    are counted at their last letter, from the suffix walk and one slot
-    probe, with no node built.  It shares no code with the pruned search of
+    any; the counter falls back with the recursion.  The frame at length
+    n - 1 knows before its letter loop that its children are the last
+    level, and counts each of them from the suffix walk and one slot probe,
+    with no node built.  The sweep is budgeted to n <= 16 and to at most
+    4^12 words of length n.  It shares no code with the pruned search of
     ``count_rich``.
     """
     if alphabet_size not in RICH_BUDGETS:
         raise UnsupportedAlphabet("rich-word counting supports alphabets of 2..4")
     if n < 0:
         raise OutOfRange("length must be non-negative")
-    if n > 16:
-        raise TooLarge("the naive sweep is budgeted to n <= 16")
+    if n > 16 or alphabet_size**n > 4**12:
+        raise TooLarge("the naive sweep is budgeted to n <= 16 and k^n <= 4^12 words")
+    if n == 0:
+        return [1]
     k = alphabet_size
     counts = [0] * (n + 1)
     # buf[i + 1] is letter i; buf[0] is a sentinel no letter equals, so the
@@ -250,27 +296,30 @@ def count_rich_naive(alphabet_size: int, n: int) -> list[int]:
     buf = bytearray([k]) * (n + 1)
     length = [-1, 0] + [0] * n
     link = [0] * (n + 2)
-    trans = [0] * ((n + 2) * k)  # trans[node * k + c]; 0 = no edge
+    rows = [[0] * (n + 2) for _ in range(k)]
     letters = range(k)
+    last = n - 1
 
-    def sweep(pos: int, last: int, nodes: int) -> None:
-        # The word has pos letters, longest palindromic suffix node last.
+    def sweep(pos: int, top: int, nodes: int) -> None:
+        # The word has pos letters, longest palindromic suffix node top.
         counts[pos] += nodes == pos + 2
-        if pos == n:
+        if pos == last:
+            # A word of length n is counted where it ends: its letter adds
+            # a node exactly when the slot is empty.
+            for c in letters:
+                buf[n] = c
+                cur = top
+                while buf[pos - length[cur]] != c:
+                    cur = link[cur]
+                counts[n] += nodes + (not rows[c][cur]) == n + 2
             return
-        to_leaf = pos + 1 == n
         for c in letters:
             buf[pos + 1] = c
-            cur = last
+            row = rows[c]
+            cur = top
             while buf[pos - length[cur]] != c:
                 cur = link[cur]
-            slot = cur * k + c
-            child = trans[slot]
-            if to_leaf:
-                # A word of length n is counted where it ends: its letter
-                # adds a node exactly when the slot is empty.
-                counts[n] += nodes + (not child) == n + 2
-                continue
+            child = row[cur]
             if child:
                 sweep(pos + 1, child, nodes)
                 continue
@@ -278,13 +327,13 @@ def count_rich_naive(alphabet_size: int, n: int) -> list[int]:
                 suffix = link[cur]
                 while buf[pos - length[suffix]] != c:
                     suffix = link[suffix]
-                link[nodes] = trans[suffix * k + c]
+                link[nodes] = row[suffix]
             else:
                 link[nodes] = 1
             length[nodes] = length[cur] + 2
-            trans[slot] = nodes
+            row[cur] = nodes
             sweep(pos + 1, nodes, nodes + 1)
-            trans[slot] = 0
+            row[cur] = 0
 
     sweep(0, 1, 2)
     return counts

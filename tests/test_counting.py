@@ -17,7 +17,13 @@ from palrich.counting import (
 )
 from palrich.errors import OutOfRange, TooLarge, UnsupportedAlphabet
 
-from oracles import is_balanced_naive, is_balanced_sweep, is_rich_naive, totient_gcd_sweep
+from oracles import (
+    DictEertree,
+    is_balanced_naive,
+    is_balanced_sweep,
+    is_rich_naive,
+    totient_gcd_sweep,
+)
 from paper_facts import verify_c_identity
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -175,6 +181,57 @@ def test_count_rich_naive_rejects_bad_requests():
     with pytest.raises(TooLarge):
         count_rich_naive(2, 17)
     assert count_rich_naive(3, 0) == [1]
+
+
+class SweepStarted(Exception):
+    pass
+
+
+def test_count_rich_naive_budgets_its_words_before_the_sweep(monkeypatch):
+    # The sweep's first range() call sets up its arrays, after every check.
+    def started(*args):
+        raise SweepStarted
+
+    monkeypatch.setattr(counting, "range", started, raising=False)
+    for k, n in ((3, 16), (4, 13), (2, 17), (4, 16)):
+        with pytest.raises(TooLarge):
+            count_rich_naive(k, n)
+    # At most 4^12 words of the top length: 4^12 itself is the CLI
+    # oracle's quaternary reach.
+    for k, n in ((4, 12), (3, 15), (2, 16)):
+        with pytest.raises(SweepStarted):
+            count_rich_naive(k, n)
+
+
+def test_pruned_search_matches_the_sweep_below_its_two_level_frame():
+    # The pruned search reads lengths below 3 off [1, k, k*k] and counts
+    # its last two levels in one frame from depth 3 on.
+    counting._RICH_COUNTS.clear()
+    for k in (2, 3, 4):
+        for d in range(5):
+            assert counting._rich_counts(k, d) == count_rich_naive(k, d), (k, d)
+
+
+@given(st.lists(st.integers(0, 2), max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_a_new_node_is_childless_and_its_letter_before_makes_a_node(letters):
+    # The lemma of counting._rich_counts, on any word over three letters.
+    tree = DictEertree()
+    for c in letters:
+        nodes = len(tree.length)
+        tree.push(c)
+        if len(tree.length) == nodes:
+            continue
+        new = tree.node_at[-1]
+        assert new == nodes and tree.trans[new] == {}
+        before = len(tree.data) - tree.length[new] - 1
+        if before < 0:
+            continue
+        longer = DictEertree()
+        for b in tree.data + tree.data[before : before + 1]:
+            longer.push(b)
+        assert len(longer.length) == nodes + 2
+        assert longer.length[longer.node_at[-1]] == tree.length[new] + 2
 
 
 def test_count_rich_budgets():
