@@ -367,7 +367,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # The formula tables are checked against enumeration up to ORACLE_LIMIT,
 # and the rich table against the exhaustive sweep up to RICH_ORACLE_LIMIT.
 # The sweep visits all k^n words (at most 4^12, its budget): at 4^12 it
-# sets the cost of `count --kind rich --alphabet 4 --n-max 12`, about 6 s
+# sets the cost of `count --kind rich --alphabet 4 --n-max 12`, about 7 s
 # on a 2-vCPU x86 host, where the table itself takes 0.13 s.
 ORACLE_LIMIT = 14
 RICH_ORACLE_LIMIT = 12

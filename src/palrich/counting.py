@@ -245,13 +245,12 @@ def _rich_counts(k: int, depth: int) -> list[int]:
                 # each other letter d does iff the walk from link[new]
                 # ends at a node with no child d.
                 found[top] += 1
-                end = pos + 2
                 grand = buf[top - length[new]]
                 start = link[new]
                 made = grand < k
                 for d in letters:
                     if d != grand:
-                        buf[end] = d
+                        buf[depth] = d
                         node = start
                         while buf[top - length[node]] != d:
                             node = link[node]

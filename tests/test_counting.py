@@ -206,10 +206,13 @@ def test_count_rich_naive_budgets_its_words_before_the_sweep(monkeypatch):
 def test_pruned_search_matches_the_sweep_below_its_two_level_frame():
     # The pruned search reads lengths below 3 off [1, k, k*k] and counts
     # its last two levels in one frame from depth 3 on.
+    # From an empty cache, each longer request runs the search to d itself.
     counting._RICH_COUNTS.clear()
     for k in (2, 3, 4):
         for d in range(5):
-            assert counting._rich_counts(k, d) == count_rich_naive(k, d), (k, d)
+            naive = count_rich_naive(k, d)
+            assert count_rich(k, d) == naive[d], (k, d)
+            assert counting._RICH_COUNTS[k] == naive, (k, d)
 
 
 @given(st.lists(st.integers(0, 2), max_size=30))
