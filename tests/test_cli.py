@@ -264,6 +264,30 @@ def test_count_matches_golden(capsys, kind, fmt):
     assert out.encode() == (GOLDEN / f"count_{kind}.{fmt}").read_bytes()
 
 
+REPORT_SOURCES = {
+    "fibonacci_n12": ("--generator", "fibonacci", "--n-max", "12"),
+    "thue_morse_n12": ("--generator", "thue-morse", "--n-max", "12"),
+    "s_word_n6": ("--generator", "s-word", "--n-max", "6"),  # not closed, with its witness
+    "periodic_abacbabc_n8": ("--generator", "periodic", "--block", "abacbabc", "--n-max", "8"),
+    "word_abacaba": ("--word", "abacaba"),
+}
+REPORT_FORMATS = [
+    ("analyze", "text", "txt"),
+    ("analyze", "json", "json"),
+    ("analyze", "csv", "csv"),
+    ("verify", "text", "txt"),
+    ("verify", "json", "json"),
+]
+
+
+@pytest.mark.parametrize("command, fmt, ext", REPORT_FORMATS)
+@pytest.mark.parametrize("source", REPORT_SOURCES)
+def test_report_matches_golden(capsys, source, command, fmt, ext):
+    code, out, err = run(capsys, command, *REPORT_SOURCES[source], "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"{command}_{source}.{ext}").read_bytes()
+
+
 def test_count_table_layout_and_provenance(capsys):
     values = {}
     for kind, provenance in COUNT_KINDS.items():
