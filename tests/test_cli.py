@@ -448,6 +448,27 @@ def test_a_defect_past_the_checked_orders_is_not_an_inconsistency(capsys):
         assert code == 0
 
 
+def test_a_rich_sample_of_a_non_rich_word_is_no_discrepancy(capsys):
+    # Thue-Morse is not rich, but its prefixes of up to 8 letters are: a
+    # short sample cannot refute rich_expected=False.
+    code, out, _ = run(
+        capsys, "verify", "--generator", "thue-morse", "--n-max", "1", "--prefix-cap", "8"
+    )
+    assert "prefix=8\n" in out and "rich=True equality=True conditions=True\n" in out
+    assert "discrepancy" not in out
+    assert code == 0
+    # At order 12 the equality fails while the 3-letter sample is rich: the
+    # open triangle alone is reported.
+    code, out, _ = run(
+        capsys, "verify", "--generator", "thue-morse", "--n-max", "12", "--prefix-cap", "3"
+    )
+    assert out.endswith(
+        "triangle consistent: False\n"
+        "discrepancy: verdict triangle open: rich=True equality=False conditions=False\n"
+    )
+    assert code == 3
+
+
 def test_verify_checks_the_triangle_only_on_reversal_closed_words(capsys):
     # The theorem assumes closure under reversal; abbb... is not closed.
     code, out, _ = run(
