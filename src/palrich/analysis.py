@@ -70,7 +70,7 @@ def profile_from_index(idx: FactorIndex) -> ComplexityProfile:
     """
     n_max = idx.n_max
     C = tuple(idx.complexity(n) for n in range(n_max + 2))
-    P = tuple(idx.palindrome_count(n) for n in range(n_max + 2))
+    P = tuple(idx.palindrome_counts())
     slack = tuple(
         (C[n + 1] - C[n] + 2) - (P[n] + P[n + 1]) for n in range(n_max + 1)
     )
@@ -214,10 +214,8 @@ class TheoremReport(NamedTuple):
         non-rich factor is a factor of the word, so by the theorem the
         equality fails at some order, which may lie past n_max.
 
-        The family's known richness is checked against the sample only where
-        the sample can refute it: every prefix of a rich word is rich, so a
-        non-rich sample refutes ``rich_expected=True``; a non-rich word has
-        rich prefixes, so a rich sample refutes nothing.
+        The known richness counts only where the sample can refute it: a rich
+        word has no non-rich prefix, but a non-rich word has rich prefixes.
         """
         problems = []
         if not self.sweeps_agree:

@@ -180,7 +180,6 @@ class FactorIndex:
             complexity[n] = run
         self._complexity = complexity
         self._levels: dict[int, tuple[bytes, ...]] = {}
-        self._pal_counts: list[int] | None = None
 
     # -- set-level queries ------------------------------------------------
 
@@ -209,21 +208,21 @@ class FactorIndex:
         self._check_length(n)
         return self._complexity[n]
 
-    def palindrome_count(self, n: int) -> int:
-        """Number of palindromic factors of length n (the empty word at 0)."""
-        self._check_length(n)
-        if self._pal_counts is None:
-            has = self.has_factor
-            letters = [bytes((c,)) for c in range(self.alphabet.size)]
-            # Palindromes of lengths n-2 and n-1, grown to length n.
-            older, newer = [b""], [c for c in letters if has(c)]
-            counts = [1, len(newer)]
-            for _ in range(2, self.n_max + 2):
-                grown = [u for p in older for c in letters if has(u := c + p + c)]
-                older, newer = newer, grown
-                counts.append(len(grown))
-            self._pal_counts = counts
-        return self._pal_counts[n]
+    def palindrome_counts(self) -> list[int]:
+        """P(0..D), the number of palindromic factors of each length, in one pass.
+
+        P(0) = 1 is the empty word; length n grows the palindromes of length n - 2.
+        """
+        has = self.has_factor
+        letters = [bytes((c,)) for c in range(self.alphabet.size)]
+        # Palindromes of lengths n-2 and n-1, grown to length n.
+        older, newer = [b""], [c for c in letters if has(c)]
+        counts = [1, len(newer)]
+        for _ in range(2, self.n_max + 2):
+            grown = [u for p in older for c in letters if has(u := c + p + c)]
+            older, newer = newer, grown
+            counts.append(len(grown))
+        return counts
 
     def has_factor(self, u: bytes) -> bool:
         if len(u) <= self.n_max + 1:
@@ -236,8 +235,8 @@ class FactorIndex:
         """Map each length-n factor to its sorted right-extension letters.
 
         Extensions come from F_{n+1} membership, so only occurrences with a
-        neighbor inside the prefix contribute; the last window of a finite
-        prefix adds nothing.  The sorted F_{n+1} lists the extensions of one
+        neighbor inside the word contribute; the last window of a finite
+        word adds nothing.  The sorted F_{n+1} lists the extensions of one
         factor together, in letter order.
         """
         if not 0 <= n <= self.n_max:

@@ -28,6 +28,7 @@ from .words import (
     TERNARY,
     Word,
     fixed_point,
+    morphic_image,
     periodic_word,
     s_word,
 )
@@ -200,7 +201,7 @@ def psi_of_fibonacci(k: int = 0) -> WordFamily:
         # Both images have at least 3 letters, so length // 3 + 1 letters of
         # the Fibonacci word map to at least length + 1 letters.
         base = fixed_point(FIBONACCI, "a", length // 3 + 1)
-        return psi(base)[:length]
+        return morphic_image(psi, base)[:length]
 
     def exact_sets(depth: int) -> set[bytes]:
         base = morphic_factor_sets(FIBONACCI, "a", depth)

@@ -39,28 +39,19 @@ from .words import Alphabet, Word
 
 
 class Eertree:
-    """Palindromic tree in flat arrays, made by ``build``.
+    """Palindromic tree in flat arrays; ``build`` is its one constructor.
 
     Node 0 is the virtual root of length -1, node 1 the empty root.  Every
     other node is a distinct non-empty palindromic factor of the word,
-    numbered in creation order.  ``data`` is the word's own bytes, not a
-    copy.  ``_len`` and ``_link`` hold each node's length and suffix link,
-    and ``node_at`` the longest palindromic suffix node of every prefix.
-    The transitions are one flat list of k slots per node (k the alphabet
-    size): ``_trans[node * k + c]`` is the child c·node·c, or 0 for no edge,
-    which is unambiguous because node 0 is never a child.  A created node
-    appends its k empty slots, so the list holds (nodes + 2)·k entries
-    however long the word is.
+    numbered in creation order.  ``alphabet`` is the word's alphabet and
+    ``data`` its own bytes, not a copy.  ``_len`` and ``_link`` hold each
+    node's length and suffix link, and ``node_at`` the longest palindromic
+    suffix node of every prefix.  The transitions are one flat list of k
+    slots per node (k the alphabet size): ``_trans[node * k + c]`` is the
+    child c·node·c, or 0 for no edge, which is unambiguous because node 0
+    is never a child.  A created node appends its k empty slots, so the
+    list holds (nodes + 2)·k entries however long the word is.
     """
-
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self._k = alphabet.size
-        self.data = b""
-        self._len = [-1, 0]
-        self._link = [0, 0]
-        self._trans = [0] * (2 * self._k)
-        self.node_at: list[int] = []  # per position: longest palindromic suffix node
 
     @classmethod
     def build(cls, w: Word) -> "Eertree":
@@ -73,12 +64,11 @@ class Eertree:
         sentinel and never grows, and the length -1 root reads the letter
         being added and always fits; no walk needs a bounds test.
         """
-        t = cls(w.alphabet)
-        k = t._k
-        t.data = data = w.data
+        k = w.alphabet.size
+        data = w.data
         buf = bytes((k,)) + data
-        length, link, trans = t._len, t._link, t._trans
-        node_at = t.node_at
+        length, link, trans = [-1, 0], [0, 0], [0] * (2 * k)
+        node_at: list[int] = []
         row = [0] * k
         last = 1
         for pos, c in enumerate(data):
@@ -102,6 +92,9 @@ class Eertree:
                 trans[slot] = nxt
             node_at.append(nxt)
             last = nxt
+        t = cls()
+        t.alphabet, t.data, t.node_at = w.alphabet, data, node_at
+        t._len, t._link, t._trans = length, link, trans
         return t
 
     def __len__(self):

@@ -80,34 +80,41 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import NotApplicable, OutOfRange
 from .factors import FactorIndex
+from .words import Alphabet
 
 
-class RauzyGraph:
+class RauzyGraph(NamedTuple):
     """Directed graph of order n: F_n vertices, F_{n+1} edges.
 
     ``right`` is the index's right-extension map and the graph's one
     adjacency: the edges out of v are v + c for the letters c of
-    ``right[v]``.  Vertices, edges and the keys of ``right`` come in index
-    order.
+    ``right[v]``.  ``special`` holds the vertices with two or more right or
+    left extensions.  Vertices, edges and the keys of ``right`` come in
+    index order.
+
+    A ``NamedTuple`` that only :func:`build_rauzy` makes; it equals the
+    plain tuple of its values and iterates over them; no caller relies on
+    either.
     """
 
-    def __init__(self, idx: FactorIndex, n: int):
-        if not 0 <= n <= idx.n_max:
-            raise OutOfRange(f"graph order must satisfy 0 <= n <= n_max = {idx.n_max}")
-        self.n = n
-        self.alphabet = idx.alphabet
-        self.vertices = idx.factors(n)
-        self.edges = idx.factors(n + 1)
-        self.right = right = idx.right_extensions(n)
-        left = idx.left_extensions(n)
-        self.special = frozenset(
-            v for v in self.vertices if len(right[v]) > 1 or len(left[v]) > 1
-        )
+    n: int
+    alphabet: Alphabet
+    vertices: tuple[bytes, ...]
+    edges: tuple[bytes, ...]
+    right: dict[bytes, bytes]
+    special: frozenset[bytes]
 
 
 def build_rauzy(idx: FactorIndex, n: int) -> RauzyGraph:
-    """Order-n Rauzy graph from an index."""
-    return RauzyGraph(idx, n)
+    """Order-n Rauzy graph, 0 <= n <= idx.n_max; the left map only marks specials."""
+    if not 0 <= n <= idx.n_max:
+        raise OutOfRange(f"graph order must satisfy 0 <= n <= n_max = {idx.n_max}")
+    vertices = idx.factors(n)
+    edges = idx.factors(n + 1)
+    right = idx.right_extensions(n)
+    left = idx.left_extensions(n)
+    special = frozenset(v for v in vertices if len(right[v]) > 1 or len(left[v]) > 1)
+    return RauzyGraph(n, idx.alphabet, vertices, edges, right, special)
 
 
 class SimplePath(NamedTuple):
@@ -207,11 +214,11 @@ def _next_paths(
     membership.  Each order-(n+1) path visits the edges of consecutive
     order-n paths; only the first and last edge of each (head and tail) can
     be special at order n+1, so only those are tested.  A one-edge path
-    (fact 3) is read off the specials alone; the map from (source, first
-    letter) to the order-n path is built only when a longer walk needs it.
+    (fact 3) is read off the specials alone; a longer walk reads the order-n
+    paths through a map from (source, first letter), built as the order starts.
     """
     m = n + 1
-    paths: dict[tuple[bytes, int], SimplePath] | None = None
+    paths = {(p.source, p.label[n]): p for p in previous}
     out: list[SimplePath] = []
     for x in sorted(new_specials):
         if x[1:] in specials:
@@ -226,8 +233,6 @@ def _next_paths(
         else:
             # x is the head of an order-n path, and x[1:] has one extension.
             starts = [(b"", x[:-1], x[-1])]
-        if starts and paths is None:
-            paths = {(p.source, p.label[n]): p for p in previous}
         for prefix, s, c in starts:
             parts = [prefix]
             trim = 0
@@ -408,7 +413,7 @@ def path_counting_identity(
 
     ``rg`` is the reduced graph of ``g``; s and p are read from its
     :func:`super_reduce`.  ``pal_counts`` is the pair (P(n), P(n+1)), for
-    instance from ``FactorIndex.palindrome_count``.  The theorem-1
+    instance from ``FactorIndex.palindrome_counts()``.  The theorem-1
     experiment does not evaluate the identity; the tests check it order by
     order.
     """

@@ -100,9 +100,6 @@ class Word:
     def __len__(self):
         return len(self.data)
 
-    def __bool__(self):
-        return bool(self.data)
-
     def __getitem__(self, item):
         if isinstance(item, slice):
             return Word(self.alphabet, self.data[item])
@@ -202,9 +199,6 @@ class Morphism:
         for marker, image in self._long:
             out = out.replace(marker, image)
         return out
-
-    def __call__(self, w: Word) -> Word:
-        return morphic_image(self, w)
 
     def __repr__(self):
         rules = ",".join(

@@ -431,10 +431,10 @@ def psi_of_fibonacci_naive(k: int, length: int):
     never depends on how long the images of psi_k are.
     """
     from palrich.generators import FIBONACCI, psi_morphism
-    from palrich.words import fixed_point
+    from palrich.words import fixed_point, morphic_image
 
     base = fixed_point(FIBONACCI, "a", max(length, 8))
-    return psi_morphism(k)(base)[:length]
+    return morphic_image(psi_morphism(k), base)[:length]
 
 
 def derive_down(top, depth: int, source: bytes | None = None) -> list:

@@ -195,7 +195,7 @@ def cassaigne_formula_check(n_max: int = 50) -> CassaigneCheck:
     m = Morphism.parse("a->aab,b->b")
     idx = FactorIndex(m.alphabet, morphic_factor_sets(m, "a", n_max + 1))
     C = [idx.complexity(n) for n in range(n_max + 2)]
-    P = [idx.palindrome_count(n) for n in range(n_max + 2)]
+    P = idx.palindrome_counts()
     rows = []
     for n in range(1, n_max + 1):
         bracket = 0

@@ -21,7 +21,7 @@ from palrich.generators import (
     get_family,
     psi_morphism,
 )
-from palrich.words import Morphism, Word, fixed_point, periodic_word, s_word
+from palrich.words import Morphism, Word, fixed_point, morphic_image, periodic_word, s_word
 
 from oracles import (
     all_words,
@@ -426,7 +426,7 @@ def test_image_factor_sets_match_prefix_scan():
     base = morphic_factor_sets(FIB, "a", depth)
     psi = psi_morphism(1)
     sets = derive_down(image_factor_sets(psi, base, depth), depth)
-    text = psi(fixed_point(FIB, "a", 4000)).text
+    text = morphic_image(psi, fixed_point(FIB, "a", 4000)).text
     for n in range(depth + 1):
         got = {psi.alphabet.decode(u) for u in sets[n]}
         assert got == window_factors(text[: 3 * 4000 - 50], n)

@@ -12,7 +12,7 @@ from palrich.generators import (
     psi_morphism,
 )
 from palrich.palindromes import Eertree, is_rich_incremental
-from palrich.words import BINARY, Word
+from palrich.words import BINARY, Word, morphic_image
 
 from oracles import (
     derive_down,
@@ -68,7 +68,7 @@ def test_family_block_values():
     assert family_block(1).text == "aabaabaabab"
     assert family_block(2).text == "aabaabaabaabab"
     assert psi_morphism(1).images[0] == Word.parse("aabaabaabab").data
-    assert psi_morphism(0)(Word.parse("b", BINARY)).text == "bab"
+    assert morphic_image(psi_morphism(0), Word.parse("b", BINARY)).text == "bab"
 
 
 def test_exact_lengths():

@@ -76,10 +76,12 @@ class ProjectedSets:
 
 def assert_index_matches(idx, oracle):
     depth = idx.n_max + 1
+    P = idx.palindrome_counts()
+    assert len(P) == depth + 1
     for n in range(depth + 1):
         fset = oracle.factor_set(n)
         assert idx.complexity(n) == len(fset), n
-        assert idx.palindrome_count(n) == oracle.palindromes[n], n
+        assert P[n] == oracle.palindromes[n], n
         assert set(idx.factors(n)) == fset, n
         assert idx.factors(n) == oracle.factors(n), n
         assert all(map(idx.has_factor, fset)), n

@@ -69,9 +69,10 @@ def test_build_eertree_examples():
 def test_palindromic_complexity_fibonacci():
     sp = stabilized_prefix(lambda l: fixed_point(FIB, "a", l), 10)
     by_length = Eertree.build(sp.word).nodes_by_length()
-    assert by_length[6] == sp.index.palindrome_count(6) == 1
-    assert by_length[7] == sp.index.palindrome_count(7) == 2
-    assert sp.index.palindrome_count(0) == 1  # the empty word
+    P = sp.index.palindrome_counts()
+    assert by_length[6] == P[6] == 1
+    assert by_length[7] == P[7] == 2
+    assert P[0] == 1  # the empty word
 
 
 def test_palindromic_complexity_thue_morse_odd_gap():

@@ -388,7 +388,7 @@ def test_dot_cycle_note():
 
 def _identity_holds(idx, g, rg):
     n = g.n
-    pal_counts = (idx.palindrome_count(n), idx.palindrome_count(n + 1))
+    pal_counts = tuple(idx.palindrome_counts()[n : n + 2])
     lhs, rhs, cover_ok = rauzy.path_counting_identity(g, rg, pal_counts)
     return lhs == rhs and cover_ok
 

@@ -76,8 +76,10 @@ def test_count_runs_counting_and_errors_only():
         (("analyze", "--word", "abacaba"), {"counting", "generators", "rauzy"}, True),
         (("graph", "--generator", "fibonacci", "--n", "3", "--tier", "super"),
          {"analysis", "counting", "palindromes"}, False),
+        (("graph", "--word", "abacaba", "--n", "2", "--tier", "super"),
+         {"analysis", "counting", "generators", "palindromes"}, True),
     ],
-    ids=["verify-word", "analyze-word", "graph"],
+    ids=["verify-word", "analyze-word", "graph", "graph-word"],
 )
 def test_a_command_runs_none_of_the_modules_it_does_not_use(argv, unused, light):
     result, _ = child(*argv)
