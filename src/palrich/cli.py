@@ -1,13 +1,17 @@
 """Command-line surface: analyze, graph, verify, count.
 
 Exit codes: 0 success, 1 usage error found after parsing (a bad value, an
-oversized request, a parameter the source does not read), 2 the parser
-rejected the command line (an unknown option or one the subcommand does not
-take, a missing or malformed argument), 3 internal consistency failure (a
-formula fails its oracle, or a reversal-closed word's triangle is open).
+oversized request, a parameter the source does not read, an ``--out`` path
+that cannot be opened), 2 the parser rejected the command line (an unknown
+option or one the subcommand does not take, a missing or malformed
+argument), 3 internal consistency failure (a formula fails its oracle, or a
+reversal-closed word's triangle is open).
 The commands read the parser's namespace; ``_check`` makes every check of
 its options that the parser cannot, before any command runs, and the
 parser's ``choices`` leave no unknown command, tier or counting kind.
+Every report goes through one writer: a command builds its JSON payload
+once, and ``_report`` renders it and opens ``--out`` through ``_output``,
+through which ``graph`` streams its DOT too.
 A generator's C, P and graphs come from its exact factor sets, for the
 orders 0..--n-max only, and ``rich`` reads only its first ``--prefix-cap``
 letters (at most 4,096): a defect beyond the sample goes unseen, and can
@@ -134,19 +138,24 @@ def _check(args: argparse.Namespace) -> None:
         raise UsageError(f"count --kind {args.kind} takes no --alphabet")
 
 
-@contextlib.contextmanager
 def _output(out: str | None):
-    """The text stream a command writes to: the file ``out``, or stdout."""
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-    else:
-        yield sys.stdout
+    """A context giving the text stream a command writes to: the file ``out``, or stdout.
+
+    A path that cannot be opened is a usage error.
+    """
+    if not out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror}") from None
 
 
-def _emit(text: str, out: str | None):
-    with _output(out) as fh:
-        fh.write(text)
+def _report(args: argparse.Namespace, payload: dict, lines) -> None:
+    """Write ``payload`` as JSON, or the text or CSV ``lines()`` built from it."""
+    text = json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines())
+    with _output(args.out) as fh:
+        fh.write(text + "\n")
 
 
 def _source(args: argparse.Namespace) -> words.Word | generators.WordFamily:
@@ -217,29 +226,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         },
         "rows": rows,
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        lines = ["n,C,P,slack,right_special,left_special,bispecial,rich"]
-        for r in rows:
-            lines.append(
-                f"{r['n']},{r['C']},{r['P']},{r['slack']},{r['right_special']},"
-                f"{r['left_special']},{r['bispecial']},{rich.rich}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [
-            f"source: {payload['source']}",
-            f"reversal_closed={prof.reversal_closed}",
-            f"rich={rich.rich} defect={rich.defect}",
-            f"{'n':>4} {'C':>8} {'P':>6} {'slack':>6} {'special(r/l/bi)':>16}",
-        ]
+
+    def lines():
+        richness = payload["richness"]
+        if args.format == "csv":
+            # The columns are the rows' keys, then the verdict; order 0 always has a row.
+            yield ",".join([*rows[0], "rich"])
+            yield from (",".join(map(str, [*r.values(), richness["rich"]])) for r in rows)
+            return
+        yield f"source: {payload['source']}"
+        yield f"reversal_closed={payload['reversal_closed']}"
+        yield f"rich={richness['rich']} defect={richness['defect']}"
+        yield f"{'n':>4} {'C':>8} {'P':>6} {'slack':>6} {'special(r/l/bi)':>16}"
         for r in rows:
             special = f"{r['right_special']}/{r['left_special']}/{r['bispecial']}"
-            lines.append(
-                f"{r['n']:>4} {r['C']:>8} {r['P']:>6} {r['slack']:>6} {special:>16}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+            yield f"{r['n']:>4} {r['C']:>8} {r['P']:>6} {r['slack']:>6} {special:>16}"
+
+    _report(args, payload, lines)
     return EXIT_OK
 
 
@@ -278,17 +281,16 @@ def _verify_literal(args: argparse.Namespace) -> int:
         "agree": report.agree,
         "identity_rows": [list(row) for row in report.identity_rows],
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [
-            f"word: {args.word}",
-            f"palindrome count = |w|+1: {report.count_ok}",
-            f"complete returns palindromic: {report.returns_ok}",
-            f"complexity identity on 0..|w|: {report.identity_ok}",
-            f"three-way agreement: {report.agree}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+
+    def lines():
+        props = payload["properties"]
+        yield f"word: {payload['word']}"
+        yield f"palindrome count = |w|+1: {props['count']}"
+        yield f"complete returns palindromic: {props['returns']}"
+        yield f"complexity identity on 0..|w|: {props['identity']}"
+        yield f"three-way agreement: {payload['agree']}"
+
+    _report(args, payload, lines)
     return EXIT_OK if report.agree else EXIT_INCONSISTENT
 
 
@@ -297,7 +299,6 @@ def _verify_generator(args: argparse.Namespace) -> int:
         _source(args), args.n_max, prefix_cap=args.prefix_cap
     )
     prof = report.profile
-    witness = prof.closure_witness
     problems = report.discrepancies()
     payload = {
         "report": "verify-theorem1",
@@ -306,7 +307,7 @@ def _verify_generator(args: argparse.Namespace) -> int:
         "prefix_length": report.prefix_length,
         "closure": {
             "ok": prof.reversal_closed,
-            "witness": witness.text if witness else None,
+            "witness": prof.closure_witness.text if prof.closure_witness else None,
         },
         "richness": {
             "incremental": report.incremental.rich,
@@ -334,25 +335,19 @@ def _verify_generator(args: argparse.Namespace) -> int:
         ],
         "discrepancies": list(problems),
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [
-            f"source: {report.description}",
-            f"prefix={report.prefix_length}",
-            f"closure: {prof.reversal_closed}"
-            + (
-                f" (witness {witness.text!r}/{witness.reversed().text!r})"
-                if witness
-                else ""
-            ),
-            f"rich={report.rich} equality={report.equality_all} "
-            f"conditions={report.conditions_all}",
-            f"triangle consistent: {report.triangle_consistent}",
-        ]
-        for problem in problems:
-            lines.append(f"discrepancy: {problem}")
-        _emit("\n".join(lines) + "\n", args.out)
+
+    def lines():
+        closure, v = payload["closure"], payload["verdicts"]
+        w = closure["witness"]
+        # The family's description is the one fact the JSON does not hold.
+        yield f"source: {report.description}"
+        yield f"prefix={payload['prefix_length']}"
+        yield f"closure: {closure['ok']}" + (f" (witness {w!r}/{w[::-1]!r})" if w else "")
+        yield f"rich={v['rich']} equality={v['equality']} conditions={v['conditions']}"
+        yield f"triangle consistent: {v['triangle_consistent']}"
+        yield from (f"discrepancy: {problem}" for problem in payload["discrepancies"])
+
+    _report(args, payload, lines)
     return EXIT_INCONSISTENT if problems else EXIT_OK
 
 
@@ -403,21 +398,23 @@ def cmd_count(args: argparse.Namespace) -> int:
         provenance, mismatch = "enumeration", "enumeration/sweep"
     for n, count in enumerate(oracle or ()):
         if count != values[n]:
-            _emit(f"{mismatch} mismatch at n={n}\n", None)
+            # The mismatch goes to stdout even with --out: no report is written.
+            sys.stdout.write(f"{mismatch} mismatch at n={n}\n")
             return EXIT_INCONSISTENT
-    if args.format == "json":
-        payload = {
-            "kind": kind,
-            "alphabet_size": alphabet_size,
-            "provenance": provenance,
-            "values": [{"n": n, "count": count} for n, count in enumerate(values)],
-            "report": "count",
-            "oracle_checked_to": oracle_checked_to,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        rows = (f"{n},{count},{provenance}\n" for n, count in enumerate(values))
-        _emit("n,count,provenance\n" + "".join(rows), args.out)
+    payload = {
+        "kind": kind,
+        "alphabet_size": alphabet_size,
+        "provenance": provenance,
+        "values": [{"n": n, "count": count} for n, count in enumerate(values)],
+        "report": "count",
+        "oracle_checked_to": oracle_checked_to,
+    }
+
+    def lines():
+        yield "n,count,provenance"
+        yield from (f"{v['n']},{v['count']},{payload['provenance']}" for v in payload["values"])
+
+    _report(args, payload, lines)
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from palrich import analysis, cli, counting, generators, words
+from palrich import analysis, cli, counting, factors, generators, words
 from palrich.cli import _build_parser, main
 from palrich.factors import FactorIndex
 from palrich.generators import RICHNESS_SAMPLE_CAP, get_family
@@ -189,6 +189,13 @@ def test_graph_failed_build_writes_no_file(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_an_unconverged_closure_is_a_usage_error(capsys, monkeypatch):
+    # Fibonacci's closure at depth 31 takes 8 rounds.
+    monkeypatch.setattr(factors, "CLOSURE_ROUND_LIMIT", 2)
+    code, out, err = run(capsys, "analyze", "--generator", "fibonacci", "--n-max", "30")
+    assert (code, out, err) == (1, "", "error: factor closure did not converge within 2 rounds\n")
+
+
 def test_graph_unary_cycle_note(capsys):
     code, out, _ = run(
         capsys, "graph", "--word", "aaaaaaaaaa", "--n", "1", "--tier", "reduced"
@@ -288,6 +295,59 @@ def test_report_matches_golden(capsys, source, command, fmt, ext):
     assert out.encode() == (GOLDEN / f"{command}_{source}.{ext}").read_bytes()
 
 
+OUT_COMMAND_LINES = (
+    [
+        (command, *REPORT_SOURCES[source], "--format", fmt)
+        for command, fmt, _ in REPORT_FORMATS
+        for source in REPORT_SOURCES
+    ]
+    + [
+        ("count", "--kind", kind, *(("--alphabet", "3") if kind == "rich" else ()),
+         "--n-max", "6", "--format", fmt)
+        for kind in COUNT_KINDS
+        for fmt in ("csv", "json")
+    ]
+    + [
+        ("graph", "--generator", *source, "--tier", tier)
+        for source in (("fibonacci", "--n", "2"), ("periodic", "--block", "abacbabc", "--n", "2"))
+        for tier in ("raw", "reduced", "super")
+    ]
+    + [
+        ("graph", "--generator", "periodic", "--block", "ab", "--n", "3", "--tier", "super"),
+        ("graph", "--generator", "thue-morse", "--n", "3", "--tier", "super"),
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", OUT_COMMAND_LINES, ids=" ".join)
+def test_out_writes_the_bytes_of_stdout(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv)
+    target = tmp_path / "report"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "", err)
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--word", "aba"),
+        ("verify", "--word", "aba"),
+        ("count", "--kind", "sturmian", "--n-max", "3"),
+        ("graph", "--word", "aba", "--n", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("missing", [True, False], ids=["missing-directory", "directory"])
+def test_an_unopenable_out_path_is_a_usage_error(capsys, tmp_path, argv, missing):
+    if missing:
+        path, reason = tmp_path / "missing" / "x.out", "No such file or directory"
+    else:
+        path, reason = tmp_path, "Is a directory"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out, err) == (1, "", f"error: cannot write {path}: {reason}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_count_table_layout_and_provenance(capsys):
     values = {}
     for kind, provenance in COUNT_KINDS.items():
@@ -316,7 +376,7 @@ def test_count_table_layout_and_provenance(capsys):
         ("sturmian", "enumerate_balanced", "formula/oracle mismatch at n=5"),
     ],
 )
-def test_count_reports_oracle_mismatch(capsys, monkeypatch, kind, oracle, message):
+def test_count_reports_oracle_mismatch(capsys, monkeypatch, tmp_path, kind, oracle, message):
     original = getattr(counting, oracle)
 
     def off_by_one_at_5(*args):
@@ -333,6 +393,11 @@ def test_count_reports_oracle_mismatch(capsys, monkeypatch, kind, oracle, messag
     code, out, _ = run(capsys, "count", "--kind", kind, "--n-max", "8")
     assert code == 3
     assert out == message + "\n"
+    # The mismatch is no report: it goes to stdout, and --out is not opened.
+    target = tmp_path / "x.csv"
+    code, out, _ = run(capsys, "count", "--kind", kind, "--n-max", "8", "--out", str(target))
+    assert (code, out) == (3, message + "\n")
+    assert not target.exists()
 
 
 def _assert_count_rejects(capsys, extra):

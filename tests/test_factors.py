@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palrich.errors import OutOfRange, WordTooShort
+from palrich import factors
+from palrich.errors import OutOfRange, StabilizationFailed, WordTooShort
 from palrich.factors import (
     _image_windows,
     build_index,
@@ -419,6 +420,13 @@ def test_closure_from_one_window_matches_the_prefix_seeded_closure(m):
 @pytest.mark.parametrize("m,depth", [(CAS, 121), (FIB, 301)], ids=["cassaigne-aab", "fibonacci"])
 def test_closure_from_one_window_matches_the_prefix_seeded_closure_deep(m, depth):
     assert morphic_factor_sets(m, "a", depth) == prefix_seeded_closure(m, "a", depth)
+
+
+def test_the_closure_stops_at_its_round_limit(monkeypatch):
+    # Fibonacci's closure at depth 31 takes 8 rounds.
+    monkeypatch.setattr(factors, "CLOSURE_ROUND_LIMIT", 2)
+    with pytest.raises(StabilizationFailed, match="within 2 rounds"):
+        morphic_factor_sets(FIB, "a", 31)
 
 
 def test_image_factor_sets_match_prefix_scan():
