@@ -37,11 +37,12 @@ from .palindromes import (
 )
 from .words import Word
 
-# Only theorem1_experiment and _order_record run rauzy, and they import it
-# themselves, so `verify --word` runs neither rauzy nor generators.
+# Only theorem1_experiment and _order_record run evolution and rauzy, and
+# they import them themselves, so `verify --word` runs neither, nor
+# generators.
 if TYPE_CHECKING:
     from .generators import WordFamily
-    from .rauzy import ReducedRauzyGraph
+    from .evolution import CarriedGraph
 
 
 class ComplexityProfile(NamedTuple):
@@ -244,20 +245,21 @@ class TheoremReport(NamedTuple):
         return tuple(problems)
 
 
-def _order_record(rg: ReducedRauzyGraph, prof: ComplexityProfile) -> OrderRecord:
+def _order_record(
+    cg: CarriedGraph, prof: ComplexityProfile, last: OrderRecord | None
+) -> OrderRecord:
     from . import rauzy
 
-    n = rg.n
-    periodic_route = rg.no_specials
-    if periodic_route:
+    n = cg.n
+    if not cg.vertices:
         # No specials means C(n+1) = C(n); equality then says
         # P(n) + P(n+1) = 2, the purely periodic signature.
         cond1 = cond2 = prof.P[n] + prof.P[n + 1] == 2
-    else:
-        sg = rauzy.super_reduce(rg)
-        cond1, _ = rauzy.palindromic_path_condition(rg)
-        cond2 = rauzy.is_tree(sg)
-    return OrderRecord(n, periodic_route, cond1, cond2)
+        return OrderRecord(n, True, cond1, cond2)
+    if cg.quiet:
+        return last._replace(n=n)
+    cond1 = rauzy.palindromic_path_condition(cg)
+    return OrderRecord(n, False, cond1, rauzy.is_tree(cg))
 
 
 def theorem1_experiment(
@@ -275,20 +277,24 @@ def theorem1_experiment(
     incremental scan of its eertree and the eertree-free complete-return
     sweep both read the whole sample, so a defect past it goes unseen; the
     report keeps both verdicts.  The reduced Rauzy graphs of orders
-    0..n_max come from one pass of :func:`rauzy.reduced_graphs`, each
-    evolved from the one before; no order builds its full Rauzy graph.
-    Each order super-reduces its graph and records only the verdicts the
-    reports and :meth:`TheoremReport.discrepancies` read.
+    0..n_max come from one pass of :func:`evolution.carried_graphs`, each
+    carried from the one before; no order builds its full Rauzy graph or
+    its super-reduced graph.  Each order reads both conditions off the
+    carried counts and records only the verdicts the reports and
+    :meth:`TheoremReport.discrepancies` read; a quiet order repeats the
+    verdicts of the order before (fact 4 of ``evolution``).
     """
-    from . import rauzy
+    from . import evolution
 
     idx = family.index(n_max)
     prof = profile_from_index(idx)
     sample = family.sample(prefix_cap)
     incremental = is_rich_incremental(Eertree.build(sample))
     by_returns = is_rich_by_returns(sample)
-    orders = tuple(_order_record(rg, prof) for rg in rauzy.reduced_graphs(idx))
+    orders: list[OrderRecord] = []
+    for cg in evolution.carried_graphs(idx, prof.reversal_closed):
+        orders.append(_order_record(cg, prof, orders[-1] if orders else None))
     return TheoremReport(
-        family.describe(), len(sample), prof, incremental, by_returns, orders,
+        family.describe(), len(sample), prof, incremental, by_returns, tuple(orders),
         family.rich_expected,
     )

@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 usage error found after parsing (a bad value, an
 oversized request, a parameter the source does not read, an ``--out`` path
-that cannot be opened), 2 the parser rejected the command line (an unknown
-option or one the subcommand does not take, a missing or malformed
-argument), 3 internal consistency failure (a formula fails its oracle, or a
-reversal-closed word's triangle is open).
+that is empty or cannot be opened, written or closed), 2 the parser
+rejected the command line (an unknown option or one the subcommand does
+not take, a missing or malformed argument), 3 internal consistency failure
+(a formula fails its oracle, or a reversal-closed word's triangle is
+open).
 The commands read the parser's namespace; ``_check`` makes every check of
 its options that the parser cannot, before any command runs, and the
 parser's ``choices`` leave no unknown command, tier or counting kind.
@@ -24,7 +25,7 @@ A command executes only the modules it runs; the others stay deferred
 ``verify --word`` run ``analysis``, ``factors``, ``palindromes`` and
 ``words``; ``graph`` runs ``factors``, ``rauzy`` and ``words``.  A
 generator source adds ``generators``, and ``verify`` of a generator adds
-``rauzy`` too, so it runs every module but ``counting``.
+``evolution`` and ``rauzy`` too, so it runs every module but ``counting``.
 """
 
 from __future__ import annotations
@@ -132,21 +133,26 @@ def _check(args: argparse.Namespace) -> None:
             f"prefix cap {prefix_cap} must be at least 1: it is the "
             "length of the richness sample"
         )
+    if args.out == "":
+        raise UsageError("the --out path must be non-empty")
     if args.command == "graph" and args.n < 0:
         raise UsageError("--n must be non-negative")
     if args.command == "count" and args.alphabet is not None and args.kind != "rich":
         raise UsageError(f"count --kind {args.kind} takes no --alphabet")
 
 
+@contextlib.contextmanager
 def _output(out: str | None):
     """A context giving the text stream a command writes to: the file ``out``, or stdout.
 
-    A path that cannot be opened is a usage error.
+    A path that cannot be opened, written or closed is a usage error.
     """
-    if not out:
-        return contextlib.nullcontext(sys.stdout)
+    if out is None:
+        yield sys.stdout
+        return
     try:
-        return open(out, "w", encoding="utf-8", newline="")
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            yield fh
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror}") from None
 

@@ -15,8 +15,8 @@ checked through the periodicity route by callers, and :func:`reduced_dot`
 draws the cycle from the raw graph.
 
 An index built for n_max answers every order 0..n_max (``factors``
-docstring): the order-n graph reads F_n and F_{n+1}, and the evolution
-below reads factors of length at most n+1 at order n.
+docstring): the order-n graph reads F_n and F_{n+1}, and
+``palrich.evolution`` reads factors of length at most n+1 at order n.
 
 Each fact has one source.  A Rauzy graph keeps one adjacency, the
 right-extension map of ``FactorIndex.right_extensions``: the edges out of
@@ -28,59 +28,23 @@ hand their nodes and (a, b, label) edges to one line writer, which writes
 each line to the text stream it is given as it makes it, so no DOT text
 is held.
 
-:func:`build_rauzy` and :func:`reduce` build one order from its factor sets.
-:func:`reduced_graphs` evolves the reduced graph from one order to the next,
-after Cassaigne ("Complexité et facteurs spéciaux", 1997).  Write S_n for
-the special factors of length n and L(w, c) for the label of the order-n
-simple path that leaves w in S_n through the edge w + c.  The order-(n+1)
-vertices are the order-n edges.  Three facts carry one order to the next:
-
-1. *Specials.*  Every x in S_{n+1} is b + w or w + c with w in S_n.  If x is
-   right special, x + a and x + b are factors, hence so are x[1:] + a and
-   x[1:] + b, and x[1:] is right special; likewise a left-special x has a
-   left-special x[:-1]; this needs only closure under taking factors.
-   ``FactorIndex.specials`` reads S_n, with right letters, off the sorted
-   windows (facts (R) and (L) of ``factors``) for :func:`reduced_graphs`
-   and for the counts of ``palrich analyze``.
-2. *Interior edges.*  An edge in the interior of an order-n simple path
-   joins two non-special vertices, so by fact 1 it is not special at order
-   n+1.  Only the first edge (the head) and the last edge (the tail) of an
-   order-n path can be.
-3. *Paths follow labels.*  Let e be an order-n edge whose end e[1:] is not
-   special.  Then e[1:] has one right extension d, and every right
-   extension of e is one of e[1:], so e + d is the only edge out of e at
-   order n+1, provided e has a right extension at all.  Hence an
-   order-(n+1) walk reads the order-n labels end to end.  From x in S_{n+1}
-   it starts as x[:1] + L(x[1:], c), one per right extension c of x, when
-   x[1:] is in S_n.  Otherwise x[:-1] is in S_n (fact 1) and x is the head
-   of L(x[:-1], x[-1]), which the walk follows.  At a tail that is not in
-   S_{n+1} the walk leaves the order-n target t through the tail's one
-   right extension d and appends L(t, d)[n:].  It stops at the first head
-   or tail in S_{n+1}; by fact 2 nothing in between can stop it.
-   *One edge.*  If x[1:] is in S_n and x[1:] + c is in S_{n+1}, the path is
-   the one edge x -> x[1:] + c with label x + c: x + c is a factor, since c
-   is a right letter of x, and its end x[1:] + c is special, so the walk
-   stops there.  It reads no order-n path.  Up to order 120 such paths are
-   13,595 of the 20,259 of cassaigne-aab and 13,493 of the 20,106 of
-   quadratic-abab, about two in three.
-
-Facts 1 and 2 hold for any sets closed under taking factors; fact 3 needs
-in addition that each edge met has a right extension.  So
-:func:`reduced_graphs` takes an index in which every factor of length at
-most n_max has a right extension.  Every factor of an infinite word has
-one, so every ``WordFamily.index`` qualifies.  A finite word's final
-suffix may have none; its graphs take one order at a time,
-``reduce(build_rauzy(idx, n))``, where a walk that meets that suffix makes
-no path.
+:func:`build_rauzy` and :func:`reduce` build one order from its factor sets,
+and :func:`super_reduce` quotients it; ``palrich graph`` draws them.
+``palrich verify`` builds none of them: ``palrich.evolution`` carries the
+reduced graph from each order to the next, and :func:`is_tree` and
+:func:`palindromic_path_condition` read the two conditions off its counts.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from .errors import NotApplicable, OutOfRange
 from .factors import FactorIndex
 from .words import Alphabet
+
+if TYPE_CHECKING:
+    from .evolution import CarriedGraph
 
 
 class RauzyGraph(NamedTuple):
@@ -125,7 +89,7 @@ class SimplePath(NamedTuple):
     length-(n+1) windows, both in walk order.
 
     A ``NamedTuple``, so paths sort by (source, target, label), as
-    ``reduce`` and ``reduced_graphs`` list them.  It also iterates as
+    ``reduce`` lists them.  It also iterates as
     (source, target, label), the edge that ``reduced_dot`` draws.
     """
 
@@ -195,100 +159,6 @@ def reduce(g: RauzyGraph) -> ReducedRauzyGraph:
     return ReducedRauzyGraph(g.n, tuple(sorted(g.special)), tuple(_simple_paths(g)))
 
 
-# -- Evolution across orders -------------------------------------------------
-
-_Specials = dict[bytes, tuple[bool, bytes]]  # one order of FactorIndex.specials
-_LETTERS = [bytes((c,)) for c in range(256)]
-
-
-def _next_paths(
-    previous: Sequence[SimplePath],
-    specials: _Specials,
-    new_specials: _Specials,
-    has: Callable[[bytes], bool],
-    n: int,
-) -> list[SimplePath]:
-    """The order-(n+1) simple paths, spliced from the order-n ones (facts 2, 3).
-
-    ``previous`` holds the order-n paths and ``has`` tests factor
-    membership.  Each order-(n+1) path visits the edges of consecutive
-    order-n paths; only the first and last edge of each (head and tail) can
-    be special at order n+1, so only those are tested.  A one-edge path
-    (fact 3) is read off the specials alone; a longer walk reads the order-n
-    paths through a map from (source, first letter), built as the order starts.
-    """
-    m = n + 1
-    paths = {(p.source, p.label[n]): p for p in previous}
-    out: list[SimplePath] = []
-    for x in sorted(new_specials):
-        if x[1:] in specials:
-            starts = []
-            for c in new_specials[x][1]:
-                label = x + _LETTERS[c]
-                target = label[1:]
-                if target in new_specials:
-                    out.append(SimplePath(x, target, label))
-                else:
-                    starts.append((x[:1], x[1:], c))
-        else:
-            # x is the head of an order-n path, and x[1:] has one extension.
-            starts = [(b"", x[:-1], x[-1])]
-        for prefix, s, c in starts:
-            parts = [prefix]
-            trim = 0
-            check_head = False
-            for _ in range(len(paths) + 1):
-                path = paths[s, c]
-                label = path.label
-                if check_head and label[:m] in new_specials:
-                    parts.append(label[trim:m])
-                    out.append(SimplePath(x, label[:m], b"".join(parts)))
-                    break
-                parts.append(label[trim:])
-                tail = label[-m:]
-                if tail in new_specials:
-                    out.append(SimplePath(x, tail, b"".join(parts)))
-                    break
-                # A non-special tail has exactly one right extension.
-                s = path.target
-                right = [d for d in specials[s][1] if has(tail + _LETTERS[d])]
-                if len(right) != 1:
-                    raise AssertionError("non-special vertex with out-degree != 1")
-                c = right[0]
-                trim = n
-                check_head = True
-            else:
-                raise AssertionError("walk exceeded the path count; sets corrupt")
-    out.sort()
-    return out
-
-
-def reduced_graphs(idx: FactorIndex) -> Iterator[ReducedRauzyGraph]:
-    """``reduce(build_rauzy(idx, n))`` for n = 0..idx.n_max, each from the last.
-
-    The special factors of each order come from ``FactorIndex.specials``;
-    the simple paths of order n carry over to order n+1 through facts 2
-    and 3 of the module docstring; no order builds its full Rauzy graph,
-    and an order without special factors reads no factor set at all.
-    Every factor of ``idx`` of length at most n_max must have a right
-    extension, as in the index of an infinite word.
-    """
-    previous: _Specials = {}
-    paths: list[SimplePath] = []
-    for n, specials in enumerate(idx.specials()):
-        if n == 0:
-            # One path per letter, from the empty word to itself.
-            paths = [
-                SimplePath(b"", b"", bytes((c,)))
-                for _, right in specials.values()
-                for c in right
-            ]
-        elif previous:
-            paths = _next_paths(paths, previous, specials, idx.has_factor, n - 1)
-        previous = specials
-        yield ReducedRauzyGraph(n, tuple(sorted(specials)), tuple(paths))
-
-
 class SuperEdge(NamedTuple):
     """One edge of the super-reduced graph: two classes and a label class.
 
@@ -356,38 +226,34 @@ def super_reduce(rg: ReducedRauzyGraph) -> SuperReducedRauzyGraph:
     return SuperReducedRauzyGraph(rg.n, tuple(sorted(set(least.values()))), edges)
 
 
-def is_tree(sg: SuperReducedRauzyGraph) -> bool:
-    """Connected with exactly s-1 edges; multi-edges break tree-ness."""
-    if len(sg.edges) != sg.s - 1:
+def is_tree(cg: CarriedGraph) -> bool:
+    """Condition 2: the super-reduced graph is connected with exactly s-1 edges.
+
+    Each label class of ``cg.edges`` is one edge, so multi-edges and loops
+    break tree-ness; one union-find over the vertices' reversal classes
+    tests connectivity.
+    """
+    if len(cg.edges) != cg.s - 1:
         return False
-    parent = {c: c for c in sg.classes}
+    parent = {}
 
     def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
+        while x in parent:
             x = parent[x]
         return x
 
-    components = sg.s
-    for e in sg.edges:
-        ra, rb = find(e.class_a), find(e.class_b)
-        if ra != rb:
+    components = cg.s
+    for path, *_ in cg.edges.values():
+        ra, rb = find(path.source.cls), find(path.target.cls)
+        if ra is not rb:
             parent[ra] = rb
             components -= 1
     return components == 1
 
 
-def palindromic_path_condition(
-    rg: ReducedRauzyGraph,
-) -> tuple[bool, SimplePath | None]:
-    """Every simple path from a special factor to its reversal is palindromic.
-
-    Returns the first counterexample path in sorted order, if any.
-    """
-    for path in rg.edges:
-        if path.target == path.source[::-1] and not path.palindromic:
-            return False, path
-    return True, None
+def palindromic_path_condition(cg: CarriedGraph) -> bool:
+    """Condition 1: every simple path from a special factor to its reversal is palindromic."""
+    return cg.bad == 0
 
 
 def _central_factor(label: bytes, m: int) -> bytes:

@@ -2,7 +2,9 @@
 
 Everything here trades speed for obviousness: plain window enumeration,
 plain substring scans, constraint-filling for palindromic closure.  None of
-it calls the code paths it is checking.
+it calls the code paths it is checking, but for the three functions at the
+end, from :func:`carried_paths` on, which hold ``palrich.evolution`` and
+fact 4 of its docstring against the per-order graphs.
 """
 
 from itertools import chain, product
@@ -458,7 +460,7 @@ def derive_down(top, depth: int, source: bytes | None = None) -> list:
 def specials_evolution(idx):
     """S_n for n = 0..idx.n_max, each from the last by factor membership.
 
-    Cassaigne's evolution (fact 1 of ``rauzy``): a right-special x of
+    Cassaigne's evolution (fact 1 of ``evolution``): a right-special x of
     length n+1 has a right-special x[1:], and a left-special x a
     left-special x[:-1], so S_{n+1} lies among the one-letter extensions
     of S_n, and each candidate is judged by 2k ``has_factor`` tests.  Each
@@ -519,3 +521,173 @@ def super_reduce_per_path(rg):
         for label in sorted(labels)
     )
     return SuperReducedRauzyGraph(rg.n, tuple(classes), edges)
+
+
+def super_graph_is_tree(sg):
+    """Whether the super-reduced graph ``sg`` is a tree: s - 1 edges, connected.
+
+    Each ``SuperEdge`` counts as one edge, so multi-edges and loops break
+    tree-ness; connectivity is a search from the first class.
+    """
+    if len(sg.edges) != sg.s - 1:
+        return False
+    neighbours = {c: set() for c in sg.classes}
+    for e in sg.edges:
+        neighbours[e.class_a].add(e.class_b)
+        neighbours[e.class_b].add(e.class_a)
+    seen, stack = set(), list(sg.classes[:1])
+    while stack:
+        c = stack.pop()
+        if c not in seen:
+            seen.add(c)
+            stack.extend(neighbours[c])
+    return len(seen) == sg.s
+
+
+def palindromic_path_witness(rg):
+    """The least simple path of ``rg`` from a special w to w reversed whose label is no palindrome."""
+    return next(
+        (p for p in rg.edges if p.target == p.source[::-1] and not p.palindromic), None
+    )
+
+
+def graph_verdicts(idx, n):
+    """(condition 1, condition 2) of order n from the per-order build, or None without specials."""
+    from palrich.rauzy import build_rauzy, reduce, super_reduce
+
+    rg = reduce(build_rauzy(idx, n))
+    if rg.no_specials:
+        return None
+    return palindromic_path_witness(rg) is None, super_graph_is_tree(super_reduce(rg))
+
+
+def shifted_paths(idx, n: int) -> set:
+    """The order-(n+1) simple paths that the shift φ carries from order n.
+
+    The rule of fact 4 of ``evolution``, read off the per-order graphs and the
+    index's extension maps.  φ maps a right special u with one left letter
+    a to a + u, and a left special u with one right letter c to u + c.  A
+    path u -> v of order n goes to φ(u) -> φ(v), its label grown by a in
+    front when u is right special and by the one right letter of v at the
+    end when v is left special, unless u or v is bispecial or has no
+    image, or φ(u) or φ(v) is bispecial.  The rule's third exclusion, a
+    head or tail edge that extends a bispecial factor of length n, is left
+    out: the endpoint exclusions imply it (fact 4), so the prediction is
+    the same.
+    """
+    from palrich.rauzy import SimplePath, build_rauzy, reduce
+
+    left, right = idx.left_extensions(n), idx.right_extensions(n)
+    left1, right1 = idx.left_extensions(n + 1), idx.right_extensions(n + 1)
+
+    def bispecial(u, lefts, rights):
+        return len(lefts[u]) > 1 and len(rights[u]) > 1
+
+    def phi(u):
+        """(φ(u), letter grown in front, letter grown at the end), or None."""
+        if bispecial(u, left, right):
+            return None
+        if len(right[u]) > 1:
+            if len(left[u]) != 1:
+                return None
+            a = left[u]
+            return a + u, a, b""
+        if len(right[u]) != 1:
+            return None
+        c = right[u]
+        return u + c, b"", c
+
+    predicted = set()
+    for p in reduce(build_rauzy(idx, n)).edges:
+        head, tail = phi(p.source), phi(p.target)
+        if head is None or tail is None:
+            continue
+        (x, front, _), (y, _, back) = head, tail
+        if bispecial(x, left1, right1) or bispecial(y, left1, right1):
+            continue
+        predicted.add(SimplePath(x, y, front + p.label + back))
+    return predicted
+
+
+def carried_paths(cg):
+    """The simple paths of an ``evolution.CarriedGraph``, each label built, in sorted order."""
+    from palrich.rauzy import SimplePath
+
+    return sorted(
+        SimplePath(p.source.name, p.target.name, cg.label(p))
+        for v in cg.vertices.values()
+        for p in v.out.values()
+    )
+
+
+def carried_mismatches(idx, reversal_closed) -> list:
+    """The orders at which ``evolution.carried_graphs`` differs from the per-order build.
+
+    At each order it compares the special factors, every simple path with
+    its label, the class and edge counts of the super-reduced graph and
+    both verdicts with ``reduce(build_rauzy(idx, n))``, its
+    ``super_reduce`` and the oracles above, and checks ``super_reduce``
+    against :func:`super_reduce_per_path`.  A quiet order must also repeat
+    the verdicts of the order before.  Returns (n, what) per mismatch.
+    """
+    from palrich import evolution, rauzy
+
+    found = []
+    last = None
+    for cg in evolution.carried_graphs(idx, reversal_closed):
+        n = cg.n
+        ref = rauzy.reduce(rauzy.build_rauzy(idx, n))
+        if tuple(sorted(cg.vertices)) != ref.vertices:
+            found.append((n, "vertices"))
+        if carried_paths(cg) != list(ref.edges):
+            found.append((n, "paths"))
+        if ref.no_specials:
+            continue
+        sg = rauzy.super_reduce(ref)
+        if sg != super_reduce_per_path(ref):
+            found.append((n, "super_reduce"))
+        if (cg.s, len(cg.edges)) != (sg.s, len(sg.edges)):
+            found.append((n, "super-reduced counts"))
+        verdicts = (palindromic_path_witness(ref) is None, super_graph_is_tree(sg))
+        carried = (rauzy.palindromic_path_condition(cg), rauzy.is_tree(cg))
+        if carried != verdicts:
+            found.append((n, "verdicts"))
+        if cg.quiet and verdicts != last:
+            found.append((n, "quiet order"))
+        last = verdicts
+    return found
+
+
+def shift_mismatches(idx):
+    """Where the carry rule of fact 4 of ``evolution`` fails on ``idx``.
+
+    At each order n below n_max, every path that :func:`shifted_paths`
+    predicts must be a path of order n + 1.  When the index is closed under
+    reversal and order n has special factors but no bispecial one (a quiet
+    order), order n + 1 must have the slack and both verdicts of order n.
+    Returns (n, what) per failure, the share of order-(n+1) paths
+    predicted, and the number of quiet orders.
+    """
+    from palrich.analysis import profile_from_index
+    from palrich.rauzy import build_rauzy, reduce
+
+    prof = profile_from_index(idx)
+    specials = list(idx.specials())
+    found = []
+    predicted = total = quiet = 0
+    for n in range(idx.n_max):
+        carried = shifted_paths(idx, n)
+        paths = set(reduce(build_rauzy(idx, n + 1)).edges)
+        if not carried <= paths:
+            found.append((n, "rule"))
+        predicted += len(carried)
+        total += len(paths)
+        if prof.reversal_closed and specials[n] and not any(
+            left and len(right) > 1 for left, right in specials[n].values()
+        ):
+            quiet += 1
+            if prof.slack[n + 1] != prof.slack[n]:
+                found.append((n, "quiet slack"))
+            if graph_verdicts(idx, n + 1) != graph_verdicts(idx, n):
+                found.append((n, "quiet verdicts"))
+    return found, predicted / max(total, 1), quiet

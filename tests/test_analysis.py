@@ -3,7 +3,6 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palrich import rauzy
 from palrich.analysis import (
     profile_from_index,
     theorem1_experiment,
@@ -17,8 +16,10 @@ from palrich.words import Alphabet, Morphism, Word, periodic_word
 from oracles import (
     all_returns_to_palindromes_palindromic,
     all_words,
+    carried_mismatches,
+    graph_verdicts,
     is_rich_naive,
-    super_reduce_per_path,
+    shift_mismatches,
     theorem2_rows_naive,
 )
 from paper_facts import (
@@ -255,13 +256,21 @@ def _morphism_corpus():
 
 
 def assert_theorem_holds(family, n_max):
-    """On a reversal-closed word the three verdicts agree at every order."""
+    """On a reversal-closed word the three verdicts agree at every order.
+
+    Each order's graph verdicts also equal those of the per-order build.
+    """
     idx = family.index(n_max)
     if not is_closed_under_reversal(idx)[0]:
         return False
     rep = theorem1_experiment(family, n_max)
     assert rep.discrepancies() == (), family.describe()
     assert rep.rich == rep.equality_all == rep.conditions_all, family.describe()
+    for r in rep.orders:
+        verdicts = graph_verdicts(idx, r.n)
+        assert r.periodic_route == (verdicts is None), (family.describe(), r.n)
+        if verdicts is not None:
+            assert (r.condition1, r.condition2) == verdicts, (family.describe(), r.n)
     return True
 
 
@@ -303,16 +312,33 @@ def test_theorem1_on_the_morphism_corpus():
     assert closed == 60
 
 
-def test_super_reduce_matches_per_path_oracle_on_the_corpora():
+def _corpus_indexes():
+    for u in _periodic_corpus():
+        family = get_family("periodic", block=u)
+        yield family.describe(), family.index(2 * len(u) + 2)
+    for m in _morphism_corpus():
+        family = get_family("morphic", morphism=m)
+        yield family.describe(), family.index(12)
+
+
+def test_carried_graphs_match_per_order_build_on_the_corpora():
     # Every order of the periodic corpus up to 2q + 2 and of the morphism
-    # corpus up to 12, reversal-closed or not.
-    families = [(get_family("periodic", block=u), 2 * len(u) + 2) for u in _periodic_corpus()]
-    families += [(get_family("morphic", morphism=m), 12) for m in _morphism_corpus()]
-    for family, n_max in families:
-        for rg in rauzy.reduced_graphs(family.index(n_max)):
-            assert rauzy.super_reduce(rg) == super_reduce_per_path(rg), (
-                family.describe(), rg.n,
-            )
+    # corpus up to 12, reversal-closed or not: paths, labels, verdicts,
+    # and super_reduce against its per-path oracle.
+    for name, idx in _corpus_indexes():
+        closed = is_closed_under_reversal(idx)[0]
+        assert carried_mismatches(idx, closed) == [], name
+
+
+def test_shift_carries_paths_on_the_corpora():
+    # The carry rule of fact 4 of palrich.evolution on every word of both
+    # corpora, and the quiet orders of the reversal-closed ones.
+    quiet = 0
+    for name, idx in _corpus_indexes():
+        found, _, count = shift_mismatches(idx)
+        assert found == [], name
+        quiet += count
+    assert quiet > 0
 
 
 def test_theorem1_report_fields():

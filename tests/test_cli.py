@@ -348,6 +348,36 @@ def test_an_unopenable_out_path_is_a_usage_error(capsys, tmp_path, argv, missing
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze", "--word", "aba"), ("graph", "--word", "aba", "--n", "1")],
+    ids=lambda argv: argv[0],
+)
+def test_a_failed_write_to_out_is_a_usage_error(capsys, argv):
+    # /dev/full opens, but each write to it fails when it is flushed.
+    code, out, err = run(capsys, *argv, "--out", "/dev/full")
+    assert (code, out, err) == (
+        1, "", "error: cannot write /dev/full: No space left on device\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--word", "aba"),
+        ("verify", "--word", "aba"),
+        ("count", "--kind", "sturmian", "--n-max", "3"),
+        ("graph", "--word", "aba", "--n", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_empty_out_path_is_a_usage_error(capsys, argv):
+    assert run(capsys, *argv, "--out", "") == (
+        1, "", "error: the --out path must be non-empty\n"
+    )
+
+
 def test_count_table_layout_and_provenance(capsys):
     values = {}
     for kind, provenance in COUNT_KINDS.items():

@@ -5,14 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palrich import rauzy
+from palrich import evolution, rauzy
 from palrich.errors import NotApplicable, OutOfRange
-from palrich.factors import build_index, stabilized_prefix
+from palrich.factors import build_index, is_closed_under_reversal, stabilized_prefix
 from palrich.generators import REGISTRY, get_family
 from palrich.palindromes import Eertree, is_rich_incremental
 from palrich.words import Morphism, Word, fixed_point, periodic_word, s_word
 
-from oracles import rauzy_graph_naive, super_reduce_per_path
+from oracles import (
+    carried_mismatches,
+    carried_paths,
+    palindromic_path_witness,
+    rauzy_graph_naive,
+    shift_mismatches,
+    super_graph_is_tree,
+)
 from paper_facts import NotAWalk, is_strongly_connected, path_label, path_reversal_facts
 
 FIB = Morphism.parse("a->ab,b->a")
@@ -252,7 +259,7 @@ def test_super_reduce_fibonacci_order2():
     assert sg.s == 1 and sg.p == 0
     assert len(sg.classes) == 1 and len(sg.edges) == 0
     assert g.alphabet.decode(sg.classes[0]) == "ab"
-    assert rauzy.is_tree(sg)
+    assert super_graph_is_tree(sg)
     assert len(rg.edges) == 3
     assert len(nonpalindromic_paths(rg)) == 0
     assert all(p.palindromic and label_reversal_exists(rg, p) for p in rg.edges)
@@ -266,9 +273,8 @@ def test_super_reduce_thue_morse_order3_not_tree():
     sg = rauzy.super_reduce(rg)
     assert sg.s == 4 and sg.p == 2
     assert len(sg.edges) == 4  # one more than a tree allows
-    assert not rauzy.is_tree(sg)
-    cond1, witness = rauzy.palindromic_path_condition(rg)
-    assert cond1 and witness is None
+    assert not super_graph_is_tree(sg)
+    assert palindromic_path_witness(rg) is None
     assert len(nonpalindromic_paths(rg)) == 8 > 2 * (sg.s - 1)
 
 
@@ -284,7 +290,7 @@ def test_super_reduce_keeps_a_path_back_to_its_source_as_a_loop():
     ab = encode("ab")
     assert sg.classes == (ab,) and (sg.s, sg.p) == (1, 0)
     assert sg.edges == (rauzy.SuperEdge(ab, ab, encode("abcab")),)
-    assert not rauzy.is_tree(sg)
+    assert not super_graph_is_tree(sg)
     assert dot(rauzy.super_dot, sg, idx.alphabet) == (
         'graph super_reduced_rauzy_2 {\n  "[ab]";\n'
         '  "[ab]" -- "[ab]" [label="[abcab]"];\n}\n'
@@ -295,8 +301,7 @@ def test_palindromic_path_condition_violation_on_s_word():
     idx = build_index(s_word(2000), 4)
     g = rauzy.build_rauzy(idx, 1)
     rg = rauzy.reduce(g)
-    cond1, witness = rauzy.palindromic_path_condition(rg)
-    assert not cond1
+    witness = palindromic_path_witness(rg)
     assert witness is not None and witness.label == witness.source + bytes(
         [1, 2, 0]
     )  # the span a..bca wraps to a non-palindromic label abca
@@ -424,69 +429,78 @@ def test_rich_words_have_exactly_2s_minus_2_nonpalindromic_paths():
     assert failing == [3, 4, 5, 6, 9]
 
 
-# -- evolved reduced graphs against the per-order build ------------------------
+# -- carried graphs against the per-order build --------------------------------
 
 
-def assert_evolution_matches_per_order_build(idx):
-    """Every graph of reduced_graphs equals reduce(build_rauzy(idx, n)).
+def assert_carried_graphs_match_per_order_build(idx):
+    """Every order of carried_graphs equals reduce(build_rauzy(idx, n)).
 
-    The evolution runs through the index's top order.  Each graph's
-    super-reduction also equals that of the per-path oracle.
+    The evolution runs through the index's top order; the paths with their
+    labels, the super-reduced counts and both verdicts agree at each one.
     """
-    evolved = list(rauzy.reduced_graphs(idx))
-    assert [rg.n for rg in evolved] == list(range(idx.n_max + 1))
-    for rg in evolved:
-        ref = rauzy.reduce(rauzy.build_rauzy(idx, rg.n))
-        assert rg.vertices == ref.vertices, rg.n
-        assert list(rg.edges) == sorted(ref.edges), rg.n
-        assert rauzy.super_reduce(rg) == super_reduce_per_path(rg), rg.n
+    closed = is_closed_under_reversal(idx)[0]
+    assert [cg.n for cg in evolution.carried_graphs(idx, closed)] == list(range(idx.n_max + 1))
+    assert carried_mismatches(idx, closed) == []
 
 
-@pytest.mark.parametrize(
-    "name, params",
-    [
-        ("fibonacci", {}),
-        ("thue-morse", {}),
-        ("cassaigne-aab", {}),
-        ("quadratic-abab", {}),
-        ("psi-of-fibonacci", {"k": 0}),
-        ("psi-of-fibonacci", {"k": 1}),
-        ("psi-of-fibonacci", {"k": 2}),
-        ("periodic", {"block": "aabaabab"}),
-        ("periodic", {"block": "abc"}),
-        ("morphic", {"morphism": "a->aba,b->bb"}),
-        ("morphic", {"morphism": "a->ab,b->bc,c->a"}),
-        ("tribonacci", {}),
-        ("s-word", {}),
-        ("episturmian", {"directive": "aabc"}),
-    ],
-)
-def test_reduced_graphs_match_per_order_build_on_exact_families(name, params):
-    assert_evolution_matches_per_order_build(get_family(name, **params).index(60))
+EXACT_FAMILIES = [
+    ("fibonacci", {}),
+    ("thue-morse", {}),
+    ("cassaigne-aab", {}),
+    ("quadratic-abab", {}),
+    ("psi-of-fibonacci", {"k": 0}),
+    ("psi-of-fibonacci", {"k": 1}),
+    ("psi-of-fibonacci", {"k": 2}),
+    ("periodic", {"block": "aabaabab"}),
+    ("periodic", {"block": "abc"}),
+    ("morphic", {"morphism": "a->aba,b->bb"}),
+    ("morphic", {"morphism": "a->ab,b->bc,c->a"}),
+    ("morphic", {"morphism": "a->abab,b->baba"}),
+    ("tribonacci", {}),
+    ("s-word", {}),
+    ("episturmian", {"directive": "aabc"}),
+]
+
+
+@pytest.mark.parametrize("name, params", EXACT_FAMILIES)
+def test_carried_graphs_match_per_order_build_on_exact_families(name, params):
+    assert_carried_graphs_match_per_order_build(get_family(name, **params).index(60))
 
 
 @pytest.mark.parametrize("name", ["cassaigne-aab", "quadratic-abab"])
-def test_reduced_graphs_match_per_order_build_at_deep_orders(name):
-    # Up to order 120 about two paths in three are one edge x -> x[1:] + c,
-    # read off the specials alone (fact 3); at the top orders checked here
-    # more than half are.
+def test_carried_graphs_match_per_order_build_at_deep_orders(name):
+    # About 96% of the paths of each order are carried through φ, and the
+    # rest are walked; up to order 120 about two paths in three are one
+    # edge x -> x[1:] + c, read off the specials alone (fact 3), and at the
+    # top orders checked here more than half are.
     idx = get_family(name).index(120)
-    evolved = list(rauzy.reduced_graphs(idx))
-    for n in (100, 110, 120):
-        rg = evolved[n]
-        ref = rauzy.reduce(rauzy.build_rauzy(idx, n))
-        assert rg == ref, n
-        one_edge = sum(len(p.label) == n + 1 for p in rg.edges)
-        assert 2 * one_edge > len(rg.edges), n
+    assert_carried_graphs_match_per_order_build(idx)
+    for cg in evolution.carried_graphs(idx, True):
+        if cg.n in (100, 110, 120):
+            paths = carried_paths(cg)
+            one_edge = sum(len(p.label) == cg.n + 1 for p in paths)
+            assert 2 * one_edge > len(paths), cg.n
 
 
 @given(st.text(alphabet="abc", min_size=1, max_size=8), st.integers(0, 4))
 @settings(max_examples=300, deadline=None)
-def test_reduced_graphs_match_per_order_build_on_periodic_words(block, extra):
+def test_carried_graphs_match_per_order_build_on_periodic_words(block, extra):
     # From order |b| on, the graph of a periodic word is one cycle with no
     # special vertex, so each evolution here runs past its last special.
     index = get_family("periodic", block=block).index(2 * len(block) + extra)
-    assert_evolution_matches_per_order_build(index)
+    assert_carried_graphs_match_per_order_build(index)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_shift_carries_every_path_that_avoids_the_bispecials(name):
+    found, _, _ = shift_mismatches(get_family(name).index(60))
+    assert found == []
+
+
+@pytest.mark.parametrize("name", ["cassaigne-aab", "quadratic-abab"])
+def test_shift_carries_most_paths_at_deep_orders(name):
+    found, share, _ = shift_mismatches(get_family(name).index(120))
+    assert found == [] and share > 0.9
 
 
 def test_literal_word_reaches_the_dangling_branch():

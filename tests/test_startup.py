@@ -41,7 +41,10 @@ print(json.dumps({"code": code, "ran": ran, "dataclasses": "dataclasses" in sys.
       file=sys.stderr)
 """
 
-ALL = {"analysis", "counting", "errors", "factors", "generators", "palindromes", "rauzy", "words"}
+ALL = {
+    "analysis", "counting", "errors", "evolution", "factors", "generators", "palindromes",
+    "rauzy", "words",
+}
 
 
 def child(*argv):
@@ -72,12 +75,12 @@ def test_count_runs_counting_and_errors_only():
 @pytest.mark.parametrize(
     "argv, unused, light",
     [
-        (("verify", "--word", "abacaba"), {"counting", "generators", "rauzy"}, True),
-        (("analyze", "--word", "abacaba"), {"counting", "generators", "rauzy"}, True),
+        (("verify", "--word", "abacaba"), {"counting", "evolution", "generators", "rauzy"}, True),
+        (("analyze", "--word", "abacaba"), {"counting", "evolution", "generators", "rauzy"}, True),
         (("graph", "--generator", "fibonacci", "--n", "3", "--tier", "super"),
-         {"analysis", "counting", "palindromes"}, False),
+         {"analysis", "counting", "evolution", "palindromes"}, False),
         (("graph", "--word", "abacaba", "--n", "2", "--tier", "super"),
-         {"analysis", "counting", "generators", "palindromes"}, True),
+         {"analysis", "counting", "evolution", "generators", "palindromes"}, True),
     ],
     ids=["verify-word", "analyze-word", "graph", "graph-word"],
 )
