@@ -37,12 +37,11 @@ from .palindromes import (
 )
 from .words import Word
 
-# Only theorem1_experiment and _order_record run evolution and rauzy, and
-# they import them themselves, so `verify --word` runs neither, nor
-# generators.
+# Only theorem1_experiment and _order_record run rauzy, and they import it
+# themselves, so `verify --word` runs neither rauzy nor generators.
 if TYPE_CHECKING:
     from .generators import WordFamily
-    from .evolution import CarriedGraph
+    from .rauzy import CarriedGraph
 
 
 class ComplexityProfile(NamedTuple):
@@ -245,21 +244,19 @@ class TheoremReport(NamedTuple):
         return tuple(problems)
 
 
-def _order_record(
-    cg: CarriedGraph, prof: ComplexityProfile, last: OrderRecord | None
-) -> OrderRecord:
+def _order_record(cg: CarriedGraph, prof: ComplexityProfile) -> OrderRecord:
     from . import rauzy
 
     n = cg.n
-    if not cg.vertices:
+    periodic_route = not cg.vertices
+    if periodic_route:
         # No specials means C(n+1) = C(n); equality then says
         # P(n) + P(n+1) = 2, the purely periodic signature.
         cond1 = cond2 = prof.P[n] + prof.P[n + 1] == 2
-        return OrderRecord(n, True, cond1, cond2)
-    if cg.quiet:
-        return last._replace(n=n)
-    cond1 = rauzy.palindromic_path_condition(cg)
-    return OrderRecord(n, False, cond1, rauzy.is_tree(cg))
+    else:
+        cond1 = rauzy.palindromic_path_condition(cg)
+        cond2 = rauzy.is_tree(cg)
+    return OrderRecord(n, periodic_route, cond1, cond2)
 
 
 def theorem1_experiment(
@@ -277,24 +274,23 @@ def theorem1_experiment(
     incremental scan of its eertree and the eertree-free complete-return
     sweep both read the whole sample, so a defect past it goes unseen; the
     report keeps both verdicts.  The reduced Rauzy graphs of orders
-    0..n_max come from one pass of :func:`evolution.carried_graphs`, each
+    0..n_max come from one pass of :func:`rauzy.carried_graphs`, each
     carried from the one before; no order builds its full Rauzy graph or
     its super-reduced graph.  Each order reads both conditions off the
     carried counts and records only the verdicts the reports and
-    :meth:`TheoremReport.discrepancies` read; a quiet order repeats the
-    verdicts of the order before (fact 4 of ``evolution``).
+    :meth:`TheoremReport.discrepancies` read.
     """
-    from . import evolution
+    from . import rauzy
 
     idx = family.index(n_max)
     prof = profile_from_index(idx)
     sample = family.sample(prefix_cap)
     incremental = is_rich_incremental(Eertree.build(sample))
     by_returns = is_rich_by_returns(sample)
-    orders: list[OrderRecord] = []
-    for cg in evolution.carried_graphs(idx, prof.reversal_closed):
-        orders.append(_order_record(cg, prof, orders[-1] if orders else None))
+    orders = tuple(
+        _order_record(cg, prof) for cg in rauzy.carried_graphs(idx, prof.reversal_closed)
+    )
     return TheoremReport(
-        family.describe(), len(sample), prof, incremental, by_returns, tuple(orders),
+        family.describe(), len(sample), prof, incremental, by_returns, orders,
         family.rich_expected,
     )

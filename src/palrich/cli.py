@@ -25,7 +25,7 @@ A command executes only the modules it runs; the others stay deferred
 ``verify --word`` run ``analysis``, ``factors``, ``palindromes`` and
 ``words``; ``graph`` runs ``factors``, ``rauzy`` and ``words``.  A
 generator source adds ``generators``, and ``verify`` of a generator adds
-``evolution`` and ``rauzy`` too, so it runs every module but ``counting``.
+``rauzy`` too, so it runs every module but ``counting``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""The three Rauzy graph tiers and their path-level properties.
+"""The three Rauzy graph tiers, their path-level properties, and the
+reduced graph of every order carried from the one before.
 
 Order-n Rauzy graph: vertices are the length-n factors, edges the length-
 (n+1) factors, oriented prefix to suffix.  Contracting maximal runs of
@@ -16,7 +17,7 @@ draws the cycle from the raw graph.
 
 An index built for n_max answers every order 0..n_max (``factors``
 docstring): the order-n graph reads F_n and F_{n+1}, and
-``palrich.evolution`` reads factors of length at most n+1 at order n.
+:func:`carried_graphs` reads factors of length at most n+1 at order n.
 
 Each fact has one source.  A Rauzy graph keeps one adjacency, the
 right-extension map of ``FactorIndex.right_extensions``: the edges out of
@@ -30,21 +31,106 @@ is held.
 
 :func:`build_rauzy` and :func:`reduce` build one order from its factor sets,
 and :func:`super_reduce` quotients it; ``palrich graph`` draws them.
-``palrich verify`` builds none of them: ``palrich.evolution`` carries the
-reduced graph from each order to the next, and :func:`is_tree` and
-:func:`palindromic_path_condition` read the two conditions off its counts.
+``palrich verify`` builds none of them: :func:`carried_graphs` evolves the
+reduced graph from one order to the next instead, after Cassaigne
+("Complexité et facteurs spéciaux", 1997), and never builds a full Rauzy
+graph; :func:`is_tree` and :func:`palindromic_path_condition` read the two
+conditions off its counts at every order.  Write S_n for the special
+factors of length n and L(w, c) for the label of the order-n simple path
+that leaves w in S_n through the edge w + c.  The order-(n+1) vertices are
+the order-n edges.  Four facts carry one order to the next:
+
+1. *Specials.*  Every x in S_{n+1} is b + w or w + c with w in S_n.  If x is
+   right special, x + a and x + b are factors, hence so are x[1:] + a and
+   x[1:] + b, and x[1:] is right special; likewise a left-special x has a
+   left-special x[:-1]; this needs only closure under taking factors.
+   ``FactorIndex.specials`` reads S_n, with right letters, off the sorted
+   windows (facts (R) and (L) of ``factors``) for :func:`carried_graphs`
+   and for the counts of ``palrich analyze``.
+2. *Interior edges.*  An edge in the interior of an order-n simple path
+   joins two non-special vertices, so by fact 1 it is not special at order
+   n+1.  Only the first edge (the head) and the last edge (the tail) of an
+   order-n path can be.
+3. *Paths follow labels.*  Let e be an order-n edge whose end e[1:] is not
+   special.  Then e[1:] has one right extension d, and every right
+   extension of e is one of e[1:], so e + d is the only edge out of e at
+   order n+1, provided e has a right extension at all.  Hence an
+   order-(n+1) walk reads the order-n labels end to end.  From x in S_{n+1}
+   it starts as x[:1] + L(x[1:], c), one per right extension c of x, when
+   x[1:] is in S_n.  Otherwise x[:-1] is in S_n (fact 1) and x is the head
+   of L(x[:-1], x[-1]), which the walk follows.  At a tail that is not in
+   S_{n+1} the walk leaves the order-n target t through the tail's one
+   right extension d and appends L(t, d)[n:].  It stops at the first head
+   or tail in S_{n+1}; by fact 2 nothing in between can stop it.
+   *One edge.*  If x[1:] is in S_n and x[1:] + c is in S_{n+1}, the path is
+   the one edge x -> x[1:] + c with label x + c: x + c is a factor, since c
+   is a right letter of x, and its end x[1:] + c is special, so the walk
+   stops there.  It reads no order-n path.  Up to order 120 such paths are
+   13,595 of the 20,259 of cassaigne-aab and 13,493 of the 20,106 of
+   quadratic-abab, about two in three.
+4. *The shift φ.*  Let the sets be closed under reversal, so that every
+   factor has a left letter too, and let B_n be the bispecials in S_n.  A
+   right special u not in B_n has one left letter a, which must precede
+   each u + c, so φ(u) = a + u is right special with the right letters of
+   u.  A left special u not in B_n has one right letter c, and
+   φ(u) = u + c is left special with the left letters of u.  By fact 1 an
+   x in S_{n+1} \\ B_{n+1} is φ(x[1:]) if it is right special and
+   φ(x[:-1]) if it is left special, unless that factor is in B_n.  And u
+   is right special with left letter a exactly when its reversal is left
+   special with right letter a, so φ commutes with reversal.
+
+   *Carried paths.*  Let u -> v be an order-n path with label L, u and v
+   not in B_n, φ(u) and φ(v) not in B_{n+1}.  Its image is the path
+   φ(u) -> φ(v) whose label is L with a in front if u is right special
+   and with the right letter of v at the end if v is left special.  By
+   fact 2 only the head edge h and the tail edge t of L could stop the
+   walk along that label.  If u is right special, h is not left special
+   (one left letter), and it is right special only if its suffix is, which
+   makes the path one edge and h = φ(v), the end; symmetrically for t when
+   v is left special.  If u is left special, h = φ(u); if v is right
+   special, t = φ(v).  Only h = t = φ(u) = φ(v) breaks the walk, and then
+   L is in B_{n+1}.  An exclusion of a head or tail edge that extends a
+   member of B_n would add nothing: such an edge extends u or v.  A
+   carried path keeps its w -> w̄ status (φ is one to one where defined
+   and commutes with reversal), its label class (its reversal is carried
+   too), and on a w -> w̄ path whether its label is a palindrome: the label
+   grows to a + L + a, or not at all.
+
+   *Quiet orders.*  If B_n is empty, order n+1 is order n with each
+   one-edge path w -> u whose label x is in B_{n+1} contracted to x; it
+   is the only path out of w and the only one into u.  Either x is a
+   palindrome and the path a palindromic w -> w̄, or w is not ū (else w
+   would be right special) and the path and its reversal are one edge of
+   the super-reduced graph between two classes; contracting it keeps a
+   tree a tree and a non-tree not one.  So both conditions carry over,
+   and so does the slack, whose increment is a sum over B_n (a palindrome
+   not in B_n has one palindromic extension).  :func:`carried_graphs`
+   does not use this lemma; ``palrich verify`` reads both conditions at
+   every order.
+
+   The tests check the rule and the lemma against the per-order graphs
+   (``oracles.shifted_paths`` and ``oracles.shift_mismatches``).  To order
+   120 on cassaigne-aab and quadratic-abab about 96% of the paths of each
+   order are carried.
+
+Facts 1 and 2 hold for any sets closed under taking factors; fact 3 needs
+in addition that each edge met has a right extension, and fact 4 closure
+under reversal; without it :func:`carried_graphs` walks every path.  So
+:func:`carried_graphs` takes an index in which every factor of length at
+most n_max has a right extension.  Every factor of an infinite word has
+one, so every ``WordFamily.index`` qualifies.  A finite word's final
+suffix may have none; its graphs take one order at a time,
+``reduce(build_rauzy(idx, n))``, where a walk that meets that suffix makes
+no path.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, TextIO
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 from .errors import NotApplicable, OutOfRange
 from .factors import FactorIndex
 from .words import Alphabet
-
-if TYPE_CHECKING:
-    from .evolution import CarriedGraph
 
 
 class RauzyGraph(NamedTuple):
@@ -226,12 +312,265 @@ def super_reduce(rg: ReducedRauzyGraph) -> SuperReducedRauzyGraph:
     return SuperReducedRauzyGraph(rg.n, tuple(sorted(set(least.values()))), edges)
 
 
+# -- Evolution across orders -------------------------------------------------
+
+_Specials = dict[bytes, tuple[bool, bytes]]  # one order of FactorIndex.specials
+_LETTERS = [bytes((c,)) for c in range(256)]
+
+# The kinds of a special factor: right special only, left special only, both.
+_RIGHT, _LEFT, _BOTH = "right", "left", "both"
+
+
+class _Vertex:
+    """One special factor, the same object at every order that φ carries it to.
+
+    ``name`` is the factor at the current order.  ``out`` maps the letter
+    after it in a path's label to the path; the one path out of a
+    left-special-only vertex keeps the letter it was filed under.  ``into``
+    holds the paths that end at it.  ``cls`` is one vertex of its reversal
+    class, the same for both members.
+    """
+
+    __slots__ = ("name", "kind", "out", "into", "cls")
+
+    def __init__(self, name: bytes, kind: str):
+        self.name = name
+        self.kind = kind
+        self.out: dict[int, _Path] = {}
+        self.into: set[_Path] = set()
+        self.cls: _Vertex | None = None
+
+
+class _Path:
+    """One simple path, with its label as walked at order ``born``.
+
+    A carried path is never rebuilt: its label at order n is the core with
+    the n - born letters that φ prepended to a right-special-only source
+    and appended to a left-special-only target (fact 4); see
+    :meth:`CarriedGraph.label`.  ``edge`` is the key of its class of
+    labels up to reversal, one edge of the super-reduced graph, and None
+    for a path from w to its reversal, for which ``bad`` says that its
+    label is no palindrome.
+    """
+
+    __slots__ = ("source", "target", "core", "born", "first", "edge", "bad")
+
+    def __init__(self, source: _Vertex, target: _Vertex, core: bytes, m: int):
+        self.source = source
+        self.target = target
+        self.core = core
+        self.born = m
+        self.first = core[m]
+        reverse = core[::-1]
+        if target.name == source.name[::-1]:
+            self.edge = None
+            self.bad = core != reverse
+        else:
+            self.edge = (m, min(core, reverse))
+            self.bad = False
+
+
+class CarriedGraph:
+    """The reduced Rauzy graph of order ``n``, carried from the order before.
+
+    ``vertices`` maps each special factor to its vertex, and the paths hang
+    off the vertices (``out`` and ``into``); only :meth:`label` builds a
+    label.  ``specials`` is the order's ``FactorIndex.specials``.  Kept up
+    to date as paths come and go: ``bad`` counts the paths from a special
+    factor w to its reversal whose label is no palindrome (condition 1),
+    ``edges`` groups the other paths by label class, one super-reduced
+    edge each, and ``s`` counts the reversal classes of the vertices.
+    :func:`carried_graphs` updates one object in place.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.specials: _Specials = {}
+        self.vertices: dict[bytes, _Vertex] = {}
+        self.paths = 0
+        self.bad = 0
+        self.edges: dict[tuple[int, bytes], list[_Path]] = {}
+        self.s = 0
+
+    def label(self, path: _Path) -> bytes:
+        """The label of ``path`` at this order, from its core and its ends' names."""
+        k = self.n - path.born
+        label = path.core
+        if k:
+            if path.source.kind is _RIGHT:
+                label = path.source.name[:k] + label
+            if path.target.kind is _LEFT:
+                label += path.target.name[-k:]
+        return label
+
+    def _advance(self, new: _Specials, has: Callable[[bytes], bool], carry: bool) -> None:
+        """Move from order n to order n + 1, whose special factors are ``new``.
+
+        With ``carry``, each x in S_{n+1} \\ B_{n+1} takes over the vertex
+        of its preimage under φ, x[1:] or x[:-1], when that has the same
+        kind; the paths between such vertices are carried as they are.
+        Every other vertex is dropped with its paths, and every path out
+        of a new vertex or in place of a dropped one is walked
+        (:func:`_walk`).  Without ``carry`` every path is walked.
+        """
+        old = self.vertices
+        images: dict[_Vertex, bytes] = {}
+        vertices: dict[bytes, _Vertex] = {}
+        fresh: list[_Vertex] = []
+        for x, (left, right) in new.items():
+            if len(right) > 1:
+                kind = _BOTH if left else _RIGHT
+                u = old.get(x[1:]) if carry and not left else None
+            else:
+                kind = _LEFT
+                u = old.get(x[:-1]) if carry else None
+            if u is not None and u.kind is kind:
+                images[u] = x
+                vertices[x] = u
+            else:
+                vertices[x] = v = _Vertex(x, kind)
+                fresh.append(v)
+        dropped = [u for u in old.values() if u not in images]
+        gone = {p: None for u in dropped for p in (*u.out.values(), *u.into)}
+        starts = [(v.name, c) for v in fresh for c in new[v.name][1]]
+        for p in gone:
+            x = images.get(p.source)
+            if x is not None:
+                starts.append((x, p.first if p.source.kind is _RIGHT else new[x][1][0]))
+        walked = _walk(self, starts, new, has)
+        # The order-n names were read by the walk; now the carried vertices move.
+        for u, x in images.items():
+            u.name = x
+        for p in gone:
+            del p.source.out[p.first]
+            p.target.into.remove(p)
+            self._count(p, -1)
+        self.s -= sum(u.cls is u for u in dropped)
+        for v in fresh:
+            r = vertices.get(v.name[::-1])
+            v.cls = r.cls if r is not None and r.cls is not None else v
+            self.s += v.cls is v
+        m = self.n + 1
+        for x, target, label in walked:
+            p = _Path(vertices[x], vertices[target], label, m)
+            p.source.out[p.first] = p
+            p.target.into.add(p)
+            self._count(p, 1)
+        self.n, self.specials, self.vertices = m, new, vertices
+
+    def _count(self, p: _Path, sign: int) -> None:
+        self.paths += sign
+        if p.edge is None:
+            self.bad += sign * p.bad
+        elif sign > 0:
+            self.edges.setdefault(p.edge, []).append(p)
+        else:
+            group = self.edges[p.edge]
+            group.remove(p)
+            if not group:
+                del self.edges[p.edge]
+
+
+def _walk(
+    cg: CarriedGraph,
+    starts: list[tuple[bytes, int]],
+    new_specials: _Specials,
+    has: Callable[[bytes], bool],
+) -> list[tuple[bytes, bytes, bytes]]:
+    """The order-(n+1) paths that leave x by letter c, spliced from order n (facts 2, 3).
+
+    Each (x, c) of ``starts`` gives one (source, target, label).  ``cg``
+    is the graph of order n, and ``has`` tests factor membership.  Each
+    order-(n+1) path visits the edges of consecutive order-n paths; only
+    the first and last edge of each (head and tail) can be special at
+    order n+1, so only those are tested.  A one-edge path (fact 3) is read
+    off the specials alone; a longer walk reads the order-n paths from
+    their source's ``out`` map.  This is the one splice of the package.
+    """
+    n, specials, vertices = cg.n, cg.specials, cg.vertices
+    m = n + 1
+    out: list[tuple[bytes, bytes, bytes]] = []
+    for x, c in starts:
+        if x[1:] in specials:
+            label = x + _LETTERS[c]
+            target = label[1:]
+            if target in new_specials:
+                out.append((x, target, label))
+                continue
+            parts = [x[:1]]
+            s = x[1:]
+        else:
+            # x is the head of an order-n path, and x[1:] has one extension.
+            parts = [b""]
+            s, c = x[:-1], x[-1]
+        trim = 0
+        check_head = False
+        for _ in range(cg.paths + 1):
+            paths = vertices[s].out
+            path = paths[c] if len(paths) > 1 else next(iter(paths.values()))
+            label = cg.label(path)
+            if check_head and label[:m] in new_specials:
+                parts.append(label[trim:m])
+                out.append((x, label[:m], b"".join(parts)))
+                break
+            parts.append(label[trim:])
+            tail = label[-m:]
+            if tail in new_specials:
+                out.append((x, tail, b"".join(parts)))
+                break
+            # A non-special tail has exactly one right extension.
+            s = path.target.name
+            right = [d for d in specials[s][1] if has(tail + _LETTERS[d])]
+            if len(right) != 1:
+                raise AssertionError("non-special vertex with out-degree != 1")
+            c = right[0]
+            trim = n
+            check_head = True
+        else:
+            raise AssertionError("walk exceeded the path count; sets corrupt")
+    return out
+
+
+def carried_graphs(idx: FactorIndex, reversal_closed: bool) -> Iterator[CarriedGraph]:
+    """The reduced graph of each order n = 0..idx.n_max, each from the last.
+
+    Yields one :class:`CarriedGraph`, updated in place from order to
+    order, so read each order before asking for the next.  The special
+    factors come from ``FactorIndex.specials``.  When the index is closed
+    under reversal (``reversal_closed``), the paths that avoid the
+    bispecial factors are carried through φ (fact 4) and only the others
+    are walked (facts 2 and 3); otherwise every path is walked.  No order
+    builds its full Rauzy graph.  Every factor of ``idx`` of length at
+    most n_max must have a right extension, as in the index of an
+    infinite word.
+    """
+    cg = CarriedGraph()
+    for n, specials in enumerate(idx.specials()):
+        if n == 0:
+            cg.specials = specials
+            if specials:
+                # The empty word is bispecial, with one path per letter to itself.
+                v = cg.vertices[b""] = _Vertex(b"", _BOTH)
+                v.cls = v
+                cg.s = 1
+                for c in specials[b""][1]:
+                    p = _Path(v, v, _LETTERS[c], 0)
+                    v.out[c] = p
+                    v.into.add(p)
+                    cg._count(p, 1)
+        else:
+            cg._advance(specials, idx.has_factor, reversal_closed)
+        yield cg
+
+
 def is_tree(cg: CarriedGraph) -> bool:
     """Condition 2: the super-reduced graph is connected with exactly s-1 edges.
 
     Each label class of ``cg.edges`` is one edge, so multi-edges and loops
     break tree-ness; one union-find over the vertices' reversal classes
-    tests connectivity.
+    tests connectivity.  On the language of one infinite word, every
+    ``WordFamily.index``, the graph is connected whenever it has a vertex,
+    so there the union-find is a guard that no test trips.
     """
     if len(cg.edges) != cg.s - 1:
         return False

@@ -3,8 +3,8 @@
 Everything here trades speed for obviousness: plain window enumeration,
 plain substring scans, constraint-filling for palindromic closure.  None of
 it calls the code paths it is checking, but for the three functions at the
-end, from :func:`carried_paths` on, which hold ``palrich.evolution`` and
-fact 4 of its docstring against the per-order graphs.
+end, from :func:`carried_paths` on, which hold ``rauzy.carried_graphs`` and
+fact 4 of the ``rauzy`` docstring against the per-order graphs.
 """
 
 from itertools import chain, product
@@ -460,7 +460,7 @@ def derive_down(top, depth: int, source: bytes | None = None) -> list:
 def specials_evolution(idx):
     """S_n for n = 0..idx.n_max, each from the last by factor membership.
 
-    Cassaigne's evolution (fact 1 of ``evolution``): a right-special x of
+    Cassaigne's evolution (fact 1 of ``rauzy``): a right-special x of
     length n+1 has a right-special x[1:], and a left-special x a
     left-special x[:-1], so S_{n+1} lies among the one-letter extensions
     of S_n, and each candidate is judged by 2k ``has_factor`` tests.  Each
@@ -564,7 +564,7 @@ def graph_verdicts(idx, n):
 def shifted_paths(idx, n: int) -> set:
     """The order-(n+1) simple paths that the shift φ carries from order n.
 
-    The rule of fact 4 of ``evolution``, read off the per-order graphs and the
+    The rule of fact 4 of ``rauzy``, read off the per-order graphs and the
     index's extension maps.  φ maps a right special u with one left letter
     a to a + u, and a left special u with one right letter c to u + c.  A
     path u -> v of order n goes to φ(u) -> φ(v), its label grown by a in
@@ -610,7 +610,7 @@ def shifted_paths(idx, n: int) -> set:
 
 
 def carried_paths(cg):
-    """The simple paths of an ``evolution.CarriedGraph``, each label built, in sorted order."""
+    """The simple paths of an ``rauzy.CarriedGraph``, each label built, in sorted order."""
     from palrich.rauzy import SimplePath
 
     return sorted(
@@ -621,20 +621,18 @@ def carried_paths(cg):
 
 
 def carried_mismatches(idx, reversal_closed) -> list:
-    """The orders at which ``evolution.carried_graphs`` differs from the per-order build.
+    """The orders at which ``rauzy.carried_graphs`` differs from the per-order build.
 
     At each order it compares the special factors, every simple path with
     its label, the class and edge counts of the super-reduced graph and
     both verdicts with ``reduce(build_rauzy(idx, n))``, its
     ``super_reduce`` and the oracles above, and checks ``super_reduce``
-    against :func:`super_reduce_per_path`.  A quiet order must also repeat
-    the verdicts of the order before.  Returns (n, what) per mismatch.
+    against :func:`super_reduce_per_path`.  Returns (n, what) per mismatch.
     """
-    from palrich import evolution, rauzy
+    from palrich import rauzy
 
     found = []
-    last = None
-    for cg in evolution.carried_graphs(idx, reversal_closed):
+    for cg in rauzy.carried_graphs(idx, reversal_closed):
         n = cg.n
         ref = rauzy.reduce(rauzy.build_rauzy(idx, n))
         if tuple(sorted(cg.vertices)) != ref.vertices:
@@ -652,14 +650,11 @@ def carried_mismatches(idx, reversal_closed) -> list:
         carried = (rauzy.palindromic_path_condition(cg), rauzy.is_tree(cg))
         if carried != verdicts:
             found.append((n, "verdicts"))
-        if cg.quiet and verdicts != last:
-            found.append((n, "quiet order"))
-        last = verdicts
     return found
 
 
 def shift_mismatches(idx):
-    """Where the carry rule of fact 4 of ``evolution`` fails on ``idx``.
+    """Where the carry rule of fact 4 of ``rauzy`` fails on ``idx``.
 
     At each order n below n_max, every path that :func:`shifted_paths`
     predicts must be a path of order n + 1.  When the index is closed under

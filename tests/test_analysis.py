@@ -331,7 +331,7 @@ def test_carried_graphs_match_per_order_build_on_the_corpora():
 
 
 def test_shift_carries_paths_on_the_corpora():
-    # The carry rule of fact 4 of palrich.evolution on every word of both
+    # The carry rule of fact 4 of palrich.rauzy on every word of both
     # corpora, and the quiet orders of the reversal-closed ones.
     quiet = 0
     for name, idx in _corpus_indexes():

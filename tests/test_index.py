@@ -125,7 +125,7 @@ FAMILIES = [(name, {}) for name in sorted(REGISTRY)] + [
 
 
 def right_extended(idx):
-    """The precondition of ``evolution.carried_graphs``.
+    """The precondition of ``rauzy.carried_graphs``.
 
     Every factor of length n_max has a right extension, and then so has
     every shorter one.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palrich import evolution, rauzy
+from palrich import rauzy
 from palrich.errors import NotApplicable, OutOfRange
 from palrich.factors import build_index, is_closed_under_reversal, stabilized_prefix
 from palrich.generators import REGISTRY, get_family
@@ -439,7 +439,7 @@ def assert_carried_graphs_match_per_order_build(idx):
     labels, the super-reduced counts and both verdicts agree at each one.
     """
     closed = is_closed_under_reversal(idx)[0]
-    assert [cg.n for cg in evolution.carried_graphs(idx, closed)] == list(range(idx.n_max + 1))
+    assert [cg.n for cg in rauzy.carried_graphs(idx, closed)] == list(range(idx.n_max + 1))
     assert carried_mismatches(idx, closed) == []
 
 
@@ -475,7 +475,7 @@ def test_carried_graphs_match_per_order_build_at_deep_orders(name):
     # top orders checked here more than half are.
     idx = get_family(name).index(120)
     assert_carried_graphs_match_per_order_build(idx)
-    for cg in evolution.carried_graphs(idx, True):
+    for cg in rauzy.carried_graphs(idx, True):
         if cg.n in (100, 110, 120):
             paths = carried_paths(cg)
             one_edge = sum(len(p.label) == cg.n + 1 for p in paths)

@@ -41,10 +41,7 @@ print(json.dumps({"code": code, "ran": ran, "dataclasses": "dataclasses" in sys.
       file=sys.stderr)
 """
 
-ALL = {
-    "analysis", "counting", "errors", "evolution", "factors", "generators", "palindromes",
-    "rauzy", "words",
-}
+ALL = {"analysis", "counting", "errors", "factors", "generators", "palindromes", "rauzy", "words"}
 
 
 def child(*argv):
@@ -75,12 +72,12 @@ def test_count_runs_counting_and_errors_only():
 @pytest.mark.parametrize(
     "argv, unused, light",
     [
-        (("verify", "--word", "abacaba"), {"counting", "evolution", "generators", "rauzy"}, True),
-        (("analyze", "--word", "abacaba"), {"counting", "evolution", "generators", "rauzy"}, True),
+        (("verify", "--word", "abacaba"), {"counting", "generators", "rauzy"}, True),
+        (("analyze", "--word", "abacaba"), {"counting", "generators", "rauzy"}, True),
         (("graph", "--generator", "fibonacci", "--n", "3", "--tier", "super"),
-         {"analysis", "counting", "evolution", "palindromes"}, False),
+         {"analysis", "counting", "palindromes"}, False),
         (("graph", "--word", "abacaba", "--n", "2", "--tier", "super"),
-         {"analysis", "counting", "evolution", "generators", "palindromes"}, True),
+         {"analysis", "counting", "generators", "palindromes"}, True),
     ],
     ids=["verify-word", "analyze-word", "graph", "graph-word"],
 )
