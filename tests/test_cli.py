@@ -287,10 +287,26 @@ REPORT_FORMATS = [
 ]
 
 
-@pytest.mark.parametrize("command, fmt, ext", REPORT_FORMATS)
-@pytest.mark.parametrize("source", REPORT_SOURCES)
+# Deep orders, where the special factors of every order are many: the
+# right/left/bispecial columns of the CSV and both conditions of the JSON
+# read ``FactorIndex.specials()`` at every order.
+DEEP_REPORT_SOURCES = {
+    "cassaigne_aab_n120": ("--generator", "cassaigne-aab", "--n-max", "120"),
+    "quadratic_abab_n120": ("--generator", "quadratic-abab", "--n-max", "120"),
+}
+REPORT_CASES = [
+    (source, command, fmt, ext) for source in REPORT_SOURCES for command, fmt, ext in REPORT_FORMATS
+] + [
+    ("cassaigne_aab_n120", "verify", "json", "json"),
+    ("quadratic_abab_n120", "verify", "json", "json"),
+    ("cassaigne_aab_n120", "analyze", "csv", "csv"),
+]
+
+
+@pytest.mark.parametrize("source, command, fmt, ext", REPORT_CASES)
 def test_report_matches_golden(capsys, source, command, fmt, ext):
-    code, out, err = run(capsys, command, *REPORT_SOURCES[source], "--format", fmt)
+    argv = {**REPORT_SOURCES, **DEEP_REPORT_SOURCES}[source]
+    code, out, err = run(capsys, command, *argv, "--format", fmt)
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / f"{command}_{source}.{ext}").read_bytes()
 
