@@ -57,25 +57,32 @@ index is built from its exact factor set alone.
 
 *Special factors.*  ``specials`` reads off G, for every order n, the
 factors u of length n that are right special (ua and ub are factors for
-two letters a != b) or left special (au and bu are).
+two letters a != b) or left special (au and bu are), at one slice and one
+tuple per special factor and nothing per other factor.
 
 (R) u is right special iff some adjacent pair of G, both longer than n,
-has LCP n and n-prefix u; its right letters are the letters at position n
-of those pairs.  Proof: the elements that start with u form one run (see
-*Complexity*): u first, if it is in G, then the longer ones in the order
-of their letter at position n, which changes exactly at such pairs.
+has LCP n and n-prefix u.  Proof: the elements that start with u form one
+run (see *Complexity*): u first, if it is in G, then the longer ones in the
+order of their letter at position n, which changes exactly at such pairs.
+So the pairs of u come together among those of LCP n, in G order.
 
 (L) u is left special iff two elements of G with different first letters
 have tails g[1:] that start with u.  Proof: F_{n+1} is the set of
 (n+1)-prefixes of G, so au is a factor iff some g in G with g[0] = a has a
-tail that starts with u.  In tail order these tails form one run, with
-two first letters iff one of its adjacent pairs has.  So L_n is the set of
-n-prefixes of the tails of the adjacent pairs in tail order whose first
-letters differ and whose tails share h >= n letters.  G lists each first
-letter's elements in tail order, so merging those blocks gives the tail
-order.  This holds on every index; the right specials of the sorted
-reversed windows do not, since the windows' suffixes miss the factors that
-occur only in the first D - 1 letters (ab in abcb, a in a -> ab, b -> bb).
+tail that starts with u.  In tail order (equal tails in either order) these
+tails form one run, with two first letters iff one of its adjacent pairs
+has.  So with T the shared tails, the common prefixes of the tails of the
+adjacent pairs whose first letters differ, L_n is the set of n-prefixes
+of the t in T with |t| >= n.  Sort T and let h_t be the LCP of t with the
+one before it (-1 for the first).  The t with |t| >= n that start with u
+form one run of T (*Complexity*), and only its first has h_t < n.  So L_n
+is {t[:n] : h_t < n <= |t|}, and t is read at the orders h_t + 1..|t|
+only.  G lists each first letter's elements in tail order; merging those
+blocks by galloping costs one ``bisect`` per element of T.  The later
+tail w of t's pair starts with t and is a factor: when |w| > n, w[n] is the
+one right letter of t[:n] if that is not right special, and when w = t[:n]
+the letter after it in G is.  This holds on every index, unlike the right
+specials of the sorted reversed windows (ab in abcb is missed).
 
 *Palindromes.*  The palindromes of length n >= 2 are the words c p c with
 p a palindrome of length n - 2 and c a letter, and every factor of a
@@ -124,8 +131,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from heapq import merge
-from itertools import pairwise, repeat, starmap
+from itertools import count, pairwise, repeat, starmap
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import OutOfRange, StabilizationFailed, TooLarge, WordTooShort
@@ -259,47 +266,71 @@ class FactorIndex:
         return ext
 
     def specials(self) -> Iterator[dict[bytes, tuple[bool, bytes]]]:
-        """The special factors of every order 0..n_max, by (R) and (L) above.
+        """Per order 0..n_max, each special u to (is left special, sorted right letters).
 
-        Order n maps each special u of length n to (whether u is left
-        special, its sorted right letters).  A left special that is not right
-        special has one right letter, read after u in the longest shared tail
-        that starts with u.  When every such tail ends with u, as at the top
-        order, it is read after u in the next element of G, and at the final
-        suffix of a finite word there is none.
+        By (R) and (L) above; a left special that is not right special has
+        one right letter, or none at the end of a finite word.
         """
         top, lcps = self._top, self._lcps
+        orders, k = range(self.n_max + 1), self.alphabet.size
         # (R): the adjacent pairs of G, both longer than their LCP, by LCP.
-        branches: list[list[int]] = [[] for _ in range(self.n_max + 1)]
-        for i in range(1, len(top)):
-            if lcps[i] < len(top[i - 1]):
-                branches[lcps[i]].append(i)
-        # (L): G's blocks of one first letter, cut where the LCP is below 1.
-        cuts = [i for i, h in enumerate(lcps) if h < 1] + [len(top)]
-        tails = merge(*(top[i:j] for i, j in zip(cuts, cuts[1:])), key=lambda g: g[1:])
-        shared = [a[1 : 1 + _lcp(a[1:], b[1:])] for a, b in pairwise(tails) if a[0] != b[0]]
-        # Longest first, so each order reads only the tails that reach it.
-        shared.sort(key=len, reverse=True)
-        reach = len(shared)
-        for n, pairs in enumerate(branches):
-            while reach and len(shared[reach - 1]) < n:
-                reach -= 1
-            # Each u maps to the letter after it in its longest tail, if any.
-            left = {t[:n]: t[n : n + 1] for t in reversed(shared[:reach])}
-            right: dict[bytes, bytes] = {}
-            for i in pairs:
-                u = top[i][:n]
-                right[u] = right.get(u, top[i - 1][n : n + 1]) + top[i][n : n + 1]
-            out = {u: (u in left, letters) for u, letters in right.items()}
-            for u in sorted(left.keys() - right.keys()):
-                letter = left[u]
-                if not letter:
-                    # Every shared tail that starts with u ends with it, as at
-                    # the top order.
-                    g = top[min(bisect_right(top, u), len(top) - 1)]
-                    letter = g[n : n + 1] if g.startswith(u) else b""
-                out[u] = (True, letter)
+        branches: list[list[int]] = [[] for _ in orders]
+        for i, h, g in zip(count(1), lcps[1:], top):
+            if h < len(g):
+                branches[h].append(i)
+        two = [[bytes((a, b)) for b in range(k)] for a in range(k)]  # two[a][b] is ab
+        # (L): each shared tail t is read at the orders h + 1..|t|, with h
+        # its LCP with the one before it in sorted order.
+        born: list[list[tuple[bytes, bytes]]] = [[] for _ in orders]
+        ends: list[list[bytes]] = [[] for _ in orders]
+        before = None
+        for t, w in sorted(_shared_tails(top, k)):
+            h = -1 if before is None else _lcp(before, t)
+            before = t
+            if h < len(t):
+                born[h + 1].append((t, w))
+                ends[len(t)].append(t)
+        active: dict[bytes, bytes] = {}
+        for n, run in enumerate(branches):
+            active.update(born[n])
+            out = {w[:n]: (True, w[n : n + 1]) for w in active.values()}
+            # The first pair of u gives two right letters, each later pair one more.
+            right = {
+                (u := top[i][:n]): (u in out, two[top[i - 1][n]][top[i][n]])
+                for i in reversed(run)
+            }
+            if len(right) < len(run):
+                for i, j in pairwise(run):
+                    if (u := top[j][:n]) == top[i][:n]:
+                        right[u] = (right[u][0], right[u][1] + top[j][n : n + 1])
+            out.update(right)
+            for t in ends[n]:
+                w = active.pop(t)
+                if w == t and not out[w][1]:
+                    g = top[min(bisect_right(top, w), len(top) - 1)]
+                    out[w] = (True, g[n : n + 1] if g.startswith(w) else b"")
             yield out
+
+
+def _shared_tails(top: tuple[bytes, ...], k: int) -> Iterator[tuple[bytes, bytes]]:
+    """(t, w) per adjacent pair in tail order whose first letters differ (*Special factors*).
+
+    w is the later tail and t its common prefix with the earlier one.  The
+    galloping merge builds no tail of the elements between two such pairs.
+    """
+    tail = itemgetter(slice(1, None))
+    bounds = [bisect_left(top, bytes((c,))) for c in range(k)] + [len(top)]
+    heads = [(top[p][1:], p, end) for p, end in pairwise(bounds) if p < end]
+    previous = None
+    while heads:
+        heads.sort()
+        t, p, end = heads.pop(0)
+        if previous is not None:
+            yield t[: _lcp(previous, t)], t
+        p = bisect_right(top, heads[0][0], p, end, key=tail) if heads else end
+        previous = top[p - 1][1:]
+        if p < end:
+            heads.append((top[p][1:], p, end))
 
 
 def _lcp(a: bytes, b: bytes) -> int:

@@ -10,24 +10,9 @@ combinatorial core of the equality
 
     P(n) + P(n+1) = C(n+1) - C(n) + 2.
 
-Periodic words have no special factors at large orders; reduction then
-returns a graph with no vertices instead of raising, the identity is
-checked through the periodicity route by callers, and :func:`reduced_dot`
-draws the cycle from the raw graph.
-
 An index built for n_max answers every order 0..n_max (``factors``
 docstring): the order-n graph reads F_n and F_{n+1}, and
 :func:`carried_graphs` reads factors of length at most n+1 at order n.
-
-Each fact has one source.  A Rauzy graph keeps one adjacency, the
-right-extension map of ``FactorIndex.right_extensions``: the edges out of
-v are v + c for its letters c.  The left map serves only to find the
-special factors.  The super-reduced graph stores each reversal class as
-its least member, and reads both the class count s and the
-special-palindrome count p off those classes.  The three DOT renderers
-hand their nodes and (a, b, label) edges to one line writer, which writes
-each line to the text stream it is given as it makes it, so no DOT text
-is held.
 
 :func:`build_rauzy` and :func:`reduce` build one order from its factor sets,
 and :func:`super_reduce` quotients it; ``palrich graph`` draws them.
@@ -38,7 +23,8 @@ graph; :func:`is_tree` and :func:`palindromic_path_condition` read the two
 conditions off its counts at every order.  Write S_n for the special
 factors of length n and L(w, c) for the label of the order-n simple path
 that leaves w in S_n through the edge w + c.  The order-(n+1) vertices are
-the order-n edges.  Four facts carry one order to the next:
+the order-n edges.  Four facts carry one order to the next, and a fifth
+makes condition 2 a count:
 
 1. *Specials.*  Every x in S_{n+1} is b + w or w + c with w in S_n.  If x is
    right special, x + a and x + b are factors, hence so are x[1:] + a and
@@ -65,9 +51,7 @@ the order-n edges.  Four facts carry one order to the next:
    *One edge.*  If x[1:] is in S_n and x[1:] + c is in S_{n+1}, the path is
    the one edge x -> x[1:] + c with label x + c: x + c is a factor, since c
    is a right letter of x, and its end x[1:] + c is special, so the walk
-   stops there.  It reads no order-n path.  Up to order 120 such paths are
-   13,595 of the 20,259 of cassaigne-aab and 13,493 of the 20,106 of
-   quadratic-abab, about two in three.
+   stops there.  It reads no order-n path.
 4. *The shift φ.*  Let the sets be closed under reversal, so that every
    factor has a left letter too, and let B_n be the bispecials in S_n.  A
    right special u not in B_n has one left letter a, which must precede
@@ -96,26 +80,23 @@ the order-n edges.  Four facts carry one order to the next:
    too), and on a w -> w̄ path whether its label is a palindrome: the label
    grows to a + L + a, or not at all.
 
-   *Quiet orders.*  If B_n is empty, order n+1 is order n with each
-   one-edge path w -> u whose label x is in B_{n+1} contracted to x; it
-   is the only path out of w and the only one into u.  Either x is a
-   palindrome and the path a palindromic w -> w̄, or w is not ū (else w
-   would be right special) and the path and its reversal are one edge of
-   the super-reduced graph between two classes; contracting it keeps a
-   tree a tree and a non-tree not one.  So both conditions carry over,
-   and so does the slack, whose increment is a sum over B_n (a palindrome
-   not in B_n has one palindromic extension).  :func:`carried_graphs`
-   does not use this lemma; ``palrich verify`` reads both conditions at
-   every order.
-
-   The tests check the rule and the lemma against the per-order graphs
-   (``oracles.shifted_paths`` and ``oracles.shift_mismatches``).  To order
-   120 on cassaigne-aab and quadratic-abab about 96% of the paths of each
-   order are carried.
+   ``oracles.shifted_paths`` checks the rule, and ``oracles.shift_mismatches``
+   proves and checks that an order with no bispecial keeps the slack and
+   both conditions, a lemma that :func:`carried_graphs` does not use.
+5. *Connectivity.*  Let the sets be the factors of one infinite word y,
+   and S_n not empty.  Every factor occurs in y, and from one occurrence
+   of a member of S_n to the next the walk of y in the order-n graph
+   follows one simple path.  So simple paths join every member of S_n to
+   the first to occur: the reduced graph is weakly connected.  So is the
+   super-reduced graph, since a path from w to w̄, which it drops, and a
+   loop join a class to itself.  A connected graph on s vertices, loops
+   and multi-edges counted, is a tree iff it has s - 1 edges: condition 2
+   is that count.  The tests check connectivity at every order they run.
 
 Facts 1 and 2 hold for any sets closed under taking factors; fact 3 needs
-in addition that each edge met has a right extension, and fact 4 closure
-under reversal; without it :func:`carried_graphs` walks every path.  So
+in addition that each edge met has a right extension, fact 4 closure
+under reversal, and fact 5 the sets of one word; without closure under
+reversal :func:`carried_graphs` walks every path.  So
 :func:`carried_graphs` takes an index in which every factor of length at
 most n_max has a right extension.  Every factor of an infinite word has
 one, so every ``WordFamily.index`` qualifies.  A finite word's final
@@ -393,64 +374,70 @@ class CarriedGraph:
         self.s = 0
 
     def label(self, path: _Path) -> bytes:
-        """The label of ``path`` at this order, from its core and its ends' names."""
-        k = self.n - path.born
+        """The label of ``path`` at this order, from its core and its ends' names.
+
+        An end that :meth:`_advance` has renamed keeps its order-n name as
+        its last n letters (right special) or its first n (left special).
+        """
+        n = self.n
+        k = n - path.born
         label = path.core
         if k:
             if path.source.kind is _RIGHT:
-                label = path.source.name[:k] + label
+                label = path.source.name[-n:][:k] + label
             if path.target.kind is _LEFT:
-                label += path.target.name[-k:]
+                label += path.target.name[n - k : n]
         return label
 
     def _advance(self, new: _Specials, has: Callable[[bytes], bool], carry: bool) -> None:
         """Move from order n to order n + 1, whose special factors are ``new``.
 
-        With ``carry``, each x in S_{n+1} \\ B_{n+1} takes over the vertex
-        of its preimage under φ, x[1:] or x[:-1], when that has the same
-        kind; the paths between such vertices are carried as they are.
-        Every other vertex is dropped with its paths, and every path out
-        of a new vertex or in place of a dropped one is walked
-        (:func:`_walk`).  Without ``carry`` every path is walked.
+        One pass over ``new`` makes each vertex of order n + 1.  With
+        ``carry``, each x in S_{n+1} \\ B_{n+1} claims and renames the vertex
+        of its preimage under φ, x[1:] or x[:-1], when that has its kind,
+        and the paths between claimed vertices stay.  The other vertices
+        are dropped with their paths, and the paths out of new vertices or
+        in place of dropped ones are walked (:func:`_walk`).
         """
+        n = self.n
         old = self.vertices
-        images: dict[_Vertex, bytes] = {}
+        dropped = dict(old)
         vertices: dict[bytes, _Vertex] = {}
         fresh: list[_Vertex] = []
+        claim = dropped.pop if carry else {}.pop
         for x, (left, right) in new.items():
-            if len(right) > 1:
-                kind = _BOTH if left else _RIGHT
-                u = old.get(x[1:]) if carry and not left else None
+            # A special that is not left special is right special.
+            if not left:
+                u, kind = claim(x[1:], None), _RIGHT
+            elif len(right) < 2:
+                u, kind = claim(x[:-1], None), _LEFT
             else:
-                kind = _LEFT
-                u = old.get(x[:-1]) if carry else None
-            if u is not None and u.kind is kind:
-                images[u] = x
-                vertices[x] = u
+                u, kind = None, _BOTH
+            if u is None or u.kind is not kind:
+                if u is not None:  # a bispecial, never claimed
+                    dropped[u.name] = u
+                u = _Vertex(x, kind)
+                fresh.append(u)
             else:
-                vertices[x] = v = _Vertex(x, kind)
-                fresh.append(v)
-        dropped = [u for u in old.values() if u not in images]
-        gone = {p: None for u in dropped for p in (*u.out.values(), *u.into)}
+                u.name = x
+            vertices[x] = u
+        gone = {p: None for u in dropped.values() for p in (*u.out.values(), *u.into)}
         starts = [(v.name, c) for v in fresh for c in new[v.name][1]]
         for p in gone:
-            x = images.get(p.source)
-            if x is not None:
+            x = p.source.name
+            if len(x) > n:  # claimed: walk again from its new name
                 starts.append((x, p.first if p.source.kind is _RIGHT else new[x][1][0]))
         walked = _walk(self, starts, new, has)
-        # The order-n names were read by the walk; now the carried vertices move.
-        for u, x in images.items():
-            u.name = x
         for p in gone:
             del p.source.out[p.first]
             p.target.into.remove(p)
             self._count(p, -1)
-        self.s -= sum(u.cls is u for u in dropped)
+        self.s -= sum(u.cls is u for u in dropped.values())
         for v in fresh:
             r = vertices.get(v.name[::-1])
             v.cls = r.cls if r is not None and r.cls is not None else v
             self.s += v.cls is v
-        m = self.n + 1
+        m = n + 1
         for x, target, label in walked:
             p = _Path(vertices[x], vertices[target], label, m)
             p.source.out[p.first] = p
@@ -479,13 +466,11 @@ def _walk(
 ) -> list[tuple[bytes, bytes, bytes]]:
     """The order-(n+1) paths that leave x by letter c, spliced from order n (facts 2, 3).
 
-    Each (x, c) of ``starts`` gives one (source, target, label).  ``cg``
-    is the graph of order n, and ``has`` tests factor membership.  Each
-    order-(n+1) path visits the edges of consecutive order-n paths; only
-    the first and last edge of each (head and tail) can be special at
-    order n+1, so only those are tested.  A one-edge path (fact 3) is read
-    off the specials alone; a longer walk reads the order-n paths from
-    their source's ``out`` map.  This is the one splice of the package.
+    Each (x, c) of ``starts`` gives one (source, target, label); ``cg`` is
+    the graph of order n and ``has`` tests factor membership.  Of each
+    order-n path read, only the head and the tail edge are tested; a
+    one-edge path is read off the specials alone.  This is the one splice
+    of the package.
     """
     n, specials, vertices = cg.n, cg.specials, cg.vertices
     m = n + 1
@@ -498,15 +483,15 @@ def _walk(
                 out.append((x, target, label))
                 continue
             parts = [x[:1]]
-            s = x[1:]
+            v = vertices[x[1:]]
         else:
             # x is the head of an order-n path, and x[1:] has one extension.
             parts = [b""]
-            s, c = x[:-1], x[-1]
+            v, c = vertices[x[:-1]], x[-1]
         trim = 0
         check_head = False
         for _ in range(cg.paths + 1):
-            paths = vertices[s].out
+            paths = v.out
             path = paths[c] if len(paths) > 1 else next(iter(paths.values()))
             label = cg.label(path)
             if check_head and label[:m] in new_specials:
@@ -518,9 +503,11 @@ def _walk(
             if tail in new_specials:
                 out.append((x, tail, b"".join(parts)))
                 break
-            # A non-special tail has exactly one right extension.
-            s = path.target.name
-            right = [d for d in specials[s][1] if has(tail + _LETTERS[d])]
+            # A non-special tail has exactly one right extension.  The label
+            # ends with the target's order-n name, tail[1:]; the target may
+            # already have its order-(n+1) name.
+            v = path.target
+            right = [d for d in specials[tail[1:]][1] if has(tail + _LETTERS[d])]
             if len(right) != 1:
                 raise AssertionError("non-special vertex with out-degree != 1")
             c = right[0]
@@ -534,15 +521,13 @@ def _walk(
 def carried_graphs(idx: FactorIndex, reversal_closed: bool) -> Iterator[CarriedGraph]:
     """The reduced graph of each order n = 0..idx.n_max, each from the last.
 
-    Yields one :class:`CarriedGraph`, updated in place from order to
-    order, so read each order before asking for the next.  The special
-    factors come from ``FactorIndex.specials``.  When the index is closed
-    under reversal (``reversal_closed``), the paths that avoid the
-    bispecial factors are carried through φ (fact 4) and only the others
-    are walked (facts 2 and 3); otherwise every path is walked.  No order
-    builds its full Rauzy graph.  Every factor of ``idx`` of length at
-    most n_max must have a right extension, as in the index of an
-    infinite word.
+    Yields one :class:`CarriedGraph`, updated in place, so read each order
+    before asking for the next.  With ``reversal_closed`` the paths that
+    avoid the bispecials are carried through φ (fact 4); the others, and
+    without it every path, are walked (facts 2 and 3).  Every factor of
+    ``idx`` of length at most n_max must have a right extension, as in the
+    index of an infinite word, and :func:`is_tree` needs the index of one
+    word (fact 5).
     """
     cg = CarriedGraph()
     for n, specials in enumerate(idx.specials()):
@@ -564,30 +549,12 @@ def carried_graphs(idx: FactorIndex, reversal_closed: bool) -> Iterator[CarriedG
 
 
 def is_tree(cg: CarriedGraph) -> bool:
-    """Condition 2: the super-reduced graph is connected with exactly s-1 edges.
+    """Condition 2: the super-reduced graph is a tree.
 
-    Each label class of ``cg.edges`` is one edge, so multi-edges and loops
-    break tree-ness; one union-find over the vertices' reversal classes
-    tests connectivity.  On the language of one infinite word, every
-    ``WordFamily.index``, the graph is connected whenever it has a vertex,
-    so there the union-find is a guard that no test trips.
+    It is connected (fact 5), so it is one iff its edges, one per label
+    class of ``cg.edges`` with multi-edges and loops counted, number s - 1.
     """
-    if len(cg.edges) != cg.s - 1:
-        return False
-    parent = {}
-
-    def find(x):
-        while x in parent:
-            x = parent[x]
-        return x
-
-    components = cg.s
-    for path, *_ in cg.edges.values():
-        ra, rb = find(path.source.cls), find(path.target.cls)
-        if ra is not rb:
-            parent[ra] = rb
-            components -= 1
-    return components == 1
+    return len(cg.edges) == cg.s - 1
 
 
 def palindromic_path_condition(cg: CarriedGraph) -> bool:

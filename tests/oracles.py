@@ -2,9 +2,9 @@
 
 Everything here trades speed for obviousness: plain window enumeration,
 plain substring scans, constraint-filling for palindromic closure.  None of
-it calls the code paths it is checking, but for the three functions at the
-end, from :func:`carried_paths` on, which hold ``rauzy.carried_graphs`` and
-fact 4 of the ``rauzy`` docstring against the per-order graphs.
+it calls the code paths it is checking, but for the functions at the end,
+from :func:`carried_paths` on, which hold ``rauzy.carried_graphs`` and
+facts 4 and 5 of the ``rauzy`` docstring against the per-order graphs.
 """
 
 from itertools import chain, product
@@ -620,14 +620,41 @@ def carried_paths(cg):
     )
 
 
+def carried_graph_connected(cg) -> bool:
+    """Whether the super-reduced graph of an ``rauzy.CarriedGraph`` is connected.
+
+    One union-find over the vertices' reversal classes, joined along every
+    path that is not from a special factor to its reversal; fact 5 of
+    ``rauzy`` says that it is, on the index of one word, so that
+    ``rauzy.is_tree`` need only count edges.
+    """
+    parent = {}
+
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    components = cg.s
+    for v in cg.vertices.values():
+        for p in v.out.values():
+            ra, rb = find(p.source.cls), find(p.target.cls)
+            if ra is not rb:
+                parent[ra] = rb
+                components -= 1
+    return components == 1
+
+
 def carried_mismatches(idx, reversal_closed) -> list:
     """The orders at which ``rauzy.carried_graphs`` differs from the per-order build.
 
     At each order it compares the special factors, every simple path with
     its label, the class and edge counts of the super-reduced graph and
     both verdicts with ``reduce(build_rauzy(idx, n))``, its
-    ``super_reduce`` and the oracles above, and checks ``super_reduce``
-    against :func:`super_reduce_per_path`.  Returns (n, what) per mismatch.
+    ``super_reduce`` and the oracles above, checks ``super_reduce``
+    against :func:`super_reduce_per_path`, and checks that the carried
+    super-reduced graph is connected (:func:`carried_graph_connected`).
+    Returns (n, what) per mismatch.
     """
     from palrich import rauzy
 
@@ -646,6 +673,8 @@ def carried_mismatches(idx, reversal_closed) -> list:
             found.append((n, "super_reduce"))
         if (cg.s, len(cg.edges)) != (sg.s, len(sg.edges)):
             found.append((n, "super-reduced counts"))
+        if not carried_graph_connected(cg):
+            found.append((n, "disconnected"))
         verdicts = (palindromic_path_witness(ref) is None, super_graph_is_tree(sg))
         carried = (rauzy.palindromic_path_condition(cg), rauzy.is_tree(cg))
         if carried != verdicts:
@@ -662,6 +691,16 @@ def shift_mismatches(idx):
     order), order n + 1 must have the slack and both verdicts of order n.
     Returns (n, what) per failure, the share of order-(n+1) paths
     predicted, and the number of quiet orders.
+
+    *The quiet-order lemma.*  If B_n is empty, order n+1 is order n with
+    each one-edge path w -> u whose label x is in B_{n+1} contracted to x;
+    it is the only path out of w and the only one into u.  Either x is a
+    palindrome and the path a palindromic w -> w̄, or w is not ū (else w
+    would be right special) and the path and its reversal are one edge of
+    the super-reduced graph between two classes; contracting it keeps a
+    tree a tree and a non-tree not one.  So both conditions carry over,
+    and so does the slack, whose increment is a sum over B_n (a palindrome
+    not in B_n has one palindromic extension).
     """
     from palrich.analysis import profile_from_index
     from palrich.rauzy import build_rauzy, reduce
@@ -686,3 +725,40 @@ def shift_mismatches(idx):
             if graph_verdicts(idx, n + 1) != graph_verdicts(idx, n):
                 found.append((n, "quiet verdicts"))
     return found, predicted / max(total, 1), quiet
+
+
+def local_languages(k: int, n: int):
+    """Every reversal-closed F ⊆ A^(n+1), |A| = k, with a strongly connected de Bruijn graph.
+
+    The graph has the n-prefixes of F as vertices and an edge from e[:n] to
+    e[1:] per e in F; it must have the n-suffixes as the same vertex set.
+    Then F is the factor set F_{n+1} of the periodic word that repeats a
+    closed walk through every edge, and its shorter sets are the prefixes
+    of F.  Each F is yielded as a frozenset of bytes, listed by subsets of
+    the reversal orbits of A^(n+1).
+    """
+    words = [bytes(w) for w in product(range(k), repeat=n + 1)]
+    orbits = sorted({min(w, w[::-1]) for w in words})
+    for mask in range(1, 1 << len(orbits)):
+        chosen = [o for i, o in enumerate(orbits) if mask >> i & 1]
+        edges = frozenset(chosen) | {o[::-1] for o in chosen}
+        heads = {e[:n] for e in edges}
+        if heads != {e[1:] for e in edges}:
+            continue
+        forward, backward = {}, {}
+        for e in edges:
+            forward.setdefault(e[:n], []).append(e[1:])
+            backward.setdefault(e[1:], []).append(e[:n])
+        start = next(iter(heads))
+        if all(_reach(start, step) == heads for step in (forward, backward)):
+            yield edges
+
+
+def _reach(start, step) -> set:
+    seen, stack = {start}, [start]
+    while stack:
+        for v in step[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen

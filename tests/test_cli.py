@@ -295,7 +295,9 @@ DEEP_REPORT_SOURCES = {
     "quadratic_abab_n120": ("--generator", "quadratic-abab", "--n-max", "120"),
 }
 REPORT_CASES = [
-    (source, command, fmt, ext) for source in REPORT_SOURCES for command, fmt, ext in REPORT_FORMATS
+    (source, command, fmt, ext)
+    for source in REPORT_SOURCES
+    for command, fmt, ext in REPORT_FORMATS
 ] + [
     ("cassaigne_aab_n120", "verify", "json", "json"),
     ("quadratic_abab_n120", "verify", "json", "json"),

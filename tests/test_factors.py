@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from palrich import factors
 from palrich.errors import OutOfRange, StabilizationFailed, WordTooShort
 from palrich.factors import (
+    FactorIndex,
     _image_windows,
     build_index,
     finite_complexity,
@@ -22,7 +23,15 @@ from palrich.generators import (
     get_family,
     psi_morphism,
 )
-from palrich.words import Morphism, Word, fixed_point, morphic_image, periodic_word, s_word
+from palrich.words import (
+    Alphabet,
+    Morphism,
+    Word,
+    fixed_point,
+    morphic_image,
+    periodic_word,
+    s_word,
+)
 
 from oracles import (
     all_words,
@@ -31,6 +40,7 @@ from oracles import (
     derive_down,
     extensions_naive,
     image_windows_all,
+    local_languages,
     occurrences,
     prefix_seeded_closure,
     rauzy_graph_naive,
@@ -159,6 +169,26 @@ def assert_specials_match_evolution(idx):
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_specials_match_the_evolution_on_registry_families(name):
     assert_specials_match_evolution(get_family(name).index(60))
+
+
+@pytest.mark.parametrize("name", ["cassaigne-aab", "quadratic-abab"])
+def test_specials_match_the_evolution_at_deep_orders(name):
+    # The shared tails are long here, and at the top order every left
+    # special that is not right special reads its letter off G.
+    assert_specials_match_evolution(get_family(name).index(120))
+
+
+# (alphabet size, order, number of local languages): ROADMAP item 16's
+# exhaustive rows.
+LOCAL_LANGUAGE_ROWS = [(2, 1, 6), (2, 2, 27), (2, 3, 223), (3, 1, 47)]
+
+
+@pytest.mark.parametrize("k, n, count", LOCAL_LANGUAGE_ROWS)
+def test_specials_match_the_evolution_on_every_small_local_language(k, n, count):
+    languages = list(local_languages(k, n))
+    assert len(languages) == count
+    for top in languages:
+        assert_specials_match_evolution(FactorIndex(Alphabet("abc"[:k]), top))
 
 
 @pytest.mark.parametrize(

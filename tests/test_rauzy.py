@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from palrich import rauzy
 from palrich.errors import NotApplicable, OutOfRange
-from palrich.factors import build_index, is_closed_under_reversal, stabilized_prefix
+from palrich.analysis import _order_record, profile_from_index
+from palrich.factors import FactorIndex, build_index, is_closed_under_reversal, stabilized_prefix
 from palrich.generators import REGISTRY, get_family
 from palrich.palindromes import Eertree, is_rich_incremental
-from palrich.words import Morphism, Word, fixed_point, periodic_word, s_word
+from palrich.words import Alphabet, Morphism, Word, fixed_point, periodic_word, s_word
 
 from oracles import (
     carried_mismatches,
     carried_paths,
+    local_languages,
     palindromic_path_witness,
     rauzy_graph_naive,
     shift_mismatches,
@@ -480,6 +482,24 @@ def test_carried_graphs_match_per_order_build_at_deep_orders(name):
             paths = carried_paths(cg)
             one_edge = sum(len(p.label) == cg.n + 1 for p in paths)
             assert 2 * one_edge > len(paths), cg.n
+
+
+@pytest.mark.parametrize("k, n, count", [(2, 1, 6), (2, 2, 27), (2, 3, 223), (3, 1, 47)])
+def test_every_small_local_language(k, n, count):
+    # Each reversal-closed F whose de Bruijn graph is strongly connected is
+    # F_{n+1} of a periodic word (oracles.local_languages): at every order
+    # the carried graph equals the per-order build, its super-reduced graph
+    # is connected, and the slack is zero iff both conditions hold.
+    languages = list(local_languages(k, n))
+    assert len(languages) == count
+    for top in languages:
+        idx = FactorIndex(Alphabet("abc"[:k]), top)
+        assert is_closed_under_reversal(idx)[0]
+        assert carried_mismatches(idx, True) == []
+        prof = profile_from_index(idx)
+        for cg in rauzy.carried_graphs(idx, True):
+            record = _order_record(cg, prof)
+            assert (prof.slack[cg.n] == 0) == record.conditions, (sorted(top), cg.n)
 
 
 @given(st.text(alphabet="abc", min_size=1, max_size=8), st.integers(0, 4))
