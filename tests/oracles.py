@@ -624,8 +624,8 @@ def carried_graph_connected(cg) -> bool:
     """Whether the super-reduced graph of an ``rauzy.CarriedGraph`` is connected.
 
     One union-find over the vertices' reversal classes, joined along every
-    path that is not from a special factor to its reversal; fact 5 of
-    ``rauzy`` says that it is, on the index of one word, so that
+    path (a path from w to its reversal joins a class to itself).  Fact 5
+    of ``rauzy`` says that it is, on the index of one word, so that
     ``rauzy.is_tree`` need only count edges.
     """
     parent = {}
@@ -725,6 +725,11 @@ def shift_mismatches(idx):
             if graph_verdicts(idx, n + 1) != graph_verdicts(idx, n):
                 found.append((n, "quiet verdicts"))
     return found, predicted / max(total, 1), quiet
+
+
+# (alphabet size k, order n, number of local languages) of the rows small
+# enough to list exhaustively in tier-1.
+SMALL_LOCAL_LANGUAGE_ROWS = ((2, 1, 6), (2, 2, 27), (2, 3, 223), (3, 1, 47))
 
 
 def local_languages(k: int, n: int):

@@ -34,6 +34,7 @@ from palrich.words import (
 )
 
 from oracles import (
+    SMALL_LOCAL_LANGUAGE_ROWS,
     all_words,
     closure_naive,
     complete_returns_naive,
@@ -178,12 +179,7 @@ def test_specials_match_the_evolution_at_deep_orders(name):
     assert_specials_match_evolution(get_family(name).index(120))
 
 
-# (alphabet size, order, number of local languages): ROADMAP item 16's
-# exhaustive rows.
-LOCAL_LANGUAGE_ROWS = [(2, 1, 6), (2, 2, 27), (2, 3, 223), (3, 1, 47)]
-
-
-@pytest.mark.parametrize("k, n, count", LOCAL_LANGUAGE_ROWS)
+@pytest.mark.parametrize("k, n, count", SMALL_LOCAL_LANGUAGE_ROWS)
 def test_specials_match_the_evolution_on_every_small_local_language(k, n, count):
     languages = list(local_languages(k, n))
     assert len(languages) == count

@@ -14,6 +14,8 @@ from palrich.palindromes import Eertree, is_rich_incremental
 from palrich.words import Alphabet, Morphism, Word, fixed_point, periodic_word, s_word
 
 from oracles import (
+    SMALL_LOCAL_LANGUAGE_ROWS,
+    carried_graph_connected,
     carried_mismatches,
     carried_paths,
     local_languages,
@@ -484,7 +486,21 @@ def test_carried_graphs_match_per_order_build_at_deep_orders(name):
             assert 2 * one_edge > len(paths), cg.n
 
 
-@pytest.mark.parametrize("k, n, count", [(2, 1, 6), (2, 2, 27), (2, 3, 223), (3, 1, 47)])
+def test_the_connectivity_oracle_sees_a_second_component():
+    # Two reversal classes and no path between them: what fact 5 of
+    # palrich.rauzy rules out on the index of one word, and what
+    # rauzy.is_tree no longer tests.
+    cg = rauzy.CarriedGraph()
+    for name in (b"\x00", b"\x01"):
+        v = cg.vertices[name] = rauzy._Vertex(name, rauzy._BOTH)
+        v.cls = v
+    cg.s = 2
+    assert not carried_graph_connected(cg)
+    idx = get_family("fibonacci").index(3)
+    assert all(carried_graph_connected(cg) for cg in rauzy.carried_graphs(idx, True))
+
+
+@pytest.mark.parametrize("k, n, count", SMALL_LOCAL_LANGUAGE_ROWS)
 def test_every_small_local_language(k, n, count):
     # Each reversal-closed F whose de Bruijn graph is strongly connected is
     # F_{n+1} of a periodic word (oracles.local_languages): at every order
