@@ -324,9 +324,9 @@ def _shared_tails(top: tuple[bytes, ...], k: int) -> Iterator[tuple[bytes, bytes
     previous = None
     while heads:
         heads.sort()
-        t, p, end = heads.pop(0)
+        w, p, end = heads.pop(0)
         if previous is not None:
-            yield t[: _lcp(previous, t)], t
+            yield w[: _lcp(previous, w)], w
         p = bisect_right(top, heads[0][0], p, end, key=tail) if heads else end
         previous = top[p - 1][1:]
         if p < end:
